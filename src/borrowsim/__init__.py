@@ -7,8 +7,6 @@ from .gaussian import (
     SufficientStat,
     conjugate_update,
     gaussian_cdf,
-    gaussian_pdf,
-    gaussian_quantile,
     log_marginal_likelihood,
     marginal_likelihood,
     mixture_cdf,
@@ -31,7 +29,6 @@ from .priors import (
 )
 from .inference import (
     PosteriorSummary,
-    exact_t_tail_oracle,
     posterior,
     posterior_mean,
     prob_t_not_better,

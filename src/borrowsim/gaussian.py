@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 __all__ = [
     "GaussianComponent",
     "GaussianMixture",
     "SufficientStat",
-    "gaussian_pdf",
     "gaussian_cdf",
-    "gaussian_quantile",
     "mixture_pdf",
     "mixture_cdf",
     "mixture_quantile",
@@ -134,20 +132,9 @@ class SufficientStat:
         return self.sigma / math.sqrt(self.n)
 
 
-def gaussian_pdf(x: float, c: GaussianComponent) -> float:
-    z = (x - c.mean) / c.sd
-    return math.exp(-0.5 * z * z) / (c.sd * math.sqrt(2.0 * math.pi))
-
-
 def gaussian_cdf(x: float, c: GaussianComponent) -> float:
     """Phi((x - mean) / sd), accurate to well below 1e-12 absolute."""
     return float(ndtr((x - c.mean) / c.sd))
-
-
-def gaussian_quantile(p: float, c: GaussianComponent) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p!r}")
-    return c.mean + c.sd * float(ndtri(p))
 
 
 def mixture_pdf(x, m: GaussianMixture):

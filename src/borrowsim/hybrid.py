@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .inference import posterior_bank, prior_bank_params
+from .inference import bank_means, posterior_bank, prior_bank_params
+from .onearm import _chunks
 from .priors import Normal
 from .scenarios import (
     DesignPrior,
@@ -44,14 +45,7 @@ __all__ = [
     "average_power",
 ]
 
-_CHUNK_ELEMENTS = 4 << 20
 _GH_NODES = 160
-
-
-def _chunks(total: int, n_components: int):
-    step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
-    for start in range(0, total, step):
-        yield slice(start, min(start + step, total))
 
 
 def _treatment_params(s: HybridScenario, analysis_external_mean: float):
@@ -76,12 +70,7 @@ def _superiority_stats(s, external, ybar_c, ybar_t, collect_w=False):
     w_info = np.empty_like(ybar_c) if collect_w else None
     for sl in _chunks(ybar_c.size, J):
         yc = ybar_c[sl]
-        if robust_loc is None:
-            means = np.empty((J, yc.size))
-            means[0] = info_mean
-            means[1:] = yc
-        else:
-            means = np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+        means = bank_means(info_mean, robust_loc, J, yc)
         W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
         mu_t = a + b * ybar_t[sl]
         sj = np.sqrt(t_var + pv)[:, None]
@@ -134,13 +123,7 @@ def _reject_prob_gh(s: HybridScenario, external, effect: float, nodes: int = _GH
     yc = theta_c + math.sqrt(2.0) * s.se_c * x
 
     variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
-    J = variances.size
-    if robust_loc is None:
-        means = np.empty((J, nodes))
-        means[0] = info_mean
-        means[1:] = yc
-    else:
-        means = np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+    means = bank_means(info_mean, robust_loc, variances.size, yc)
     W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
     a, b, t_var = _treatment_params(s, external.mean)
     sj = np.sqrt(t_var + pv)[:, None]

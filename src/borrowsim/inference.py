@@ -2,21 +2,21 @@
 
 Component-wise conjugate updates, marginal-likelihood weight updates in
 log space (so extreme prior-data conflict never underflows), posterior
-tail probabilities and means, the two-arm superiority probability, and a
-deterministic quadrature oracle for the exact heavy-tailed robust
-component. The array kernel at the bottom is shared with the Monte Carlo
-engines, which call it on whole vectors of observed means at once.
+tail probabilities and means, and the two-arm superiority probability.
+The array kernel is shared with the Monte Carlo engines and the exact
+routes, which call it on whole vectors of observed means at once; the
+exact heavy-tailed robust component enters it as one more prior bank
+(Gauss-Laguerre nodes of the t's Gamma precision, see
+``priors.t_laguerre_bank``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
-from scipy.stats import t as _student_t
 
 from .gaussian import (
     GaussianComponent,
@@ -25,15 +25,14 @@ from .gaussian import (
     mixture_cdf,
 )
 from .priors import (
+    EXACT_T_NODES,
     CurrentMean,
-    ExternalMean,
     MixturePriorSpec,
     Normal,
-    NullBoundary,
-    StudentT,
     build_informative,
     gamma_precision_quantiles,
     resolve_location,
+    t_laguerre_bank,
 )
 
 __all__ = [
@@ -42,8 +41,8 @@ __all__ = [
     "tail_probability",
     "posterior_mean",
     "prob_t_not_better",
-    "exact_t_tail_oracle",
     "posterior_bank",
+    "bank_means",
     "prior_bank_params",
 ]
 
@@ -111,23 +110,39 @@ def posterior_bank(means, variances, log_weights, ybar, n, sigma):
     return post_w, post_mean, post_var
 
 
-def prior_bank_params(spec: MixturePriorSpec, external: SufficientStat):
+def bank_means(info_mean, robust_loc, J, ybar):
+    """Prior component means for ``posterior_bank``: (J,), or (J, R) when
+    the robust location (None) tracks the observed means ``ybar``."""
+    if robust_loc is not None:
+        return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+    means = np.empty((J, np.size(ybar)))
+    means[0] = info_mean
+    means[1:] = ybar
+    return means
+
+
+def prior_bank_params(
+    spec: MixturePriorSpec,
+    external: SufficientStat,
+    t_shift: float | None = None,
+    t_nodes: int = EXACT_T_NODES,
+):
     """Array form of the prior for the vectorized engines.
 
     Returns ``(variances, log_weights, informative_mean, robust_location)``
     where ``robust_location`` is None when the location policy tracks the
     observed current mean (the engines then substitute it per draw).
+    With ``t_shift`` set, a t robust component is the exact t as a
+    Gauss-Laguerre bank rate-shifted by that conflict
+    (``t_laguerre_bank``, ``t_nodes`` nodes) instead of the k-point
+    quantile bank.
     """
     informative = build_informative(external)
     w = spec.informative_weight
-    if isinstance(spec.location, ExternalMean):
-        robust_loc: float | None = external.mean
-    elif isinstance(spec.location, NullBoundary):
-        robust_loc = spec.location.value
-    elif isinstance(spec.location, CurrentMean):
-        robust_loc = None
-    else:
-        raise TypeError(f"unknown location policy {spec.location!r}")
+    robust_loc = (
+        None if isinstance(spec.location, CurrentMean)
+        else resolve_location(spec.location, external)
+    )
 
     with np.errstate(divide="ignore"):
         if isinstance(spec.form, Normal):
@@ -135,11 +150,13 @@ def prior_bank_params(spec: MixturePriorSpec, external: SufficientStat):
             log_weights = np.log(np.array([w, 1.0 - w]))
         else:
             form = spec.form
-            lam = gamma_precision_quantiles(form.df, form.k)
+            if t_shift is None:
+                lam = gamma_precision_quantiles(form.df, form.k)
+                log_block = np.full(form.k, -math.log(form.k))
+            else:
+                lam, log_block = t_laguerre_bank(form, t_shift, t_nodes)
             variances = np.concatenate(([informative.variance], form.scale**2 / lam))
-            log_weights = np.concatenate(
-                ([np.log(w)], np.full(form.k, np.log(1.0 - w) - math.log(form.k)))
-            )
+            log_weights = np.concatenate(([np.log(w)], np.log(1.0 - w) + log_block))
     return variances, log_weights, informative.mean, robust_loc
 
 
@@ -180,14 +197,8 @@ def posterior(
                 if total > 0.0
                 else np.full(block.size, -math.log(block.size))
             )
-        sub_log = sub_log + np.array(
-            [
-                -0.5 * (math.log(2 * math.pi * pv) + (data.mean - m) ** 2 / pv)
-                for m, pv in zip(
-                    means[1:], variances[1:] + data.sigma**2 / data.n
-                )
-            ]
-        )
+        pred = variances[1:] + data.sigma**2 / data.n
+        sub_log = sub_log - 0.5 * (np.log(2 * np.pi * pred) + (data.mean - means[1:]) ** 2 / pred)
         sub_log -= sub_log.max()
         sub = np.exp(sub_log)
         sub /= sub.sum()
@@ -195,21 +206,11 @@ def posterior(
     else:
         sub_weights = ()
 
-    mean = float(np.dot(post_w, post_mean))
     summary = PosteriorSummary(
-        posterior=mixture,
-        w_informative=float(post_w[0]),
-        sub_weights=sub_weights,
-        mean=mean,
+        mixture, float(post_w[0]), sub_weights, float(np.dot(post_w, post_mean))
     )
     if null_value is not None:
-        summary = PosteriorSummary(
-            posterior=mixture,
-            w_informative=summary.w_informative,
-            sub_weights=sub_weights,
-            mean=mean,
-            tail_at=(null_value, tail_probability(summary, null_value)),
-        )
+        summary = replace(summary, tail_at=(null_value, tail_probability(summary, null_value)))
     return summary
 
 
@@ -237,60 +238,3 @@ def prob_t_not_better(post_c: PosteriorSummary, post_t: GaussianComponent) -> fl
         s = math.sqrt(post_t.sd**2 + c.sd**2)
         total += w * float(ndtr((c.mean - post_t.mean) / s))
     return total
-
-
-def _t_pdf(x, loc, scale, df):
-    return _student_t.pdf((x - loc) / scale, df) / scale
-
-
-def exact_t_tail_oracle(
-    spec: MixturePriorSpec,
-    data: SufficientStat,
-    null_value: float,
-    rel_tol: float = 1e-6,
-) -> float:
-    """Tail probability under the exact heavy-tailed robust component.
-
-    Adaptive quadrature of the unnormalized posterior
-    w * informative(x) * likelihood + (1 - w) * t(x) * likelihood over a
-    +-15-combined-sd window, split at the threshold. Serves as the
-    reference the normal-bank approximation is checked against.
-    """
-    form = spec.form
-    if not isinstance(form, StudentT):
-        raise TypeError("the exact-t oracle needs a StudentT robust form")
-    informative = build_informative(spec.external)
-    loc = resolve_location(spec.location, spec.external, current=data)
-    w = spec.informative_weight
-    se = data.se
-    t_sd = form.scale * math.sqrt(form.df / (form.df - 2.0))
-
-    def unnorm(x):
-        like = math.exp(-0.5 * ((data.mean - x) / se) ** 2) / (se * math.sqrt(2 * math.pi))
-        z = (x - informative.mean) / informative.sd
-        p_ext = math.exp(-0.5 * z * z) / (informative.sd * math.sqrt(2 * math.pi))
-        return (w * p_ext + (1.0 - w) * _t_pdf(x, loc, form.scale, form.df)) * like
-
-    span = 15.0 * max(se, informative.sd, t_sd)
-    lo = min(data.mean, informative.mean, loc) - span
-    hi = max(data.mean, informative.mean, loc) + span
-    if not lo < null_value < hi:
-        # Threshold outside the window: the tail is numerically 0 or 1.
-        return 0.0 if null_value <= lo else 1.0
-
-    anchors = sorted({data.mean, informative.mean, loc})
-    below = [a for a in anchors if lo < a < null_value]
-    above = [a for a in anchors if null_value < a < hi]
-    num, err_num = quad(unnorm, lo, null_value, points=below, limit=400, epsabs=0.0, epsrel=1e-10)
-    rest, err_rest = quad(unnorm, null_value, hi, points=above, limit=400, epsabs=0.0, epsrel=1e-10)
-    den = num + rest
-    if den <= 0.0 or not math.isfinite(den):
-        raise RuntimeError("quadrature non-convergence: vanishing posterior mass")
-    tail = num / den
-    # Error of the ratio, first order in the piece errors.
-    err = (err_num + tail * (err_num + err_rest)) / den
-    if err > rel_tol * max(tail, 1e-12):
-        raise RuntimeError(
-            f"quadrature non-convergence: estimated error {err:g} for tail {tail:g}"
-        )
-    return tail

@@ -15,9 +15,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .gaussian import SufficientStat
-from .inference import exact_t_tail_oracle, posterior_bank, prior_bank_params
-from .priors import StudentT
+from .inference import bank_means, posterior_bank, prior_bank_params
+from .priors import EXACT_T_NODES, StudentT
 from .scenarios import OneArmScenario, base_normals
 
 __all__ = [
@@ -35,6 +34,13 @@ __all__ = [
 _CHUNK_ELEMENTS = 4 << 20
 
 
+# Largest disagreement allowed between the exact-t banks at the node count
+# a cell uses and at twice as many, over the cell's scan; the node counts
+# tried after EXACT_T_NODES (needed where the t scale is narrow against se).
+EXACT_T_TOL = 1e-12
+_EXACT_T_FALLBACK = (80, 160)
+
+
 def _chunks(total: int, n_components: int):
     step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
     for start in range(0, total, step):
@@ -43,8 +49,11 @@ def _chunks(total: int, n_components: int):
 
 def posterior_stats(s: OneArmScenario, bias: float, ybar: np.ndarray):
     """Tail probability, posterior mean and informative weight per draw."""
-    external = s.external_at(bias)
-    variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
+    return _bank_stats(s, prior_bank_params(s.prior, s.external_at(bias)), ybar)
+
+
+def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray):
+    variances, log_w, info_mean, robust_loc = bank
     J = variances.size
     ybar = np.asarray(ybar, dtype=float)
     tails = np.empty_like(ybar)
@@ -52,12 +61,7 @@ def posterior_stats(s: OneArmScenario, bias: float, ybar: np.ndarray):
     w_info = np.empty_like(ybar)
     for sl in _chunks(ybar.size, J):
         yb = ybar[sl]
-        if robust_loc is None:
-            means = np.empty((J, yb.size))
-            means[0] = info_mean
-            means[1:] = yb
-        else:
-            means = np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+        means = bank_means(info_mean, robust_loc, J, yb)
         W, pm, pv = posterior_bank(means, variances, log_w, yb, s.n, s.sigma)
         sd = np.sqrt(pv)[:, None]
         tails[sl] = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / sd))
@@ -102,25 +106,65 @@ def mean_posterior_weight(s: OneArmScenario, bias: float) -> float:
     return float(np.mean(w_info))
 
 
-def _tail_function(s: OneArmScenario, bias: float, use_exact_t: bool):
-    if use_exact_t:
-        if not isinstance(s.prior.form, StudentT):
-            raise TypeError("exact-t decisions need a StudentT robust form")
-        external = s.external_at(bias)
-        spec = replace(s.prior, external=external)
+def _scan_window(s: OneArmScenario) -> tuple[float, float]:
+    return s.null_mean - 12.0 * s.se, s.null_mean + 12.0 * s.se
 
-        def tail(y: float) -> float:
-            return exact_t_tail_oracle(
-                spec, SufficientStat(float(y), s.n, s.sigma), s.null_mean
-            )
 
-        return tail
+def _exact_t_shifts(form: StudentT, near: float, far: float) -> np.ndarray:
+    """Rate shifts of the exact-t banks covering conflicts in [near, far]:
+    a bank shifted by d serves conflicts up to sqrt(2 d**2 + df scale**2),
+    which leaves at most exp(-u) of the conflict factor to its rule."""
+    shifts = [near]
+    while (reach := math.sqrt(2.0 * shifts[-1] ** 2 + form.df * form.scale**2)) < far:
+        shifts.append(reach)
+    return np.array(shifts)
 
-    def tail(y: float) -> float:
-        t, _, _ = posterior_stats(s, bias, np.array([float(y)]))
-        return float(t[0])
 
-    return tail
+def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
+    """Exact-t posterior tail as a function of observed means in the scan
+    window: one Gauss-Laguerre bank (``t_laguerre_bank``) per band of
+    conflict to the robust location, shifted by the band's smallest."""
+    if not isinstance(s.prior.form, StudentT):
+        raise TypeError("exact-t decisions need a StudentT robust form")
+    external = s.external_at(bias)
+    robust_loc = prior_bank_params(s.prior, external)[3]
+    lo, hi = _scan_window(s)
+    if robust_loc is None:  # the location tracks the observed mean
+        near = far = 0.0
+    else:
+        near = max(0.0, lo - robust_loc, robust_loc - hi)
+        far = max(robust_loc - lo, hi - robust_loc)
+    shifts = _exact_t_shifts(s.prior.form, near, far)
+    banks = [prior_bank_params(s.prior, external, t_shift=d, t_nodes=nodes) for d in shifts]
+
+    def tails(ys):
+        dist = np.zeros_like(ys) if robust_loc is None else np.abs(ys - robust_loc)
+        band = np.clip(np.searchsorted(shifts, dist, side="right") - 1, 0, None)
+        out = np.empty_like(ys)
+        for b in np.unique(band):
+            out[band == b] = _bank_stats(s, banks[b], ys[band == b])[0]
+        return out
+
+    return tails
+
+
+def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
+    """Exact-t tail function and its values on ``ys`` at the first node
+    count whose double agrees to EXACT_T_TOL on ``ys``; RuntimeError when
+    none does."""
+    tails = _exact_t_tails(s, bias, EXACT_T_NODES)
+    scan = tails(ys)
+    for nodes in (EXACT_T_NODES,) + _EXACT_T_FALLBACK:
+        finer = _exact_t_tails(s, bias, 2 * nodes)
+        finer_scan = finer(ys)
+        residual = float(np.max(np.abs(scan - finer_scan)))
+        if residual <= EXACT_T_TOL:
+            return tails, scan, nodes
+        tails, scan = finer, finer_scan
+    raise RuntimeError(
+        f"exact-t bank unconverged: {nodes} and {2 * nodes} nodes differ "
+        f"by {residual:g} (> {EXACT_T_TOL:g}) on the scan"
+    )
 
 
 def one_arm_rejection_region(
@@ -136,19 +180,24 @@ def one_arm_rejection_region(
     null +- 12 se followed by root refinement; under prior-data conflict
     the region can be a union of two intervals, which is exactly the
     mechanism behind non-monotone error rates. Open ends are +-inf.
+
+    ``use_exact_t`` takes the robust t exactly rather than as its k-point
+    bank, and checks its own node count (``_checked_exact_t``). Both
+    routes scan 2001 points unless ``scan_points`` says otherwise.
     """
-    if scan_points is None:
-        scan_points = 161 if use_exact_t else 2001
-    tail = _tail_function(s, bias, use_exact_t)
-    lo = s.null_mean - 12.0 * s.se
-    hi = s.null_mean + 12.0 * s.se
+    lo, hi = _scan_window(s)
+    ys = np.linspace(lo, hi, 2001 if scan_points is None else scan_points)
     if use_exact_t:
-        ys = np.linspace(lo, hi, scan_points)
-        vals = np.array([tail(y) for y in ys]) - s.alpha
+        tails, scan, _ = _checked_exact_t(s, bias, ys)
     else:
-        ys = np.linspace(lo, hi, scan_points)
-        vals, _, _ = posterior_stats(s, bias, ys)
-        vals = vals - s.alpha
+        def tails(ys):
+            return posterior_stats(s, bias, ys)[0]
+
+        scan = tails(ys)
+    vals = scan - s.alpha
+
+    def tail(y: float) -> float:
+        return float(tails(np.array([float(y)]))[0])
 
     idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     crossings = [

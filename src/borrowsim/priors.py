@@ -6,15 +6,18 @@ location policy, a dispersion (effective sample size or explicit
 variance) and a functional form. A heavy-tailed robust component is
 represented as an equal-weight bank of normals whose precisions sit at
 Gamma quantiles, so the whole prior stays a normal mixture and posterior
-updates stay closed-form.
+updates stay closed-form. The exact-t routes use a Gauss-Laguerre bank
+over the same Gamma precision instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_genlaguerre
 from scipy.stats import gamma as _gamma
 
 from .gaussian import GaussianComponent, GaussianMixture, SufficientStat
@@ -32,6 +35,7 @@ __all__ = [
     "unit_information_variance",
     "resolve_location",
     "t_to_normal_mixture",
+    "t_laguerre_bank",
     "t_scale_matching_variance",
     "build_mixture_prior",
 ]
@@ -200,6 +204,40 @@ def gamma_precision_quantiles(df: float, k: int) -> np.ndarray:
     return lam
 
 
+# Gauss-Laguerre nodes of the exact-t bank.
+EXACT_T_NODES = 40
+
+
+@lru_cache(maxsize=32)
+def _laguerre_rule(nodes: int, alpha: float):
+    x, wt = roots_genlaguerre(nodes, alpha)
+    with np.errstate(divide="ignore"):
+        return x, np.log(wt)
+
+
+def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
+    """The exact t as a normal bank: precisions (in scale**-2) and log weights.
+
+    Integrates over the t's Gamma(df/2, df/2) precision lambda with
+    generalized Gauss-Laguerre nodes u_i, alpha = df/2 - 1/2 absorbing the
+    sqrt(lambda) of a normal likelihood, and the rate shifted to
+    c = df/2 + b, b = shift**2 / (2 scale**2), absorbing the likelihood's
+    exp(-b lambda) at distance ``shift`` from the location:
+    lambda_i = u_i / c, log weight log w_i - log(u_i)/2 + (df/2) log(df/2)
+    - (df/2) log c - lgamma(df/2) + b lambda_i.
+    """
+    half = 0.5 * form.df
+    x, log_wt = _laguerre_rule(nodes, half - 0.5)
+    b = shift * shift / (2.0 * form.scale**2)
+    c = half + b
+    lam = x / c
+    return lam, (
+        log_wt - 0.5 * np.log(x)
+        + half * math.log(half) - half * math.log(c) - math.lgamma(half)
+        + b * lam
+    )
+
+
 def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
     """Equal-weight normal bank approximating a location-scale t.
 
@@ -216,7 +254,8 @@ def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
     at 0.0305 at 45 and 0.0306 at 60, then climbs (0.0363 at 120, 0.097
     at 480), while the exact t's keeps falling toward 0.025 like
     1/conflict. Limits in the conflict are therefore checked on the
-    exact-t route (``exact_t_tail_oracle``).
+    exact-t route, whose Gauss-Laguerre bank (``t_laguerre_bank``) is
+    exact for the t up to a node-count residual that it checks.
     """
     lam = gamma_precision_quantiles(form.df, form.k)
     comps = tuple(

@@ -18,7 +18,11 @@ the code under test ("sd-ext" is the external data's standard error,
   the last two probes (-9e-5) lies within 0.005 of 0.025; and the normal
   bank matches the exact-t route to 3e-4 at 30 sd-ext. The bank itself
   cannot show the limit: beyond its widest component (~25 sd-ext here)
-  its tail is normal and its error rate climbs again;
+  its tail is normal and its error rate climbs again. The exact-t route
+  is a 40-node Gauss-Laguerre normal bank over the t's Gamma precision,
+  rate-shifted by the conflict, which checks itself against 80 nodes
+  (<= 1e-12 on its scan); both criterion-5 tests check its tail at every
+  region boundary against adaptive quadrature (``oracles``) to 1e-10;
 * criterion 7, strongest-bimodality clause: every cell of the
   current-mean map matches a dense-grid oracle (closed-form posterior,
   modes and antimode read off a fine grid, no ``find_modes``) to 1e-6,
@@ -31,6 +35,7 @@ the code under test ("sd-ext" is the external data's standard error,
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -60,6 +65,7 @@ from borrowsim import (
     marginal_likelihood,
     mixture_pdf,
     one_arm_power,
+    one_arm_rejection_region,
     one_arm_tie,
     one_arm_tie_exact,
     posterior,
@@ -68,6 +74,7 @@ from borrowsim import (
 )
 from borrowsim.gaussian import GaussianMixture
 from borrowsim.onearm import mean_posterior_weight
+from oracles import exact_t_tail_oracle
 
 SIGMA = 1.0
 N_EXT = 15
@@ -219,18 +226,39 @@ def t_scenario(reps=10_000):
     return one_arm(0.5, ExternalMean(), form=StudentT(3.0, 1.0, 100), reps=reps)
 
 
+def boundary_oracle_gap(s, bias):
+    """Largest |quad tail - alpha| at the exact-t route's region boundaries.
+
+    The route puts each finite boundary where its tail equals alpha, so
+    the adaptive-quadrature oracle, evaluated there, checks the route's
+    tail independently of the Gauss-Laguerre bank.
+    """
+    spec = replace(s.prior, external=s.external_at(bias))
+    region = one_arm_rejection_region(s, bias, use_exact_t=True)
+    bounds = [x for interval in region for x in interval if math.isfinite(x)]
+    assert bounds
+    return max(
+        abs(exact_t_tail_oracle(spec, SufficientStat(x, s.n, s.sigma), s.null_mean) - s.alpha)
+        for x in bounds
+    )
+
+
 def test_criterion_05_t_approximation_tracks_exact_t():
     s = t_scenario()
     biases = np.linspace(0.0, 8 * SD_EXT, 9)
     worst = 0.0
+    worst_oracle = 0.0
     for b in biases:
         approx = one_arm_tie_exact(s, float(b))
         oracle = one_arm_tie_exact(s, float(b), use_exact_t=True)
         worst = max(worst, abs(approx - oracle))
-    ok = worst <= 0.003
+        worst_oracle = max(worst_oracle, boundary_oracle_gap(s, float(b)))
+    ok = worst <= 0.003 and worst_oracle <= 1e-10
     report("5 (tracking)", ok, f"max |bank - exact-t| TIE = {worst:.5f} (<=0.003) "
-                               "over 9 points in [0, 8 sd-ext]")
-    assert ok
+                               "over 9 points in [0, 8 sd-ext]; exact-t tail vs quad "
+                               f"at the region boundaries {worst_oracle:.1e} (<=1e-10)")
+    assert worst <= 0.003
+    assert worst_oracle <= 1e-10
 
 
 def test_criterion_05_extreme_bias_returns_to_no_borrowing():
@@ -249,20 +277,24 @@ def test_criterion_05_extreme_bias_returns_to_no_borrowing():
     limit = 2 * gaps[-1] - gaps[-2]
     bank = one_arm_tie_exact(s, probes[0] * SD_EXT)
     agreement = abs(bank - ties[0])
+    oracle_gap = max(boundary_oracle_gap(s, m * SD_EXT) for m in probes)
 
     positive = all(g > 0 for g in gaps)
     halving = all(0.45 <= r <= 0.55 for r in ratios)
-    ok = positive and halving and abs(limit) <= 0.005 and agreement <= 3e-4
+    ok = (positive and halving and abs(limit) <= 0.005 and agreement <= 3e-4
+          and oracle_gap <= 1e-10)
     report("5 (extreme bias)", ok,
            f"exact-t TIE at {probes} sd-ext = {['%.4f' % t for t in ties]}; "
            f"gaps to 0.025 {['%.5f' % g for g in gaps]} (>0), halving ratios "
            f"{['%.3f' % r for r in ratios]} (in [0.45, 0.55]), extrapolated "
            f"limit gap {limit:.1e} (|.|<=0.005); bank at 30 sd-ext {bank:.4f}, "
-           f"|bank - exact-t| = {agreement:.1e} (<=3e-4)")
+           f"|bank - exact-t| = {agreement:.1e} (<=3e-4); exact-t tail vs quad "
+           f"at the region boundaries {oracle_gap:.1e} (<=1e-10)")
     assert positive
     assert halving
     assert abs(limit) <= 0.005
     assert agreement <= 3e-4
+    assert oracle_gap <= 1e-10
 
 
 def test_criterion_06_weight_adaptation_contrast():

@@ -1,4 +1,5 @@
-"""Posterior updates, tail probabilities and the exact-t quadrature oracle."""
+"""Posterior updates, tail probabilities and the exact-t quadrature oracle
+(a test-only reference, ``oracles.exact_t_tail_oracle``)."""
 
 import math
 
@@ -17,13 +18,13 @@ from borrowsim import (
     StudentT,
     SufficientStat,
     build_mixture_prior,
-    exact_t_tail_oracle,
     mixture_pdf,
     posterior,
     posterior_mean,
     prob_t_not_better,
     tail_probability,
 )
+from oracles import exact_t_tail_oracle
 
 EXT = SufficientStat(0.0, 15, 1.0)
 DATA = SufficientStat(0.0, 20, 1.0)
