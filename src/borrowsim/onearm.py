@@ -4,11 +4,14 @@ Monte Carlo estimates of the type-I-error rate, power and RMSE of the
 borrowing test, a deterministic route via the rejection region in the
 observed mean (the decision depends on the data only through it), and the
 propagation of the prior mixture weight into its posterior counterpart.
+Because of that dependence the Monte Carlo TIE and power are counts of the
+sorted common draws that fall in the rejection region, not posterior passes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +20,7 @@ from scipy.special import ndtr
 
 from .inference import bank_means, posterior_bank, prior_bank_params
 from .priors import EXACT_T_NODES, StudentT
-from .scenarios import OneArmScenario, base_normals
+from .scenarios import OneArmScenario, base_normals, sorted_normals
 
 __all__ = [
     "one_arm_tie",
@@ -40,6 +43,13 @@ _CHUNK_ELEMENTS = 4 << 20
 EXACT_T_TOL = 1e-12
 _EXACT_T_FALLBACK = (80, 160)
 
+# Absolute tolerance of the region's boundary refinement, and the half-width
+# (in se) of the band around a finite boundary whose draws the Monte Carlo
+# count re-decides one by one: far wider than the refinement's tolerance
+# (added on top, see ``_guard``) and the kernel's rounding at a crossing.
+_BRENTQ_XTOL = 1e-12
+_GUARD_SE = 1e-9
+
 
 def _chunks(total: int, n_components: int):
     step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
@@ -52,22 +62,40 @@ def posterior_stats(s: OneArmScenario, bias: float, ybar: np.ndarray):
     return _bank_stats(s, prior_bank_params(s.prior, s.external_at(bias)), ybar)
 
 
-def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray):
+def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True):
+    """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
+    101-component pass), posterior mean and informative weight."""
     variances, log_w, info_mean, robust_loc = bank
     J = variances.size
     ybar = np.asarray(ybar, dtype=float)
-    tails = np.empty_like(ybar)
+    tail = np.empty_like(ybar) if tails else None
     pmeans = np.empty_like(ybar)
     w_info = np.empty_like(ybar)
     for sl in _chunks(ybar.size, J):
         yb = ybar[sl]
         means = bank_means(info_mean, robust_loc, J, yb)
         W, pm, pv = posterior_bank(means, variances, log_w, yb, s.n, s.sigma)
-        sd = np.sqrt(pv)[:, None]
-        tails[sl] = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / sd))
+        if tails:
+            sd = np.sqrt(pv)[:, None]
+            tail[sl] = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / sd))
         pmeans[sl] = np.einsum("jr,jr->r", W, pm)
         w_info[sl] = W[0]
-    return tails, pmeans, w_info
+    return tail, pmeans, w_info
+
+
+def _tail_function(s: OneArmScenario, bias: float):
+    """Posterior tail at the null as a function of observed means, with the
+    cell's prior bank built once."""
+    bank = prior_bank_params(s.prior, s.external_at(bias))
+    return lambda ys: _bank_stats(s, bank, ys)[0]
+
+
+def _means_and_weights(s: OneArmScenario, bias: float, at_mean: float):
+    """Posterior mean and informative weight of every common draw at
+    ``at_mean``, in one pass that skips the tails."""
+    bank = prior_bank_params(s.prior, s.external_at(bias))
+    _, pmeans, w_info = _bank_stats(s, bank, _draws(s, at_mean), tails=False)
+    return pmeans, w_info
 
 
 def _draws(s: OneArmScenario, at_mean: float) -> np.ndarray:
@@ -75,16 +103,85 @@ def _draws(s: OneArmScenario, at_mean: float) -> np.ndarray:
     return at_mean + s.se * z
 
 
+def _guard(se: float, c: float) -> float:
+    """Half-width of the band around boundary ``c`` whose draws are
+    re-decided: 1e-9 se plus twice brentq's tolerance at ``c``."""
+    return _GUARD_SE * se + 2.0 * (_BRENTQ_XTOL + 4.0 * np.finfo(float).eps * abs(c))
+
+
+def _count_rejections(z, at_mean, se, intervals, window, decide) -> int:
+    """Rejections among the observed means ``at_mean + se * z``, z ascending.
+
+    The observed means stay sorted (float multiply-add is monotone). Draws
+    inside ``window`` and clear of every finite boundary's guard band are
+    decided by ``intervals``, with one search pair per interval; the others
+    (outside the window, where the region's infinite ends are only assumed,
+    or within a guard band) by ``decide``, the per-draw rule, on the same
+    floats the per-draw route forms. The searches run on z, so a draw
+    within a few ulps of a band's edge may land on either side of it; both
+    sides decide it alike, because the band is far wider than the error of
+    its boundary. The count therefore equals the per-draw decisions.
+    """
+    n = z.size
+
+    def first(c: float, strict: bool = False) -> int:
+        """First index whose observed mean is >= c (> c when ``strict``)."""
+        return int(np.searchsorted(z, (c - at_mean) / se, side="right" if strict else "left"))
+
+    lo, hi = window
+    i_lo, i_hi = first(lo), first(hi, strict=True)
+    count = 0
+    one_by_one = [(0, i_lo), (i_hi, n)]
+    for a, b in intervals:
+        start = i_lo if math.isinf(a) else max(i_lo, first(a + _guard(se, a), strict=True))
+        stop = i_hi if math.isinf(b) else min(i_hi, first(b - _guard(se, b)))
+        count += max(0, stop - start)
+        for c in (a, b):
+            if math.isfinite(c):
+                g = _guard(se, c)
+                one_by_one.append((max(i_lo, first(c - g)), min(i_hi, first(c + g, strict=True))))
+    # Guard bands of close boundaries overlap: decide each draw once.
+    idx = np.unique(np.concatenate([np.arange(a, b) for a, b in one_by_one]))
+    if idx.size:
+        count += int(np.count_nonzero(decide(at_mean + se * z[idx])))
+    return count
+
+
+# The last default-route region computed on each thread. A sweep computes
+# a cell's TIE and power one after the other on one worker thread, so they
+# share it; it dies with the sweep's workers, so no later run's call counts
+# depend on what ran before.
+_last_region = threading.local()
+
+
+def _shared_region(s: OneArmScenario, bias: float) -> tuple:
+    """Default-route rejection region of a cell, computed once for the
+    cell's TIE and power (either route) when they run back to back."""
+    last = getattr(_last_region, "cell", None)
+    if last is None or last[0] != (s, bias):
+        last = _last_region.cell = ((s, bias), tuple(one_arm_rejection_region(s, bias)))
+    return last[1]
+
+
+def _rejection_rate(s: OneArmScenario, bias: float, at_mean: float) -> float:
+    """Share of the common draws at ``at_mean`` that the test rejects."""
+    z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+
+    def decide(ys):
+        return _tail_function(s, bias)(ys) <= s.alpha
+
+    region = _shared_region(s, bias)
+    return _count_rejections(z, at_mean, s.se, region, _scan_window(s), decide) / s.reps
+
+
 def one_arm_tie(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo rejection rate with the truth at the null boundary."""
-    tails, _, _ = posterior_stats(s, bias, _draws(s, s.null_mean))
-    return float(np.mean(tails <= s.alpha))
+    return _rejection_rate(s, bias, s.null_mean)
 
 
 def one_arm_power(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo rejection rate with the truth at the alternative."""
-    tails, _, _ = posterior_stats(s, bias, _draws(s, s.alt_mean))
-    return float(np.mean(tails <= s.alpha))
+    return _rejection_rate(s, bias, s.alt_mean)
 
 
 def one_arm_rmse(s: OneArmScenario, bias: float, true_mean: float | None = None):
@@ -95,14 +192,14 @@ def one_arm_rmse(s: OneArmScenario, bias: float, true_mean: float | None = None)
     """
     if true_mean is None:
         true_mean = s.null_mean
-    _, pmeans, _ = posterior_stats(s, bias, _draws(s, true_mean))
+    pmeans, _ = _means_and_weights(s, bias, true_mean)
     rmse = float(np.sqrt(np.mean((pmeans - true_mean) ** 2)))
     return rmse, rmse / s.se
 
 
 def mean_posterior_weight(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo mean of the posterior informative weight at the null."""
-    _, _, w_info = posterior_stats(s, bias, _draws(s, s.null_mean))
+    _, w_info = _means_and_weights(s, bias, s.null_mean)
     return float(np.mean(w_info))
 
 
@@ -163,7 +260,9 @@ def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
         tails, scan = finer, finer_scan
     raise RuntimeError(
         f"exact-t bank unconverged: {nodes} and {2 * nodes} nodes differ "
-        f"by {residual:g} (> {EXACT_T_TOL:g}) on the scan"
+        f"by {residual:g} (> {EXACT_T_TOL:g}) on the scan at t scale "
+        f"{s.prior.form.scale:g} and current-data se {s.se:g}; the route "
+        f"covers t scales down to about se/2 ({0.5 * s.se:g})"
     )
 
 
@@ -190,9 +289,7 @@ def one_arm_rejection_region(
     if use_exact_t:
         tails, scan, _ = _checked_exact_t(s, bias, ys)
     else:
-        def tails(ys):
-            return posterior_stats(s, bias, ys)[0]
-
+        tails = _tail_function(s, bias)
         scan = tails(ys)
     vals = scan - s.alpha
 
@@ -201,7 +298,7 @@ def one_arm_rejection_region(
 
     idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     crossings = [
-        brentq(lambda y: tail(y) - s.alpha, ys[i], ys[i + 1], xtol=1e-12)
+        brentq(lambda y: tail(y) - s.alpha, ys[i], ys[i + 1], xtol=_BRENTQ_XTOL)
         for i in idx
     ]
     edges = [lo] + crossings + [hi]
@@ -226,15 +323,17 @@ def _region_probability(intervals, mean: float, se: float) -> float:
     return total
 
 
+def _region(s: OneArmScenario, bias: float, kwargs):
+    return one_arm_rejection_region(s, bias, **kwargs) if kwargs else _shared_region(s, bias)
+
+
 def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
     """Noise-free TIE: Gaussian mass of the rejection region at the null."""
-    region = one_arm_rejection_region(s, bias, **kwargs)
-    return _region_probability(region, s.null_mean, s.se)
+    return _region_probability(_region(s, bias, kwargs), s.null_mean, s.se)
 
 
 def one_arm_power_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
-    region = one_arm_rejection_region(s, bias, **kwargs)
-    return _region_probability(region, s.alt_mean, s.se)
+    return _region_probability(_region(s, bias, kwargs), s.alt_mean, s.se)
 
 
 @dataclass(frozen=True)

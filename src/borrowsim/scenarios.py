@@ -43,6 +43,7 @@ __all__ = [
     "substream",
     "base_normals",
     "base_uniforms",
+    "sorted_normals",
 ]
 
 
@@ -282,6 +283,15 @@ def substream(seed: int, *path) -> np.random.Generator:
 def base_normals(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
     """Shared standard-normal draws for one scenario stream (read-only)."""
     z = substream(seed, scenario_id, role).standard_normal(reps)
+    z.flags.writeable = False
+    return z
+
+
+@lru_cache(maxsize=4)
+def sorted_normals(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
+    """``base_normals`` of one stream in ascending order (read-only), for
+    the routes that count draws in a region rather than visit them."""
+    z = np.sort(base_normals(seed, scenario_id, role, reps))
     z.flags.writeable = False
     return z
 

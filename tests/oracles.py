@@ -4,6 +4,11 @@
 adaptive quadrature. It lives with the tests only: the library's exact-t
 route is a Gauss-Laguerre normal bank, and this oracle is the independent
 check on it.
+
+``brute_force_tie`` and ``brute_force_power`` are the one-arm Monte Carlo
+rates the per-draw way: a full posterior tail for every common draw, then
+the share at or below alpha. The library counts the sorted draws in the
+rejection region instead, and must match these exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from borrowsim import StudentT, build_informative, resolve_location
+from borrowsim.onearm import _draws, posterior_stats
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001
@@ -98,3 +104,18 @@ def exact_t_tail_oracle(spec, data, null_value: float, rel_tol: float = 1e-6) ->
             f"quadrature non-convergence: estimated error {err:g} for tail {tail:g}"
         )
     return tail
+
+
+def brute_force_rate(s, bias: float, at_mean: float) -> float:
+    """Share of the common draws at ``at_mean`` whose posterior tail at the
+    null is at most alpha, from one posterior pass over every draw."""
+    tails, _, _ = posterior_stats(s, bias, _draws(s, at_mean))
+    return float(np.mean(tails <= s.alpha))
+
+
+def brute_force_tie(s, bias: float) -> float:
+    return brute_force_rate(s, bias, s.null_mean)
+
+
+def brute_force_power(s, bias: float) -> float:
+    return brute_force_rate(s, bias, s.alt_mean)

@@ -9,6 +9,7 @@ prior-data conflict up to 1e3 external sds.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,3 +93,16 @@ def test_narrow_scale_falls_back_to_more_nodes():
     for y in ys[::250]:
         oracle = exact_t_tail_oracle(spec, SufficientStat(float(y), N, 1.0), 0.0)
         assert abs(tails(np.array([y]))[0] - oracle) <= 1e-10
+
+
+def test_narrow_scale_beyond_the_domain_raises_with_the_domain():
+    # A t scale under half the current data's se (0.1 against 0.2236):
+    # even 160 and 320 nodes disagree, and the error says why.
+    spec = MixturePriorSpec(0.5, EXT, ExternalMean(), StudentT(3.0, 0.1, 100))
+    s = OneArmScenario(0.0, 0.5, N, 1.0, EXT, spec, seed=1, reps=1)
+    with pytest.raises(RuntimeError) as info:
+        one_arm_rejection_region(s, 0.0, use_exact_t=True)
+    message = str(info.value)
+    assert "160 and 320 nodes differ" in message
+    assert "t scale 0.1 and current-data se 0.223607" in message
+    assert "t scales down to about se/2 (0.111803)" in message
