@@ -27,18 +27,13 @@ def _load_config(path: str) -> dict:
 def _apply_overrides(cfg: dict, args) -> dict:
     """Seed/reps precedence: CLI flag, then environment, then the file."""
     cfg = dict(cfg)
-    env_seed = os.environ.get("OC_SEED")
-    env_reps = os.environ.get("OC_REPS")
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise SystemExit(f"error: OC_SEED must be an integer, got {env_seed!r}")
-    if env_reps is not None:
-        try:
-            cfg["reps"] = int(env_reps)
-        except ValueError:
-            raise SystemExit(f"error: OC_REPS must be an integer, got {env_reps!r}")
+    for key, env in (("seed", "OC_SEED"), ("reps", "OC_REPS")):
+        value = os.environ.get(env)
+        if value is not None:
+            try:
+                cfg[key] = int(value)
+            except ValueError:
+                raise SystemExit(f"error: {env} must be an integer, got {value!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "reps", None) is not None:

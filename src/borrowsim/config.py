@@ -428,10 +428,7 @@ def cost_estimate(cfg) -> tuple[int, int]:
             1 for m in cfg["metrics"] if m in ("tie", "power", "rmse", "w_tilde")
         )
         draws = cells * per_cell * (reps if cfg["estimator"] == "mc" else 0)
-    elif kind == "bimodality":
-        cells = base * n_w * len(sweep["bias"])
-        draws = 0
-    elif kind == "sweet-spot":
+    elif kind in ("bimodality", "sweet-spot"):
         cells = base * n_w * len(sweep["bias"])
         draws = 0
     elif kind == "table":

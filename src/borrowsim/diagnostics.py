@@ -29,6 +29,8 @@ __all__ = [
 
 _SCAN_POINTS = 2000
 _REFINE_TOL = 1e-9
+# Mixtures per block of the derivative scan: bounds its (2000 x block) arrays.
+_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -45,84 +47,112 @@ class BimodalityReport:
     ratio: float
 
 
-def _pdf_derivative(x, m: GaussianMixture):
-    x = np.asarray(x, dtype=float)
+def _pdf(x, weights, means, sds):
+    """Density of the mixtures in the columns of the (2, R) parameter
+    arrays, at points ``x`` of shape (..., R)."""
     out = np.zeros_like(x)
-    for w, c in zip(m.weights, m.components):
-        if w == 0.0:
-            continue
-        z = (x - c.mean) / c.sd
-        phi = np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2 * math.pi))
-        out += -w * phi * (x - c.mean) / (c.sd * c.sd)
+    for w, mu, sd in zip(weights, means, sds):
+        z = (x - mu) / sd
+        out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     return out
 
 
-def _bisect_sign_change(f, lo, hi, f_lo):
-    # Plain bisection on a sign change, to interval width <= _REFINE_TOL.
-    while hi - lo > _REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _pdf_derivative(x, weights, means, sds):
+    """Derivative of ``_pdf`` in x."""
+    out = np.zeros_like(x)
+    for w, mu, sd in zip(weights, means, sds):
+        d = x - mu
+        z = d / sd
+        phi = np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
+        out += -w * phi * d / (sd * sd)
+    return out
+
+
+def _modes(weights, means, sds):
+    """Modes and antimodes of R two-component mixtures at once.
+
+    Column r of the (2, R) arrays is one mixture. Stationary points are
+    bracketed by a derivative sign scan on a 2000-point grid spanning
+    [min mean - 6 max sd, max mean + 6 max sd], ``_BATCH`` mixtures at a
+    time, and every sign change of the batch is refined by one masked
+    bisection to width 1e-9; a mixture of two normals has at most two
+    modes, so the grid is not binding.
+    Returns ``(n_modes, x, f, ratio)``: x and f (R, 3) hold the first mode,
+    the last mode and the antimode between them (NaN when unimodal).
+    """
+    R = weights.shape[1]
+    lo = means.min(axis=0) - 6.0 * sds.max(axis=0)
+    hi = means.max(axis=0) + 6.0 * sds.max(axis=0)
+    flips = []
+    for start in range(0, R, _BATCH):
+        sl = slice(start, start + _BATCH)
+        grid = np.linspace(lo[sl], hi[sl], _SCAN_POINTS)
+        deriv = _pdf_derivative(grid, weights[:, sl], means[:, sl], sds[:, sl])
+        up, down = deriv > 0, deriv < 0
+        col, idx = np.nonzero(((up[:-1] & down[1:]) | (down[:-1] & up[1:])).T)
+        flips.append((start + col, grid[idx, col], grid[idx + 1, col], deriv[idx, col]))
+    col, a, b, f_a = (np.concatenate(v) for v in zip(*flips))
+
+    # Masked bisection of every sign change at once.
+    w, mu, sd = weights[:, col], means[:, col], sds[:, col]
+    rising = f_a > 0
+    roots = np.full(col.size, np.nan)
+    active = b - a > _REFINE_TOL
+    while active.any():
+        mid = 0.5 * (a + b)
+        f_mid = _pdf_derivative(mid, w, mu, sd)
+        hit = active & (f_mid == 0.0)
+        roots[hit] = mid[hit]
+        active &= ~hit
+        same = (f_a > 0) == (f_mid > 0)
+        a = np.where(active & same, mid, a)
+        f_a = np.where(active & same, f_mid, f_a)
+        b = np.where(active & ~same, mid, b)
+        active &= b - a > _REFINE_TOL
+    roots = np.where(np.isnan(roots), 0.5 * (a + b), roots)
+
+    # Per mixture (flips run in column order): the first and last maximum,
+    # and the first minimum strictly between them.
+    x = np.full((R, 3), np.nan)
+    n_max = np.bincount(col[rising], minlength=R)
+    ends = np.cumsum(n_max)
+    has, two = n_max > 0, n_max > 1
+    x[has, 0] = roots[rising][ends[has] - n_max[has]]
+    x[two, 1] = roots[rising][ends[two] - 1]
+    inside = ~rising & (roots > x[col, 0]) & (roots < x[col, 1])
+    cols, first = np.unique(col[inside], return_index=True)
+    x[cols, 2] = roots[inside][first]
+
+    # A mixture with no refined maximum takes the grid's highest point; a
+    # dead zone between far-separated modes (the density underflowed to 0
+    # on the whole stretch, so no sign change) takes the lowest grid point
+    # between the modes.
+    for k, miss in ((0, ~has), (2, two & np.isnan(x[:, 2]))):
+        if miss.any():
+            g = np.linspace(lo[miss], hi[miss], _SCAN_POINTS)
+            vals = _pdf(g, weights[:, miss], means[:, miss], sds[:, miss])
+            inner = (g > x[miss, 0]) & (g < x[miss, 1])
+            j = vals.argmax(axis=0) if k == 0 else np.where(inner, vals, np.inf).argmin(axis=0)
+            x[miss, k] = g[j, np.arange(g.shape[1])]
+
+    f = _pdf(x.T, weights, means, sds).T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(f[:, 2] > 0.0, np.minimum(f[:, 0], f[:, 1]) / f[:, 2], np.inf)
+    return np.where(two, 2, 1), x, f, np.where(two, ratio, 1.0)
 
 
 def find_modes(m: GaussianMixture) -> BimodalityReport:
-    """Locate the modes (and antimode, if any) of a 2-component mixture.
-
-    Stationary points are bracketed by a derivative sign scan on a
-    2000-point grid spanning [min mean - 6 max sd, max mean + 6 max sd]
-    and refined by bisection; a mixture of two normals has at most two
-    modes, so the refinement grid is not binding.
-    """
+    """Locate the modes (and antimode, if any) of a 2-component mixture
+    (the batch finder ``_modes`` on one column)."""
     if len(m) != 2:
         raise ValueError(f"mode finding is defined for 2 components, got {len(m)}")
-    means = m.means()
-    sds = m.sds()
-    lo = float(means.min() - 6.0 * sds.max())
-    hi = float(means.max() + 6.0 * sds.max())
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    deriv = _pdf_derivative(grid, m)
-
-    sign = np.sign(deriv)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    scalar_deriv = lambda x: float(_pdf_derivative(x, m))
-
-    maxima: list[float] = []
-    minima: list[float] = []
-    for i in flips:
-        x = _bisect_sign_change(scalar_deriv, grid[i], grid[i + 1], deriv[i])
-        if deriv[i] > 0:
-            maxima.append(x)
-        else:
-            minima.append(x)
-
-    if len(maxima) <= 1:
-        x = maxima[0] if maxima else float(grid[np.argmax(mixture_pdf(grid, m))])
-        return BimodalityReport(1, ((x, float(mixture_pdf(x, m))),), None, 1.0)
-
-    x1, x2 = maxima[0], maxima[-1]
-    f1 = float(mixture_pdf(x1, m))
-    f2 = float(mixture_pdf(x2, m))
-    between = [x for x in minima if x1 < x < x2]
-    if between:
-        xa = between[0]
-        fa = float(mixture_pdf(xa, m))
-    else:
-        # Dead zone between far-separated modes: density underflowed to 0
-        # on the whole scan stretch; take the grid minimum there.
-        inner = grid[(grid > x1) & (grid < x2)]
-        vals = mixture_pdf(inner, m)
-        j = int(np.argmin(vals))
-        xa, fa = float(inner[j]), float(vals[j])
-    ratio = min(f1, f2) / fa if fa > 0.0 else math.inf
-    return BimodalityReport(
-        2, ((x1, f1), (x2, f2)), (xa, fa), float(ratio)
+    n_modes, x, f, ratio = _modes(
+        np.asarray(m.weights)[:, None], m.means()[:, None], m.sds()[:, None]
     )
+    points = [(float(a), float(b)) for a, b in zip(x[0], f[0])]
+    if n_modes[0] == 1:
+        return BimodalityReport(1, (points[0],), None, 1.0)
+    return BimodalityReport(2, tuple(points[:2]), points[2], float(ratio[0]))
 
 
 def bimodality_ratio(m: GaussianMixture) -> float:
@@ -139,8 +169,10 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
 
     The posterior is built with the observed current mean pinned to the
     true mean (the scenario's null value); the external mean sits at
-    null + bias. Requires the Normal robust form (the k-component
-    heavy-tail bank can have more than two modes and is out of scope).
+    null + bias. Each weight's row is one ``posterior_bank`` call over the
+    bias axis, fed to the batch mode finder. Requires the Normal robust
+    form (the k-component heavy-tail bank can have more than two modes and
+    is out of scope).
 
     Returns an array of shape (len(w_grid), len(bias_grid)).
     """
@@ -151,21 +183,27 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
         w_grid = np.round(np.arange(0.0, 1.0 + 1e-12, 0.01), 10)
     if bias_grid is None:
         bias_grid = np.arange(0.0, 4.0 * sd_ext + 1e-12, sd_ext / 10.0)
-    w_grid = np.asarray(w_grid, dtype=float)
-    bias_grid = np.asarray(bias_grid, dtype=float)
-
+    biases = np.asarray(bias_grid, dtype=float)
     data = SufficientStat(scenario.null_mean, scenario.n, scenario.sigma)
-    out = np.empty((w_grid.size, bias_grid.size))
-    for j, bias in enumerate(bias_grid):
-        external = SufficientStat(
-            scenario.null_mean + bias, scenario.external.n, scenario.external.sigma
+    externals = [scenario.external_at(b) for b in biases]
+    means = np.array([
+        [e.mean for e in externals],
+        [priors.resolve_location(scenario.prior.location, e, data) for e in externals],
+    ])
+    out = np.empty((len(w_grid), biases.size))
+    for i, w in enumerate(np.asarray(w_grid, dtype=float)):
+        # Weights and sds do not depend on the bias.
+        spec = replace(scenario.prior, informative_weight=float(w))
+        prior = priors.build_mixture_prior(spec, current=data)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(np.asarray(prior.weights))
+        W, post_means, post_vars = inference.posterior_bank(
+            means, prior.sds() ** 2, log_w, data.mean, data.n, data.sigma
         )
-        base = replace(scenario.prior, external=external)
-        for i, w in enumerate(w_grid):
-            spec = replace(base, informative_weight=float(w))
-            mix = priors.build_mixture_prior(spec, current=data)
-            post = inference.posterior(mix, data)
-            out[i, j] = find_modes(post.posterior).ratio
+        # The exact renormalization a GaussianMixture applies to its weights.
+        W = W / (W[0] + W[1])
+        sds = np.broadcast_to(np.sqrt(post_vars)[:, None], W.shape)
+        out[i] = _modes(W, post_means, sds)[3]
     return out
 
 

@@ -10,8 +10,8 @@ summaries and prior-averaged operating characteristics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -39,6 +39,7 @@ __all__ = [
     "hybrid_power_exact",
     "calibrated_power_no_borrowing",
     "no_borrowing_power",
+    "oc_curve",
     "sweet_spot",
     "delta_restricted_summary",
     "average_tie",
@@ -46,6 +47,11 @@ __all__ = [
 ]
 
 _GH_NODES = 160
+# Half-width of the initial threshold bracket, in sds of the widest
+# superiority component.
+_BRACKET_SDS = 14.0
+# Elements (components x nodes x biases) per batched threshold solve.
+_GH_CHUNK_ELEMENTS = 1 << 18
 
 
 def _treatment_params(s: HybridScenario, analysis_external_mean: float):
@@ -80,77 +86,123 @@ def _superiority_stats(s, external, ybar_c, ybar_t, collect_w=False):
     return pnb, w_info
 
 
-def _joint_draws(s: HybridScenario, bias: float, effect: float):
-    theta_c = s.control_mean
+def _joint_draws(s: HybridScenario, theta_c, effect: float):
+    """Observed (control, treatment) means of the common draws when the true
+    control mean is ``theta_c`` (a scalar or one per draw)."""
     zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
     zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
-    ybar_c = theta_c + s.se_c * zc
-    ybar_t = theta_c + effect + s.se_t * zt
-    return s.external_at(bias), ybar_c, ybar_t
+    return theta_c + s.se_c * zc, theta_c + effect + s.se_t * zt
 
 
 def hybrid_tie(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate with equal arm means."""
-    external, ybar_c, ybar_t = _joint_draws(s, bias, 0.0)
-    pnb, _ = _superiority_stats(s, external, ybar_c, ybar_t)
+    draws = _joint_draws(s, s.control_mean, 0.0)
+    pnb, _ = _superiority_stats(s, s.external_at(bias), *draws)
     return float(np.mean(pnb <= s.alpha))
 
 
 def hybrid_power(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate at treatment - control = effect."""
-    external, ybar_c, ybar_t = _joint_draws(s, bias, s.effect)
-    pnb, _ = _superiority_stats(s, external, ybar_c, ybar_t)
+    draws = _joint_draws(s, s.control_mean, s.effect)
+    pnb, _ = _superiority_stats(s, s.external_at(bias), *draws)
     return float(np.mean(pnb <= s.alpha))
 
 
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
-    external, ybar_c, ybar_t = _joint_draws(s, bias, 0.0)
-    _, w_info = _superiority_stats(s, external, ybar_c, ybar_t, collect_w=True)
+    draws = _joint_draws(s, s.control_mean, 0.0)
+    _, w_info = _superiority_stats(s, s.external_at(bias), *draws, collect_w=True)
     return float(np.mean(w_info))
 
 
-def _reject_prob_gh(s: HybridScenario, external, effect: float, nodes: int = _GH_NODES):
-    """Deterministic rejection probability.
-
-    Outer Gauss-Hermite integral over the control mean; for each node the
-    superiority probability is strictly decreasing in the treatment mean,
-    so the rejection threshold is found by vectorized bisection and the
-    inner integral is a single normal tail.
-    """
+@lru_cache(maxsize=4)
+def _gh_rule(nodes: int):
+    """Gauss-Hermite nodes and weights, built once per node count and
+    shared read-only (``hermgauss`` solves an eigenproblem on every call)."""
     x, wts = np.polynomial.hermite.hermgauss(nodes)
-    theta_c = s.control_mean
-    yc = theta_c + math.sqrt(2.0) * s.se_c * x
+    x.flags.writeable = False
+    wts.flags.writeable = False
+    return x, wts
 
-    variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
-    means = bank_means(info_mean, robust_loc, variances.size, yc)
-    W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
-    a, b, t_var = _treatment_params(s, external.mean)
-    sj = np.sqrt(t_var + pv)[:, None]
 
-    def pnb(yt):
-        return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
+def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndarray:
+    """Treatment-mean rejection thresholds, shape (len(biases), nodes).
 
-    span = 14.0 * float(sj.max())
-    lo = (pm.min(axis=0) - span - a) / b
-    hi = (pm.max(axis=0) + span - a) / b
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        not_rejecting = pnb(mid) > s.alpha
-        lo = np.where(not_rejecting, mid, lo)
-        hi = np.where(not_rejecting, hi, mid)
-    threshold = 0.5 * (lo + hi)
+    Row i holds, at each Gauss-Hermite node of the control mean, the
+    treatment mean above which the test rejects when the external mean
+    sits at bias ``biases[i]``. The superiority probability is strictly
+    decreasing in the treatment mean, so every (bias, node) threshold is
+    found at once by 80 steps of vectorized bisection, from a bracket that
+    is first checked to enclose it. The threshold does not depend on the
+    true effect, so TIE and power share it.
+    """
+    biases = np.atleast_1d(np.asarray(biases, dtype=float))
+    x, _ = _gh_rule(nodes)
+    yc = s.control_mean + math.sqrt(2.0) * s.se_c * x
+    externals = [s.external_at(bias) for bias in biases]
+    banks = [prior_bank_params(s.prior, e) for e in externals]
+    variances, log_w = banks[0][:2]
+    J = variances.size
+    a_all = np.array([_treatment_params(s, e.mean)[0] for e in externals])
+    _, b, t_var = _treatment_params(s, externals[0].mean)
+    out = np.empty((biases.size, nodes))
+    step = max(_GH_CHUNK_ELEMENTS // (J * nodes), 1)
+    for start in range(0, biases.size, step):
+        sl = slice(start, min(start + step, biases.size))
+        means = np.concatenate([
+            np.broadcast_to(bank_means(m, r, J, yc).reshape(J, -1), (J, nodes))
+            for _, _, m, r in banks[sl]
+        ], axis=1)
+        ybar = np.tile(yc, len(banks[sl]))
+        W, pm, pv = posterior_bank(means, variances, log_w, ybar, s.n_c, s.sigma)
+        a = np.repeat(a_all[sl], nodes)
+        sj = np.sqrt(t_var + pv)[:, None]
 
-    g = 1.0 - ndtr((threshold - (theta_c + effect)) / s.se_t)
-    return float(np.dot(wts, g) / math.sqrt(math.pi))
+        def pnb(yt):
+            return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
+
+        span = _BRACKET_SDS * float(sj.max())
+        lo = (pm.min(axis=0) - span - a) / b
+        hi = (pm.max(axis=0) + span - a) / b
+        for end, ok in (("lower", pnb(lo) > s.alpha), ("upper", pnb(hi) <= s.alpha)):
+            if not ok.all():
+                i, node = divmod(int(np.argmin(ok)), nodes)
+                raise RuntimeError(
+                    f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
+                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r}, "
+                    f"Gauss-Hermite node {node} of {nodes}"
+                )
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            not_rejecting = pnb(mid) > s.alpha
+            lo = np.where(not_rejecting, mid, lo)
+            hi = np.where(not_rejecting, hi, mid)
+        out[sl] = (0.5 * (lo + hi)).reshape(-1, nodes)
+    return out
+
+
+def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES):
+    """TIE and power at each bias, as two lists of floats.
+
+    Monte Carlo, or with ``exact`` the Gauss-Hermite route: one threshold
+    solve per bias serves both rates, each of which is then the sum over
+    the control-mean nodes of the treatment mean's normal tail above the
+    node's threshold.
+    """
+    if not exact:
+        return [hybrid_tie(s, b) for b in biases], [hybrid_power(s, b) for b in biases]
+    _, wts = _gh_rule(nodes)
+    thresholds = _gh_thresholds(s, biases, nodes)
+    tails = (1.0 - ndtr((thresholds - (s.control_mean + e)) / s.se_t) for e in (0.0, s.effect))
+    return tuple([float(np.dot(wts, g) / math.sqrt(math.pi)) for g in tail] for tail in tails)
 
 
 def hybrid_tie_exact(s: HybridScenario, bias: float) -> float:
-    return _reject_prob_gh(s, s.external_at(bias), 0.0)
+    return oc_curve(s, [bias], exact=True)[0][0]
 
 
 def hybrid_power_exact(s: HybridScenario, bias: float) -> float:
-    return _reject_prob_gh(s, s.external_at(bias), s.effect)
+    return oc_curve(s, [bias], exact=True)[1][0]
 
 
 def no_borrowing_power(s) -> float:
@@ -178,48 +230,37 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
     return float(ndtr(shift - z))
 
 
-def _feasible(s, bias, p0, eps=1e-12):
-    return (
-        hybrid_tie_exact(s, bias) <= s.alpha + eps
-        and hybrid_power_exact(s, bias) >= p0 - eps
-    )
-
-
 def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
     """Bias range with TIE at most alpha and power at least the plain test's.
 
-    Scans the scenario's bias grid with the deterministic curves, keeps
-    the widest contiguous feasible run (warning if the feasible set is
-    split), refines both endpoints by bisection to the requested bias
-    resolution, and reports the maximum power over the refined interval.
+    Scans the scenario's bias grid with the deterministic curves (kept on
+    the result as ``curve``), keeps the widest contiguous feasible run
+    (``contiguous`` is False if the feasible set is split), refines both
+    endpoints by bisection to the requested bias resolution, and reports
+    the maximum power over the refined interval.
     """
     if len(s.bias_grid) < 2:
         raise ValueError("sweet_spot needs a bias grid spanning the candidate region")
     grid = np.asarray(s.bias_grid, dtype=float)
     p0 = no_borrowing_power(s)
-    feasible = np.array([_feasible(s, b, p0) for b in grid])
 
-    runs = []
-    start = None
-    for i, ok in enumerate(feasible):
-        if ok and start is None:
-            start = i
-        if not ok and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(grid) - 1))
+    def feasible(biases):
+        ties, powers = oc_curve(s, biases, exact=True)
+        ok = [t <= s.alpha + 1e-12 and p >= p0 - 1e-12 for t, p in zip(ties, powers)]
+        return ok, tuple(zip(ties, powers))
+
+    ok, curve = feasible(grid)
+    # Runs of feasible grid points as (first, last) index pairs.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.array(ok, dtype=int), [0]))))
+    runs = list(zip(edges[::2], edges[1::2] - 1))
     if not runs:
-        return SweetSpot(math.nan, math.nan, math.nan, math.nan, True)
-    contiguous = len(runs) == 1
-    if not contiguous:
-        warnings.warn("sweet-spot feasible set is non-contiguous; keeping widest run")
+        return SweetSpot(math.nan, math.nan, math.nan, math.nan, True, curve=curve)
     i0, i1 = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
     def refine(inside, outside):
         while abs(outside - inside) > resolution:
             mid = 0.5 * (inside + outside)
-            if _feasible(s, mid, p0):
+            if feasible(mid)[0][0]:
                 inside = mid
             else:
                 outside = mid
@@ -230,7 +271,7 @@ def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
 
     # Coarse argmax then golden-section refinement around it.
     coarse = np.linspace(lower, upper, 41)
-    powers = np.array([hybrid_power_exact(s, b) for b in coarse])
+    powers = np.array(oc_curve(s, coarse, exact=True)[1])
     j = int(np.argmax(powers))
     lo = coarse[max(j - 1, 0)]
     hi = coarse[min(j + 1, coarse.size - 1)]
@@ -252,7 +293,9 @@ def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
     best = max(float(powers[j]), hybrid_power_exact(s, argmax))
     if best == powers[j]:
         argmax = float(coarse[j])
-    return SweetSpot(float(lower), float(upper), float(best), float(argmax), False, contiguous)
+    return SweetSpot(
+        float(lower), float(upper), float(best), float(argmax), False, len(runs) == 1, curve
+    )
 
 
 def delta_restricted_summary(s: HybridScenario, delta: float, *, exact: bool = False):
@@ -264,12 +307,9 @@ def delta_restricted_summary(s: HybridScenario, delta: float, *, exact: bool = F
     """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
-    grid = np.linspace(-delta, delta, 41)
-    tie_fn = hybrid_tie_exact if exact else hybrid_tie
-    power_fn = hybrid_power_exact if exact else hybrid_power
-    max_tie = max(tie_fn(s, b) for b in grid)
-    max_power = max(power_fn(s, b) for b in grid)
-    gain = max_power - calibrated_power_no_borrowing(max_tie, s)
+    ties, powers = oc_curve(s, np.linspace(-delta, delta, 41), exact=exact)
+    max_tie = max(ties)
+    gain = max(powers) - calibrated_power_no_borrowing(max_tie, s)
     return max_tie, gain
 
 
@@ -302,13 +342,8 @@ def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float)
         design = s.design_prior
     if design is None:
         raise ValueError("no design prior given and none set on the scenario")
-    theta_c = _design_draws(s, design)
-    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
-    ybar_c = theta_c + s.se_c * zc
-    ybar_t = theta_c + effect + s.se_t * zt
     external = replace(s.external, mean=s.external.mean + analysis_shift)
-    pnb, _ = _superiority_stats(s, external, ybar_c, ybar_t)
+    pnb, _ = _superiority_stats(s, external, *_joint_draws(s, _design_draws(s, design), effect))
     return float(np.mean(pnb <= s.alpha))
 
 

@@ -197,12 +197,8 @@ def posterior(
                 if total > 0.0
                 else np.full(block.size, -math.log(block.size))
             )
-        pred = variances[1:] + data.sigma**2 / data.n
-        sub_log = sub_log - 0.5 * (np.log(2 * np.pi * pred) + (data.mean - means[1:]) ** 2 / pred)
-        sub_log -= sub_log.max()
-        sub = np.exp(sub_log)
-        sub /= sub.sum()
-        sub_weights = tuple(float(x) for x in sub)
+        sub = posterior_bank(means[1:], variances[1:], sub_log, data.mean, data.n, data.sigma)[0]
+        sub_weights = tuple(float(x) for x in sub[:, 0])
     else:
         sub_weights = ()
 

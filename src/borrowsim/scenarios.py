@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -228,7 +228,8 @@ class SweetSpot:
 
     ``empty`` marks an infeasible scan; ``contiguous`` is False when the
     feasible grid cells did not form a single run (the widest run is then
-    reported).
+    reported). ``curve`` holds the (TIE, power) pairs of the scan, one per
+    grid bias.
     """
 
     lower: float
@@ -237,20 +238,20 @@ class SweetSpot:
     argmax_bias: float
     empty: bool
     contiguous: bool = True
+    curve: tuple[tuple[float, float], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def width(self) -> float:
         return 0.0 if self.empty else self.upper - self.lower
 
 
+LOCATION_NAMES = {
+    ExternalMean: "external_mean", NullBoundary: "null_boundary", CurrentMean: "current_mean",
+}
+
+
 def describe_location(policy) -> str:
-    if isinstance(policy, ExternalMean):
-        return "external_mean"
-    if isinstance(policy, NullBoundary):
-        return "null_boundary"
-    if isinstance(policy, CurrentMean):
-        return "current_mean"
-    return type(policy).__name__
+    return LOCATION_NAMES.get(type(policy), type(policy).__name__)
 
 
 def describe_form(form) -> str:

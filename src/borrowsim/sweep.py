@@ -20,19 +20,18 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import diagnostics, hybrid, inference, onearm
+from . import diagnostics, hybrid, onearm
 from .config import _dispersion_axis, cost_estimate, normalize_config
 from .gaussian import SufficientStat
 from .priors import (
-    CurrentMean,
     ExternalMean,
     MixturePriorSpec,
     Normal,
     NullBoundary,
     StudentT,
-    build_mixture_prior,
 )
 from .scenarios import (
+    LOCATION_NAMES,
     HybridScenario,
     Informative,
     OCRow,
@@ -72,11 +71,8 @@ class SweepResult:
 
 
 def _location_policy(name: str, null_mean: float):
-    if name == "external_mean":
-        return ExternalMean()
-    if name == "null_boundary":
-        return NullBoundary(null_mean)
-    return CurrentMean()
+    policy = {v: k for k, v in LOCATION_NAMES.items()}[name]
+    return NullBoundary(null_mean) if policy is NullBoundary else policy()
 
 
 def _form_object(cfg, disp):
@@ -94,16 +90,14 @@ def _prior_spec(cfg, location, disp, w, n_ext) -> MixturePriorSpec:
     if kind == "n_robust":
         return MixturePriorSpec(w, external, location, form, n_robust=value)
     if kind == "robust_variance":
-        return MixturePriorSpec(
-            w, external, location, form, n_robust=None, robust_variance=value
-        )
+        return MixturePriorSpec(w, external, location, form, n_robust=None, robust_variance=value)
     return MixturePriorSpec(w, external, location, form)
 
 
 def _scenario(cfg, sizes, location_name, disp, w):
     loc = _location_policy(location_name, cfg.get("null_mean", 0.0))
+    spec = _prior_spec(cfg, loc, disp, w, sizes["n_ext"])
     if cfg["trial"] == "one-arm":
-        spec = _prior_spec(cfg, loc, disp, w, sizes["n_ext"])
         return OneArmScenario(
             null_mean=cfg["null_mean"],
             alt_mean=cfg["alt_mean"],
@@ -116,7 +110,6 @@ def _scenario(cfg, sizes, location_name, disp, w):
             reps=cfg["reps"],
             scenario_id=cfg["scenario_id"],
         )
-    spec = _prior_spec(cfg, loc, disp, w, sizes["n_ext"])
     return HybridScenario(
         n_t=sizes["n_t"],
         n_c=sizes["n_c"],
@@ -159,14 +152,6 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
     }
 
 
-def _obm_at(s: OneArmScenario, bias: float) -> float:
-    data = SufficientStat(s.null_mean, s.n, s.sigma)
-    spec = replace(s.prior, external=s.external_at(bias))
-    mix = build_mixture_prior(spec, current=data)
-    post = inference.posterior(mix, data)
-    return diagnostics.find_modes(post.posterior).ratio
-
-
 def _grid_cell(cfg, s, bias):
     exact = cfg["estimator"] == "exact"
     metrics = cfg["metrics"]
@@ -191,7 +176,7 @@ def _grid_cell(cfg, s, bias):
         else:
             out["w_tilde"] = hybrid.mean_posterior_weight(s, bias)
     if "obm" in metrics:
-        out["obm"] = _obm_at(s, bias)
+        out["obm"] = diagnostics.bimodality_map(s, [s.prior.informative_weight], [bias]).item()
     return out
 
 
@@ -209,7 +194,7 @@ def _calibration_level(cfg, s, curve_ties) -> float:
     if isinstance(s, OneArmScenario):
         probe_ties = [onearm.one_arm_tie_exact(s, b) for b in (-probe, probe)]
     else:
-        probe_ties = [hybrid.hybrid_tie_exact(s, b) for b in (-probe, probe)]
+        probe_ties = hybrid.oc_curve(s, (-probe, probe), exact=True)[0]
     return max(max(curve_ties), max(probe_ties))
 
 
@@ -222,18 +207,23 @@ _ROW_FIELD = {
 }
 
 
-def _run_grid(cfg, pool) -> SweepResult:
+def _curves(cfg) -> list:
+    """(scenario, sizes, w) over the (sizes x location x dispersion x w)
+    product, in output order; every runner enumerates its cells from it."""
     sweep = cfg["sweep"]
-    biases = sweep["bias"]
-    curves = []
-    jobs = []
-    for sizes in sweep["sample_sizes"]:
-        for loc in sweep["location"]:
-            for disp in _dispersion_axis(cfg):
-                for w in sweep["w"]:
-                    s = _scenario(cfg, sizes, loc, disp, w)
-                    curves.append((s, sizes, w))
-                    jobs.extend((s, bias) for bias in biases)
+    return [
+        (_scenario(cfg, sizes, loc, disp, w), sizes, w)
+        for sizes in sweep["sample_sizes"]
+        for loc in sweep["location"]
+        for disp in _dispersion_axis(cfg)
+        for w in sweep["w"]
+    ]
+
+
+def _run_grid(cfg, pool) -> SweepResult:
+    biases = cfg["sweep"]["bias"]
+    curves = _curves(cfg)
+    jobs = [(s, bias) for s, _, _ in curves for bias in biases]
     results = list(pool.map(lambda j: _grid_cell(cfg, j[0], j[1]), jobs))
 
     rows: list[OCRow] = []
@@ -255,49 +245,24 @@ def _run_grid(cfg, pool) -> SweepResult:
 
 
 def _run_bimodality(cfg, pool) -> SweepResult:
-    sweep = cfg["sweep"]
-    jobs = []
-    for sizes in sweep["sample_sizes"]:
-        for loc in sweep["location"]:
-            for disp in _dispersion_axis(cfg):
-                for w in sweep["w"]:
-                    s = _scenario(cfg, sizes, loc, disp, w)
-                    for bias in sweep["bias"]:
-                        jobs.append((s, sizes, w, bias))
-    ratios = list(pool.map(lambda j: _obm_at(j[0], j[3]), jobs))
+    biases = cfg["sweep"]["bias"]
+    curves = _curves(cfg)
+    ratios = pool.map(lambda c: diagnostics.bimodality_map(c[0], [c[2]], biases)[0], curves)
     rows = [
-        OCRow(**{**_row_shell(cfg, s, sizes, w, bias), "reps": 0}, obm=r)
-        for (s, sizes, w, bias), r in zip(jobs, ratios)
+        OCRow(**{**_row_shell(cfg, s, sizes, w, bias), "reps": 0}, obm=float(r))
+        for (s, sizes, w), curve in zip(curves, ratios)
+        for bias, r in zip(biases, curve)
     ]
     return SweepResult(rows, {}, {})
 
 
 def _run_sweet_spot(cfg, pool) -> SweepResult:
-    sweep = cfg["sweep"]
-    cells = [
-        (sizes, loc, disp, w)
-        for sizes in sweep["sample_sizes"]
-        for loc in sweep["location"]
-        for disp in _dispersion_axis(cfg)
-        for w in sweep["w"]
-    ]
-    biases = sweep["bias"]
-
-    def work(cell):
-        sizes, loc, disp, w = cell
-        s = _scenario(cfg, sizes, loc, disp, w)
-        s = replace(s, bias_grid=tuple(biases))
-        spot = hybrid.sweet_spot(s)
-        curve = [
-            (hybrid.hybrid_tie_exact(s, b), hybrid.hybrid_power_exact(s, b))
-            for b in biases
-        ]
-        return s, spot, curve
-
+    biases = cfg["sweep"]["bias"]
+    curves = [(replace(s, bias_grid=tuple(biases)), sizes, w) for s, sizes, w in _curves(cfg)]
     rows: list[OCRow] = []
     spots = []
-    for (sizes, loc, disp, w), (s, spot, curve) in zip(cells, pool.map(work, cells)):
-        for bias, (tie, power) in zip(biases, curve):
+    for (s, sizes, w), spot in zip(curves, pool.map(lambda c: hybrid.sweet_spot(c[0]), curves)):
+        for bias, (tie, power) in zip(biases, spot.curve):
             shell = _row_shell(cfg, s, sizes, w, bias)
             shell["reps"] = 0
             rows.append(OCRow(**shell, tie=tie, power=power))
@@ -307,11 +272,8 @@ def _run_sweet_spot(cfg, pool) -> SweepResult:
             "form": describe_form(s.prior.form),
             "n_robust": s.prior.effective_n_robust(),
             "w": w,
-            "lower": None if spot.empty else spot.lower,
-            "upper": None if spot.empty else spot.upper,
-            "width": None if spot.empty else spot.width,
-            "max_power": None if spot.empty else spot.max_power,
-            "argmax_bias": None if spot.empty else spot.argmax_bias,
+            **{k: None if spot.empty else getattr(spot, k)
+               for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
             "empty": spot.empty,
             "contiguous": spot.contiguous,
         })
@@ -319,32 +281,17 @@ def _run_sweet_spot(cfg, pool) -> SweepResult:
 
 
 def _run_table(cfg, pool) -> SweepResult:
-    sweep = cfg["sweep"]
     exact = cfg["estimator"] == "exact"
-    tie_fn = hybrid.hybrid_tie_exact if exact else hybrid.hybrid_tie
-    power_fn = hybrid.hybrid_power_exact if exact else hybrid.hybrid_power
-    cells = [
-        (sizes, loc, disp, w, delta)
-        for sizes in sweep["sample_sizes"]
-        for loc in sweep["location"]
-        for disp in _dispersion_axis(cfg)
-        for w in sweep["w"]
-        for delta in sweep["deltas"]
-    ]
+    cells = [(c, delta) for c in _curves(cfg) for delta in cfg["sweep"]["deltas"]]
 
     def work(cell):
-        sizes, loc, disp, w, delta = cell
-        s = _scenario(cfg, sizes, loc, disp, w)
+        (s, _, _), delta = cell
         grid = np.linspace(-delta, delta, 41)
-        ties = [tie_fn(s, b) for b in grid]
-        powers = [power_fn(s, b) for b in grid]
-        return s, grid, ties, powers
+        return (grid, *hybrid.oc_curve(s, grid, exact=exact))
 
     rows: list[OCRow] = []
     summary = []
-    for (sizes, loc, disp, w, delta), (s, grid, ties, powers) in zip(
-        cells, pool.map(work, cells)
-    ):
+    for ((s, sizes, w), delta), (grid, ties, powers) in zip(cells, pool.map(work, cells)):
         suffix = f":delta={delta:g}"
         for bias, tie, power in zip(grid, ties, powers):
             shell = _row_shell(cfg, s, sizes, w, float(bias), suffix)
@@ -374,28 +321,19 @@ def _run_average(cfg, pool) -> SweepResult:
         for name in sweep["design_priors"]
     }
     cells = [
-        (sizes, loc, disp, w, dname, shift)
-        for sizes in sweep["sample_sizes"]
-        for loc in sweep["location"]
-        for disp in _dispersion_axis(cfg)
-        for w in sweep["w"]
+        (c, dname, shift)
+        for c in _curves(cfg)
         for dname in sweep["design_priors"]
         for shift in sweep["analysis_shift"]
     ]
 
     def work(cell):
-        sizes, loc, disp, w, dname, shift = cell
-        s = _scenario(cfg, sizes, loc, disp, w)
-        return (
-            s,
-            hybrid.average_tie(s, designs[dname], shift),
-            hybrid.average_power(s, designs[dname], shift),
-        )
+        (s, _, _), dname, shift = cell
+        design = designs[dname]
+        return hybrid.average_tie(s, design, shift), hybrid.average_power(s, design, shift)
 
     rows = []
-    for (sizes, loc, disp, w, dname, shift), (s, tie, power) in zip(
-        cells, pool.map(work, cells)
-    ):
+    for ((s, sizes, w), dname, shift), (tie, power) in zip(cells, pool.map(work, cells)):
         shell = _row_shell(cfg, s, sizes, w, shift, f":design={dname}")
         rows.append(OCRow(**shell, tie=tie, power=power))
     return SweepResult(rows, {}, {})

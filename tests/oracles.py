@@ -9,6 +9,17 @@ check on it.
 rates the per-draw way: a full posterior tail for every common draw, then
 the share at or below alpha. The library counts the sorted draws in the
 rejection region instead, and must match these exactly.
+
+``reject_prob_gh`` is the hybrid Gauss-Hermite rejection probability the
+one-call-per-effect way: the rule, the posterior bank and the 80-step
+threshold bisection rebuilt for one (bias, effect). The library solves
+the threshold once per bias for a whole grid and shares it between TIE
+and power, and must match this bit for bit.
+
+``find_modes`` is the scalar mode finder: a derivative sign scan of one
+two-component mixture, each sign change refined by a Python bisection of
+one-point evaluations. The library's finder runs over a batch of
+mixtures at once and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +29,13 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from scipy.special import ndtr
+
 from borrowsim import StudentT, build_informative, resolve_location
+from borrowsim.diagnostics import BimodalityReport
+from borrowsim.gaussian import mixture_pdf
+from borrowsim.hybrid import _treatment_params
+from borrowsim.inference import bank_means, posterior_bank, prior_bank_params
 from borrowsim.onearm import _draws, posterior_stats
 
 # Points of the grid that locates the log-peak of the integrand.
@@ -119,3 +136,108 @@ def brute_force_tie(s, bias: float) -> float:
 
 def brute_force_power(s, bias: float) -> float:
     return brute_force_rate(s, bias, s.alt_mean)
+
+
+def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
+    """Hybrid rejection probability at one bias and one true effect."""
+    external = s.external_at(bias)
+    x, wts = np.polynomial.hermite.hermgauss(nodes)
+    theta_c = s.control_mean
+    yc = theta_c + math.sqrt(2.0) * s.se_c * x
+
+    variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
+    means = bank_means(info_mean, robust_loc, variances.size, yc)
+    W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
+    a, b, t_var = _treatment_params(s, external.mean)
+    sj = np.sqrt(t_var + pv)[:, None]
+
+    def pnb(yt):
+        return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
+
+    span = 14.0 * float(sj.max())
+    lo = (pm.min(axis=0) - span - a) / b
+    hi = (pm.max(axis=0) + span - a) / b
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        not_rejecting = pnb(mid) > s.alpha
+        lo = np.where(not_rejecting, mid, lo)
+        hi = np.where(not_rejecting, hi, mid)
+    threshold = 0.5 * (lo + hi)
+
+    g = 1.0 - ndtr((threshold - (theta_c + effect)) / s.se_t)
+    return float(np.dot(wts, g) / math.sqrt(math.pi))
+
+
+_SCAN_POINTS = 2000
+_REFINE_TOL = 1e-9
+
+
+def _pdf_derivative(x, m):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for w, c in zip(m.weights, m.components):
+        if w == 0.0:
+            continue
+        z = (x - c.mean) / c.sd
+        phi = np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2 * math.pi))
+        out += -w * phi * (x - c.mean) / (c.sd * c.sd)
+    return out
+
+
+def _bisect_sign_change(f, lo, hi, f_lo):
+    while hi - lo > _REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo > 0) == (f_mid > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def find_modes(m) -> BimodalityReport:
+    """Modes (and antimode, if any) of one two-component mixture."""
+    if len(m) != 2:
+        raise ValueError(f"mode finding is defined for 2 components, got {len(m)}")
+    means = m.means()
+    sds = m.sds()
+    lo = float(means.min() - 6.0 * sds.max())
+    hi = float(means.max() + 6.0 * sds.max())
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
+    deriv = _pdf_derivative(grid, m)
+
+    sign = np.sign(deriv)
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    scalar_deriv = lambda x: float(_pdf_derivative(x, m))
+
+    maxima: list[float] = []
+    minima: list[float] = []
+    for i in flips:
+        x = _bisect_sign_change(scalar_deriv, grid[i], grid[i + 1], deriv[i])
+        if deriv[i] > 0:
+            maxima.append(x)
+        else:
+            minima.append(x)
+
+    if len(maxima) <= 1:
+        x = maxima[0] if maxima else float(grid[np.argmax(mixture_pdf(grid, m))])
+        return BimodalityReport(1, ((x, float(mixture_pdf(x, m))),), None, 1.0)
+
+    x1, x2 = maxima[0], maxima[-1]
+    f1 = float(mixture_pdf(x1, m))
+    f2 = float(mixture_pdf(x2, m))
+    between = [x for x in minima if x1 < x < x2]
+    if between:
+        xa = between[0]
+        fa = float(mixture_pdf(xa, m))
+    else:
+        # Dead zone between far-separated modes: density underflowed to 0
+        # on the whole scan stretch; take the grid minimum there.
+        inner = grid[(grid > x1) & (grid < x2)]
+        vals = mixture_pdf(inner, m)
+        j = int(np.argmin(vals))
+        xa, fa = float(inner[j]), float(vals[j])
+    ratio = min(f1, f2) / fa if fa > 0.0 else math.inf
+    return BimodalityReport(2, ((x1, f1), (x2, f2)), (xa, fa), float(ratio))

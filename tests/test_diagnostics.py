@@ -1,14 +1,21 @@
 """Mode finding, bimodality grading and highest-density regions."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borrowsim import (
+    CurrentMean,
     ExternalMean,
     GaussianComponent,
     GaussianMixture,
     MixturePriorSpec,
     Normal,
+    NullBoundary,
     StudentT,
     SufficientStat,
     bimodality_map,
@@ -18,7 +25,11 @@ from borrowsim import (
     mixture_cdf,
     mixture_pdf,
     OneArmScenario,
+    build_mixture_prior,
+    posterior,
 )
+from borrowsim import diagnostics
+import oracles
 
 SEPARATED = GaussianMixture(
     (GaussianComponent(-2.0, 1.0), GaussianComponent(2.0, 1.0)), (0.5, 0.5)
@@ -70,6 +81,81 @@ class TestFindModes:
     def test_requires_two_components(self):
         with pytest.raises(ValueError):
             find_modes(GaussianMixture((GaussianComponent(0, 1),), (1.0,)))
+
+
+def _mixture(w, m1, s1, m2, s2):
+    return GaussianMixture((GaussianComponent(m1, s1), GaussianComponent(m2, s2)), (w, 1.0 - w))
+
+
+sds = st.floats(0.05, 3.0)
+general = st.builds(_mixture, st.floats(0.0, 1.0), st.floats(-5, 5), sds, st.floats(-5, 5), sds)
+# A single component: the other has weight exactly 0.
+one_sided = st.builds(
+    _mixture, st.sampled_from([0.0, 1.0]), st.floats(-5, 5), sds, st.floats(-5, 5), sds
+)
+# Means within half an sd of each other: always unimodal.
+unimodal = st.builds(
+    lambda w, m, s1, s2, shift: _mixture(w, m, s1, m + shift * min(s1, s2), s2),
+    st.floats(0.01, 0.99), st.floats(-5, 5), sds, sds, st.floats(-0.5, 0.5),
+)
+# Modes 80-200 sds apart: beyond 38.6 sds from both means the density
+# underflows to 0, so no sign change marks the antimode (the "dead zone").
+far_apart = st.builds(
+    lambda w, m, s1, s2, gap: _mixture(w, m, s1, m + gap * max(s1, s2), s2),
+    st.floats(0.05, 0.95), st.floats(-5, 5), sds, sds, st.floats(80.0, 200.0),
+)
+
+
+class TestBatchedModeFinder:
+    """The batch finder against the scalar oracle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(general, one_sided, unimodal, far_apart), min_size=1, max_size=20))
+    def test_matches_the_scalar_finder_in_mixed_batches(self, mixtures):
+        weights = np.array([m.weights for m in mixtures]).T
+        means = np.array([m.means() for m in mixtures]).T
+        n_modes, x, f, ratio = diagnostics._modes(
+            weights, means, np.array([m.sds() for m in mixtures]).T
+        )
+        for r, m in enumerate(mixtures):
+            ref = oracles.find_modes(m)
+            assert find_modes(m) == ref
+            assert n_modes[r] == ref.n_modes
+            assert ratio[r] == ref.ratio
+            assert (x[r, 0], f[r, 0]) == ref.modes[0]
+            if ref.n_modes == 2:
+                assert (x[r, 1], f[r, 1]) == ref.modes[1]
+                assert (x[r, 2], f[r, 2]) == ref.antimode
+
+    def test_far_apart_modes_take_the_dead_zone(self):
+        m = _mixture(0.5, 0.0, 1.0, 100.0, 1.0)
+        report = find_modes(m)
+        assert report == oracles.find_modes(m)
+        assert report.n_modes == 2 and report.antimode[1] == 0.0
+        assert report.ratio == math.inf
+
+    def test_a_mode_on_a_grid_point_takes_the_grid_maximum(self):
+        # The scan grid is -3 + k/256 here, so the derivative is exactly 0
+        # at the mode (k = 768) and no sign change brackets it.
+        m = _mixture(1.0, 0.0, 0.5, 1.80859375, 0.5)
+        report = find_modes(m)
+        assert report == oracles.find_modes(m)
+        assert report.modes[0][0] == 0.0
+
+    @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
+    def test_map_matches_the_scalar_path_cell_by_cell(self, location):
+        ext = SufficientStat(0.0, 15, 1.0)
+        spec = MixturePriorSpec(0.5, ext, location, Normal(), n_robust=1.0)
+        s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
+        w_grid = [0.0, 0.3, 0.9, 0.96, 1.0]
+        biases = np.arange(-4.0, 4.01, 0.5) * s.sd_ext
+        grid = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+        data = SufficientStat(0.0, 20, 1.0)
+        for i, w in enumerate(w_grid):
+            for j, b in enumerate(biases):
+                prior_spec = replace(s.prior, external=s.external_at(b), informative_weight=w)
+                post = posterior(build_mixture_prior(prior_spec, current=data), data)
+                assert grid[i, j] == oracles.find_modes(post.posterior).ratio
 
 
 class TestBimodalityRatio:

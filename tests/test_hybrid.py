@@ -1,6 +1,9 @@
 """Hybrid-control operating characteristics."""
 
+import itertools
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from borrowsim import (
     Normal,
     NullBoundary,
     RobustMixture,
+    StudentT,
     SufficientStat,
     TreatmentPrior,
     UnitInfo,
@@ -28,6 +32,9 @@ from borrowsim import (
     no_borrowing_power,
     sweet_spot,
 )
+from borrowsim import hybrid, sweep
+from borrowsim.recipes import recipe_config
+from oracles import reject_prob_gh
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -196,10 +203,115 @@ class TestSweetSpot:
         )
         assert real.max_power - no_borrowing_power(s) > 0.05
 
+    def test_split_feasible_set_is_reported_as_data(self, monkeypatch):
+        # Feasible on [-0.6, -0.4] and on [0.0, 0.3]: the wider run is kept
+        # and the split is recorded, without a warning.
+        def fake_curve(s, biases, exact=False, nodes=160):
+            b = np.atleast_1d(biases)
+            ok = ((b >= -0.6) & (b <= -0.4)) | ((b >= 0.0) & (b <= 0.3))
+            return (np.where(ok, 0.01, 0.5).tolist(),
+                    np.where(ok, 0.9 - 0.1 * (b - 0.1) ** 2, 0.5).tolist())
+
+        monkeypatch.setattr(hybrid, "oc_curve", fake_curve)
+        monkeypatch.setattr(hybrid, "hybrid_power_exact", lambda s, b: fake_curve(s, b)[1][0])
+        s = scenario(w=0.5, location=CurrentMean(), bias_grid=self.grid())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spot = sweet_spot(s)
+        assert not spot.empty and not spot.contiguous
+        assert spot.lower == pytest.approx(0.0, abs=1e-3)
+        assert spot.upper == pytest.approx(0.3, abs=1e-3)
+        assert spot.argmax_bias == pytest.approx(0.1, abs=1e-3)
+        assert len(spot.curve) == len(self.grid())
+
+        cfg = recipe_config("fig8")
+        cfg["sweep"].update(location=["current_mean"], n_robust=[1.0], w=[0.5],
+                            bias=list(self.grid()))
+        entry = sweep.run_config(cfg, threads=1).extras["sweet_spots"][0]
+        assert entry["contiguous"] is False
+        assert entry["lower"] == pytest.approx(0.0, abs=1e-3)
+        assert entry["upper"] == pytest.approx(0.3, abs=1e-3)
+
     def test_needs_a_grid(self):
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
         with pytest.raises(ValueError):
             sweet_spot(s)
+
+
+class TestSharedThreshold:
+    """One threshold solve per bias serves TIE, power and the sweet spot."""
+
+    GRID = tuple(np.round(np.arange(-1.5, 1.5001, 0.25), 10))
+
+    @pytest.mark.parametrize(
+        "location,treatment_prior,w,form",
+        [
+            (ExternalMean(), TreatmentPrior.FLAT, 0.5, Normal()),
+            (CurrentMean(), TreatmentPrior.FLAT, 0.0, Normal()),
+            (CurrentMean(), TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN, 1.0, Normal()),
+            (ExternalMean(), TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN, 0.25, Normal()),
+            (CurrentMean(), TreatmentPrior.FLAT, 0.5, StudentT(3.0, 1.0, 10)),
+            (ExternalMean(), TreatmentPrior.FLAT, 0.75, StudentT(3.0, 1.0, 100)),
+        ],
+    )
+    def test_shared_solve_equals_single_effect_solves(self, location, treatment_prior, w, form):
+        spec = MixturePriorSpec(w, EXT, location, form, n_robust=1.0)
+        s = HybridScenario(
+            20, 40, 1.0, EXT, spec, effect=0.83, seed=1, reps=10,
+            treatment_prior=treatment_prior, control_mean=0.3,
+        )
+        ties, powers = hybrid.oc_curve(s, self.GRID, exact=True)
+        assert ties == [reject_prob_gh(s, b, 0.0) for b in self.GRID]
+        assert powers == [reject_prob_gh(s, b, s.effect) for b in self.GRID]
+        assert hybrid_tie_exact(s, self.GRID[3]) == ties[3]
+        assert hybrid_power_exact(s, self.GRID[3]) == powers[3]
+
+    def test_a_bracket_on_the_wrong_side_raises(self, monkeypatch):
+        # A negative half-width puts the lower end above every threshold.
+        monkeypatch.setattr(hybrid, "_BRACKET_SDS", -30.0)
+        s = scenario(w=0.5)
+        with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*node 0 of 160"):
+            hybrid_tie_exact(s, 0.25)
+
+    def test_the_sweep_solves_no_grid_bias_beyond_the_sweet_spot(self, monkeypatch):
+        cfg = recipe_config("fig8")
+        cfg["sweep"].update(location=["current_mean"], n_robust=[1.0], w=[0.5])
+        solved, scenarios = [], []
+        solve = hybrid._gh_thresholds
+
+        def counting(s, biases, nodes=160):
+            scenarios.append(s)
+            solved.append(tuple(np.atleast_1d(biases).tolist()))
+            return solve(s, biases, nodes)
+
+        monkeypatch.setattr(hybrid, "_gh_thresholds", counting)
+        rows = sweep.run_config(cfg, threads=1).rows
+        from_sweep, s = list(solved), scenarios[0]
+        solved.clear()
+        sweet_spot(s)
+        # The grid scan is one batched solve, and the curve the sweep writes
+        # is that scan: the sweep makes exactly the sweet spot's solves.
+        assert from_sweep[0] == s.bias_grid and len(s.bias_grid) == 61
+        assert Counter(from_sweep) == Counter(solved)
+        assert [(r.tie, r.power) for r in rows] == [
+            (reject_prob_gh(s, b, 0.0), reject_prob_gh(s, b, s.effect)) for b in s.bias_grid
+        ]
+
+    def test_160_nodes_agree_with_320(self):
+        # fig8's (location x n_robust x w) product at every quarter bias.
+        # The largest gap seen was 2.2e-8 (n_robust 1/400, w 0.9, where the
+        # posterior weight switches sharply in the control mean); the median
+        # cell's is 4e-13.
+        worst = 0.0
+        for location, n_robust, w in itertools.product(
+            (ExternalMean(), CurrentMean()), (1 / 400, 1 / 25, 0.25, 1.0),
+            (0.1, 0.25, 0.5, 0.75, 0.9),
+        ):
+            s = scenario(w=w, location=location, n_robust=n_robust)
+            coarse = np.array(hybrid.oc_curve(s, self.GRID, exact=True, nodes=160))
+            fine = np.array(hybrid.oc_curve(s, self.GRID, exact=True, nodes=320))
+            worst = max(worst, float(np.abs(coarse - fine).max()))
+        assert worst < 1e-7
 
 
 class TestDeltaRestricted:
