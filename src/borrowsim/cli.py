@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .config import ConfigError, check_config, cost_estimate, normalize_config
+from .config import ConfigError, cost_estimate, normalize_config
 from .recipes import RECIPES, list_recipes, recipe_config
 from .sweep import run_config, write_outputs
 
@@ -54,13 +54,7 @@ def _resolve_config(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_resolve_config(args), args)
-    errors = check_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"invalid: {e}", file=sys.stderr)
-        return 2
-    cfg = normalize_config(cfg)
+    cfg = normalize_config(_apply_overrides(_resolve_config(args), args))
     out_dir = args.out or os.path.join("results", cfg["scenario_id"])
     result = run_config(cfg, threads=args.threads)
     try:
@@ -78,13 +72,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    errors = check_config(cfg)
-    if errors:
-        for e in errors:
+    try:
+        cfg = normalize_config(_apply_overrides(_load_config(args.config), args))
+    except ConfigError as exc:
+        for e in exc.errors:
             print(f"invalid: {e}")
         return 2
-    cfg = normalize_config(cfg)
     cells, draws = cost_estimate(cfg)
     print(f"OK: {cfg['scenario_id']} ({cfg['kind']}, {cfg['trial']})")
     print(f"cells: {cells}")

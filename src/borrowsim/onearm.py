@@ -57,11 +57,6 @@ def _chunks(total: int, n_components: int):
         yield slice(start, min(start + step, total))
 
 
-def posterior_stats(s: OneArmScenario, bias: float, ybar: np.ndarray):
-    """Tail probability, posterior mean and informative weight per draw."""
-    return _bank_stats(s, prior_bank_params(s.prior, s.external_at(bias)), ybar)
-
-
 def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True):
     """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
     101-component pass), posterior mean and informative weight."""

@@ -46,6 +46,10 @@ __all__ = [
     "sorted_normals",
 ]
 
+# Default one-sided level and replication count, of scenarios and scenario files.
+ALPHA = 0.025
+REPS = 1_000_000
+
 
 class TreatmentPrior(enum.Enum):
     """Prior for the treatment arm in a hybrid-control trial."""
@@ -98,8 +102,8 @@ class OneArmScenario:
     external: SufficientStat
     prior: MixturePriorSpec
     seed: int
-    alpha: float = 0.025
-    reps: int = 1_000_000
+    alpha: float = ALPHA
+    reps: int = REPS
     bias_grid: tuple[float, ...] = ()
     scenario_id: str = "one-arm"
 
@@ -147,8 +151,8 @@ class HybridScenario:
     prior: MixturePriorSpec
     effect: float
     seed: int
-    alpha: float = 0.025
-    reps: int = 1_000_000
+    alpha: float = ALPHA
+    reps: int = REPS
     treatment_prior: TreatmentPrior = TreatmentPrior.FLAT
     bias_grid: tuple[float, ...] = ()
     design_prior: DesignPrior | None = None

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import diagnostics, hybrid, onearm
-from .config import _dispersion_axis, cost_estimate, normalize_config
+from .config import _dispersion_axis, cost_estimate, normalize_config, sample_size_keys
 from .gaussian import SufficientStat
 from .priors import (
     ExternalMean,
@@ -128,12 +128,7 @@ def _scenario(cfg, sizes, location_name, disp, w):
 
 def _row_id(cfg, sizes, suffix="") -> str:
     base = cfg["scenario_id"]
-    default = (
-        {"n": cfg.get("n"), "n_ext": cfg["n_ext"]}
-        if cfg["trial"] == "one-arm"
-        else {"n_t": cfg.get("n_t"), "n_c": cfg.get("n_c"), "n_ext": cfg["n_ext"]}
-    )
-    if sizes != default:
+    if sizes != {k: cfg[k] for k in sample_size_keys(cfg["trial"])}:
         base += ":" + ",".join(f"{k}={sizes[k]}" for k in sorted(sizes))
     return base + suffix
 
@@ -147,7 +142,7 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
         "n_robust": s.prior.effective_n_robust(),
         "w": w,
         "bias": bias,
-        "reps": cfg["reps"] if cfg.get("estimator", "mc") == "mc" else 0,
+        "reps": 0 if cfg.get("estimator") == "exact" else cfg["reps"],
         "seed": cfg["seed"],
     }
 

@@ -36,7 +36,7 @@ from borrowsim.diagnostics import BimodalityReport
 from borrowsim.gaussian import mixture_pdf
 from borrowsim.hybrid import _treatment_params
 from borrowsim.inference import bank_means, posterior_bank, prior_bank_params
-from borrowsim.onearm import _draws, posterior_stats
+from borrowsim.onearm import _bank_stats, _draws
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001
@@ -121,6 +121,11 @@ def exact_t_tail_oracle(spec, data, null_value: float, rel_tol: float = 1e-6) ->
             f"quadrature non-convergence: estimated error {err:g} for tail {tail:g}"
         )
     return tail
+
+
+def posterior_stats(s, bias: float, ybar: np.ndarray):
+    """Tail probability, posterior mean and informative weight per draw."""
+    return _bank_stats(s, prior_bank_params(s.prior, s.external_at(bias)), ybar)
 
 
 def brute_force_rate(s, bias: float, at_mean: float) -> float:

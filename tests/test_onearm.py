@@ -23,6 +23,7 @@ from borrowsim import (
     one_arm_tie_exact,
     weight_propagation,
 )
+from oracles import posterior_stats
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -156,7 +157,7 @@ class TestRmse:
         # the posterior mean is exactly the observed mean draw by draw, so
         # the standardized RMSE is the empirical second moment of the
         # standardized draws (one up to Monte Carlo noise)
-        from borrowsim.onearm import posterior_stats, _draws
+        from borrowsim.onearm import _draws
 
         s = scenario(w=0.0, location=CurrentMean(), reps=50_000)
         ybar = _draws(s, 0.0)

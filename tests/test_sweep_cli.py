@@ -1,8 +1,11 @@
 """Scenario-file validation, sweep engine and command-line interface."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borrowsim.cli import main
 from borrowsim.config import ConfigError, check_config, cost_estimate, normalize_config
@@ -93,6 +96,207 @@ class TestValidation:
         assert draws == cells * 2 * 5000  # tie and w_tilde each consume a pass
 
 
+_DEL = object()
+
+
+def mutated(base, changes):
+    """``base`` ("tiny" or a recipe name) with dotted keys set or deleted."""
+    cfg = tiny_grid_config() if base == "tiny" else recipe_config(base)
+    for path, value in changes.items():
+        *parents, last = path.split(".")
+        box = cfg
+        for p in parents:
+            box = box.setdefault(p, {}) if isinstance(box, dict) else None
+        if not isinstance(box, dict):
+            continue
+        if value is _DEL:
+            box.pop(last, None)
+        else:
+            box[last] = value
+    return cfg
+
+
+# One case per validation rule: (base config, mutation, fragment that an
+# error must contain; the fragment names the offending field).
+RULES = [
+    ("tiny", {"schema_version": 2}, "schema_version"),
+    ("tiny", {"kind": "heatmap"}, "kind"),
+    ("tiny", {"trial": "three-arm"}, "trial"),
+    ("fig2", {"trial": "hybrid"}, "kind"),
+    ("tiny", {"kind": "table"}, "kind"),
+    ("tiny", {"sweeep": {}}, "config: unknown keys"),
+    ("tiny", {"n_t": 20}, "n_t"),
+    ("tiny", {"scenario_id": ""}, "scenario_id"),
+    ("tiny", {"seed": 1.5}, "seed"),
+    ("tiny", {"reps": 0}, "reps"),
+    ("tiny", {"reps": True}, "reps"),
+    ("tiny", {"alpha": 1.0}, "alpha"),
+    ("tiny", {"sigma": -1.0}, "sigma"),
+    ("tiny", {"n_ext": _DEL}, "n_ext"),
+    ("tiny", {"external_mean": float("nan")}, "external_mean"),
+    ("tiny", {"estimator": "bootstrap"}, "estimator"),
+    ("tiny", {"form": "normal"}, "form"),
+    ("tiny", {"form": {"kind": "normal", "shape": 2}}, "form: unknown keys"),
+    ("tiny", {"form": {"kind": "cauchy"}}, "form.kind"),
+    ("tiny", {"form": {"kind": "normal", "df": 3.0}}, "df"),
+    ("fig1-t", {"form.df": 2.0}, "form.df"),
+    ("fig1-t", {"form.scale": 0.0}, "form.scale"),
+    ("fig1-t", {"form.k": 0}, "form.k"),
+    ("tiny", {"n": _DEL}, "n:"),
+    ("tiny", {"null_mean": "zero"}, "null_mean"),
+    ("tiny", {"alt_mean": -0.5}, "alt_mean"),
+    ("tiny", {"null_mean": 1.0, "alt_mean": _DEL, "metrics": ["tie"]}, None),
+    ("tiny", {"rmse_true_mean": "x"}, "rmse_true_mean"),
+    ("fig7", {"n_c": 0}, "n_c"),
+    ("fig7", {"effect": 0.0}, "effect"),
+    ("fig7", {"treatment_prior": "vague"}, "treatment_prior"),
+    ("fig7", {"control_mean": None}, "control_mean"),
+    ("fig10", {"rmp_weight": 1.5}, "rmp_weight"),
+    ("fig7", {"alt_mean": 0.5}, "alt_mean"),
+    ("tiny", {"sweep": []}, "sweep"),
+    ("tiny", {"sweep.biased": [0.0]}, "sweep: unknown keys"),
+    ("tiny", {"sweep.location": []}, "sweep.location"),
+    ("tiny", {"sweep.location": ["external_mean", "nowhere"]}, "sweep.location[1]"),
+    ("fig7", {"sweep.location": ["null_boundary"]}, "null_boundary"),
+    ("tiny", {"sweep.w": _DEL}, "sweep.w"),
+    ("tiny", {"sweep.w": [0.5, 1.2]}, "sweep.w[1]"),
+    ("fig2", {"sweep.w": [0.5, -0.1]}, "sweep.w[1]"),
+    ("fig1-t", {"sweep.n_robust": [1.0]}, "sweep.n_robust"),
+    ("fig1-t", {"sweep.robust_variance": [1.0]}, "sweep.robust_variance"),
+    ("fig1-t", {"sweep.k": [0]}, "sweep.k"),
+    ("fig1-t", {"sweep.scale": [-1.0]}, "sweep.scale"),
+    ("tiny", {"sweep.k": [10]}, "sweep.k"),
+    ("tiny", {"sweep.scale": [1.0]}, "sweep.scale"),
+    ("tiny", {"sweep.robust_variance": [1.0]}, "robust_variance"),
+    ("tiny", {"sweep.n_robust": [0.0]}, "sweep.n_robust"),
+    ("tiny", {"sweep.n_robust": _DEL, "sweep.robust_variance": [-1.0]}, "sweep.robust_variance"),
+    ("tiny", {"sweep.bias": _DEL}, "sweep.bias"),
+    ("tiny", {"sweep.bias": []}, "sweep.bias"),
+    ("tiny", {"sweep.bias": "wide"}, "sweep.bias"),
+    ("tiny", {"sweep.bias": [0.0, "x"]}, "sweep.bias[1]"),
+    ("tiny", {"sweep.bias": {"start": 0, "stop": 1}}, "sweep.bias"),
+    ("tiny", {"sweep.bias": {"start": 0, "stop": 1, "step": 0.5, "num": 3}}, "sweep.bias"),
+    ("tiny", {"sweep.bias": {"start": 1, "stop": 0, "step": 0.5}}, "sweep.bias"),
+    ("fig8", {"sweep.bias": [0.0]}, "sweep.bias"),
+    ("fig8", {"sweep.bias": _DEL}, "sweep.bias"),
+    ("fig2", {"sweep.bias": []}, "sweep.bias"),
+    ("table1", {"sweep.deltas": [0.1, -0.2]}, "sweep.deltas"),
+    ("table1", {"sweep.deltas": _DEL}, "sweep.deltas"),
+    ("tiny", {"sweep.deltas": [0.1]}, "sweep.deltas"),
+    ("fig10", {"sweep.analysis_shift": _DEL}, "sweep.analysis_shift"),
+    ("fig10", {"sweep.analysis_shift": {"start": 0.0}}, "sweep.analysis_shift"),
+    ("fig10", {"sweep.design_priors": ["flat"]}, "sweep.design_priors"),
+    ("fig10", {"sweep.design_priors": _DEL}, "sweep.design_priors"),
+    ("tiny", {"sweep.analysis_shift": [0.0]}, "sweep.analysis_shift"),
+    ("tiny", {"sweep.design_priors": ["rmp"]}, "sweep.design_priors"),
+    ("tiny", {"sweep.sample_sizes": []}, "sweep.sample_sizes"),
+    ("tiny", {"sweep.sample_sizes": [{"n_t": 10}]}, "sweep.sample_sizes[0]"),
+    ("tiny", {"sweep.sample_sizes": [{"n": 10}, 5]}, "sweep.sample_sizes[1]"),
+    ("tiny", {"sweep.sample_sizes": [{"n": 0}]}, "sweep.sample_sizes[0].n"),
+    ("a14-treatment-prior-unbalanced", {"sweep.sample_sizes": [{"n": 10}]}, "sweep.sample_sizes[0]"),
+    ("table1", {"metrics": ["tie"]}, "metrics"),
+    ("tiny", {"metrics": []}, "metrics"),
+    ("tiny", {"metrics": None}, "metrics"),
+    ("fig7", {"metrics": ["tie", "rmse"]}, "metrics[1]"),
+    ("fig1-t", {"metrics": ["tie", "obm"]}, "obm"),
+    ("fig2", {"form": {"kind": "student_t"}, "sweep.n_robust": _DEL}, "bimodality"),
+    ("tiny", {"output": "out"}, "output"),
+    ("tiny", {"output": {"csv": "a.csv", "xlsx": "b"}}, "output: unknown keys"),
+    ("tiny", {"output": {"csv": ""}}, "output.csv"),
+]
+
+
+@pytest.mark.parametrize("base,changes,fragment", RULES)
+def test_each_rule_names_its_field(base, changes, fragment):
+    cfg = mutated(base, changes)
+    errors = check_config(cfg)
+    if fragment is None:
+        assert errors == []
+        return
+    assert any(fragment in e for e in errors), errors
+    with pytest.raises(ConfigError):
+        normalize_config(cfg)
+
+
+def test_top_level_must_be_an_object():
+    assert check_config([]) == ["config: top level must be a JSON object"]
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ("fig10", "estimator", "exact"),
+    ("fig8", "estimator", "mc"),
+    ("fig2", "estimator", "exact"),
+    ("table1", "sweep.bias", "junk"),
+    ("fig10", "sweep.bias", [0.0, 0.5]),
+])
+def test_keys_are_rejected_where_they_do_not_apply(base, key, value):
+    errors = check_config(mutated(base, {key: value}))
+    assert any(e.startswith(f"{key}: only applies to") for e in errors), errors
+
+
+def test_normalize_does_not_touch_its_input():
+    cfg = recipe_config("a2-sample-size")
+    before = copy.deepcopy(cfg)
+    out = normalize_config(cfg)
+    assert cfg == before
+    assert out["sweep"]["sample_sizes"][0] == {"n": 10, "n_ext": 15}
+    out["sweep"]["w"].append(0.9)
+    assert cfg == before
+
+
+_PATHS = [
+    "schema_version", "kind", "trial", "scenario_id", "seed", "reps", "alpha",
+    "sigma", "n_ext", "external_mean", "estimator", "form", "n", "null_mean",
+    "alt_mean", "rmse_true_mean", "n_t", "n_c", "effect", "treatment_prior",
+    "control_mean", "rmp_weight", "sweep", "metrics", "output", "junk",
+    "form.kind", "form.df", "form.scale", "form.k",
+    "sweep.location", "sweep.w", "sweep.n_robust", "sweep.robust_variance",
+    "sweep.k", "sweep.scale", "sweep.bias", "sweep.sample_sizes", "sweep.deltas",
+    "sweep.analysis_shift", "sweep.design_priors", "sweep.junk",
+    "output.csv", "output.junk",
+]
+_WORDS = [
+    "grid", "bimodality", "sweet-spot", "table", "average", "one-arm", "hybrid",
+    "normal", "student_t", "mc", "exact", "flat", "unit_info_at_external_mean",
+    "external_mean", "null_boundary", "current_mean", "informative", "rmp",
+    "unit_info", "tie", "power", "rmse", "obm", "w_tilde", "x", "",
+]
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 120),
+    st.floats(-3.0, 120.0), st.sampled_from([float("nan"), float("inf"), 0.5, 2.5]),
+    st.sampled_from(_WORDS),
+)
+_values = st.one_of(
+    st.just(_DEL), _scalars, st.lists(_scalars, max_size=4),
+    st.sampled_from([
+        {}, {"kind": "student_t"}, {"kind": "normal"}, {"kind": "student_t", "df": 4.0},
+        {"start": -1.0, "stop": 1.0, "step": 0.5}, {"start": 0.0, "stop": 1.0},
+        {"start": 1.0, "stop": 0.0, "step": 0.5}, {"csv": "a.csv"}, {"n": 10},
+        [{"n": 10}], [{"n_ext": 30}], [{"n_t": 5, "n_c": 7}], [{"n_t": 0}], [5],
+    ]).map(copy.deepcopy),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(RECIPES)),
+    st.dictionaries(st.sampled_from(_PATHS), _values, max_size=3),
+)
+def test_check_and_normalize_agree_on_mutated_recipes(name, changes):
+    cfg = mutated(name, changes)
+    before = repr(cfg)
+    errors = check_config(cfg)
+    assert isinstance(errors, list)
+    try:
+        out = normalize_config(cfg)
+    except ConfigError as exc:
+        assert errors and exc.errors == errors
+    else:
+        assert errors == []
+        assert normalize_config(json.loads(json.dumps(out))) == out
+    assert repr(cfg) == before
+
+
 class TestSweepEngine:
     def test_rows_follow_the_enumeration_order(self):
         res = run_config(tiny_grid_config(), threads=2)
@@ -177,6 +381,29 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert self.run_cli("validate", "--config", str(path)) == 2
         assert "sweep.w[0]" in capsys.readouterr().out
+
+    def test_run_reports_invalid_fields_on_stderr(self, tmp_path, capsys):
+        cfg = tiny_grid_config()
+        cfg["sweep"]["w"] = [1.2]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert "invalid: sweep.w[0]" in captured.err and "invalid" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+    def test_run_walks_the_schema_once(self, tmp_path, monkeypatch):
+        from borrowsim import config
+
+        walks = []
+        walk = config._walk
+        monkeypatch.setattr(config, "_walk", lambda cfg: walks.append(cfg) or walk(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_grid_config(reps=2000)))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 0
+        assert len(walks) == 1
+        written = json.loads((tmp_path / "o" / "config.json").read_text())
+        assert normalize_config(written) == written
 
     def test_missing_seed_fails_validation(self, tmp_path, capsys):
         cfg = tiny_grid_config()
