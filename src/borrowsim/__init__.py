@@ -54,14 +54,12 @@ from .scenarios import (
     UnitInfo,
 )
 from .onearm import (
-    WeightPropagation,
     one_arm_power,
     one_arm_power_exact,
     one_arm_rejection_region,
     one_arm_rmse,
     one_arm_tie,
     one_arm_tie_exact,
-    weight_propagation,
 )
 from .hybrid import (
     average_power,

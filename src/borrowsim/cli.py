@@ -120,11 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except ConfigError as exc:
         for e in exc.errors:
             print(f"invalid: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone (``borrowsim recipes | head -n 1``): stdout
+        # points at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,9 @@ from .scenarios import ALPHA, LOCATION_NAMES, REPS, TreatmentPrior
 SCHEMA_VERSION = 1
 REQUIRED = object()  # default of a key the file must give
 _ABSENT = object()  # default of a key that stays out when not given
+# Most points a {start, stop, step} grid may expand to: far above every
+# recipe grid (the largest has 81), and checked before anything is allocated.
+MAX_GRID_POINTS = 100_000
 
 LOCATIONS = tuple(LOCATION_NAMES.values())
 _ONE_ARM, _HYBRID = ("trial", ("one-arm",)), ("trial", ("hybrid",))
@@ -123,7 +126,7 @@ _FIELDS = (
     _Field("alt_mean", _is_num, "must be a finite number",
            lambda c: c["null_mean"] + 0.5, only=(_ONE_ARM,)),
     _Field("rmse_true_mean", lambda v: v is None or _is_num(v),
-           "must be a finite number or omitted", None, only=(_ONE_ARM,)),
+           "must be a finite number or omitted", None, only=(_ONE_ARM, ("kind", ("grid",)))),
     _Field("n_t", _pos_int, "must be an integer >= 1", REQUIRED, only=(_HYBRID,)),
     _Field("n_c", _pos_int, "must be an integer >= 1", REQUIRED, only=(_HYBRID,)),
     _Field("effect", _pos, "must be a number > 0", REQUIRED, only=(_HYBRID,)),
@@ -131,7 +134,7 @@ _FIELDS = (
            default=TreatmentPrior.FLAT.value, only=(_HYBRID,)),
     _Field("control_mean", _is_num, "must be a finite number", 0.0, only=(_HYBRID,)),
     _Field("rmp_weight", lambda v: _is_num(v) and 0.0 <= v <= 1.0, "must be in [0, 1]", 0.5,
-           only=(_HYBRID,)),
+           only=(("kind", ("average",)),)),
     _Field("sweep", default={}, shape="object"),
     _Field("sweep.location", {
         "one-arm": LOCATIONS,
@@ -181,12 +184,16 @@ def _rule(f, c):
 
 
 def _span(v):
-    """Points of a {start, stop, step} grid, or None when malformed."""
+    """Points of a {start, stop, step} grid, or the error text when it is
+    malformed or would expand to more than ``MAX_GRID_POINTS`` points."""
+    malformed = "need exactly start, stop and step, finite with start <= stop and step > 0"
     if set(v) != {"start", "stop", "step"}:
-        return None
+        return malformed
     start, stop, step = v["start"], v["stop"], v["step"]
     if not all(_is_num(x) for x in (start, stop, step)) or step <= 0 or stop < start:
-        return None
+        return malformed
+    if (stop - start) / step + 1.0 > MAX_GRID_POINTS:
+        return f"expands to more than {MAX_GRID_POINTS} points"
     return [float(round(p, 12)) for p in np.arange(start, stop + 0.5 * step, step)]
 
 
@@ -200,9 +207,8 @@ def _check(f, box, name, c) -> list[str]:
         return [] if ok(value) else [f"{f.key}: {text}, got {value!r}"]
     if f.shape == "grid" and isinstance(value, dict):
         value = _span(value)
-        if value is None:
-            return [f"{f.key}: need exactly start, stop and step, "
-                    f"finite with start <= stop and step > 0"]
+        if isinstance(value, str):
+            return [f"{f.key}: {value}"]
     if not isinstance(value, list) or not value:
         return [f"{f.key}: {_SHAPE_TEXT[f.shape]}"]
     errors = [f"{f.key}[{i}]: {text}, got {v!r}" for i, v in enumerate(value) if not ok(v)]
@@ -333,10 +339,9 @@ def cost_estimate(cfg) -> tuple[int, int]:
     reps = cfg["reps"]
     if kind == "grid":
         cells = base * n_w * len(sweep["bias"])
-        per_cell = sum(
-            1 for m in cfg["metrics"] if m in ("tie", "power", "rmse", "w_tilde")
-        )
-        draws = cells * per_cell * (reps if cfg["estimator"] == "mc" else 0)
+        # The exact estimator replaces the Monte Carlo TIE and power only.
+        mc = ("rmse", "w_tilde") + (("tie", "power") if cfg["estimator"] == "mc" else ())
+        draws = cells * sum(1 for m in cfg["metrics"] if m in mc) * reps
     elif kind in ("bimodality", "sweet-spot"):
         cells = base * n_w * len(sweep["bias"])
         draws = 0

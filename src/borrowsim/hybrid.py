@@ -1,10 +1,12 @@
 """Hybrid-control operating characteristics.
 
-Monte Carlo TIE and power over joint (control, treatment) draws, a
+Monte Carlo TIE, power, mean posterior weight and their design-prior
+averages, each one call to one engine (``_control_pass``: the joint
+control and treatment draws and one chunked control-arm pass); a
 deterministic quadrature route (Gauss-Hermite over the control mean with
 a monotone root search for the treatment-mean rejection threshold),
-calibrated no-borrowing power, sweet-spot detection, bias-restricted
-summaries and prior-averaged operating characteristics.
+calibrated no-borrowing power, sweet-spot detection and bias-restricted
+summaries.
 """
 
 from __future__ import annotations
@@ -65,54 +67,49 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
     return a, b, post_var
 
 
-def _superiority_stats(s, external, ybar_c, ybar_t, collect_w=False):
-    """Pr(treatment <= control) per draw; optionally the control weight."""
+def _control_pass(s: HybridScenario, external, theta_c, effect: float, weight=False) -> float:
+    """Rejection rate over the common joint draws, or with ``weight`` the
+    mean informative weight of the control posterior.
+
+    The true control mean is ``theta_c`` (a scalar, or one value per design
+    draw) and the treatment mean ``theta_c + effect``; the analysis prior is
+    the scenario's mixture at ``external``. One chunked pass over the
+    control arm's posterior bank serves every Monte Carlo route.
+    """
+    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
+    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
+    ybar_c = theta_c + s.se_c * zc
+    ybar_t = theta_c + effect + s.se_t * zt
     variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
     J = variances.size
     a, b, t_var = _treatment_params(s, external.mean)
-    ybar_c = np.asarray(ybar_c, dtype=float)
-    ybar_t = np.asarray(ybar_t, dtype=float)
-    pnb = np.empty_like(ybar_c)
-    w_info = np.empty_like(ybar_c) if collect_w else None
+    out = np.empty_like(ybar_c)
     for sl in _chunks(ybar_c.size, J):
         yc = ybar_c[sl]
         means = bank_means(info_mean, robust_loc, J, yc)
         W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
+        if weight:
+            out[sl] = W[0]
+            continue
         mu_t = a + b * ybar_t[sl]
         sj = np.sqrt(t_var + pv)[:, None]
-        pnb[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
-        if collect_w:
-            w_info[sl] = W[0]
-    return pnb, w_info
-
-
-def _joint_draws(s: HybridScenario, theta_c, effect: float):
-    """Observed (control, treatment) means of the common draws when the true
-    control mean is ``theta_c`` (a scalar or one per draw)."""
-    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
-    return theta_c + s.se_c * zc, theta_c + effect + s.se_t * zt
+        out[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
+    return float(np.mean(out)) if weight else float(np.mean(out <= s.alpha))
 
 
 def hybrid_tie(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate with equal arm means."""
-    draws = _joint_draws(s, s.control_mean, 0.0)
-    pnb, _ = _superiority_stats(s, s.external_at(bias), *draws)
-    return float(np.mean(pnb <= s.alpha))
+    return _control_pass(s, s.external_at(bias), s.control_mean, 0.0)
 
 
 def hybrid_power(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate at treatment - control = effect."""
-    draws = _joint_draws(s, s.control_mean, s.effect)
-    pnb, _ = _superiority_stats(s, s.external_at(bias), *draws)
-    return float(np.mean(pnb <= s.alpha))
+    return _control_pass(s, s.external_at(bias), s.control_mean, s.effect)
 
 
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
-    draws = _joint_draws(s, s.control_mean, 0.0)
-    _, w_info = _superiority_stats(s, s.external_at(bias), *draws, collect_w=True)
-    return float(np.mean(w_info))
+    return _control_pass(s, s.external_at(bias), s.control_mean, 0.0, weight=True)
 
 
 @lru_cache(maxsize=4)
@@ -343,8 +340,7 @@ def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float)
     if design is None:
         raise ValueError("no design prior given and none set on the scenario")
     external = replace(s.external, mean=s.external.mean + analysis_shift)
-    pnb, _ = _superiority_stats(s, external, *_joint_draws(s, _design_draws(s, design), effect))
-    return float(np.mean(pnb <= s.alpha))
+    return _control_pass(s, external, _design_draws(s, design), effect)
 
 
 def average_tie(

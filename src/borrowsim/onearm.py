@@ -1,18 +1,19 @@
 """One-arm operating characteristics.
 
-Monte Carlo estimates of the type-I-error rate, power and RMSE of the
-borrowing test, a deterministic route via the rejection region in the
-observed mean (the decision depends on the data only through it), and the
-propagation of the prior mixture weight into its posterior counterpart.
-Because of that dependence the Monte Carlo TIE and power are counts of the
-sorted common draws that fall in the rejection region, not posterior passes.
+Monte Carlo estimates of the type-I-error rate, power, RMSE and mean
+posterior informative weight of the borrowing test, and a deterministic
+route via the rejection region in the observed mean (the decision depends
+on the data only through it). Because of that dependence the Monte Carlo
+TIE and power are counts of the sorted common draws that fall in the
+rejection region, not posterior passes. The RMSE and the mean weight are
+read off one tail-free posterior pass. A cell's TIE and power share one
+region, and its RMSE and mean weight one pass, through a per-thread slot.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,8 +30,6 @@ __all__ = [
     "one_arm_rejection_region",
     "one_arm_tie_exact",
     "one_arm_power_exact",
-    "weight_propagation",
-    "WeightPropagation",
 ]
 
 # Per-chunk element budget for the (components x reps) work matrices.
@@ -85,14 +84,6 @@ def _tail_function(s: OneArmScenario, bias: float):
     return lambda ys: _bank_stats(s, bank, ys)[0]
 
 
-def _means_and_weights(s: OneArmScenario, bias: float, at_mean: float):
-    """Posterior mean and informative weight of every common draw at
-    ``at_mean``, in one pass that skips the tails."""
-    bank = prior_bank_params(s.prior, s.external_at(bias))
-    _, pmeans, w_info = _bank_stats(s, bank, _draws(s, at_mean), tails=False)
-    return pmeans, w_info
-
-
 def _draws(s: OneArmScenario, at_mean: float) -> np.ndarray:
     z = base_normals(s.seed, s.scenario_id, "current", s.reps)
     return at_mean + s.se * z
@@ -142,20 +133,40 @@ def _count_rejections(z, at_mean, se, intervals, window, decide) -> int:
     return count
 
 
-# The last default-route region computed on each thread. A sweep computes
-# a cell's TIE and power one after the other on one worker thread, so they
-# share it; it dies with the sweep's workers, so no later run's call counts
-# depend on what ran before.
-_last_region = threading.local()
+# The last cell's shared value on each thread: its default-route rejection
+# region, or its tail-free pass. A sweep computes a cell's TIE and power,
+# then its RMSE and mean weight, one after the other on one worker thread,
+# so each pair shares one computation; the slot dies with the sweep's
+# workers, so no later run's call counts depend on what ran before.
+_last_cell = threading.local()
+
+
+def _shared(s: OneArmScenario, bias: float, centre, compute):
+    """``compute()``, or the value this thread last stored under the same
+    (scenario, bias, observed-mean centre)."""
+    last = getattr(_last_cell, "value", None)
+    if last is None or last[0] != (s, bias, centre):
+        last = _last_cell.value = ((s, bias, centre), compute())
+    return last[1]
 
 
 def _shared_region(s: OneArmScenario, bias: float) -> tuple:
     """Default-route rejection region of a cell, computed once for the
     cell's TIE and power (either route) when they run back to back."""
-    last = getattr(_last_region, "cell", None)
-    if last is None or last[0] != (s, bias):
-        last = _last_region.cell = ((s, bias), tuple(one_arm_rejection_region(s, bias)))
-    return last[1]
+    return _shared(s, bias, None, lambda: tuple(one_arm_rejection_region(s, bias)))
+
+
+def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[float, float]:
+    """RMSE of the posterior mean around ``centre`` and mean informative
+    weight, over the common draws at ``centre``: one pass that skips the
+    tails, shared by a cell's RMSE and mean weight at the same centre."""
+
+    def compute():
+        bank = prior_bank_params(s.prior, s.external_at(bias))
+        _, pmeans, w_info = _bank_stats(s, bank, _draws(s, centre), tails=False)
+        return float(np.sqrt(np.mean((pmeans - centre) ** 2))), float(np.mean(w_info))
+
+    return _shared(s, bias, centre, compute)
 
 
 def _rejection_rate(s: OneArmScenario, bias: float, at_mean: float) -> float:
@@ -187,15 +198,13 @@ def one_arm_rmse(s: OneArmScenario, bias: float, true_mean: float | None = None)
     """
     if true_mean is None:
         true_mean = s.null_mean
-    pmeans, _ = _means_and_weights(s, bias, true_mean)
-    rmse = float(np.sqrt(np.mean((pmeans - true_mean) ** 2)))
+    rmse = _tail_free_pass(s, bias, true_mean)[0]
     return rmse, rmse / s.se
 
 
 def mean_posterior_weight(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo mean of the posterior informative weight at the null."""
-    _, w_info = _means_and_weights(s, bias, s.null_mean)
-    return float(np.mean(w_info))
+    return _tail_free_pass(s, bias, s.null_mean)[1]
 
 
 def _scan_window(s: OneArmScenario) -> tuple[float, float]:
@@ -329,84 +338,3 @@ def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
 
 def one_arm_power_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
     return _region_probability(_region(s, bias, kwargs), s.alt_mean, s.se)
-
-
-@dataclass(frozen=True)
-class WeightPropagation:
-    """Posterior informative weight across (dispersion, bias, weight) cells.
-
-    ``mean`` holds Monte Carlo means over data drawn at the null;
-    ``at_expected`` holds the plug-in value at the expected observed mean.
-    """
-
-    n_robust_grid: tuple[float, ...]
-    bias_grid: tuple[float, ...]
-    w_grid: tuple[float, ...]
-    mean: np.ndarray
-    at_expected: np.ndarray
-
-
-def _log_marginal_ratio(s: OneArmScenario, spec, bias: float, ybar):
-    """log(robust-block marginal / informative marginal) per draw."""
-    external = s.external_at(bias)
-    variances, _, info_mean, robust_loc = prior_bank_params(
-        replace(spec, informative_weight=0.5), external
-    )
-    J = variances.size
-    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
-    pred = variances + s.sigma**2 / s.n
-    lm = np.empty((J, ybar.size))
-    lm[0] = -0.5 * (np.log(2 * np.pi * pred[0]) + (ybar - info_mean) ** 2 / pred[0])
-    for j in range(1, J):
-        m = ybar if robust_loc is None else robust_loc
-        lm[j] = -0.5 * (np.log(2 * np.pi * pred[j]) + (ybar - m) ** 2 / pred[j])
-    if J == 2:
-        block = lm[1]
-    else:
-        sub = lm[1:] - math.log(J - 1)
-        peak = sub.max(axis=0)
-        block = peak + np.log(np.exp(sub - peak).sum(axis=0))
-    return block - lm[0]
-
-
-def weight_propagation(
-    s: OneArmScenario,
-    w_grid,
-    bias_grid,
-    n_robust_grid=None,
-) -> WeightPropagation:
-    """Expected posterior weight of the informative component per cell.
-
-    The posterior weight is w / (w + (1 - w) r) with r the ratio of the
-    robust-block marginal to the informative marginal, so the data enter
-    only through r; each (dispersion, bias) pair shares one r vector
-    across the whole weight grid.
-    """
-    w_grid = tuple(float(w) for w in w_grid)
-    bias_grid = tuple(float(b) for b in bias_grid)
-    if n_robust_grid is None:
-        n_robust_grid = (s.prior.n_robust if s.prior.n_robust is not None else 1.0,)
-    n_robust_grid = tuple(float(v) for v in n_robust_grid)
-
-    mean = np.empty((len(n_robust_grid), len(bias_grid), len(w_grid)))
-    at_expected = np.empty_like(mean)
-    ybar = _draws(s, s.null_mean)
-    for d, n_rob in enumerate(n_robust_grid):
-        spec = replace(s.prior, n_robust=n_rob, robust_variance=None)
-        for b, bias in enumerate(bias_grid):
-            log_r = _log_marginal_ratio(s, spec, bias, ybar)
-            log_r0 = _log_marginal_ratio(s, spec, bias, s.null_mean)[0]
-            for i, w in enumerate(w_grid):
-                if w == 0.0:
-                    mean[d, b, i] = 0.0
-                    at_expected[d, b, i] = 0.0
-                elif w == 1.0:
-                    mean[d, b, i] = 1.0
-                    at_expected[d, b, i] = 1.0
-                else:
-                    odds = math.log(w) - math.log1p(-w)
-                    mean[d, b, i] = float(
-                        np.mean(1.0 / (1.0 + np.exp(log_r - odds)))
-                    )
-                    at_expected[d, b, i] = 1.0 / (1.0 + math.exp(log_r0 - odds))
-    return WeightPropagation(n_robust_grid, bias_grid, w_grid, mean, at_expected)

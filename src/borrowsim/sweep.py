@@ -134,6 +134,8 @@ def _row_id(cfg, sizes, suffix="") -> str:
 
 
 def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
+    # RMSE and mean weight are Monte Carlo under either estimator.
+    mc = cfg.get("estimator") != "exact" or {"rmse", "w_tilde"} & set(cfg.get("metrics", ()))
     return {
         "scenario_id": _row_id(cfg, sizes, suffix),
         "trial": cfg["trial"],
@@ -142,7 +144,7 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
         "n_robust": s.prior.effective_n_robust(),
         "w": w,
         "bias": bias,
-        "reps": 0 if cfg.get("estimator") == "exact" else cfg["reps"],
+        "reps": cfg["reps"] if mc else 0,
         "seed": cfg["seed"],
     }
 

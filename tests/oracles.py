@@ -20,11 +20,18 @@ and power, and must match this bit for bit.
 two-component mixture, each sign change refined by a Python bisection of
 one-point evaluations. The library's finder runs over a batch of
 mixtures at once and must match it bit for bit.
+
+``weight_propagation`` is the mean posterior informative weight the
+hand-written way: the log-marginals of the informative component and of
+the robust block written out, and the weight w / (w + (1 - w) r) formed
+from their ratio r. The library reads the weight off its posterior kernel
+(``mean_posterior_weight``) and must agree with this to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -246,3 +253,77 @@ def find_modes(m) -> BimodalityReport:
         xa, fa = float(inner[j]), float(vals[j])
     ratio = min(f1, f2) / fa if fa > 0.0 else math.inf
     return BimodalityReport(2, ((x1, f1), (x2, f2)), (xa, fa), float(ratio))
+
+
+@dataclass(frozen=True)
+class WeightPropagation:
+    """Posterior informative weight across (dispersion, bias, weight) cells.
+
+    ``mean`` holds Monte Carlo means over data drawn at the null;
+    ``at_expected`` holds the plug-in value at the expected observed mean.
+    """
+
+    n_robust_grid: tuple[float, ...]
+    bias_grid: tuple[float, ...]
+    w_grid: tuple[float, ...]
+    mean: np.ndarray
+    at_expected: np.ndarray
+
+
+def _log_marginal_ratio(s, spec, bias: float, ybar):
+    """log(robust-block marginal / informative marginal) per draw."""
+    external = s.external_at(bias)
+    variances, _, info_mean, robust_loc = prior_bank_params(
+        replace(spec, informative_weight=0.5), external
+    )
+    J = variances.size
+    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
+    pred = variances + s.sigma**2 / s.n
+    lm = np.empty((J, ybar.size))
+    lm[0] = -0.5 * (np.log(2 * np.pi * pred[0]) + (ybar - info_mean) ** 2 / pred[0])
+    for j in range(1, J):
+        m = ybar if robust_loc is None else robust_loc
+        lm[j] = -0.5 * (np.log(2 * np.pi * pred[j]) + (ybar - m) ** 2 / pred[j])
+    if J == 2:
+        block = lm[1]
+    else:
+        sub = lm[1:] - math.log(J - 1)
+        peak = sub.max(axis=0)
+        block = peak + np.log(np.exp(sub - peak).sum(axis=0))
+    return block - lm[0]
+
+
+def weight_propagation(s, w_grid, bias_grid, n_robust_grid=None) -> WeightPropagation:
+    """Expected posterior weight of the informative component per cell.
+
+    The posterior weight is w / (w + (1 - w) r) with r the ratio of the
+    robust-block marginal to the informative marginal, so the data enter
+    only through r; each (dispersion, bias) pair shares one r vector
+    across the whole weight grid.
+    """
+    w_grid = tuple(float(w) for w in w_grid)
+    bias_grid = tuple(float(b) for b in bias_grid)
+    if n_robust_grid is None:
+        n_robust_grid = (s.prior.n_robust if s.prior.n_robust is not None else 1.0,)
+    n_robust_grid = tuple(float(v) for v in n_robust_grid)
+
+    mean = np.empty((len(n_robust_grid), len(bias_grid), len(w_grid)))
+    at_expected = np.empty_like(mean)
+    ybar = _draws(s, s.null_mean)
+    for d, n_rob in enumerate(n_robust_grid):
+        spec = replace(s.prior, n_robust=n_rob, robust_variance=None)
+        for b, bias in enumerate(bias_grid):
+            log_r = _log_marginal_ratio(s, spec, bias, ybar)
+            log_r0 = _log_marginal_ratio(s, spec, bias, s.null_mean)[0]
+            for i, w in enumerate(w_grid):
+                if w == 0.0:
+                    mean[d, b, i] = 0.0
+                    at_expected[d, b, i] = 0.0
+                elif w == 1.0:
+                    mean[d, b, i] = 1.0
+                    at_expected[d, b, i] = 1.0
+                else:
+                    odds = math.log(w) - math.log1p(-w)
+                    mean[d, b, i] = float(np.mean(1.0 / (1.0 + np.exp(log_r - odds))))
+                    at_expected[d, b, i] = 1.0 / (1.0 + math.exp(log_r0 - odds))
+    return WeightPropagation(n_robust_grid, bias_grid, w_grid, mean, at_expected)

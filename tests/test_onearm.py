@@ -21,9 +21,12 @@ from borrowsim import (
     one_arm_rmse,
     one_arm_tie,
     one_arm_tie_exact,
-    weight_propagation,
 )
-from oracles import posterior_stats
+from borrowsim.config import normalize_config
+from borrowsim.onearm import mean_posterior_weight
+from borrowsim.recipes import recipe_config
+from borrowsim.sweep import _curves
+from oracles import posterior_stats, weight_propagation
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -213,6 +216,18 @@ class TestWeightPropagation:
         s = scenario(reps=200_000)
         wp = weight_propagation(s, [0.5], [2 * SD_EXT], [1.0])
         assert wp.mean[0, 0, 0] == pytest.approx(wp.at_expected[0, 0, 0], abs=0.05)
+
+    def test_library_weight_matches_the_oracle_on_the_fig4_grid(self):
+        # The library reads the weight off its posterior kernel; the oracle
+        # forms it from hand-written log-marginals.
+        cfg = normalize_config({**recipe_config("fig4"), "reps": 2_000})
+        biases = cfg["sweep"]["bias"]
+        curves = _curves(cfg)
+        assert len(curves) * len(biases) == 5 * 3 * 51
+        for s, _, w in curves:
+            wp = weight_propagation(s, [w], biases, [s.prior.n_robust])
+            for b, bias in enumerate(biases):
+                assert abs(mean_posterior_weight(s, bias) - wp.mean[0, b, 0]) <= 1e-14
 
 
 class TestDeterminism:

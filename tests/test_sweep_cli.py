@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +92,18 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             normalize_config(cfg)
         assert len(exc.value.errors) >= 2
+
+    @pytest.mark.parametrize("grid", [
+        {"start": 0, "stop": 1e30, "step": 1e-30},
+        {"start": 0, "stop": 1e9 - 1, "step": 1},
+    ])
+    def test_grid_shorthand_is_bounded_before_it_expands(self, grid, monkeypatch):
+        from borrowsim import config
+
+        monkeypatch.setattr(config, "np", None)  # any expansion would fail
+        cfg = tiny_grid_config()
+        cfg["sweep"]["bias"] = grid
+        assert check_config(cfg) == [f"sweep.bias: expands to more than {config.MAX_GRID_POINTS} points"]
 
     def test_cost_estimate_counts_cells(self):
         cells, draws = cost_estimate(normalize_config(tiny_grid_config()))
@@ -228,6 +243,8 @@ def test_top_level_must_be_an_object():
     ("fig2", "estimator", "exact"),
     ("table1", "sweep.bias", "junk"),
     ("fig10", "sweep.bias", [0.0, 0.5]),
+    ("fig7", "rmp_weight", 0.5),
+    ("fig2", "rmse_true_mean", 0.0),
 ])
 def test_keys_are_rejected_where_they_do_not_apply(base, key, value):
     errors = check_config(mutated(base, {key: value}))
@@ -319,9 +336,19 @@ class TestSweepEngine:
 
     def test_exact_estimator_marks_rows_deterministic(self):
         cfg = tiny_grid_config(estimator="exact")
-        cfg["metrics"] = ["tie"]
+        cfg["metrics"] = ["tie", "power"]
         res = run_config(cfg, threads=2)
         assert all(r.reps == 0 for r in res.rows)
+        assert res.meta["mc_draws"] == 0
+
+    def test_exact_estimator_keeps_reps_on_monte_carlo_metrics(self):
+        # RMSE and the mean weight stay Monte Carlo under the exact estimator.
+        cfg = recipe_config("fig1")
+        cfg.update(estimator="exact", reps=1000)
+        cfg["sweep"].update(location=["external_mean"], w=[0.5], bias=[0.0, 0.5])
+        res = run_config(cfg, threads=2)
+        assert all(r.reps == 1000 and r.rmse_std > 0 and r.w_tilde > 0 for r in res.rows)
+        assert res.meta["mc_draws"] == 2 * 2 * 1000  # two cells, rmse and w_tilde
 
     def test_table_kind_produces_summary(self):
         cfg = {
@@ -359,6 +386,25 @@ class TestCli:
         assert "table1" in out
         for name in RECIPES:
             assert name in out
+
+    def test_closed_stdout_ends_quietly(self):
+        # A reader that has gone, as ``recipes | head -n 1`` leaves one. When
+        # head closes is a race, so here the read end is closed before the
+        # child writes at all: every write meets a broken pipe. The command
+        # still exits 0 with nothing on stderr.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "borrowsim.cli", "recipes"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
     def test_every_recipe_has_one_valid_template(self):
         assert len(set(RECIPES)) == len(RECIPES)
