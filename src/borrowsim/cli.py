@@ -7,9 +7,9 @@ import json
 import os
 import sys
 
-from .config import ConfigError, cost_estimate, normalize_config
+from .config import ConfigError, normalize_config
 from .recipes import RECIPES, list_recipes, recipe_config
-from .sweep import run_config, write_outputs
+from .sweep import cost_estimate, run_config, write_outputs
 
 
 def _load_config(path: str) -> dict:

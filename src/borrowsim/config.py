@@ -1,4 +1,6 @@
-"""Scenario-file schema: one field table, read by validation and normalization.
+"""Scenario-file schema, and nothing else: one field table, read by
+validation and normalization. What a valid file costs to run, and how its
+cells are enumerated, belong to ``sweep``.
 
 A scenario file is a single JSON document with an explicit schema
 version. ``_FIELDS`` states the schema once, one row per dotted key
@@ -39,6 +41,7 @@ MAX_GRID_POINTS = 100_000
 LOCATIONS = tuple(LOCATION_NAMES.values())
 _ONE_ARM, _HYBRID = ("trial", ("one-arm",)), ("trial", ("hybrid",))
 _NORMAL, _T = ("form", ("normal",)), ("form", ("student_t",))
+_AVERAGE = ("kind", ("average",))
 _SHAPE_TEXT = {
     "object": "must be an object",
     "list": "must be a non-empty list",
@@ -114,7 +117,7 @@ _FIELDS = (
     _Field("alpha", lambda v: _is_num(v) and 0.0 < v < 1.0, "must be in (0, 1)", ALPHA),
     _Field("sigma", _pos, "must be > 0", 1.0),
     _Field("n_ext", _pos_int, "must be an integer >= 1", REQUIRED),
-    _Field("external_mean", _is_num, "must be a finite number", 0.0),
+    _Field("external_mean", _is_num, "must be a finite number", 0.0, only=(_AVERAGE,)),
     _Field("estimator", ("mc", "exact"), default="mc", only=(("kind", ("grid", "table")),)),
     _Field("form", default={"kind": "normal"}, shape="object"),
     _Field("form.kind", ("normal", "student_t"), default=REQUIRED),
@@ -134,7 +137,7 @@ _FIELDS = (
            default=TreatmentPrior.FLAT.value, only=(_HYBRID,)),
     _Field("control_mean", _is_num, "must be a finite number", 0.0, only=(_HYBRID,)),
     _Field("rmp_weight", lambda v: _is_num(v) and 0.0 <= v <= 1.0, "must be in [0, 1]", 0.5,
-           only=(("kind", ("average",)),)),
+           only=(_AVERAGE,)),
     _Field("sweep", default={}, shape="object"),
     _Field("sweep.location", {
         "one-arm": LOCATIONS,
@@ -152,9 +155,9 @@ _FIELDS = (
     _Field("sweep.scale", _pos, "must be > 0", lambda c: [c["form"]["scale"]], "list", (_T,)),
     _Field("sweep.deltas", _pos, "must be > 0", REQUIRED, "list", (("kind", ("table",)),)),
     _Field("sweep.analysis_shift", _is_num, "must be a finite number", REQUIRED, "grid",
-           (("kind", ("average",)),)),
+           (_AVERAGE,)),
     _Field("sweep.design_priors", ("informative", "rmp", "unit_info"), default=REQUIRED,
-           shape="list", only=(("kind", ("average",)),)),
+           shape="list", only=(_AVERAGE,)),
     _Field("sweep.sample_sizes", lambda v: isinstance(v, dict), "must be an object", [{}],
            "list"),
     _Field("metrics", {
@@ -315,40 +318,3 @@ def normalize_config(cfg) -> dict:
     if errors:
         raise ConfigError(errors)
     return _Normalized(out)
-
-
-def _dispersion_axis(cfg) -> list[tuple[str, float]]:
-    sweep = cfg["sweep"]
-    if cfg["form"]["kind"] == "normal":
-        if "robust_variance" in sweep:
-            return [("robust_variance", v) for v in sweep["robust_variance"]]
-        return [("n_robust", v) for v in sweep["n_robust"]]
-    return [("k_scale", (k, sc)) for k in sweep["k"] for sc in sweep["scale"]]
-
-
-def cost_estimate(cfg) -> tuple[int, int]:
-    """(grid cells, Monte Carlo draws) implied by a normalized config."""
-    sweep = cfg["sweep"]
-    kind = cfg["kind"]
-    base = (
-        len(sweep["location"])
-        * len(_dispersion_axis(cfg))
-        * len(sweep.get("sample_sizes", [()]))
-    )
-    n_w = len(sweep.get("w", [1]))
-    reps = cfg["reps"]
-    if kind == "grid":
-        cells = base * n_w * len(sweep["bias"])
-        # The exact estimator replaces the Monte Carlo TIE and power only.
-        mc = ("rmse", "w_tilde") + (("tie", "power") if cfg["estimator"] == "mc" else ())
-        draws = cells * sum(1 for m in cfg["metrics"] if m in mc) * reps
-    elif kind in ("bimodality", "sweet-spot"):
-        cells = base * n_w * len(sweep["bias"])
-        draws = 0
-    elif kind == "table":
-        cells = base * n_w * len(sweep["deltas"]) * 41
-        draws = cells * 2 * (reps if cfg["estimator"] == "mc" else 0)
-    else:  # average
-        cells = base * n_w * len(sweep["design_priors"]) * len(sweep["analysis_shift"])
-        draws = cells * 2 * reps
-    return cells, draws

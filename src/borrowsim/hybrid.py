@@ -54,6 +54,8 @@ _GH_NODES = 160
 _BRACKET_SDS = 14.0
 # Elements (components x nodes x biases) per batched threshold solve.
 _GH_CHUNK_ELEMENTS = 1 << 18
+# Bias resolution of the sweet spot's endpoints and argmax.
+_SWEET_SPOT_RESOLUTION = 1e-3
 
 
 def _treatment_params(s: HybridScenario, analysis_external_mean: float):
@@ -129,9 +131,9 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndar
     treatment mean above which the test rejects when the external mean
     sits at bias ``biases[i]``. The superiority probability is strictly
     decreasing in the treatment mean, so every (bias, node) threshold is
-    found at once by 80 steps of vectorized bisection, from a bracket that
-    is first checked to enclose it. The threshold does not depend on the
-    true effect, so TIE and power share it.
+    found at once by at most 80 steps of vectorized bisection, from a
+    bracket that is first checked to enclose it. The threshold does not
+    depend on the true effect, so TIE and power share it.
     """
     biases = np.atleast_1d(np.asarray(biases, dtype=float))
     x, _ = _gh_rule(nodes)
@@ -171,6 +173,10 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndar
                 )
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            # Once every bracket is two adjacent floats, mid lands on lo (known
+            # not to reject) or hi (known to reject): no later step moves either.
+            if np.all((mid == lo) | (mid == hi)):
+                break
             not_rejecting = pnb(mid) > s.alpha
             lo = np.where(not_rejecting, mid, lo)
             hi = np.where(not_rejecting, hi, mid)
@@ -227,13 +233,13 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
     return float(ndtr(shift - z))
 
 
-def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
+def sweet_spot(s: HybridScenario) -> SweetSpot:
     """Bias range with TIE at most alpha and power at least the plain test's.
 
     Scans the scenario's bias grid with the deterministic curves (kept on
     the result as ``curve``), keeps the widest contiguous feasible run
     (``contiguous`` is False if the feasible set is split), refines both
-    endpoints by bisection to the requested bias resolution, and reports
+    endpoints by bisection to ``_SWEET_SPOT_RESOLUTION`` in bias, and reports
     the maximum power over the refined interval.
     """
     if len(s.bias_grid) < 2:
@@ -255,7 +261,7 @@ def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
     i0, i1 = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
     def refine(inside, outside):
-        while abs(outside - inside) > resolution:
+        while abs(outside - inside) > _SWEET_SPOT_RESOLUTION:
             mid = 0.5 * (inside + outside)
             if feasible(mid)[0][0]:
                 inside = mid
@@ -277,7 +283,7 @@ def sweet_spot(s: HybridScenario, *, resolution: float = 1e-3) -> SweetSpot:
     d = lo + inv_phi * (hi - lo)
     fc = hybrid_power_exact(s, c)
     fd = hybrid_power_exact(s, d)
-    while hi - lo > resolution:
+    while hi - lo > _SWEET_SPOT_RESOLUTION:
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)

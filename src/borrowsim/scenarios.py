@@ -91,8 +91,8 @@ def _check_common(alpha, reps, seed):
 class OneArmScenario:
     """Single-arm trial testing whether the mean exceeds ``null_mean``.
 
-    ``bias_grid`` holds values of (external mean - null mean): the sweep
-    sets the external mean to null_mean + bias.
+    A bias is (external mean - null mean): ``external_at`` sets the
+    external mean to null_mean + bias.
     """
 
     null_mean: float
@@ -104,7 +104,6 @@ class OneArmScenario:
     seed: int
     alpha: float = ALPHA
     reps: int = REPS
-    bias_grid: tuple[float, ...] = ()
     scenario_id: str = "one-arm"
 
     def __post_init__(self):
@@ -119,7 +118,6 @@ class OneArmScenario:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "bias_grid", tuple(float(b) for b in self.bias_grid))
         object.__setattr__(self, "prior", replace(self.prior, external=self.external))
 
     @property
@@ -156,7 +154,6 @@ class HybridScenario:
     treatment_prior: TreatmentPrior = TreatmentPrior.FLAT
     bias_grid: tuple[float, ...] = ()
     design_prior: DesignPrior | None = None
-    analysis_shift_grid: tuple[float, ...] = ()
     control_mean: float = 0.0
     scenario_id: str = "hybrid"
 
@@ -179,10 +176,6 @@ class HybridScenario:
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "bias_grid", tuple(float(b) for b in self.bias_grid))
-        object.__setattr__(
-            self, "analysis_shift_grid",
-            tuple(float(s) for s in self.analysis_shift_grid),
-        )
         object.__setattr__(self, "prior", replace(self.prior, external=self.external))
 
     @property

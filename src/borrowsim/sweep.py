@@ -5,6 +5,12 @@ them on a thread pool, and merges results back in the fixed enumeration
 order, so output is byte-identical regardless of thread count. All Monte
 Carlo cells of one run share the same base draw streams (common random
 numbers), which the per-cell recomputation contract makes safe.
+
+This module owns every sweep-level decision: the cell enumeration
+(``_curves`` times ``_axis``), the Monte Carlo rule (``_fields``: which row
+fields a run's cells compute and which of them Monte Carlo estimates, read
+by the cells, by each row's ``reps`` and by the cost) and the cost itself
+(``cost_estimate``, which ``validate`` prints and meta.json records).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import diagnostics, hybrid, onearm
-from .config import _dispersion_axis, cost_estimate, normalize_config, sample_size_keys
+from .config import normalize_config, sample_size_keys
 from .gaussian import SufficientStat
 from .priors import (
     ExternalMean,
@@ -43,7 +49,7 @@ from .scenarios import (
     describe_location,
 )
 
-__all__ = ["SweepResult", "run_config", "write_outputs", "CSV_COLUMNS"]
+__all__ = ["SweepResult", "run_config", "write_outputs", "cost_estimate", "CSV_COLUMNS"]
 
 CSV_COLUMNS = (
     "scenario_id", "trial", "location", "form", "n_robust", "w", "bias",
@@ -70,32 +76,50 @@ class SweepResult:
         return lines
 
 
-def _location_policy(name: str, null_mean: float):
+# Row fields of the grid metrics not named after their field; the
+# calibrated power is read off the cell's TIE and power.
+_METRIC_FIELDS = {"rmse": ("rmse_std",), "power_calibrated": ("tie", "power")}
+
+
+def _fields(cfg) -> tuple[set, set]:
+    """(row fields each cell of ``cfg`` computes, those Monte Carlo estimates).
+
+    RMSE and the mean weight are always Monte Carlo; TIE and power are
+    unless the estimator is exact or the kind is a sweet spot.
+    """
+    kind = cfg["kind"]
+    if kind == "grid":
+        fields = {f for m in cfg["metrics"] for f in _METRIC_FIELDS.get(m, (m,))}
+    else:
+        fields = {"obm"} if kind == "bimodality" else {"tie", "power"}
+    mc = {"rmse_std", "w_tilde"}
+    if cfg.get("estimator") != "exact" and kind != "sweet-spot":
+        mc |= {"tie", "power"}
+    return fields, fields & mc
+
+
+def _location_policy(name: str, null_mean: float | None):
     policy = {v: k for k, v in LOCATION_NAMES.items()}[name]
     return NullBoundary(null_mean) if policy is NullBoundary else policy()
 
 
-def _form_object(cfg, disp):
+def _prior_spec(cfg, location, disp, w, n_ext) -> MixturePriorSpec:
+    # Only `average` reads the external mean: every other route places it by
+    # the cell's bias (``external_at``), so there it stands where bias 0 puts it.
+    origin = cfg["null_mean"] if cfg["trial"] == "one-arm" else cfg["control_mean"]
+    external = SufficientStat(cfg.get("external_mean", origin), n_ext, cfg["sigma"])
     kind, value = disp
     if kind == "k_scale":
         k, scale = value
-        return StudentT(df=cfg["form"]["df"], scale=scale, k=int(k))
-    return Normal()
-
-
-def _prior_spec(cfg, location, disp, w, n_ext) -> MixturePriorSpec:
-    kind, value = disp
-    external = SufficientStat(cfg["external_mean"], n_ext, cfg["sigma"])
-    form = _form_object(cfg, disp)
+        form = StudentT(df=cfg["form"]["df"], scale=scale, k=int(k))
+        return MixturePriorSpec(w, external, location, form)
     if kind == "n_robust":
-        return MixturePriorSpec(w, external, location, form, n_robust=value)
-    if kind == "robust_variance":
-        return MixturePriorSpec(w, external, location, form, n_robust=None, robust_variance=value)
-    return MixturePriorSpec(w, external, location, form)
+        return MixturePriorSpec(w, external, location, Normal(), n_robust=value)
+    return MixturePriorSpec(w, external, location, Normal(), n_robust=None, robust_variance=value)
 
 
 def _scenario(cfg, sizes, location_name, disp, w):
-    loc = _location_policy(location_name, cfg.get("null_mean", 0.0))
+    loc = _location_policy(location_name, cfg.get("null_mean"))
     spec = _prior_spec(cfg, loc, disp, w, sizes["n_ext"])
     if cfg["trial"] == "one-arm":
         return OneArmScenario(
@@ -134,8 +158,6 @@ def _row_id(cfg, sizes, suffix="") -> str:
 
 
 def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
-    # RMSE and mean weight are Monte Carlo under either estimator.
-    mc = cfg.get("estimator") != "exact" or {"rmse", "w_tilde"} & set(cfg.get("metrics", ()))
     return {
         "scenario_id": _row_id(cfg, sizes, suffix),
         "trial": cfg["trial"],
@@ -144,35 +166,35 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
         "n_robust": s.prior.effective_n_robust(),
         "w": w,
         "bias": bias,
-        "reps": cfg["reps"] if mc else 0,
+        "reps": cfg["reps"] if _fields(cfg)[1] else 0,
         "seed": cfg["seed"],
     }
 
 
 def _grid_cell(cfg, s, bias):
     exact = cfg["estimator"] == "exact"
-    metrics = cfg["metrics"]
+    fields = _fields(cfg)[0]
     out = {}
     one_arm = isinstance(s, OneArmScenario)
-    if "tie" in metrics or "power_calibrated" in metrics:
+    if "tie" in fields:
         if one_arm:
             out["tie"] = (onearm.one_arm_tie_exact if exact else onearm.one_arm_tie)(s, bias)
         else:
             out["tie"] = (hybrid.hybrid_tie_exact if exact else hybrid.hybrid_tie)(s, bias)
-    if "power" in metrics or "power_calibrated" in metrics:
+    if "power" in fields:
         if one_arm:
             out["power"] = (onearm.one_arm_power_exact if exact else onearm.one_arm_power)(s, bias)
         else:
             out["power"] = (hybrid.hybrid_power_exact if exact else hybrid.hybrid_power)(s, bias)
-    if "rmse" in metrics:
+    if "rmse_std" in fields:
         true_mean = cfg.get("rmse_true_mean")
         _, out["rmse_std"] = onearm.one_arm_rmse(s, bias, true_mean)
-    if "w_tilde" in metrics:
+    if "w_tilde" in fields:
         if one_arm:
             out["w_tilde"] = onearm.mean_posterior_weight(s, bias)
         else:
             out["w_tilde"] = hybrid.mean_posterior_weight(s, bias)
-    if "obm" in metrics:
+    if "obm" in fields:
         out["obm"] = diagnostics.bimodality_map(s, [s.prior.informative_weight], [bias]).item()
     return out
 
@@ -195,13 +217,13 @@ def _calibration_level(cfg, s, curve_ties) -> float:
     return max(max(curve_ties), max(probe_ties))
 
 
-_ROW_FIELD = {
-    "tie": "tie",
-    "power": "power",
-    "rmse": "rmse_std",
-    "w_tilde": "w_tilde",
-    "obm": "obm",
-}
+def _dispersion_axis(cfg) -> list[tuple[str, float]]:
+    sweep = cfg["sweep"]
+    if cfg["form"]["kind"] == "normal":
+        if "robust_variance" in sweep:
+            return [("robust_variance", v) for v in sweep["robust_variance"]]
+        return [("n_robust", v) for v in sweep["n_robust"]]
+    return [("k_scale", (k, sc)) for k in sweep["k"] for sc in sweep["scale"]]
 
 
 def _curves(cfg) -> list:
@@ -217,36 +239,54 @@ def _curves(cfg) -> list:
     ]
 
 
+def _delta_grid(delta):
+    return np.linspace(-delta, delta, 41)
+
+
+def _axis(cfg) -> list:
+    """The points each curve's runner iterates, one row each, in output order."""
+    sweep = cfg["sweep"]
+    if cfg["kind"] == "table":
+        return [(delta, b) for delta in sweep["deltas"] for b in _delta_grid(delta)]
+    if cfg["kind"] == "average":
+        return [(d, shift) for d in sweep["design_priors"] for shift in sweep["analysis_shift"]]
+    return sweep["bias"]
+
+
+def cost_estimate(cfg) -> tuple[int, int]:
+    """(cells, Monte Carlo draws) of a run of the normalized ``cfg``: one row
+    per cell, and ``reps`` draws per Monte Carlo field of each cell."""
+    cells = len(_curves(cfg)) * len(_axis(cfg))
+    return cells, cells * len(_fields(cfg)[1]) * cfg["reps"]
+
+
 def _run_grid(cfg, pool) -> SweepResult:
-    biases = cfg["sweep"]["bias"]
+    biases = _axis(cfg)
     curves = _curves(cfg)
     jobs = [(s, bias) for s, _, _ in curves for bias in biases]
     results = list(pool.map(lambda j: _grid_cell(cfg, j[0], j[1]), jobs))
 
     rows: list[OCRow] = []
     want_cal = "power_calibrated" in cfg["metrics"]
-    wanted = {_ROW_FIELD[m] for m in cfg["metrics"] if m in _ROW_FIELD}
+    hidden = {"tie", "power"} - set(cfg["metrics"])  # computed for the calibration only
     for c, (s, sizes, w) in enumerate(curves):
         chunk = results[c * len(biases):(c + 1) * len(biases)]
         cal = None
         if want_cal:
             level = _calibration_level(cfg, s, [m["tie"] for m in chunk])
             cal = hybrid.calibrated_power_no_borrowing(level, s)
-        for bias, metrics in zip(biases, chunk):
-            shell = _row_shell(cfg, s, sizes, w, bias)
-            keep = {k: v for k, v in metrics.items() if k in wanted}
-            if want_cal:
-                keep["power_calibrated"] = cal
-            rows.append(OCRow(**shell, **keep))
+        for bias, cell in zip(biases, chunk):
+            keep = {k: v for k, v in cell.items() if k not in hidden}
+            rows.append(OCRow(**_row_shell(cfg, s, sizes, w, bias), **keep, power_calibrated=cal))
     return SweepResult(rows, {}, {})
 
 
 def _run_bimodality(cfg, pool) -> SweepResult:
-    biases = cfg["sweep"]["bias"]
+    biases = _axis(cfg)
     curves = _curves(cfg)
     ratios = pool.map(lambda c: diagnostics.bimodality_map(c[0], [c[2]], biases)[0], curves)
     rows = [
-        OCRow(**{**_row_shell(cfg, s, sizes, w, bias), "reps": 0}, obm=float(r))
+        OCRow(**_row_shell(cfg, s, sizes, w, bias), obm=float(r))
         for (s, sizes, w), curve in zip(curves, ratios)
         for bias, r in zip(biases, curve)
     ]
@@ -254,21 +294,16 @@ def _run_bimodality(cfg, pool) -> SweepResult:
 
 
 def _run_sweet_spot(cfg, pool) -> SweepResult:
-    biases = cfg["sweep"]["bias"]
+    biases = _axis(cfg)
     curves = [(replace(s, bias_grid=tuple(biases)), sizes, w) for s, sizes, w in _curves(cfg)]
     rows: list[OCRow] = []
     spots = []
     for (s, sizes, w), spot in zip(curves, pool.map(lambda c: hybrid.sweet_spot(c[0]), curves)):
         for bias, (tie, power) in zip(biases, spot.curve):
-            shell = _row_shell(cfg, s, sizes, w, bias)
-            shell["reps"] = 0
-            rows.append(OCRow(**shell, tie=tie, power=power))
+            rows.append(OCRow(**_row_shell(cfg, s, sizes, w, bias), tie=tie, power=power))
+        shell = _row_shell(cfg, s, sizes, w, None)
         spots.append({
-            "scenario_id": _row_id(cfg, sizes),
-            "location": describe_location(s.prior.location),
-            "form": describe_form(s.prior.form),
-            "n_robust": s.prior.effective_n_robust(),
-            "w": w,
+            **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
             **{k: None if spot.empty else getattr(spot, k)
                for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
             "empty": spot.empty,
@@ -283,7 +318,7 @@ def _run_table(cfg, pool) -> SweepResult:
 
     def work(cell):
         (s, _, _), delta = cell
-        grid = np.linspace(-delta, delta, 41)
+        grid = _delta_grid(delta)
         return (grid, *hybrid.oc_curve(s, grid, exact=exact))
 
     rows: list[OCRow] = []
@@ -312,17 +347,11 @@ _DESIGNS = {
 
 
 def _run_average(cfg, pool) -> SweepResult:
-    sweep = cfg["sweep"]
     designs = {
         name: _DESIGNS.get(name, RobustMixture(cfg["rmp_weight"]))
-        for name in sweep["design_priors"]
+        for name in cfg["sweep"]["design_priors"]
     }
-    cells = [
-        (c, dname, shift)
-        for c in _curves(cfg)
-        for dname in sweep["design_priors"]
-        for shift in sweep["analysis_shift"]
-    ]
+    cells = [(c, dname, shift) for c in _curves(cfg) for dname, shift in _axis(cfg)]
 
     def work(cell):
         (s, _, _), dname, shift = cell
@@ -379,24 +408,15 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_rows_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            record = asdict(row)
-            writer.writerow([_format(record[col]) for col in CSV_COLUMNS])
-
-
-def write_summary_csv(path, entries) -> None:
-    if not entries:
-        return
-    columns = list(entries[0].keys())
+def _write_csv(path, columns, records) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for e in entries:
-            writer.writerow([_format(e[c]) for c in columns])
+        writer.writerows([_format(record[col]) for col in columns] for record in records)
+
+
+def write_rows_csv(path, rows) -> None:
+    _write_csv(path, CSV_COLUMNS, map(asdict, rows))
 
 
 def write_outputs(result: SweepResult, cfg: dict, out_dir) -> list[str]:
@@ -433,7 +453,7 @@ def write_outputs(result: SweepResult, cfg: dict, out_dir) -> list[str]:
     summary = next(iter(result.extras.values()), None)
     if summary:
         summary_path = os.path.join(out_dir, names["summary"])
-        write_summary_csv(summary_path, summary)
+        _write_csv(summary_path, list(summary[0]), summary)
         written.append(summary_path)
 
     meta_path = os.path.join(out_dir, names["meta"])

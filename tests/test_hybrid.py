@@ -33,6 +33,7 @@ from borrowsim import (
     sweet_spot,
 )
 from borrowsim import hybrid, sweep
+from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
 from oracles import reject_prob_gh
 
@@ -296,6 +297,20 @@ class TestSharedThreshold:
         assert [(r.tie, r.power) for r in rows] == [
             (reject_prob_gh(s, b, 0.0), reject_prob_gh(s, b, s.effect)) for b in s.bias_grid
         ]
+
+    def test_the_solve_stops_once_every_bracket_has_collapsed(self, monkeypatch):
+        # One fig8 solve: two bracket checks and at most 80 bisection steps,
+        # one ndtr call each; the brackets collapse before the 80th step.
+        grid = normalize_config(recipe_config("fig8"))["sweep"]["bias"]
+        s = scenario(w=0.5, location=CurrentMean())
+        calls, ndtr = [], hybrid.ndtr
+        monkeypatch.setattr(hybrid, "ndtr", lambda x: calls.append(1) or ndtr(x))
+        hybrid._gh_thresholds(s, grid)
+        assert len(calls) < 2 + 80
+        monkeypatch.undo()
+        ties, powers = hybrid.oc_curve(s, grid, exact=True)
+        assert ties == [reject_prob_gh(s, b, 0.0) for b in grid]
+        assert powers == [reject_prob_gh(s, b, s.effect) for b in grid]
 
     def test_160_nodes_agree_with_320(self):
         # fig8's (location x n_robust x w) product at every quarter bias.

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borrowsim.cli import main
-from borrowsim.config import ConfigError, check_config, cost_estimate, normalize_config
+from borrowsim.config import ConfigError, check_config, normalize_config
 from borrowsim.recipes import RECIPES, list_recipes, recipe_config
-from borrowsim.sweep import CSV_COLUMNS, run_config
+from borrowsim.sweep import CSV_COLUMNS, cost_estimate, run_config
 
 
 def tiny_grid_config(**overrides):
@@ -218,6 +218,7 @@ RULES = [
     ("tiny", {"output": "out"}, "output"),
     ("tiny", {"output": {"csv": "a.csv", "xlsx": "b"}}, "output: unknown keys"),
     ("tiny", {"output": {"csv": ""}}, "output.csv"),
+    ("fig10", {"external_mean": float("nan")}, "external_mean"),
 ]
 
 
@@ -244,6 +245,7 @@ def test_top_level_must_be_an_object():
     ("table1", "sweep.bias", "junk"),
     ("fig10", "sweep.bias", [0.0, 0.5]),
     ("fig7", "rmp_weight", 0.5),
+    ("fig7", "external_mean", 3.7),
     ("fig2", "rmse_true_mean", 0.0),
 ])
 def test_keys_are_rejected_where_they_do_not_apply(base, key, value):
@@ -312,6 +314,42 @@ def test_check_and_normalize_agree_on_mutated_recipes(name, changes):
         assert errors == []
         assert normalize_config(json.loads(json.dumps(out))) == out
     assert repr(cfg) == before
+
+
+# One small sweep of every kind, and of grid and table under both
+# estimators: (base, changes, the Monte Carlo fields each cell computes).
+_SMALL = {"reps": 500, "sweep.location": ["current_mean"], "sweep.n_robust": [1.0],
+          "sweep.w": [0.5]}
+_BIAS = {**_SMALL, "sweep.bias": [0.0, 0.5]}
+COST_CASES = [
+    ("tiny", _BIAS, {"tie", "w_tilde"}),
+    ("tiny", {**_BIAS, "estimator": "exact", "metrics": ["tie", "power"]}, set()),
+    ("fig1", {**_BIAS, "estimator": "exact"}, {"rmse_std", "w_tilde"}),
+    ("fig1", {**_BIAS, "metrics": ["obm"]}, set()),
+    ("fig7", {**_BIAS, "metrics": ["power_calibrated"]}, {"tie", "power"}),
+    ("fig7", {**_BIAS, "estimator": "exact", "metrics": ["w_tilde", "power_calibrated"]},
+     {"w_tilde"}),
+    ("fig2", _BIAS, set()),
+    ("fig8", _BIAS, set()),
+    ("table1", {**_SMALL, "sweep.deltas": [0.1]}, {"tie", "power"}),
+    ("table1", {**_SMALL, "sweep.deltas": [0.1], "estimator": "exact"}, set()),
+    ("fig10", {**_SMALL, "sweep.analysis_shift": [0.0, 0.5], "sweep.design_priors": ["rmp"]},
+     {"tie", "power"}),
+]
+
+
+@pytest.mark.parametrize("base,changes,mc", COST_CASES)
+def test_cost_estimate_counts_what_the_run_does(base, changes, mc):
+    cfg = normalize_config(mutated(base, changes))
+    res = run_config(cfg, threads=2)
+    cells, draws = cost_estimate(cfg)
+    assert (cells, draws) == (len(res.rows), 500 * len(mc) * len(res.rows))
+    assert (res.meta["cells"], res.meta["mc_draws"]) == (cells, draws)
+    # A row carries the replication count exactly when it holds a Monte
+    # Carlo number (the calibrated power rests on the Monte Carlo TIE).
+    assert {r.reps for r in res.rows} == {500 if mc else 0}
+    shown = mc if "power_calibrated" not in cfg.get("metrics", ()) else mc - {"tie", "power"}
+    assert all(getattr(r, f) is not None for r in res.rows for f in shown)
 
 
 class TestSweepEngine:
