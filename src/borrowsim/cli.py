@@ -41,6 +41,12 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
+def _threads(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _resolve_config(args) -> dict:
     if bool(args.config) == bool(args.recipe):
         raise SystemExit("error: give exactly one of --config or --recipe")
@@ -103,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory (default results/<scenario_id>)")
     run.add_argument("--seed", type=int, help="override the seed")
     run.add_argument("--reps", type=int, help="override the replication count")
-    run.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+    run.add_argument("--threads", type=_threads, help="worker threads (default: all cores)")
     run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="check a scenario file without running it")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import MAP_WEIGHTS, map_biases
 from .priors import ExternalMean, NullBoundary, StudentT
 from .scenarios import ALPHA, LOCATION_NAMES, REPS, TreatmentPrior
 
@@ -98,11 +99,6 @@ def _bimodality(grid):
     return lambda c: grid(c) if c["kind"] == "bimodality" else REQUIRED
 
 
-def _bimodality_bias(c):
-    sd_ext = c["sigma"] / math.sqrt(c["n_ext"])
-    return [round(i * sd_ext / 10.0, 12) for i in range(41)]
-
-
 _FIELDS = (
     _Field("schema_version", (SCHEMA_VERSION,), f"must be {SCHEMA_VERSION}", REQUIRED),
     _Field("trial", ("one-arm", "hybrid"), default=REQUIRED),
@@ -144,9 +140,10 @@ _FIELDS = (
         "hybrid": tuple(n for n in LOCATIONS if n != LOCATION_NAMES[NullBoundary]),
     }, default=[LOCATION_NAMES[ExternalMean]], shape="list"),
     _Field("sweep.w", lambda v: _is_num(v) and 0.0 <= v <= 1.0, "must be within [0, 1]",
-           _bimodality(lambda c: [round(0.01 * i, 10) for i in range(101)]), "list"),
-    _Field("sweep.bias", _is_num, "must be a finite number", _bimodality(_bimodality_bias),
-           "grid", (("kind", ("grid", "sweet-spot", "bimodality")),)),
+           _bimodality(lambda c: list(MAP_WEIGHTS)), "list"),
+    _Field("sweep.bias", _is_num, "must be a finite number",
+           _bimodality(lambda c: map_biases(c["sigma"] / math.sqrt(c["n_ext"]))), "grid",
+           (("kind", ("grid", "sweet-spot", "bimodality")),)),
     _Field("sweep.robust_variance", _pos, "must be > 0", shape="list", only=(_NORMAL,)),
     _Field("sweep.n_robust", _pos, "must be > 0",
            lambda c: _ABSENT if "robust_variance" in c["sweep"] else [1.0], "list", (_NORMAL,)),

@@ -24,6 +24,8 @@ __all__ = [
     "bimodality_ratio",
     "obm",
     "bimodality_map",
+    "MAP_WEIGHTS",
+    "map_biases",
     "hpd_disjoint",
 ]
 
@@ -164,41 +166,46 @@ def bimodality_ratio(m: GaussianMixture) -> float:
 obm = bimodality_ratio
 
 
+# Default axes of the map, which the config's defaults read: weights
+# 0, 0.01, ..., 1 and biases 0, sd_ext/10, ..., 4 sd_ext.
+MAP_WEIGHTS = tuple(round(0.01 * i, 10) for i in range(101))
+
+
+def map_biases(sd_ext: float) -> list[float]:
+    return [round(i * sd_ext / 10.0, 12) for i in range(41)]
+
+
 def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
     """Posterior bimodality ratio over a (weight x bias) grid.
 
     The posterior is built with the observed current mean pinned to the
     true mean (the scenario's null value); the external mean sits at
-    null + bias. Each weight's row is one ``posterior_bank`` call over the
-    bias axis, fed to the batch mode finder. Requires the Normal robust
-    form (the k-component heavy-tail bank can have more than two modes and
-    is out of scope).
+    null + bias. The prior's component means are one column per bias, and
+    each weight's row is one ``posterior_bank`` call over them, fed to the
+    batch mode finder. Requires the Normal robust form (the k-component
+    heavy-tail bank can have more than two modes and is out of scope).
 
     Returns an array of shape (len(w_grid), len(bias_grid)).
     """
     if not isinstance(scenario.prior.form, Normal):
         raise TypeError("bimodality is assessed for the Normal robust form only")
-    sd_ext = scenario.external.sigma / math.sqrt(scenario.external.n)
     if w_grid is None:
-        w_grid = np.round(np.arange(0.0, 1.0 + 1e-12, 0.01), 10)
+        w_grid = MAP_WEIGHTS
     if bias_grid is None:
-        bias_grid = np.arange(0.0, 4.0 * sd_ext + 1e-12, sd_ext / 10.0)
-    biases = np.asarray(bias_grid, dtype=float)
+        bias_grid = map_biases(scenario.sd_ext)
     data = SufficientStat(scenario.null_mean, scenario.n, scenario.sigma)
-    externals = [scenario.external_at(b) for b in biases]
-    means = np.array([
-        [e.mean for e in externals],
-        [priors.resolve_location(scenario.prior.location, e, data) for e in externals],
+    externals = [scenario.external_at(b) for b in bias_grid]
+    means = np.column_stack([
+        priors.bank_means(e.mean, priors.robust_location(scenario.prior, e), 2, data.mean)
+        for e in externals
     ])
-    out = np.empty((len(w_grid), biases.size))
+    out = np.empty((len(w_grid), means.shape[1]))
     for i, w in enumerate(np.asarray(w_grid, dtype=float)):
-        # Weights and sds do not depend on the bias.
+        # Variances and weights do not depend on the bias.
         spec = replace(scenario.prior, informative_weight=float(w))
-        prior = priors.build_mixture_prior(spec, current=data)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(np.asarray(prior.weights))
+        variances, log_w = priors.prior_bank_params(spec, scenario.external)[:2]
         W, post_means, post_vars = inference.posterior_bank(
-            means, prior.sds() ** 2, log_w, data.mean, data.n, data.sigma
+            means, variances, log_w, data.mean, data.n, data.sigma
         )
         # The exact renormalization a GaussianMixture applies to its weights.
         W = W / (W[0] + W[1])

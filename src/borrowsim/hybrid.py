@@ -18,9 +18,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .inference import bank_means, posterior_bank, prior_bank_params
-from .onearm import _chunks
-from .priors import Normal
+from .inference import bank_chunks, posterior_bank
+from .priors import Normal, bank_means, prior_bank_params
 from .scenarios import (
     DesignPrior,
     HybridScenario,
@@ -43,6 +42,8 @@ __all__ = [
     "no_borrowing_power",
     "oc_curve",
     "sweet_spot",
+    "delta_grid",
+    "restricted_summary",
     "delta_restricted_summary",
     "average_tie",
     "average_power",
@@ -86,7 +87,7 @@ def _control_pass(s: HybridScenario, external, theta_c, effect: float, weight=Fa
     J = variances.size
     a, b, t_var = _treatment_params(s, external.mean)
     out = np.empty_like(ybar_c)
-    for sl in _chunks(ybar_c.size, J):
+    for sl in bank_chunks(ybar_c.size, J):
         yc = ybar_c[sl]
         means = bank_means(info_mean, robust_loc, J, yc)
         W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
@@ -301,19 +302,26 @@ def sweet_spot(s: HybridScenario) -> SweetSpot:
     )
 
 
-def delta_restricted_summary(s: HybridScenario, delta: float, *, exact: bool = False):
-    """Worst TIE and best calibrated power gain when |bias| <= delta.
-
-    The grid has step delta/20 including both endpoints. The gain is the
-    best power with borrowing minus the no-borrowing power calibrated to
-    the worst TIE over the same range.
-    """
+def delta_grid(delta: float) -> np.ndarray:
+    """Biases of the |bias| <= delta summaries: step delta/20, ends included."""
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
-    ties, powers = oc_curve(s, np.linspace(-delta, delta, 41), exact=exact)
+    return np.linspace(-delta, delta, 41)
+
+
+def restricted_summary(s: HybridScenario, ties, powers) -> tuple[float, float]:
+    """Worst TIE and best power with borrowing minus the no-borrowing power
+    calibrated to it. A worst TIE of 0 (Monte Carlo TIEs can all be 0 at
+    small reps) calibrates to power 0: a z test at level 0 never rejects."""
     max_tie = max(ties)
-    gain = max(powers) - calibrated_power_no_borrowing(max_tie, s)
-    return max_tie, gain
+    baseline = calibrated_power_no_borrowing(max_tie, s) if max_tie > 0.0 else 0.0
+    return max_tie, max(powers) - baseline
+
+
+def delta_restricted_summary(s: HybridScenario, delta: float, *, exact: bool = False):
+    """Worst TIE and best calibrated power gain when |bias| <= delta: the
+    ``restricted_summary`` of the curve over ``delta_grid(delta)``."""
+    return restricted_summary(s, *oc_curve(s, delta_grid(delta), exact=exact))
 
 
 def _design_robust_variance(s: HybridScenario) -> float:

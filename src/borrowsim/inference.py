@@ -1,13 +1,14 @@
-"""Posterior computation under the mixture prior.
+"""Posterior computation under the mixture prior: the kernel and the
+object API.
 
-Component-wise conjugate updates, marginal-likelihood weight updates in
-log space (so extreme prior-data conflict never underflows), posterior
-tail probabilities and means, and the two-arm superiority probability.
-The array kernel is shared with the Monte Carlo engines and the exact
-routes, which call it on whole vectors of observed means at once; the
-exact heavy-tailed robust component enters it as one more prior bank
-(Gauss-Laguerre nodes of the t's Gamma precision, see
-``priors.t_laguerre_bank``).
+The kernel ``posterior_bank`` does component-wise conjugate updates and
+marginal-likelihood weight updates in log space (so extreme prior-data
+conflict never underflows) on whole vectors of observed means at once,
+in slices from ``bank_chunks``. The Monte Carlo engines, the exact routes
+and the bimodality map call it on the prior's array form, which
+``priors.prior_bank_params`` builds. The object API reads one dataset's
+posterior off the same kernel: ``posterior``, its tail probabilities and
+mean, and the two-arm superiority probability.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ from .gaussian import (
     SufficientStat,
     mixture_cdf,
 )
-from .priors import (
-    EXACT_T_NODES,
-    CurrentMean,
-    MixturePriorSpec,
-    Normal,
-    build_informative,
-    gamma_precision_quantiles,
-    resolve_location,
-    t_laguerre_bank,
-)
 
 __all__ = [
     "PosteriorSummary",
@@ -42,9 +33,11 @@ __all__ = [
     "posterior_mean",
     "prob_t_not_better",
     "posterior_bank",
-    "bank_means",
-    "prior_bank_params",
+    "bank_chunks",
 ]
+
+# Per-chunk element budget for the (components x reps) work matrices.
+_CHUNK_ELEMENTS = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -110,54 +103,11 @@ def posterior_bank(means, variances, log_weights, ybar, n, sigma):
     return post_w, post_mean, post_var
 
 
-def bank_means(info_mean, robust_loc, J, ybar):
-    """Prior component means for ``posterior_bank``: (J,), or (J, R) when
-    the robust location (None) tracks the observed means ``ybar``."""
-    if robust_loc is not None:
-        return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
-    means = np.empty((J, np.size(ybar)))
-    means[0] = info_mean
-    means[1:] = ybar
-    return means
-
-
-def prior_bank_params(
-    spec: MixturePriorSpec,
-    external: SufficientStat,
-    t_shift: float | None = None,
-    t_nodes: int = EXACT_T_NODES,
-):
-    """Array form of the prior for the vectorized engines.
-
-    Returns ``(variances, log_weights, informative_mean, robust_location)``
-    where ``robust_location`` is None when the location policy tracks the
-    observed current mean (the engines then substitute it per draw).
-    With ``t_shift`` set, a t robust component is the exact t as a
-    Gauss-Laguerre bank rate-shifted by that conflict
-    (``t_laguerre_bank``, ``t_nodes`` nodes) instead of the k-point
-    quantile bank.
-    """
-    informative = build_informative(external)
-    w = spec.informative_weight
-    robust_loc = (
-        None if isinstance(spec.location, CurrentMean)
-        else resolve_location(spec.location, external)
-    )
-
-    with np.errstate(divide="ignore"):
-        if isinstance(spec.form, Normal):
-            variances = np.array([informative.variance, spec.resolved_robust_variance()])
-            log_weights = np.log(np.array([w, 1.0 - w]))
-        else:
-            form = spec.form
-            if t_shift is None:
-                lam = gamma_precision_quantiles(form.df, form.k)
-                log_block = np.full(form.k, -math.log(form.k))
-            else:
-                lam, log_block = t_laguerre_bank(form, t_shift, t_nodes)
-            variances = np.concatenate(([informative.variance], form.scale**2 / lam))
-            log_weights = np.concatenate(([np.log(w)], np.log(1.0 - w) + log_block))
-    return variances, log_weights, informative.mean, robust_loc
+def bank_chunks(total: int, n_components: int):
+    """Slices of ``total`` observed means within the element budget."""
+    step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
 
 
 def posterior(

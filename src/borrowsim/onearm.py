@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .inference import bank_means, posterior_bank, prior_bank_params
-from .priors import EXACT_T_NODES, StudentT
+from .inference import bank_chunks, posterior_bank
+from .priors import EXACT_T_NODES, StudentT, bank_means, prior_bank_params
 from .scenarios import OneArmScenario, base_normals, sorted_normals
 
 __all__ = [
@@ -31,10 +31,6 @@ __all__ = [
     "one_arm_tie_exact",
     "one_arm_power_exact",
 ]
-
-# Per-chunk element budget for the (components x reps) work matrices.
-_CHUNK_ELEMENTS = 4 << 20
-
 
 # Largest disagreement allowed between the exact-t banks at the node count
 # a cell uses and at twice as many, over the cell's scan; the node counts
@@ -50,12 +46,6 @@ _BRENTQ_XTOL = 1e-12
 _GUARD_SE = 1e-9
 
 
-def _chunks(total: int, n_components: int):
-    step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
-    for start in range(0, total, step):
-        yield slice(start, min(start + step, total))
-
-
 def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True):
     """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
     101-component pass), posterior mean and informative weight."""
@@ -65,7 +55,7 @@ def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True):
     tail = np.empty_like(ybar) if tails else None
     pmeans = np.empty_like(ybar)
     w_info = np.empty_like(ybar)
-    for sl in _chunks(ybar.size, J):
+    for sl in bank_chunks(ybar.size, J):
         yb = ybar[sl]
         means = bank_means(info_mean, robust_loc, J, yb)
         W, pm, pv = posterior_bank(means, variances, log_w, yb, s.n, s.sigma)

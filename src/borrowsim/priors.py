@@ -1,4 +1,4 @@
-"""Construction of the robust two-part mixture prior.
+"""Construction of the robust two-part mixture prior, and its array form.
 
 The prior is ``w * informative + (1 - w) * robust``. The informative part
 comes straight from the external data; the robust part is configured by a
@@ -8,6 +8,10 @@ represented as an equal-weight bank of normals whose precisions sit at
 Gamma quantiles, so the whole prior stays a normal mixture and posterior
 updates stay closed-form. The exact-t routes use a Gauss-Laguerre bank
 over the same Gamma precision instead.
+
+``prior_bank_params`` is the one construction of the components: the
+array form every engine feeds to the posterior kernel, of which
+``build_mixture_prior`` and ``t_to_normal_mixture`` are mixture views.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ __all__ = [
     "t_laguerre_bank",
     "t_scale_matching_variance",
     "build_mixture_prior",
+    "prior_bank_params",
+    "robust_location",
+    "bank_means",
 ]
 
 
@@ -257,12 +264,7 @@ def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
     exact-t route, whose Gauss-Laguerre bank (``t_laguerre_bank``) is
     exact for the t up to a node-count residual that it checks.
     """
-    lam = gamma_precision_quantiles(form.df, form.k)
-    comps = tuple(
-        GaussianComponent(mu, form.scale / math.sqrt(l)) for l in lam
-    )
-    weights = tuple([1.0 / form.k] * form.k)
-    return GaussianMixture(comps, weights)
+    return _mixture(np.full(form.k, mu), *_robust_block(form))
 
 
 def t_scale_matching_variance(variance: float, df: float) -> float:
@@ -276,18 +278,77 @@ def t_scale_matching_variance(variance: float, df: float) -> float:
     return math.sqrt(variance * (df - 2.0) / df)
 
 
+def _robust_block(form: StudentT, t_shift: float | None = None, t_nodes: int = EXACT_T_NODES):
+    """A t robust component as a normal bank: its variances and its log
+    weights within the block. The k-point Gamma-quantile bank, or with
+    ``t_shift`` the exact t's Gauss-Laguerre bank (``t_laguerre_bank``)."""
+    if t_shift is None:
+        lam = gamma_precision_quantiles(form.df, form.k)
+        log_block = np.full(form.k, -math.log(form.k))
+    else:
+        lam, log_block = t_laguerre_bank(form, t_shift, t_nodes)
+    return form.scale**2 / lam, log_block
+
+
+def prior_bank_params(
+    spec: MixturePriorSpec,
+    external: SufficientStat,
+    t_shift: float | None = None,
+    t_nodes: int = EXACT_T_NODES,
+):
+    """Array form of the prior for the vectorized engines.
+
+    Returns ``(variances, log_weights, informative_mean, robust_location)``
+    where ``robust_location`` is None when the location policy tracks the
+    observed current mean (the engines then substitute it per draw).
+    With ``t_shift`` set, a t robust component is the exact t as a
+    Gauss-Laguerre bank rate-shifted by that conflict
+    (``t_laguerre_bank``, ``t_nodes`` nodes) instead of the k-point
+    quantile bank.
+    """
+    informative = build_informative(external)
+    w = spec.informative_weight
+    if isinstance(spec.form, Normal):
+        block, log_block = np.array([spec.resolved_robust_variance()]), np.zeros(1)
+    else:
+        block, log_block = _robust_block(spec.form, t_shift, t_nodes)
+    variances = np.concatenate(([informative.variance], block))
+    with np.errstate(divide="ignore"):
+        log_weights = np.concatenate(([np.log(w)], np.log(1.0 - w) + log_block))
+    return variances, log_weights, informative.mean, robust_location(spec, external)
+
+
+def robust_location(spec: MixturePriorSpec, external: SufficientStat) -> float | None:
+    """Robust-component location of the array form: None when the policy
+    tracks the observed current mean (the engines substitute it per draw)."""
+    if isinstance(spec.location, CurrentMean):
+        return None
+    return resolve_location(spec.location, external)
+
+
+def bank_means(info_mean, robust_loc, J, ybar):
+    """Prior component means for ``posterior_bank``: (J,), or (J, R) when
+    the robust location (None) tracks the observed means ``ybar``."""
+    if robust_loc is not None:
+        return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+    means = np.empty((J, np.size(ybar)))
+    means[0] = info_mean
+    means[1:] = ybar
+    return means
+
+
+def _mixture(means, variances, log_weights) -> GaussianMixture:
+    comps = tuple(GaussianComponent(float(m), math.sqrt(v)) for m, v in zip(means, variances))
+    return GaussianMixture(comps, tuple(np.exp(log_weights)))
+
+
 def build_mixture_prior(
     spec: MixturePriorSpec,
     current: SufficientStat | None = None,
 ) -> GaussianMixture:
-    """Materialize the prior. Component 0 is always the informative one."""
-    informative = build_informative(spec.external)
+    """The prior as a mixture: components (mean, sqrt(variance)) and weights
+    exp(log weight) of ``prior_bank_params``, component 0 the informative
+    one, and a current-mean location resolved against ``current``."""
+    variances, log_weights, info_mean, _ = prior_bank_params(spec, spec.external)
     loc = resolve_location(spec.location, spec.external, current)
-    w = spec.informative_weight
-    if isinstance(spec.form, Normal):
-        robust = GaussianComponent(loc, math.sqrt(spec.resolved_robust_variance()))
-        return GaussianMixture((informative, robust), (w, 1.0 - w))
-    t_bank = t_to_normal_mixture(loc, spec.form)
-    comps = (informative,) + t_bank.components
-    weights = (w,) + tuple((1.0 - w) * wk for wk in t_bank.weights)
-    return GaussianMixture(comps, weights)
+    return _mixture(bank_means(info_mean, loc, variances.size, None), variances, log_weights)

@@ -239,15 +239,11 @@ def _curves(cfg) -> list:
     ]
 
 
-def _delta_grid(delta):
-    return np.linspace(-delta, delta, 41)
-
-
 def _axis(cfg) -> list:
     """The points each curve's runner iterates, one row each, in output order."""
     sweep = cfg["sweep"]
     if cfg["kind"] == "table":
-        return [(delta, b) for delta in sweep["deltas"] for b in _delta_grid(delta)]
+        return [(delta, b) for delta in sweep["deltas"] for b in hybrid.delta_grid(delta)]
     if cfg["kind"] == "average":
         return [(d, shift) for d in sweep["design_priors"] for shift in sweep["analysis_shift"]]
     return sweep["bias"]
@@ -318,7 +314,7 @@ def _run_table(cfg, pool) -> SweepResult:
 
     def work(cell):
         (s, _, _), delta = cell
-        grid = _delta_grid(delta)
+        grid = hybrid.delta_grid(delta)
         return (grid, *hybrid.oc_curve(s, grid, exact=exact))
 
     rows: list[OCRow] = []
@@ -328,8 +324,7 @@ def _run_table(cfg, pool) -> SweepResult:
         for bias, tie, power in zip(grid, ties, powers):
             shell = _row_shell(cfg, s, sizes, w, float(bias), suffix)
             rows.append(OCRow(**shell, tie=tie, power=power))
-        max_tie = max(ties)
-        gain = max(powers) - hybrid.calibrated_power_no_borrowing(max_tie, s)
+        max_tie, gain = hybrid.restricted_summary(s, ties, powers)
         summary.append({
             "delta": delta,
             "location": describe_location(s.prior.location),

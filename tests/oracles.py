@@ -42,8 +42,9 @@ from borrowsim import StudentT, build_informative, resolve_location
 from borrowsim.diagnostics import BimodalityReport
 from borrowsim.gaussian import mixture_pdf
 from borrowsim.hybrid import _treatment_params
-from borrowsim.inference import bank_means, posterior_bank, prior_bank_params
+from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
+from borrowsim.priors import bank_means, prior_bank_params
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001

@@ -145,17 +145,18 @@ class TestBatchedModeFinder:
     @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
     def test_map_matches_the_scalar_path_cell_by_cell(self, location):
         ext = SufficientStat(0.0, 15, 1.0)
-        spec = MixturePriorSpec(0.5, ext, location, Normal(), n_robust=1.0)
-        s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
         w_grid = [0.0, 0.3, 0.9, 0.96, 1.0]
-        biases = np.arange(-4.0, 4.01, 0.5) * s.sd_ext
-        grid = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
         data = SufficientStat(0.0, 20, 1.0)
-        for i, w in enumerate(w_grid):
-            for j, b in enumerate(biases):
-                prior_spec = replace(s.prior, external=s.external_at(b), informative_weight=w)
-                post = posterior(build_mixture_prior(prior_spec, current=data), data)
-                assert grid[i, j] == oracles.find_modes(post.posterior).ratio
+        for n_robust in (1 / 400, 1 / 25, 0.25, 1.0, 2.0):
+            spec = MixturePriorSpec(0.5, ext, location, Normal(), n_robust=n_robust)
+            s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
+            biases = np.arange(-4.0, 4.01, 0.5) * s.sd_ext
+            grid = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+            for i, w in enumerate(w_grid):
+                for j, b in enumerate(biases):
+                    prior_spec = replace(s.prior, external=s.external_at(b), informative_weight=w)
+                    post = posterior(build_mixture_prior(prior_spec, current=data), data)
+                    assert grid[i, j] == oracles.find_modes(post.posterior).ratio, n_robust
 
 
 class TestBimodalityRatio:

@@ -343,6 +343,25 @@ class TestDeltaRestricted:
         assert max_tie == pytest.approx(0.0238, abs=3e-4)
         assert gain == pytest.approx(0.0988, abs=2e-3)
 
+    def test_table_at_small_reps_writes_every_row(self):
+        # At 10 reps a delta's Monte Carlo TIEs can all be 0; the z test at
+        # level 0 never rejects, so its calibrated power is 0, not an error.
+        cfg = recipe_config("table1")
+        cfg["reps"] = 10
+        result = sweep.run_config(cfg, threads=2)
+        assert len(result.rows) == 328
+        summary = result.extras["delta_summary"]
+        zero = [e for e in summary if e["max_tie_pct"] == 0.0]
+        assert zero, "expected a delta whose Monte Carlo TIEs are all 0"
+        assert all(math.isfinite(e["max_power_gain_pct"]) for e in summary)
+
+    def test_summary_at_level_zero_is_uncalibrated_power(self):
+        s = scenario(w=0.5)
+        assert hybrid.restricted_summary(s, [0.0, 0.0], [0.2, 0.3]) == (0.0, 0.3)
+        assert hybrid.restricted_summary(s, [0.025, 0.01], [0.5, 0.8]) == (
+            0.025, 0.8 - calibrated_power_no_borrowing(0.025, s)
+        )
+
 
 class TestAverageOCs:
     @pytest.mark.parametrize(

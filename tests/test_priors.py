@@ -24,7 +24,7 @@ from borrowsim import (
     t_to_normal_mixture,
     unit_information_variance,
 )
-from borrowsim.priors import gamma_precision_quantiles
+from borrowsim.priors import gamma_precision_quantiles, prior_bank_params
 
 EXT = SufficientStat(0.0, 15, 1.0)
 
@@ -170,6 +170,20 @@ class TestBuildMixturePrior:
         assert m.components[1].mean == 0.42
         with pytest.raises(ValueError):
             build_mixture_prior(spec)
+
+    @pytest.mark.parametrize("form", [Normal(), StudentT(3.0, 0.7, 5)])
+    @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(-1.0)])
+    def test_is_a_view_of_the_array_form(self, form, location):
+        ext = SufficientStat(0.3, 15, 1.0)
+        spec = MixturePriorSpec(0.3, ext, location, form, n_robust=0.7)
+        cur = SufficientStat(0.42, 20, 1.0)
+        m = build_mixture_prior(spec, current=cur)
+        variances, log_w, info_mean, robust_loc = prior_bank_params(spec, ext)
+        loc = cur.mean if robust_loc is None else robust_loc
+        assert m.means().tolist() == [info_mean] + [loc] * (variances.size - 1)
+        assert m.sds().tolist() == np.sqrt(variances).tolist()
+        weights = np.exp(log_w)
+        assert m.weights == tuple(weights / weights.sum())
 
     def test_explicit_robust_variance(self):
         spec = MixturePriorSpec(

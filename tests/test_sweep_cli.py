@@ -561,6 +561,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             self.run_cli("run", "--out", str(tmp_path))
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2_at_parsing(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "--recipe", "a2-sample-size", "--out", str(tmp_path / "o"),
+                         "--threads", threads)
+        assert exc.value.code == 2
+        assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_recipe_by_name(self, tmp_path):
         rc = self.run_cli(
             "run", "--recipe", "table1", "--out", str(tmp_path / "t"),
