@@ -15,13 +15,16 @@ from .sweep import cost_estimate, run_config, write_outputs
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"error: {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         )
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"error: {path} is not a JSON object of scenario fields")
+    return cfg
 
 
 def _apply_overrides(cfg: dict, args) -> dict:

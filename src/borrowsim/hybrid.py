@@ -1,12 +1,15 @@
 """Hybrid-control operating characteristics.
 
-Monte Carlo TIE, power, mean posterior weight and their design-prior
-averages, each one call to one engine (``_control_pass``: the joint
-control and treatment draws and one chunked control-arm pass); a
-deterministic quadrature route (Gauss-Hermite over the control mean with
-a monotone root search for the treatment-mean rejection threshold),
-calibrated no-borrowing power, sweet-spot detection and bias-restricted
-summaries.
+The test rejects exactly when the treatment mean exceeds a threshold
+T(control mean) that does not depend on the true effect and does not
+fall as the control mean rises (the normal likelihood has a monotone
+likelihood ratio). One vectorized bisection solves T for both routes:
+the Monte Carlo TIE, power and design-prior averages count the common
+joint draws against T solved once per cell (a cell's TIE and power share
+it), re-deciding the draws too close to it with the per-draw kernel; the
+deterministic route integrates the treatment mean's tail above T over
+Gauss-Hermite nodes of the control mean. Also the mean posterior weight,
+calibrated no-borrowing power, sweet spots and bias-restricted summaries.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .scenarios import (
     SweetSpot,
     TreatmentPrior,
     UnitInfo,
+    _shared,
     base_normals,
     base_uniforms,
 )
@@ -50,13 +54,21 @@ __all__ = [
 ]
 
 _GH_NODES = 160
-# Half-width of the initial threshold bracket, in sds of the widest
-# superiority component.
+# Half-width of the Gauss-Hermite route's initial threshold bracket, in sds
+# of the widest superiority component.
 _BRACKET_SDS = 14.0
-# Elements (components x nodes x biases) per batched threshold solve.
+# Elements (components x control means x biases) per batched threshold solve.
 _GH_CHUNK_ELEMENTS = 1 << 18
 # Bias resolution of the sweet spot's endpoints and argmax.
 _SWEET_SPOT_RESOLUTION = 1e-3
+# The Monte Carlo threshold curve: points of its uniform control-mean grid
+# (256 intervals, so a cell width is the span / 2**8 exactly), the bracket
+# width (in se_t) at which its solve stops, and the guard (in se_t) between
+# a bracket and the treatment means it classifies, far wider than the
+# kernel's rounding at a crossing.
+_MC_GRID = 257
+_MC_STOP_SE = 1e-2
+_GUARD_SE = 1e-9
 
 
 def _treatment_params(s: HybridScenario, analysis_external_mean: float):
@@ -70,19 +82,11 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
     return a, b, post_var
 
 
-def _control_pass(s: HybridScenario, external, theta_c, effect: float, weight=False) -> float:
-    """Rejection rate over the common joint draws, or with ``weight`` the
-    mean informative weight of the control posterior.
-
-    The true control mean is ``theta_c`` (a scalar, or one value per design
-    draw) and the treatment mean ``theta_c + effect``; the analysis prior is
-    the scenario's mixture at ``external``. One chunked pass over the
-    control arm's posterior bank serves every Monte Carlo route.
-    """
-    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
-    ybar_c = theta_c + s.se_c * zc
-    ybar_t = theta_c + effect + s.se_t * zt
+def _control_bank(s: HybridScenario, external, ybar_c, ybar_t=None) -> np.ndarray:
+    """The per-draw kernel: at each control mean in ``ybar_c``, under the
+    scenario's mixture at ``external``, the control posterior's informative
+    weight, or with ``ybar_t`` the probability that the treatment mean is
+    not above the control mean (the test rejects where it is <= alpha)."""
     variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
     J = variances.size
     a, b, t_var = _treatment_params(s, external.mean)
@@ -91,28 +95,158 @@ def _control_pass(s: HybridScenario, external, theta_c, effect: float, weight=Fa
         yc = ybar_c[sl]
         means = bank_means(info_mean, robust_loc, J, yc)
         W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
-        if weight:
+        if ybar_t is None:
             out[sl] = W[0]
             continue
         mu_t = a + b * ybar_t[sl]
         sj = np.sqrt(t_var + pv)[:, None]
         out[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
-    return float(np.mean(out)) if weight else float(np.mean(out <= s.alpha))
+    return out
+
+
+def _threshold_brackets(s: HybridScenario, biases, externals, yc, stop=None):
+    """Brackets (lo, hi) of the treatment-mean rejection threshold, each of
+    shape (len(externals), yc.size): at control mean ``yc[k]``, under the
+    analysis prior at ``externals[i]`` (bias ``biases[i]``, for messages),
+    the test does not reject at treatment mean ``lo[i, k]`` and rejects at
+    ``hi[i, k]``.
+
+    The superiority probability is strictly decreasing in the treatment
+    mean, so every threshold is found at once by at most 80 steps of
+    vectorized bisection, from brackets first checked to enclose them.
+    With ``stop`` unset (the Gauss-Hermite route) the brackets start at
+    +-14 sds of the widest component and shrink to adjacent floats. With
+    ``stop`` set they start at the per-component crossings widened by
+    ``stop`` (the threshold is a weighted mean's crossing, so it lies
+    between them) and stop once every one is narrower than ``stop``.
+    """
+    yc = np.asarray(yc, dtype=float)
+    nodes = yc.size
+    banks = [prior_bank_params(s.prior, e) for e in externals]
+    variances, log_w = banks[0][:2]
+    J = variances.size
+    a_all = np.array([_treatment_params(s, e.mean)[0] for e in externals])
+    _, b, t_var = _treatment_params(s, externals[0].mean)
+    lo_out = np.empty((len(banks), nodes))
+    hi_out = np.empty_like(lo_out)
+    step = max(_GH_CHUNK_ELEMENTS // (J * nodes), 1)
+    for start in range(0, len(banks), step):
+        sl = slice(start, min(start + step, len(banks)))
+        means = np.concatenate([
+            np.broadcast_to(bank_means(m, r, J, yc).reshape(J, -1), (J, nodes))
+            for _, _, m, r in banks[sl]
+        ], axis=1)
+        ybar = np.tile(yc, len(banks[sl]))
+        W, pm, pv = posterior_bank(means, variances, log_w, ybar, s.n_c, s.sigma)
+        a = np.repeat(a_all[sl], nodes)
+        sj = np.sqrt(t_var + pv)[:, None]
+
+        def pnb(yt):
+            return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
+
+        if stop is None:
+            span = _BRACKET_SDS * float(sj.max())
+            lo = (pm.min(axis=0) - span - a) / b
+            hi = (pm.max(axis=0) + span - a) / b
+        else:
+            crossings = (pm - sj * ndtri(s.alpha) - a) / b
+            lo = crossings.min(axis=0) - stop
+            hi = crossings.max(axis=0) + stop
+        for end, ok in (("lower", pnb(lo) > s.alpha), ("upper", pnb(hi) <= s.alpha)):
+            if not ok.all():
+                i, node = divmod(int(np.argmin(ok)), nodes)
+                point = "Gauss-Hermite node" if stop is None else "control-mean grid point"
+                raise RuntimeError(
+                    f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
+                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r}, "
+                    f"{point} {node} of {nodes}"
+                )
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            # Once every bracket is two adjacent floats, mid lands on lo (known
+            # not to reject) or hi (known to reject): no later step moves either.
+            if np.all((mid == lo) | (mid == hi)) if stop is None else (hi - lo).max() < stop:
+                break
+            not_rejecting = pnb(mid) > s.alpha
+            lo = np.where(not_rejecting, mid, lo)
+            hi = np.where(not_rejecting, hi, mid)
+        lo_out[sl] = lo.reshape(-1, nodes)
+        hi_out[sl] = hi.reshape(-1, nodes)
+    return lo_out, hi_out
+
+
+def _threshold_curve(s: HybridScenario, bias: float, external, design):
+    """A Monte Carlo cell's common draws against its threshold curve: true
+    and observed control means, se_t * treatment draws, and per draw the
+    treatment means at or below which it surely does not reject and above
+    which it surely does.
+
+    T is solved on ``_MC_GRID`` points spanning the observed control means.
+    At a draw in grid cell k (by floor arithmetic, which rounding can move
+    by one cell) T lies between the lower bracket end at point k - 1 and
+    the upper end at point k + 2 if T is monotone, which the grid checks.
+    A single distinct control mean (reps 1) gives no grid: every draw is
+    re-decided.
+    """
+    theta_c = s.control_mean if design is None else _design_draws(s, design)
+    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
+    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
+    ybar_c = theta_c + s.se_c * zc
+    t_noise = s.se_t * zt
+    y0, y1 = float(ybar_c.min()), float(ybar_c.max())
+    if not y1 > y0:
+        return theta_c, ybar_c, t_noise, np.full_like(ybar_c, -np.inf), np.full_like(ybar_c, np.inf)
+    grid = np.linspace(y0, y1, _MC_GRID)
+    lo, hi = (
+        v[0] for v in _threshold_brackets(s, [bias], [external], grid, _MC_STOP_SE * s.se_t)
+    )
+    falls = np.flatnonzero(hi[1:] < lo[:-1])
+    if falls.size:
+        k = int(falls[0])
+        raise RuntimeError(
+            f"scenario {s.scenario_id!r}: the rejection threshold falls between "
+            f"control-mean grid points {k} and {k + 1} of {_MC_GRID} at bias {bias!r}, "
+            "and the Monte Carlo counts need it non-decreasing"
+        )
+    guard = _GUARD_SE * s.se_t
+    k = np.minimum(((ybar_c - y0) / ((y1 - y0) / (_MC_GRID - 1))).astype(np.intp), _MC_GRID - 1)
+    below = np.concatenate((lo[:1], lo[:-1])) - guard  # lo[max(k - 1, 0)]
+    above = np.concatenate((hi[2:], hi[-1:], hi[-1:])) + guard  # hi[min(k + 2, last)]
+    return theta_c, ybar_c, t_noise, below[k], above[k]
+
+
+def _rejection_rate(s: HybridScenario, bias: float, external, design, effect: float) -> float:
+    """Share of the common joint draws the test rejects, with the true
+    control mean ``s.control_mean`` (or drawn from ``design``) and the
+    treatment mean ``effect`` above it; the analysis prior is the
+    scenario's mixture at ``external``."""
+    theta_c, ybar_c, t_noise, below, above = _shared(
+        (s, external, design), lambda: _threshold_curve(s, bias, external, design)
+    )
+    ybar_t = theta_c + effect + t_noise
+    rejects = ybar_t > above
+    band = np.flatnonzero((ybar_t > below) & ~rejects)
+    count = int(np.count_nonzero(rejects))
+    if band.size:
+        p = _control_bank(s, external, ybar_c[band], ybar_t[band])
+        count += int(np.count_nonzero(p <= s.alpha))
+    return count / s.reps
 
 
 def hybrid_tie(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate with equal arm means."""
-    return _control_pass(s, s.external_at(bias), s.control_mean, 0.0)
+    return _rejection_rate(s, bias, s.external_at(bias), None, 0.0)
 
 
 def hybrid_power(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate at treatment - control = effect."""
-    return _control_pass(s, s.external_at(bias), s.control_mean, s.effect)
+    return _rejection_rate(s, bias, s.external_at(bias), None, s.effect)
 
 
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
-    return _control_pass(s, s.external_at(bias), s.control_mean, 0.0, weight=True)
+    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
+    return float(np.mean(_control_bank(s, s.external_at(bias), s.control_mean + s.se_c * zc)))
 
 
 @lru_cache(maxsize=4)
@@ -126,75 +260,28 @@ def _gh_rule(nodes: int):
 
 
 def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndarray:
-    """Treatment-mean rejection thresholds, shape (len(biases), nodes).
-
-    Row i holds, at each Gauss-Hermite node of the control mean, the
-    treatment mean above which the test rejects when the external mean
-    sits at bias ``biases[i]``. The superiority probability is strictly
-    decreasing in the treatment mean, so every (bias, node) threshold is
-    found at once by at most 80 steps of vectorized bisection, from a
-    bracket that is first checked to enclose it. The threshold does not
-    depend on the true effect, so TIE and power share it.
-    """
+    """Treatment-mean rejection thresholds, shape (len(biases), nodes):
+    row i holds, at each Gauss-Hermite node of the control mean, the
+    midpoint of the collapsed bracket at bias ``biases[i]``."""
     biases = np.atleast_1d(np.asarray(biases, dtype=float))
     x, _ = _gh_rule(nodes)
     yc = s.control_mean + math.sqrt(2.0) * s.se_c * x
-    externals = [s.external_at(bias) for bias in biases]
-    banks = [prior_bank_params(s.prior, e) for e in externals]
-    variances, log_w = banks[0][:2]
-    J = variances.size
-    a_all = np.array([_treatment_params(s, e.mean)[0] for e in externals])
-    _, b, t_var = _treatment_params(s, externals[0].mean)
-    out = np.empty((biases.size, nodes))
-    step = max(_GH_CHUNK_ELEMENTS // (J * nodes), 1)
-    for start in range(0, biases.size, step):
-        sl = slice(start, min(start + step, biases.size))
-        means = np.concatenate([
-            np.broadcast_to(bank_means(m, r, J, yc).reshape(J, -1), (J, nodes))
-            for _, _, m, r in banks[sl]
-        ], axis=1)
-        ybar = np.tile(yc, len(banks[sl]))
-        W, pm, pv = posterior_bank(means, variances, log_w, ybar, s.n_c, s.sigma)
-        a = np.repeat(a_all[sl], nodes)
-        sj = np.sqrt(t_var + pv)[:, None]
-
-        def pnb(yt):
-            return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
-
-        span = _BRACKET_SDS * float(sj.max())
-        lo = (pm.min(axis=0) - span - a) / b
-        hi = (pm.max(axis=0) + span - a) / b
-        for end, ok in (("lower", pnb(lo) > s.alpha), ("upper", pnb(hi) <= s.alpha)):
-            if not ok.all():
-                i, node = divmod(int(np.argmin(ok)), nodes)
-                raise RuntimeError(
-                    f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
-                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r}, "
-                    f"Gauss-Hermite node {node} of {nodes}"
-                )
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            # Once every bracket is two adjacent floats, mid lands on lo (known
-            # not to reject) or hi (known to reject): no later step moves either.
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            not_rejecting = pnb(mid) > s.alpha
-            lo = np.where(not_rejecting, mid, lo)
-            hi = np.where(not_rejecting, hi, mid)
-        out[sl] = (0.5 * (lo + hi)).reshape(-1, nodes)
-    return out
+    lo, hi = _threshold_brackets(s, biases, [s.external_at(b) for b in biases], yc)
+    return 0.5 * (lo + hi)
 
 
 def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES):
     """TIE and power at each bias, as two lists of floats.
 
-    Monte Carlo, or with ``exact`` the Gauss-Hermite route: one threshold
-    solve per bias serves both rates, each of which is then the sum over
-    the control-mean nodes of the treatment mean's normal tail above the
-    node's threshold.
+    Monte Carlo (each bias's TIE then its power, so the two share one
+    threshold curve), or with ``exact`` the Gauss-Hermite route: one
+    threshold solve per bias serves both rates, each of which is then the
+    sum over the control-mean nodes of the treatment mean's normal tail
+    above the node's threshold.
     """
     if not exact:
-        return [hybrid_tie(s, b) for b in biases], [hybrid_power(s, b) for b in biases]
+        pairs = [(hybrid_tie(s, b), hybrid_power(s, b)) for b in biases]
+        return [t for t, _ in pairs], [p for _, p in pairs]
     _, wts = _gh_rule(nodes)
     thresholds = _gh_thresholds(s, biases, nodes)
     tails = (1.0 - ndtr((thresholds - (s.control_mean + e)) / s.se_t) for e in (0.0, s.effect))
@@ -354,7 +441,7 @@ def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float)
     if design is None:
         raise ValueError("no design prior given and none set on the scenario")
     external = replace(s.external, mean=s.external.mean + analysis_shift)
-    return _control_pass(s, external, _design_draws(s, design), effect)
+    return _rejection_rate(s, analysis_shift, external, design, effect)
 
 
 def average_tie(

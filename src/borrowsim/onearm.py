@@ -13,7 +13,6 @@ region, and its RMSE and mean weight one pass, through a per-thread slot.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,7 +20,7 @@ from scipy.special import ndtr
 
 from .inference import bank_chunks, posterior_bank
 from .priors import EXACT_T_NODES, StudentT, bank_means, prior_bank_params
-from .scenarios import OneArmScenario, base_normals, sorted_normals
+from .scenarios import OneArmScenario, _shared, base_normals, sorted_normals
 
 __all__ = [
     "one_arm_tie",
@@ -123,27 +122,10 @@ def _count_rejections(z, at_mean, se, intervals, window, decide) -> int:
     return count
 
 
-# The last cell's shared value on each thread: its default-route rejection
-# region, or its tail-free pass. A sweep computes a cell's TIE and power,
-# then its RMSE and mean weight, one after the other on one worker thread,
-# so each pair shares one computation; the slot dies with the sweep's
-# workers, so no later run's call counts depend on what ran before.
-_last_cell = threading.local()
-
-
-def _shared(s: OneArmScenario, bias: float, centre, compute):
-    """``compute()``, or the value this thread last stored under the same
-    (scenario, bias, observed-mean centre)."""
-    last = getattr(_last_cell, "value", None)
-    if last is None or last[0] != (s, bias, centre):
-        last = _last_cell.value = ((s, bias, centre), compute())
-    return last[1]
-
-
 def _shared_region(s: OneArmScenario, bias: float) -> tuple:
     """Default-route rejection region of a cell, computed once for the
     cell's TIE and power (either route) when they run back to back."""
-    return _shared(s, bias, None, lambda: tuple(one_arm_rejection_region(s, bias)))
+    return _shared((s, bias, None), lambda: tuple(one_arm_rejection_region(s, bias)))
 
 
 def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[float, float]:
@@ -156,7 +138,7 @@ def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[floa
         _, pmeans, w_info = _bank_stats(s, bank, _draws(s, centre), tails=False)
         return float(np.sqrt(np.mean((pmeans - centre) ** 2))), float(np.mean(w_info))
 
-    return _shared(s, bias, centre, compute)
+    return _shared((s, bias, centre), compute)
 
 
 def _rejection_rate(s: OneArmScenario, bias: float, at_mean: float) -> float:

@@ -1,4 +1,5 @@
-"""Scenario records, result rows and reproducible RNG streams.
+"""Scenario records, result rows, reproducible RNG streams and the
+per-thread slot a cell's paired quantities share.
 
 A scenario freezes everything a sweep needs: true parameters, external
 data, prior construction policy, decision level, replication budget and
@@ -15,6 +16,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -299,3 +301,20 @@ def base_uniforms(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarr
     u = substream(seed, scenario_id, role).random(reps)
     u.flags.writeable = False
     return u
+
+
+# The last cell's shared value on each thread. A sweep computes a cell's
+# quantities one after another on one worker thread, so a pair that needs
+# the same computation (a one-arm cell's rejection region or tail-free
+# pass, a hybrid cell's threshold curve) makes it once; the slot dies with
+# the sweep's workers, so no later run's call counts depend on what ran
+# before.
+_last_cell = threading.local()
+
+
+def _shared(key, compute):
+    """``compute()``, or the value this thread last stored under ``key``."""
+    last = getattr(_last_cell, "value", None)
+    if last is None or last[0] != key:
+        last = _last_cell.value = (key, compute())
+    return last[1]

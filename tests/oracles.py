@@ -10,6 +10,13 @@ rates the per-draw way: a full posterior tail for every common draw, then
 the share at or below alpha. The library counts the sorted draws in the
 rejection region instead, and must match these exactly.
 
+``per_draw_tie``, ``per_draw_power``, ``per_draw_average_tie`` and
+``per_draw_average_power`` are the hybrid Monte Carlo rates the per-draw
+way: one control-arm pass of the library's kernel over every common joint
+draw, then the share at or below alpha. The library counts the draws
+against one threshold curve per cell instead, re-deciding only those too
+close to it, and must match these exactly.
+
 ``reject_prob_gh`` is the hybrid Gauss-Hermite rejection probability the
 one-call-per-effect way: the rule, the posterior bank and the 80-step
 threshold bisection rebuilt for one (bias, effect). The library solves
@@ -41,10 +48,11 @@ from scipy.special import ndtr
 from borrowsim import StudentT, build_informative, resolve_location
 from borrowsim.diagnostics import BimodalityReport
 from borrowsim.gaussian import mixture_pdf
-from borrowsim.hybrid import _treatment_params
+from borrowsim.hybrid import _control_bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import bank_means, prior_bank_params
+from borrowsim.scenarios import base_normals
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001
@@ -149,6 +157,38 @@ def brute_force_tie(s, bias: float) -> float:
 
 def brute_force_power(s, bias: float) -> float:
     return brute_force_rate(s, bias, s.alt_mean)
+
+
+def per_draw_rate(s, external, theta_c, effect: float) -> float:
+    """Share of the common joint draws the hybrid test rejects, with true
+    control mean(s) ``theta_c`` and treatment mean ``theta_c + effect``,
+    under the analysis prior at ``external``, from one pass over every draw."""
+    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
+    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
+    ybar_c = theta_c + s.se_c * zc
+    ybar_t = theta_c + effect + s.se_t * zt
+    return float(np.mean(_control_bank(s, external, ybar_c, ybar_t) <= s.alpha))
+
+
+def per_draw_tie(s, bias: float) -> float:
+    return per_draw_rate(s, s.external_at(bias), s.control_mean, 0.0)
+
+
+def per_draw_power(s, bias: float) -> float:
+    return per_draw_rate(s, s.external_at(bias), s.control_mean, s.effect)
+
+
+def _per_draw_average(s, design, analysis_shift: float, effect: float) -> float:
+    external = replace(s.external, mean=s.external.mean + analysis_shift)
+    return per_draw_rate(s, external, _design_draws(s, design), effect)
+
+
+def per_draw_average_tie(s, design, analysis_shift: float = 0.0) -> float:
+    return _per_draw_average(s, design, analysis_shift, 0.0)
+
+
+def per_draw_average_power(s, design, analysis_shift: float = 0.0) -> float:
+    return _per_draw_average(s, design, analysis_shift, s.effect)
 
 
 def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:

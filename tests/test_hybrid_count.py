@@ -1,0 +1,198 @@
+"""The hybrid Monte Carlo TIE and power as counts against a threshold curve.
+
+The hybrid test rejects exactly when the treatment mean exceeds a
+threshold that depends on the control mean alone and does not fall as it
+rises. The library solves that curve once per cell on a grid over the
+cell's control means, counts the common joint draws clearly above or
+below it, and re-decides the rest with the per-draw kernel. The counts
+must therefore equal the per-draw rates of ``tests/oracles.py`` exactly,
+not within Monte Carlo error.
+"""
+
+import math
+import threading
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from borrowsim import (
+    CurrentMean,
+    ExternalMean,
+    HybridScenario,
+    Informative,
+    MixturePriorSpec,
+    Normal,
+    RobustMixture,
+    StudentT,
+    SufficientStat,
+    TreatmentPrior,
+    UnitInfo,
+    average_power,
+    average_tie,
+    hybrid_power,
+    hybrid_tie,
+)
+from borrowsim import hybrid, scenarios
+from borrowsim.config import normalize_config
+from borrowsim.recipes import recipe_config
+from borrowsim.sweep import _curves
+from oracles import (
+    per_draw_average_power,
+    per_draw_average_tie,
+    per_draw_power,
+    per_draw_tie,
+)
+
+EXT = SufficientStat(0.0, 15, 1.0)
+SD_EXT = 1.0 / math.sqrt(15.0)
+
+forms = st.one_of(
+    st.builds(lambda n_robust: (Normal(), n_robust), st.floats(1.0 / 400.0, 2.0)),
+    st.builds(
+        lambda df, scale, k: (StudentT(df, scale, k), 1.0),
+        st.floats(2.0, 30.0, exclude_min=True),
+        st.floats(0.3, 3.0),
+        st.integers(2, 100),
+    ),
+)
+
+cells = st.fixed_dictionaries({
+    "form": forms,
+    "w": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    "location": st.sampled_from([ExternalMean(), CurrentMean()]),
+    "treatment_prior": st.sampled_from(list(TreatmentPrior)),
+    "conflict": st.floats(-1e3, 1e3),
+    "n_t": st.integers(5, 80),
+    "n_c": st.integers(5, 80),
+    "effect": st.floats(0.05, 3.0),
+    "control_mean": st.floats(-2.0, 2.0),
+    "reps": st.integers(1_000, 10_000),
+    "seed": st.sampled_from([7, 20260810]),
+})
+
+designs = st.one_of(
+    st.just(Informative()), st.just(UnitInfo()), st.builds(RobustMixture, st.floats(0.0, 1.0))
+)
+
+
+def build(p):
+    form, n_robust = p["form"]
+    spec = MixturePriorSpec(p["w"], EXT, p["location"], form, n_robust=n_robust)
+    s = HybridScenario(
+        p["n_t"], p["n_c"], 1.0, EXT, spec, effect=p["effect"], seed=p["seed"],
+        reps=p["reps"], treatment_prior=p["treatment_prior"],
+        control_mean=p["control_mean"],
+    )
+    return s, p["conflict"] * SD_EXT
+
+
+@settings(max_examples=50, deadline=None)
+@given(cells)
+def test_counts_equal_the_per_draw_rates(p):
+    s, bias = build(p)
+    assert hybrid_tie(s, bias) == per_draw_tie(s, bias)
+    assert hybrid_power(s, bias) == per_draw_power(s, bias)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells, designs)
+def test_design_prior_averages_equal_the_per_draw_rates(p, design):
+    s, shift = build(p)
+    assert average_tie(s, design, shift) == per_draw_average_tie(s, design, shift)
+    assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
+
+
+def scenario(reps=5_000, **kwargs):
+    spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=1.0)
+    return HybridScenario(20, 20, 1.0, EXT, spec, effect=0.83, seed=11, reps=reps, **kwargs)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3])
+def test_tiny_reps_match_the_oracle_without_warnings(reps):
+    # At reps 1 every control mean is one value: the grid has no width and
+    # every draw is re-decided.
+    s = scenario(reps=reps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bias in (-1.0, 0.0, 0.3):
+            assert hybrid_tie(s, bias) == per_draw_tie(s, bias)
+            assert hybrid_power(s, bias) == per_draw_power(s, bias)
+        for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
+            assert average_tie(s, design, 0.2) == per_draw_average_tie(s, design, 0.2)
+
+
+@pytest.mark.parametrize("rate", ["tie", "average"])
+def test_a_curve_that_falls_raises(monkeypatch, rate):
+    solve = hybrid._threshold_brackets
+
+    def reversed_curve(*args, **kwargs):
+        return tuple(v[:, ::-1] for v in solve(*args, **kwargs))
+
+    monkeypatch.setattr(hybrid, "_threshold_brackets", reversed_curve)
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    s = scenario()
+    with pytest.raises(RuntimeError, match=r"'hybrid'.*falls.*of 257 at bias 0\.25"):
+        if rate == "tie":
+            hybrid_tie(s, 0.25)
+        else:
+            average_tie(s, UnitInfo(), 0.25)
+
+
+def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
+    # A negative widening puts the lower ends far above every threshold.
+    monkeypatch.setattr(hybrid, "_MC_STOP_SE", -50.0)
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 257"):
+        hybrid_power(scenario(), 0.25)
+
+
+def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
+    solves = []
+    solve = hybrid._threshold_brackets
+
+    def counting(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    s = scenario()
+    hybrid_tie(s, 0.25)
+    hybrid_power(s, 0.25)
+    assert len(solves) == 1
+    average_tie(s, UnitInfo(), 0.25)
+    average_power(s, UnitInfo(), 0.25)
+    assert len(solves) == 2
+    # Another design prior draws other control means: a curve of its own.
+    average_tie(s, Informative(), 0.25)
+    assert len(solves) == 3
+    # The Monte Carlo curve takes each bias's TIE then its power.
+    ties, powers = hybrid.oc_curve(s, (-0.5, 0.0, 0.5))
+    assert len(solves) == 6
+    assert ties == [per_draw_tie(s, b) for b in (-0.5, 0.0, 0.5)]
+    assert powers == [per_draw_power(s, b) for b in (-0.5, 0.0, 0.5)]
+    # Another thread (another sweep worker) solves its own.
+    worker = threading.Thread(target=hybrid_power, args=(s, 0.5))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(solves) == 7
+
+
+@pytest.mark.parametrize("recipe", ["fig7", "a14-treatment-prior-unbalanced"])
+def test_monte_carlo_within_four_standard_errors_of_gauss_hermite(recipe):
+    # Every cell of the recipe at weight 0.5, at 1e5 reps.
+    cfg = normalize_config({**recipe_config(recipe), "reps": 100_000})
+    curves = [s for s, _, w in _curves(cfg) if w == 0.5]
+    biases = cfg["sweep"]["bias"]
+    assert len(curves) == 2 and len(biases) == 61
+    worst = 0.0
+    for s in curves:
+        mc = hybrid.oc_curve(s, biases)
+        gh = hybrid.oc_curve(s, biases, exact=True)
+        for mc_rates, gh_rates in zip(mc, gh):
+            for m, p in zip(mc_rates, gh_rates):
+                worst = max(worst, abs(m - p) / math.sqrt(p * (1.0 - p) / s.reps))
+    assert worst <= 4.0

@@ -32,7 +32,7 @@ from borrowsim import (
     one_arm_tie,
     one_arm_tie_exact,
 )
-from borrowsim import onearm
+from borrowsim import onearm, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.onearm import (
     _count_rejections,
@@ -192,7 +192,7 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(onearm, "one_arm_rejection_region", counting)
-    monkeypatch.setattr(onearm, "_last_cell", threading.local())
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario(location=NullBoundary(0.0), form=StudentT(3.0, 1.0, 20))
     one_arm_tie(s, SD_EXT)
     one_arm_power(s, SD_EXT)
@@ -218,16 +218,16 @@ def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):
         return original(*args, tails=tails)
 
     monkeypatch.setattr(onearm, "_bank_stats", counting)
-    monkeypatch.setattr(onearm, "_last_cell", threading.local())
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     cfg = normalize_config({**recipe_config("fig1"), "reps": 2_000})
     assert cfg["metrics"] == ["tie", "rmse", "w_tilde"] and cfg["rmse_true_mean"] is None
     s = _curves(cfg)[0][0]
     out = _grid_cell(cfg, s, SD_EXT)
     assert passes.count(False) == 1
     # Each quantity from a pass of its own has the same value.
-    monkeypatch.setattr(onearm, "_last_cell", threading.local())
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     assert out["w_tilde"] == onearm.mean_posterior_weight(s, SD_EXT)
-    monkeypatch.setattr(onearm, "_last_cell", threading.local())
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     assert out["rmse_std"] == onearm.one_arm_rmse(s, SD_EXT)[1]
     assert passes.count(False) == 3
     # RMSE around another true mean needs its own pass over other draws.

@@ -503,6 +503,17 @@ class TestCli:
             self.run_cli("validate", "--config", str(path))
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"fig7"', "null"])
+    def test_a_non_object_file_fails_in_one_line(self, tmp_path, command, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(command, "--config", str(path), *out)
+        assert str(exc.value) == f"error: {path} is not a JSON object of scenario fields"
+        assert not (tmp_path / "o").exists()
+
     def test_run_writes_all_outputs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_grid_config()))
