@@ -3,13 +3,15 @@
 The test rejects exactly when the treatment mean exceeds a threshold
 T(control mean) that does not depend on the true effect and does not
 fall as the control mean rises (the normal likelihood has a monotone
-likelihood ratio). One vectorized bisection solves T for both routes:
-the Monte Carlo TIE, power and design-prior averages count the common
-joint draws against T solved once per cell (a cell's TIE and power share
-it), re-deciding the draws too close to it with the per-draw kernel; the
-deterministic route integrates the treatment mean's tail above T over
-Gauss-Hermite nodes of the control mean. Also the mean posterior weight,
-calibrated no-borrowing power, sweet spots and bias-restricted summaries.
+likelihood ratio). One vectorized bisection solves T for both routes.
+The Monte Carlo TIE, power and design-prior averages work per curve (a
+scenario's bias or analysis-shift axis): T solved once for every point,
+the common joint draws bucket-sorted once per stream and run and counted
+against it by searches, and the draws too close to it re-decided by the
+per-draw kernel in one batched pass per effect. The deterministic route
+integrates the treatment mean's tail above T over Gauss-Hermite nodes of
+the control mean. Also the mean posterior weight, calibrated no-borrowing
+power, sweet spots and bias-restricted summaries.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .scenarios import (
     SweetSpot,
     TreatmentPrior,
     UnitInfo,
+    _run_shared,
     _shared,
     base_normals,
     base_uniforms,
@@ -69,6 +72,8 @@ _SWEET_SPOT_RESOLUTION = 1e-3
 _MC_GRID = 257
 _MC_STOP_SE = 1e-2
 _GUARD_SE = 1e-9
+# Band draws re-decided per kernel call, which bounds the memory a count holds.
+_BAND_DRAWS = 1 << 13
 
 
 def _treatment_params(s: HybridScenario, analysis_external_mean: float):
@@ -82,26 +87,40 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
     return a, b, post_var
 
 
-def _control_bank(s: HybridScenario, external, ybar_c, ybar_t=None) -> np.ndarray:
-    """The per-draw kernel: at each control mean in ``ybar_c``, under the
-    scenario's mixture at ``external``, the control posterior's informative
-    weight, or with ``ybar_t`` the probability that the treatment mean is
-    not above the control mean (the test rejects where it is <= alpha)."""
-    variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
+def _control_bank(s: HybridScenario, externals):
+    """The per-draw kernel: a function of control means ``ybar_c`` giving
+    the control posterior's informative weight under the mixture at
+    ``externals[point[r]]`` (``externals[0]`` if ``point`` is None), or with
+    ``ybar_t`` the probability that the treatment mean is not above the
+    control mean (the test rejects where it is <= alpha). The prior
+    variances and log weights do not depend on the external mean, so one
+    posterior_bank call serves every point."""
+    banks = [prior_bank_params(s.prior, e) for e in externals]
+    variances, log_w, _, robust_loc = banks[0]
     J = variances.size
-    a, b, t_var = _treatment_params(s, external.mean)
-    out = np.empty_like(ybar_c)
-    for sl in bank_chunks(ybar_c.size, J):
-        yc = ybar_c[sl]
-        means = bank_means(info_mean, robust_loc, J, yc)
-        W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
-        if ybar_t is None:
-            out[sl] = W[0]
-            continue
-        mu_t = a + b * ybar_t[sl]
-        sj = np.sqrt(t_var + pv)[:, None]
-        out[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
-    return out
+    info = np.array([bank[2] for bank in banks])
+    loc = None if robust_loc is None else np.array([bank[3] for bank in banks])
+    a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
+    _, b, t_var = _treatment_params(s, externals[0].mean)
+
+    def kernel(ybar_c, ybar_t=None, point=None) -> np.ndarray:
+        point = np.zeros(ybar_c.size, np.intp) if point is None else point
+        out = np.empty_like(ybar_c)
+        for sl in bank_chunks(ybar_c.size, J):
+            yc, pt = ybar_c[sl], point[sl]
+            means = np.empty((J, yc.size))
+            means[0] = info[pt]
+            means[1:] = yc if loc is None else loc[pt]
+            W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
+            if ybar_t is None:
+                out[sl] = W[0]
+                continue
+            mu_t = a[pt] + b * ybar_t[sl]
+            sj = np.sqrt(t_var + pv)[:, None]
+            out[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
+        return out
+
+    return kernel
 
 
 def _threshold_brackets(s: HybridScenario, biases, externals, yc, stop=None):
@@ -175,78 +194,115 @@ def _threshold_brackets(s: HybridScenario, biases, externals, yc, stop=None):
     return lo_out, hi_out
 
 
-def _threshold_curve(s: HybridScenario, bias: float, external, design):
-    """A Monte Carlo cell's common draws against its threshold curve: true
-    and observed control means, se_t * treatment draws, and per draw the
-    treatment means at or below which it surely does not reject and above
-    which it surely does.
+class _Layout:
+    """One stream's common joint draws sorted by grid cell k (distribution
+    counting, Knuth TAOCP vol. 3, 5.2), then by the treatment mean at
+    effect 0: ``keys`` is k * reps + the draw's rank among those means, so
+    one integer search answers every (point, cell) query exactly. The grid
+    has ``_MC_GRID`` points over the observed control means; a draw's cell
+    comes from floor arithmetic (at reps 1 the points coincide: cell 0)."""
 
-    T is solved on ``_MC_GRID`` points spanning the observed control means.
-    At a draw in grid cell k (by floor arithmetic, which rounding can move
-    by one cell) T lies between the lower bracket end at point k - 1 and
-    the upper end at point k + 2 if T is monotone, which the grid checks.
-    A single distinct control mean (reps 1) gives no grid: every draw is
-    re-decided.
-    """
-    theta_c = s.control_mean if design is None else _design_draws(s, design)
-    zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
-    ybar_c = theta_c + s.se_c * zc
-    t_noise = s.se_t * zt
-    y0, y1 = float(ybar_c.min()), float(ybar_c.max())
-    if not y1 > y0:
-        return theta_c, ybar_c, t_noise, np.full_like(ybar_c, -np.inf), np.full_like(ybar_c, np.inf)
-    grid = np.linspace(y0, y1, _MC_GRID)
-    lo, hi = (
-        v[0] for v in _threshold_brackets(s, [bias], [external], grid, _MC_STOP_SE * s.se_t)
-    )
-    falls = np.flatnonzero(hi[1:] < lo[:-1])
-    if falls.size:
-        k = int(falls[0])
-        raise RuntimeError(
-            f"scenario {s.scenario_id!r}: the rejection threshold falls between "
-            f"control-mean grid points {k} and {k + 1} of {_MC_GRID} at bias {bias!r}, "
-            "and the Monte Carlo counts need it non-decreasing"
+    def __init__(self, s: HybridScenario, design):
+        self.theta = s.control_mean if design is None else _design_draws(s, design)
+        zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
+        ybar_c = self.theta + s.se_c * zc
+        y0, y1 = float(ybar_c.min()), float(ybar_c.max())
+        self.grid = np.linspace(y0, y1, _MC_GRID)
+        width = (y1 - y0) / (_MC_GRID - 1) or 1.0
+        k = np.minimum(((ybar_c - y0) / width).astype(np.uint16), _MC_GRID - 1)
+        v = self.theta + s.se_t * zt
+        by_v = np.argsort(v)
+        perm = np.argsort(k[by_v], kind="stable")  # a radix sort of the 16-bit cells
+        self.order, self.v = by_v[perm], v[by_v]
+        self.keys = k[self.order].astype(np.int64) * s.reps + perm
+        self.ends = np.cumsum(np.bincount(k, minlength=_MC_GRID))
+
+
+class _Curve:
+    """Monte Carlo rejection counts along an axis of biases, or of analysis
+    shifts under a design prior: one threshold solve for every point on the
+    layout's grid, then one count of every point per effect. At a draw in
+    grid cell k (rounding can move it by one cell) T lies between the lower
+    bracket end at point k - 1 and the upper end at k + 2 if T is monotone,
+    which the grid checks."""
+
+    def __init__(self, s: HybridScenario, design, axis):
+        self.s, points = s, tuple(dict.fromkeys(axis))
+        self.index = {p: i for i, p in enumerate(points)}
+        externals = [
+            s.external_at(p) if design is None else replace(s.external, mean=s.external.mean + p)
+            for p in points
+        ]
+        self.kernel, self.counts = _control_bank(s, externals), {}
+        theta = s.control_mean if design is None else (design, s.external, _design_robust_variance(s))
+        self.layout = _run_shared(
+            (s.seed, s.scenario_id, s.reps, s.se_c, s.se_t, theta), lambda: _Layout(s, design)
         )
-    guard = _GUARD_SE * s.se_t
-    k = np.minimum(((ybar_c - y0) / ((y1 - y0) / (_MC_GRID - 1))).astype(np.intp), _MC_GRID - 1)
-    below = np.concatenate((lo[:1], lo[:-1])) - guard  # lo[max(k - 1, 0)]
-    above = np.concatenate((hi[2:], hi[-1:], hi[-1:])) + guard  # hi[min(k + 2, last)]
-    return theta_c, ybar_c, t_noise, below[k], above[k]
+        lo, hi = _threshold_brackets(s, points, externals, self.layout.grid, _MC_STOP_SE * s.se_t)
+        falls = np.argwhere(hi[:, 1:] < lo[:, :-1])
+        if falls.size:
+            i, k = (int(v) for v in falls[0])
+            raise RuntimeError(
+                f"scenario {s.scenario_id!r}: the rejection threshold falls between "
+                f"control-mean grid points {k} and {k + 1} of {_MC_GRID} at bias "
+                f"{float(points[i])!r}, and the Monte Carlo counts need it non-decreasing"
+            )
+        guard = _GUARD_SE * s.se_t
+        self.below = np.concatenate((lo[:, :1], lo[:, :-1]), axis=1) - guard  # lo[max(k - 1, 0)]
+        self.above = np.concatenate((hi[:, 2:], hi[:, -1:], hi[:, -1:]), axis=1) + guard
+
+    def count(self, effect: float) -> np.ndarray:
+        """Rejections at every point at treatment - control = ``effect``: a
+        draw whose treatment mean is above the upper bracket end plus 1e-9
+        se_t rejects, one at or below the lower end minus it does not, and
+        the band between is re-decided. The searches compare theta_c + se_t
+        * z_t with an end minus the effect, which differs from the treatment
+        mean by rounding only, far less than the guard: the counts equal the
+        per-draw decisions."""
+        s, lay = self.s, self.layout
+        cells = np.arange(_MC_GRID) * s.reps
+        r_lo, r_hi = (np.searchsorted(lay.v, end - effect, side="right") for end in (self.below, self.above))
+        p_hi = np.searchsorted(lay.keys, cells + r_hi).ravel()
+        p_lo = np.minimum(np.searchsorted(lay.keys, cells + r_lo).ravel(), p_hi)
+        counts = (lay.ends - p_hi.reshape(-1, _MC_GRID)).sum(axis=1)
+        band_ends = np.cumsum(p_hi - p_lo)  # of each (point, cell) in the points' joint band
+        zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
+        for start in range(0, int(band_ends[-1]), _BAND_DRAWS):
+            i = np.arange(start, min(start + _BAND_DRAWS, int(band_ends[-1])))
+            c = np.searchsorted(band_ends, i, side="right")
+            draw = lay.order[p_hi[c] - band_ends[c] + i]
+            theta = lay.theta if np.ndim(lay.theta) == 0 else lay.theta[draw]
+            p = self.kernel(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // _MC_GRID)
+            counts += np.bincount(c[p <= s.alpha] // _MC_GRID, minlength=counts.size)
+        return counts
 
 
-def _rejection_rate(s: HybridScenario, bias: float, external, design, effect: float) -> float:
-    """Share of the common joint draws the test rejects, with the true
-    control mean ``s.control_mean`` (or drawn from ``design``) and the
-    treatment mean ``effect`` above it; the analysis prior is the
-    scenario's mixture at ``external``."""
-    theta_c, ybar_c, t_noise, below, above = _shared(
-        (s, external, design), lambda: _threshold_curve(s, bias, external, design)
-    )
-    ybar_t = theta_c + effect + t_noise
-    rejects = ybar_t > above
-    band = np.flatnonzero((ybar_t > below) & ~rejects)
-    count = int(np.count_nonzero(rejects))
-    if band.size:
-        p = _control_bank(s, external, ybar_c[band], ybar_t[band])
-        count += int(np.count_nonzero(p <= s.alpha))
-    return count / s.reps
+def _rejection_rate(s: HybridScenario, point: float, design, effect: float) -> float:
+    """Share of the common joint draws the test rejects at ``point``, at
+    treatment - control = ``effect``. The first call at an effect counts the
+    point's curve, the scenario's ``bias_grid`` (or the point alone if off
+    it), into this thread's slot."""
+    axis = s.bias_grid if point in s.bias_grid else (point,)
+    curve = _shared((s, design, axis), lambda: _Curve(s, design, axis))
+    if effect not in curve.counts:
+        curve.counts[effect] = curve.count(effect)
+    return int(curve.counts[effect][curve.index[point]]) / s.reps
 
 
 def hybrid_tie(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate with equal arm means."""
-    return _rejection_rate(s, bias, s.external_at(bias), None, 0.0)
+    return _rejection_rate(s, bias, None, 0.0)
 
 
 def hybrid_power(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate at treatment - control = effect."""
-    return _rejection_rate(s, bias, s.external_at(bias), None, s.effect)
+    return _rejection_rate(s, bias, None, s.effect)
 
 
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
     zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    return float(np.mean(_control_bank(s, s.external_at(bias), s.control_mean + s.se_c * zc)))
+    return float(np.mean(_control_bank(s, [s.external_at(bias)])(s.control_mean + s.se_c * zc)))
 
 
 @lru_cache(maxsize=4)
@@ -273,13 +329,14 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndar
 def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES):
     """TIE and power at each bias, as two lists of floats.
 
-    Monte Carlo (each bias's TIE then its power, so the two share one
-    threshold curve), or with ``exact`` the Gauss-Hermite route: one
+    Monte Carlo (``biases`` become the scenario's axis, so one threshold
+    solve serves the curve), or with ``exact`` the Gauss-Hermite route: one
     threshold solve per bias serves both rates, each of which is then the
     sum over the control-mean nodes of the treatment mean's normal tail
     above the node's threshold.
     """
     if not exact:
+        s = replace(s, bias_grid=tuple(biases))
         pairs = [(hybrid_tie(s, b), hybrid_power(s, b)) for b in biases]
         return [t for t, _ in pairs], [p for _, p in pairs]
     _, wts = _gh_rule(nodes)
@@ -440,8 +497,7 @@ def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float)
         design = s.design_prior
     if design is None:
         raise ValueError("no design prior given and none set on the scenario")
-    external = replace(s.external, mean=s.external.mean + analysis_shift)
-    return _rejection_rate(s, analysis_shift, external, design, effect)
+    return _rejection_rate(s, analysis_shift, design, effect)
 
 
 def average_tie(

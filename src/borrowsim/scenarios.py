@@ -140,8 +140,10 @@ class HybridScenario:
     """Two-arm trial borrowing external data for the control arm.
 
     ``bias_grid`` holds values of (true control mean - external mean):
-    the sweep sets the external mean to control_mean - bias. Power is
-    evaluated at treatment - control = ``effect``.
+    the sweep sets the external mean to control_mean - bias (for the
+    design-prior averages it holds analysis shifts). A Monte Carlo rate at
+    a point of it counts the whole grid at once. Power is evaluated at
+    treatment - control = ``effect``.
     """
 
     n_t: int
@@ -303,13 +305,14 @@ def base_uniforms(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarr
     return u
 
 
-# The last cell's shared value on each thread. A sweep computes a cell's
-# quantities one after another on one worker thread, so a pair that needs
-# the same computation (a one-arm cell's rejection region or tail-free
-# pass, a hybrid cell's threshold curve) makes it once; the slot dies with
-# the sweep's workers, so no later run's call counts depend on what ran
-# before.
+# The last shared value on each thread, and the run the thread works for.
+# A sweep computes a one-arm cell's quantities, or a hybrid Monte Carlo
+# curve's cells, one after another on one worker thread, so what they share
+# (a one-arm cell's rejection region or tail-free pass, a hybrid curve's
+# threshold solve and counts) is made once; the slot dies with the sweep's
+# workers, so no later run's call counts depend on what ran before.
 _last_cell = threading.local()
+_run_lock = threading.Lock()
 
 
 def _shared(key, compute):
@@ -318,3 +321,22 @@ def _shared(key, compute):
     if last is None or last[0] != key:
         last = _last_cell.value = (key, compute())
     return last[1]
+
+
+def join_run(run: dict) -> None:
+    """Pool initializer: the thread's ``_run_shared`` values go to ``run``."""
+    _last_cell.run = run
+
+
+def _run_shared(key, compute):
+    """``compute()`` once per ``key`` among the threads of a run, which
+    drops the read-only values (a hybrid stream's draw layout) at its end,
+    so unlike the base draws no later run finds them; outside a run, on
+    every call."""
+    run = getattr(_last_cell, "run", None)
+    if run is None:
+        return compute()
+    with _run_lock:
+        if key not in run:
+            run[key] = compute()
+    return run[key]

@@ -22,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .scenarios import (
     UnitInfo,
     describe_form,
     describe_location,
+    join_run,
 )
 
 __all__ = ["SweepResult", "run_config", "write_outputs", "cost_estimate", "CSV_COLUMNS"]
@@ -147,6 +148,8 @@ def _scenario(cfg, sizes, location_name, disp, w):
         treatment_prior=TreatmentPrior(cfg["treatment_prior"]),
         control_mean=cfg["control_mean"],
         scenario_id=cfg["scenario_id"],
+        # The curve's axis, whose Monte Carlo cells share one threshold solve.
+        bias_grid=cfg["sweep"].get("bias", cfg["sweep"].get("analysis_shift", ())),
     )
 
 
@@ -259,8 +262,11 @@ def cost_estimate(cfg) -> tuple[int, int]:
 def _run_grid(cfg, pool) -> SweepResult:
     biases = _axis(cfg)
     curves = _curves(cfg)
-    jobs = [(s, bias) for s, _, _ in curves for bias in biases]
-    results = list(pool.map(lambda j: _grid_cell(cfg, j[0], j[1]), jobs))
+    # A hybrid Monte Carlo curve is one job: its cells share one threshold solve.
+    jobs = [[(s, bias) for bias in biases] for s, _, _ in curves]
+    if not (cfg["trial"] == "hybrid" and {"tie", "power"} & _fields(cfg)[1]):
+        jobs = [[cell] for job in jobs for cell in job]
+    results = [m for ms in pool.map(lambda j: [_grid_cell(cfg, s, b) for s, b in j], jobs) for m in ms]
 
     rows: list[OCRow] = []
     want_cal = "power_calibrated" in cfg["metrics"]
@@ -291,7 +297,7 @@ def _run_bimodality(cfg, pool) -> SweepResult:
 
 def _run_sweet_spot(cfg, pool) -> SweepResult:
     biases = _axis(cfg)
-    curves = [(replace(s, bias_grid=tuple(biases)), sizes, w) for s, sizes, w in _curves(cfg)]
+    curves = _curves(cfg)
     rows: list[OCRow] = []
     spots = []
     for (s, sizes, w), spot in zip(curves, pool.map(lambda c: hybrid.sweet_spot(c[0]), curves)):
@@ -346,17 +352,20 @@ def _run_average(cfg, pool) -> SweepResult:
         name: _DESIGNS.get(name, RobustMixture(cfg["rmp_weight"]))
         for name in cfg["sweep"]["design_priors"]
     }
-    cells = [(c, dname, shift) for c in _curves(cfg) for dname, shift in _axis(cfg)]
+    shifts = cfg["sweep"]["analysis_shift"]
+    # One job per curve: a scenario's shifts under one design prior.
+    jobs = [(c, dname) for c in _curves(cfg) for dname in cfg["sweep"]["design_priors"]]
 
-    def work(cell):
-        (s, _, _), dname, shift = cell
+    def work(job):
+        (s, _, _), dname = job
         design = designs[dname]
-        return hybrid.average_tie(s, design, shift), hybrid.average_power(s, design, shift)
+        return [(hybrid.average_tie(s, design, x), hybrid.average_power(s, design, x)) for x in shifts]
 
-    rows = []
-    for ((s, sizes, w), dname, shift), (tie, power) in zip(cells, pool.map(work, cells)):
-        shell = _row_shell(cfg, s, sizes, w, shift, f":design={dname}")
-        rows.append(OCRow(**shell, tie=tie, power=power))
+    rows = [
+        OCRow(**_row_shell(cfg, s, sizes, w, x, f":design={dname}"), tie=tie, power=power)
+        for ((s, sizes, w), dname), cells in zip(jobs, pool.map(work, jobs))
+        for x, (tie, power) in zip(shifts, cells)
+    ]
     return SweepResult(rows, {}, {})
 
 
@@ -373,7 +382,7 @@ def run_config(cfg: dict, threads: int | None = None) -> SweepResult:
     """Execute a scenario file (raw or normalized) and return all results."""
     cfg = normalize_config(cfg)
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads, initializer=join_run, initargs=({},)) as pool:
         result = _RUNNERS[cfg["kind"]](cfg, pool)
     cells, draws = cost_estimate(cfg)
     payload = json.dumps(cfg, sort_keys=True, default=str).encode()

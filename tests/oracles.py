@@ -167,7 +167,7 @@ def per_draw_rate(s, external, theta_c, effect: float) -> float:
     zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
     ybar_c = theta_c + s.se_c * zc
     ybar_t = theta_c + effect + s.se_t * zt
-    return float(np.mean(_control_bank(s, external, ybar_c, ybar_t) <= s.alpha))
+    return float(np.mean(_control_bank(s, [external])(ybar_c, ybar_t) <= s.alpha))
 
 
 def per_draw_tie(s, bias: float) -> float:

@@ -2,16 +2,21 @@
 
 The hybrid test rejects exactly when the treatment mean exceeds a
 threshold that depends on the control mean alone and does not fall as it
-rises. The library solves that curve once per cell on a grid over the
-cell's control means, counts the common joint draws clearly above or
-below it, and re-decides the rest with the per-draw kernel. The counts
-must therefore equal the per-draw rates of ``tests/oracles.py`` exactly,
-not within Monte Carlo error.
+rises. The library solves that curve once per curve of cells (a
+scenario's bias or analysis-shift axis) on a grid over the control means,
+counts the common joint draws clearly above or below it, and re-decides
+the rest with the per-draw kernel. The counts must therefore equal the
+per-draw rates of ``tests/oracles.py`` exactly, not within Monte Carlo
+error.
 """
 
+import gc
 import math
+import sys
 import threading
 import warnings
+import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +42,7 @@ from borrowsim import (
 from borrowsim import hybrid, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
-from borrowsim.sweep import _curves
+from borrowsim.sweep import _curves, run_config
 from oracles import (
     per_draw_average_power,
     per_draw_average_tie,
@@ -104,6 +109,32 @@ def test_design_prior_averages_equal_the_per_draw_rates(p, design):
     assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
 
 
+@st.composite
+def axes(draw):
+    """1 to 11 conflicts (in sd-ext) in any order, one of them twice."""
+    points = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=11))
+    points.append(draw(st.sampled_from(points)))
+    return [x * SD_EXT for x in draw(st.permutations(points))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cells, designs, axes(), st.floats(-1e3, 1e3), st.one_of(st.integers(1, 3), st.none()))
+def test_every_point_of_a_curve_equals_the_per_draw_rates(p, design, axis, off, tiny_reps):
+    # ``off`` is a point called off the scenario's axis: a curve of its own.
+    s, _ = build({**p, "reps": tiny_reps or p["reps"]})
+    off *= SD_EXT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ties, powers = hybrid.oc_curve(s, axis)
+        assert ties == [per_draw_tie(s, b) for b in axis]
+        assert powers == [per_draw_power(s, b) for b in axis]
+        on_axis = replace(s, bias_grid=axis)
+        assert hybrid_tie(on_axis, off) == per_draw_tie(s, off)
+        for x in axis + [off]:
+            assert average_tie(on_axis, design, x) == per_draw_average_tie(s, design, x)
+            assert average_power(on_axis, design, x) == per_draw_average_power(s, design, x)
+
+
 def scenario(reps=5_000, **kwargs):
     spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=1.0)
     return HybridScenario(20, 20, 1.0, EXT, spec, effect=0.83, seed=11, reps=reps, **kwargs)
@@ -111,8 +142,8 @@ def scenario(reps=5_000, **kwargs):
 
 @pytest.mark.parametrize("reps", [1, 2, 3])
 def test_tiny_reps_match_the_oracle_without_warnings(reps):
-    # At reps 1 every control mean is one value: the grid has no width and
-    # every draw is re-decided.
+    # At reps 1 every control mean is one value: the grid's points coincide
+    # and every draw is in its first cell.
     s = scenario(reps=reps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -168,9 +199,9 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
     # Another design prior draws other control means: a curve of its own.
     average_tie(s, Informative(), 0.25)
     assert len(solves) == 3
-    # The Monte Carlo curve takes each bias's TIE then its power.
+    # A Monte Carlo curve solves every bias at once.
     ties, powers = hybrid.oc_curve(s, (-0.5, 0.0, 0.5))
-    assert len(solves) == 6
+    assert len(solves) == 4
     assert ties == [per_draw_tie(s, b) for b in (-0.5, 0.0, 0.5)]
     assert powers == [per_draw_power(s, b) for b in (-0.5, 0.0, 0.5)]
     # Another thread (another sweep worker) solves its own.
@@ -178,7 +209,7 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(solves) == 7
+    assert len(solves) == 5
 
 
 @pytest.mark.parametrize("recipe", ["fig7", "a14-treatment-prior-unbalanced"])
@@ -196,3 +227,28 @@ def test_monte_carlo_within_four_standard_errors_of_gauss_hermite(recipe):
             for m, p in zip(mc_rates, gh_rates):
                 worst = max(worst, abs(m - p) / math.sqrt(p * (1.0 - p) / s.reps))
     assert worst <= 4.0
+
+
+def test_a_finished_run_keeps_no_layout(monkeypatch):
+    # The bucket-sorted draws are shared by one run's threads and die with it.
+    layouts = []
+
+    class Recorded(hybrid._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            layouts.append(weakref.ref(self))
+
+    monkeypatch.setattr(hybrid, "_Layout", Recorded)
+    cfg = {**recipe_config("fig10"), "reps": 500}
+    cfg["sweep"].update(analysis_shift=[0.0, 0.5])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_config(cfg, threads=6)
+    finally:
+        sys.setswitchinterval(interval)
+    gc.collect()
+    # One per design prior (fig10's curves share a stream under each),
+    # built once although six threads race for it.
+    assert len(layouts) == 3
+    assert all(ref() is None for ref in layouts)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from borrowsim import hybrid
 from borrowsim.cli import main
 from borrowsim.config import ConfigError, check_config, normalize_config
 from borrowsim.recipes import RECIPES, list_recipes, recipe_config
@@ -366,6 +367,27 @@ class TestSweepEngine:
         a = run_config(tiny_grid_config(), threads=1).rows
         b = run_config(tiny_grid_config(), threads=7).rows
         assert a == b
+
+    @pytest.mark.parametrize("recipe,curves", [("fig7", 6), ("table1", 8), ("fig10", 18)])
+    def test_hybrid_rows_and_solves_do_not_depend_on_threads(self, monkeypatch, recipe, curves):
+        # A hybrid Monte Carlo curve is one job with one threshold solve, on
+        # any number of threads (fig7 also calibrates by Gauss-Hermite).
+        solve = hybrid._threshold_brackets
+        solves = []
+
+        def counting(s, biases, externals, yc, stop=None):
+            if stop is not None:
+                solves.append(len(biases))
+            return solve(s, biases, externals, yc, stop)
+
+        monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
+        cfg = {**recipe_config(recipe), "reps": 2000}
+        rows = {}
+        for threads in (1, 3):
+            solves.clear()
+            rows[threads] = run_config(cfg, threads=threads).rows
+            assert len(solves) == curves
+        assert rows[1] == rows[3]
 
     def test_seed_changes_results(self):
         a = run_config(tiny_grid_config(), threads=2).rows
