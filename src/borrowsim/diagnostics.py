@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .gaussian import GaussianMixture, SufficientStat, mixture_cdf, mixture_pdf
+from .gaussian import GaussianMixture, SufficientStat, mixture_cdf, mixture_density, mixture_pdf
 from .priors import Normal
 from . import inference, priors
 
@@ -49,18 +49,8 @@ class BimodalityReport:
     ratio: float
 
 
-def _pdf(x, weights, means, sds):
-    """Density of the mixtures in the columns of the (2, R) parameter
-    arrays, at points ``x`` of shape (..., R)."""
-    out = np.zeros_like(x)
-    for w, mu, sd in zip(weights, means, sds):
-        z = (x - mu) / sd
-        out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    return out
-
-
 def _pdf_derivative(x, weights, means, sds):
-    """Derivative of ``_pdf`` in x."""
+    """Derivative of ``mixture_density`` in x."""
     out = np.zeros_like(x)
     for w, mu, sd in zip(weights, means, sds):
         d = x - mu
@@ -132,12 +122,12 @@ def _modes(weights, means, sds):
     for k, miss in ((0, ~has), (2, two & np.isnan(x[:, 2]))):
         if miss.any():
             g = np.linspace(lo[miss], hi[miss], _SCAN_POINTS)
-            vals = _pdf(g, weights[:, miss], means[:, miss], sds[:, miss])
+            vals = mixture_density(g, weights[:, miss], means[:, miss], sds[:, miss])
             inner = (g > x[miss, 0]) & (g < x[miss, 1])
             j = vals.argmax(axis=0) if k == 0 else np.where(inner, vals, np.inf).argmin(axis=0)
             x[miss, k] = g[j, np.arange(g.shape[1])]
 
-    f = _pdf(x.T, weights, means, sds).T
+    f = mixture_density(x.T, weights, means, sds).T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(f[:, 2] > 0.0, np.minimum(f[:, 0], f[:, 1]) / f[:, 2], np.inf)
     return np.where(two, 2, 1), x, f, np.where(two, ratio, 1.0)

@@ -137,15 +137,19 @@ def gaussian_cdf(x: float, c: GaussianComponent) -> float:
     return float(ndtr((x - c.mean) / c.sd))
 
 
+def mixture_density(x, weights, means, sds):
+    """Density of the normal mixtures whose components are the rows of the
+    (J,) or (J, R) parameter arrays, at points ``x`` of shape (..., R)."""
+    out = np.zeros_like(x)
+    for w, mu, sd in zip(weights, means, sds):
+        z = (x - mu) / sd
+        out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return out
+
+
 def mixture_pdf(x, m: GaussianMixture):
     """Mixture density; accepts a scalar or an ndarray of points."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for w, c in zip(m.weights, m.components):
-        if w == 0.0:
-            continue
-        z = (x - c.mean) / c.sd
-        out += w * np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2.0 * math.pi))
+    out = mixture_density(np.asarray(x, dtype=float), np.asarray(m.weights), m.means(), m.sds())
     return out if out.ndim else float(out)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .inference import bank_chunks, posterior_bank
-from .priors import Normal, bank_means, prior_bank_params
+from .priors import Normal, prior_bank_params
 from .scenarios import (
     DesignPrior,
     HybridScenario,
@@ -87,47 +87,58 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
     return a, b, post_var
 
 
-def _control_bank(s: HybridScenario, externals):
-    """The per-draw kernel: a function of control means ``ybar_c`` giving
-    the control posterior's informative weight under the mixture at
-    ``externals[point[r]]`` (``externals[0]`` if ``point`` is None), or with
-    ``ybar_t`` the probability that the treatment mean is not above the
-    control mean (the test rejects where it is <= alpha). The prior
-    variances and log weights do not depend on the external mean, so one
-    posterior_bank call serves every point."""
-    banks = [prior_bank_params(s.prior, e) for e in externals]
-    variances, log_w, _, robust_loc = banks[0]
-    J = variances.size
-    info = np.array([bank[2] for bank in banks])
-    loc = None if robust_loc is None else np.array([bank[3] for bank in banks])
-    a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
-    _, b, t_var = _treatment_params(s, externals[0].mean)
+class _Bank:
+    """The control arm's prior along an axis, one bank per external mean
+    in ``externals``, built once: the variances and log weights (which do
+    not depend on the external mean, so one posterior_bank call serves
+    every point), each point's informative mean and robust location, and
+    the treatment posterior, mean ``a[point] + b * ybar_t`` and variance
+    ``t_var``."""
 
-    def kernel(ybar_c, ybar_t=None, point=None) -> np.ndarray:
+    def __init__(self, s: HybridScenario, externals):
+        banks = [prior_bank_params(s.prior, e) for e in externals]
+        self.s = s
+        self.variances, self.log_w, _, robust_loc = banks[0]
+        self.info = np.array([bank[2] for bank in banks])
+        self.loc = None if robust_loc is None else np.array([bank[3] for bank in banks])
+        self.a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
+        _, self.b, self.t_var = _treatment_params(s, externals[0].mean)
+
+    def posterior(self, yc, point):
+        """The control posterior at control means ``yc`` under the prior at
+        ``externals[point[r]]``, one posterior_bank call: (W, pm, sj, a,
+        pnb), with sj the superiority components' sds and pnb, a function
+        of treatment means, the probability that the treatment mean is not
+        above the control mean (the test rejects where it is <= alpha)."""
+        means = np.empty((self.variances.size, yc.size))
+        means[0] = self.info[point]
+        means[1:] = yc if self.loc is None else self.loc[point]
+        W, pm, pv = posterior_bank(means, self.variances, self.log_w, yc, self.s.n_c, self.s.sigma)
+        a, sj = self.a[point], np.sqrt(self.t_var + pv)[:, None]
+
+        def pnb(yt):
+            return np.einsum("jr,jr->r", W, ndtr((pm - (a + self.b * yt)[None, :]) / sj))
+
+        return W, pm, sj, a, pnb
+
+    def __call__(self, ybar_c, ybar_t=None, point=None) -> np.ndarray:
+        """The per-draw kernel, in slices from bank_chunks: at control means
+        ``ybar_c`` the posterior's informative weight, or with ``ybar_t``
+        pnb, under the prior at ``externals[point[r]]`` (``externals[0]``
+        if ``point`` is None)."""
         point = np.zeros(ybar_c.size, np.intp) if point is None else point
         out = np.empty_like(ybar_c)
-        for sl in bank_chunks(ybar_c.size, J):
-            yc, pt = ybar_c[sl], point[sl]
-            means = np.empty((J, yc.size))
-            means[0] = info[pt]
-            means[1:] = yc if loc is None else loc[pt]
-            W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
-            if ybar_t is None:
-                out[sl] = W[0]
-                continue
-            mu_t = a[pt] + b * ybar_t[sl]
-            sj = np.sqrt(t_var + pv)[:, None]
-            out[sl] = np.einsum("jr,jr->r", W, ndtr((pm - mu_t[None, :]) / sj))
+        for sl in bank_chunks(ybar_c.size, self.variances.size):
+            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl])
+            out[sl] = W[0] if ybar_t is None else pnb(ybar_t[sl])
         return out
 
-    return kernel
 
-
-def _threshold_brackets(s: HybridScenario, biases, externals, yc, stop=None):
+def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     """Brackets (lo, hi) of the treatment-mean rejection threshold, each of
-    shape (len(externals), yc.size): at control mean ``yc[k]``, under the
-    analysis prior at ``externals[i]`` (bias ``biases[i]``, for messages),
-    the test does not reject at treatment mean ``lo[i, k]`` and rejects at
+    shape (len(biases), yc.size): at control mean ``yc[k]``, under the
+    bank's prior at point i (bias ``biases[i]``, for messages), the test
+    does not reject at treatment mean ``lo[i, k]`` and rejects at
     ``hi[i, k]``.
 
     The superiority probability is strictly decreasing in the treatment
@@ -140,29 +151,14 @@ def _threshold_brackets(s: HybridScenario, biases, externals, yc, stop=None):
     between them) and stop once every one is narrower than ``stop``.
     """
     yc = np.asarray(yc, dtype=float)
-    nodes = yc.size
-    banks = [prior_bank_params(s.prior, e) for e in externals]
-    variances, log_w = banks[0][:2]
-    J = variances.size
-    a_all = np.array([_treatment_params(s, e.mean)[0] for e in externals])
-    _, b, t_var = _treatment_params(s, externals[0].mean)
-    lo_out = np.empty((len(banks), nodes))
+    nodes, b = yc.size, bank.b
+    lo_out = np.empty((len(biases), nodes))
     hi_out = np.empty_like(lo_out)
-    step = max(_GH_CHUNK_ELEMENTS // (J * nodes), 1)
-    for start in range(0, len(banks), step):
-        sl = slice(start, min(start + step, len(banks)))
-        means = np.concatenate([
-            np.broadcast_to(bank_means(m, r, J, yc).reshape(J, -1), (J, nodes))
-            for _, _, m, r in banks[sl]
-        ], axis=1)
-        ybar = np.tile(yc, len(banks[sl]))
-        W, pm, pv = posterior_bank(means, variances, log_w, ybar, s.n_c, s.sigma)
-        a = np.repeat(a_all[sl], nodes)
-        sj = np.sqrt(t_var + pv)[:, None]
-
-        def pnb(yt):
-            return np.einsum("jr,jr->r", W, ndtr((pm - (a + b * yt)[None, :]) / sj))
-
+    step = max(_GH_CHUNK_ELEMENTS // (bank.variances.size * nodes), 1)
+    for start in range(0, len(biases), step):
+        sl = slice(start, min(start + step, len(biases)))
+        points = np.repeat(np.arange(sl.start, sl.stop), nodes)
+        _, pm, sj, a, pnb = bank.posterior(np.tile(yc, sl.stop - sl.start), points)
         if stop is None:
             span = _BRACKET_SDS * float(sj.max())
             lo = (pm.min(axis=0) - span - a) / b
@@ -233,12 +229,12 @@ class _Curve:
             s.external_at(p) if design is None else replace(s.external, mean=s.external.mean + p)
             for p in points
         ]
-        self.kernel, self.counts = _control_bank(s, externals), {}
+        self.bank, self.counts = _Bank(s, externals), {}
         theta = s.control_mean if design is None else (design, s.external, _design_robust_variance(s))
         self.layout = _run_shared(
             (s.seed, s.scenario_id, s.reps, s.se_c, s.se_t, theta), lambda: _Layout(s, design)
         )
-        lo, hi = _threshold_brackets(s, points, externals, self.layout.grid, _MC_STOP_SE * s.se_t)
+        lo, hi = _threshold_brackets(s, self.bank, points, self.layout.grid, _MC_STOP_SE * s.se_t)
         falls = np.argwhere(hi[:, 1:] < lo[:, :-1])
         if falls.size:
             i, k = (int(v) for v in falls[0])
@@ -272,7 +268,7 @@ class _Curve:
             c = np.searchsorted(band_ends, i, side="right")
             draw = lay.order[p_hi[c] - band_ends[c] + i]
             theta = lay.theta if np.ndim(lay.theta) == 0 else lay.theta[draw]
-            p = self.kernel(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // _MC_GRID)
+            p = self.bank(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // _MC_GRID)
             counts += np.bincount(c[p <= s.alpha] // _MC_GRID, minlength=counts.size)
         return counts
 
@@ -302,7 +298,7 @@ def hybrid_power(s: HybridScenario, bias: float) -> float:
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
     zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
-    return float(np.mean(_control_bank(s, [s.external_at(bias)])(s.control_mean + s.se_c * zc)))
+    return float(np.mean(_Bank(s, [s.external_at(bias)])(s.control_mean + s.se_c * zc)))
 
 
 @lru_cache(maxsize=4)
@@ -322,7 +318,7 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndar
     biases = np.atleast_1d(np.asarray(biases, dtype=float))
     x, _ = _gh_rule(nodes)
     yc = s.control_mean + math.sqrt(2.0) * s.se_c * x
-    lo, hi = _threshold_brackets(s, biases, [s.external_at(b) for b in biases], yc)
+    lo, hi = _threshold_brackets(s, _Bank(s, [s.external_at(b) for b in biases]), biases, yc)
     return 0.5 * (lo + hi)
 
 
@@ -493,18 +489,12 @@ def _design_draws(s: HybridScenario, design: DesignPrior) -> np.ndarray:
 
 
 def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float) -> float:
-    if design is None:
-        design = s.design_prior
-    if design is None:
-        raise ValueError("no design prior given and none set on the scenario")
+    if design is None:  # _rejection_rate reads None as the fixed control mean
+        raise ValueError("no design prior given")
     return _rejection_rate(s, analysis_shift, design, effect)
 
 
-def average_tie(
-    s: HybridScenario,
-    design: DesignPrior | None = None,
-    analysis_shift: float = 0.0,
-) -> float:
+def average_tie(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
     """TIE averaged over control means drawn from the design prior.
 
     Data are generated with equal arm means conditional on each draw; the
@@ -514,10 +504,6 @@ def average_tie(
     return _average_oc(s, design, analysis_shift, 0.0)
 
 
-def average_power(
-    s: HybridScenario,
-    design: DesignPrior | None = None,
-    analysis_shift: float = 0.0,
-) -> float:
+def average_power(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
     """Power averaged over the design prior at the scenario's effect."""
     return _average_oc(s, design, analysis_shift, s.effect)

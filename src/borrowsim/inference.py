@@ -45,14 +45,11 @@ class PosteriorSummary:
     """Mixture posterior plus the quantities read off it downstream.
 
     ``w_informative`` is the posterior weight of component 0 (the
-    informative component by construction); ``sub_weights`` are the
-    weights of the robust block renormalized within the block, which do
-    not depend on the informative weight at all.
+    informative component by construction).
     """
 
     posterior: GaussianMixture
     w_informative: float
-    sub_weights: tuple[float, ...]
     mean: float
     tail_at: tuple[float, float] | None = None
 
@@ -133,28 +130,7 @@ def posterior(
         GaussianComponent(m, math.sqrt(v)) for m, v in zip(post_mean, post_var)
     )
     mixture = GaussianMixture(comps, tuple(post_w))
-
-    # Robust-block weights renormalized within the block; independent of
-    # the informative prior weight, so well defined even at w = 1 (a
-    # zero-mass block falls back to equal within-block prior weights,
-    # matching the equal-split construction).
-    if len(prior) > 1:
-        block = np.asarray(prior.weights[1:])
-        total = block.sum()
-        with np.errstate(divide="ignore"):
-            sub_log = (
-                np.log(block / total)
-                if total > 0.0
-                else np.full(block.size, -math.log(block.size))
-            )
-        sub = posterior_bank(means[1:], variances[1:], sub_log, data.mean, data.n, data.sigma)[0]
-        sub_weights = tuple(float(x) for x in sub[:, 0])
-    else:
-        sub_weights = ()
-
-    summary = PosteriorSummary(
-        mixture, float(post_w[0]), sub_weights, float(np.dot(post_w, post_mean))
-    )
+    summary = PosteriorSummary(mixture, float(post_w[0]), float(np.dot(post_w, post_mean)))
     if null_value is not None:
         summary = replace(summary, tail_at=(null_value, tail_probability(summary, null_value)))
     return summary

@@ -157,7 +157,6 @@ class HybridScenario:
     reps: int = REPS
     treatment_prior: TreatmentPrior = TreatmentPrior.FLAT
     bias_grid: tuple[float, ...] = ()
-    design_prior: DesignPrior | None = None
     control_mean: float = 0.0
     scenario_id: str = "hybrid"
 

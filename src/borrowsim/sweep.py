@@ -7,10 +7,12 @@ Carlo cells of one run share the same base draw streams (common random
 numbers), which the per-cell recomputation contract makes safe.
 
 This module owns every sweep-level decision: the cell enumeration
-(``_curves`` times ``_axis``), the Monte Carlo rule (``_fields``: which row
-fields a run's cells compute and which of them Monte Carlo estimates, read
-by the cells, by each row's ``reps`` and by the cost) and the cost itself
-(``cost_estimate``, which ``validate`` prints and meta.json records).
+(``_curves`` times ``_groups`` times ``_points``, one job per curve and
+group unless a grid's cells share no hybrid Monte Carlo count), the Monte
+Carlo rule (``_fields``: which row fields a run's cells compute and which
+of them Monte Carlo estimates, read by the cells, by each row's ``reps``
+and by the cost) and the cost itself (``cost_estimate``, which
+``validate`` prints and meta.json records).
 """
 
 from __future__ import annotations
@@ -242,25 +244,35 @@ def _curves(cfg) -> list:
     ]
 
 
-def _axis(cfg) -> list:
-    """The points each curve's runner iterates, one row each, in output order."""
+def _groups(cfg) -> list:
+    """(scenario_id suffix, group) pairs of each curve, in output order: a
+    table's deltas, an average's design priors, else one unnamed group."""
     sweep = cfg["sweep"]
     if cfg["kind"] == "table":
-        return [(delta, b) for delta in sweep["deltas"] for b in hybrid.delta_grid(delta)]
+        return [(f":delta={delta:g}", delta) for delta in sweep["deltas"]]
     if cfg["kind"] == "average":
-        return [(d, shift) for d in sweep["design_priors"] for shift in sweep["analysis_shift"]]
-    return sweep["bias"]
+        designs = {"informative": Informative(), "rmp": RobustMixture(cfg["rmp_weight"]),
+                   "unit_info": UnitInfo()}
+        return [(f":design={name}", designs[name]) for name in sweep["design_priors"]]
+    return [("", None)]
+
+
+def _points(cfg, group) -> list:
+    """The axis a (curve, group) job iterates, one row each, in output order."""
+    if cfg["kind"] == "table":
+        return hybrid.delta_grid(group).tolist()
+    return cfg["sweep"]["analysis_shift" if cfg["kind"] == "average" else "bias"]
 
 
 def cost_estimate(cfg) -> tuple[int, int]:
     """(cells, Monte Carlo draws) of a run of the normalized ``cfg``: one row
     per cell, and ``reps`` draws per Monte Carlo field of each cell."""
-    cells = len(_curves(cfg)) * len(_axis(cfg))
+    cells = len(_curves(cfg)) * sum(len(_points(cfg, g)) for _, g in _groups(cfg))
     return cells, cells * len(_fields(cfg)[1]) * cfg["reps"]
 
 
 def _run_grid(cfg, pool) -> SweepResult:
-    biases = _axis(cfg)
+    biases = _points(cfg, None)
     curves = _curves(cfg)
     # A hybrid Monte Carlo curve is one job: its cells share one threshold solve.
     jobs = [[(s, bias) for bias in biases] for s, _, _ in curves]
@@ -283,99 +295,69 @@ def _run_grid(cfg, pool) -> SweepResult:
     return SweepResult(rows, {}, {})
 
 
-def _run_bimodality(cfg, pool) -> SweepResult:
-    biases = _axis(cfg)
-    curves = _curves(cfg)
-    ratios = pool.map(lambda c: diagnostics.bimodality_map(c[0], [c[2]], biases)[0], curves)
-    rows = [
-        OCRow(**_row_shell(cfg, s, sizes, w, bias), obm=float(r))
-        for (s, sizes, w), curve in zip(curves, ratios)
-        for bias, r in zip(biases, curve)
-    ]
-    return SweepResult(rows, {}, {})
+# A (curve, group) job of each kind but grid: (row fields per point, summary entry).
+def _bimodality_job(cfg, curve, group, points):
+    s, _, w = curve
+    return [{"obm": float(r)} for r in diagnostics.bimodality_map(s, [w], points)[0]], None
 
 
-def _run_sweet_spot(cfg, pool) -> SweepResult:
-    biases = _axis(cfg)
-    curves = _curves(cfg)
-    rows: list[OCRow] = []
-    spots = []
-    for (s, sizes, w), spot in zip(curves, pool.map(lambda c: hybrid.sweet_spot(c[0]), curves)):
-        for bias, (tie, power) in zip(biases, spot.curve):
-            rows.append(OCRow(**_row_shell(cfg, s, sizes, w, bias), tie=tie, power=power))
-        shell = _row_shell(cfg, s, sizes, w, None)
-        spots.append({
-            **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
-            **{k: None if spot.empty else getattr(spot, k)
-               for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
-            "empty": spot.empty,
-            "contiguous": spot.contiguous,
-        })
-    return SweepResult(rows, {"sweet_spots": spots}, {})
-
-
-def _run_table(cfg, pool) -> SweepResult:
-    exact = cfg["estimator"] == "exact"
-    cells = [(c, delta) for c in _curves(cfg) for delta in cfg["sweep"]["deltas"]]
-
-    def work(cell):
-        (s, _, _), delta = cell
-        grid = hybrid.delta_grid(delta)
-        return (grid, *hybrid.oc_curve(s, grid, exact=exact))
-
-    rows: list[OCRow] = []
-    summary = []
-    for ((s, sizes, w), delta), (grid, ties, powers) in zip(cells, pool.map(work, cells)):
-        suffix = f":delta={delta:g}"
-        for bias, tie, power in zip(grid, ties, powers):
-            shell = _row_shell(cfg, s, sizes, w, float(bias), suffix)
-            rows.append(OCRow(**shell, tie=tie, power=power))
-        max_tie, gain = hybrid.restricted_summary(s, ties, powers)
-        summary.append({
-            "delta": delta,
-            "location": describe_location(s.prior.location),
-            "w": w,
-            "max_tie_pct": 100.0 * max_tie,
-            "max_power_gain_pct": 100.0 * gain,
-        })
-    return SweepResult(rows, {"delta_summary": summary}, {})
-
-
-_DESIGNS = {
-    "informative": Informative(),
-    "unit_info": UnitInfo(),
-}
-
-
-def _run_average(cfg, pool) -> SweepResult:
-    designs = {
-        name: _DESIGNS.get(name, RobustMixture(cfg["rmp_weight"]))
-        for name in cfg["sweep"]["design_priors"]
+def _sweet_spot_job(cfg, curve, group, points):
+    s, sizes, w = curve
+    spot = hybrid.sweet_spot(s)
+    shell = _row_shell(cfg, s, sizes, w, None)
+    entry = {
+        **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
+        **{k: None if spot.empty else getattr(spot, k)
+           for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
+        "empty": spot.empty,
+        "contiguous": spot.contiguous,
     }
-    shifts = cfg["sweep"]["analysis_shift"]
-    # One job per curve: a scenario's shifts under one design prior.
-    jobs = [(c, dname) for c in _curves(cfg) for dname in cfg["sweep"]["design_priors"]]
-
-    def work(job):
-        (s, _, _), dname = job
-        design = designs[dname]
-        return [(hybrid.average_tie(s, design, x), hybrid.average_power(s, design, x)) for x in shifts]
-
-    rows = [
-        OCRow(**_row_shell(cfg, s, sizes, w, x, f":design={dname}"), tie=tie, power=power)
-        for ((s, sizes, w), dname), cells in zip(jobs, pool.map(work, jobs))
-        for x, (tie, power) in zip(shifts, cells)
-    ]
-    return SweepResult(rows, {}, {})
+    return [{"tie": tie, "power": power} for tie, power in spot.curve], entry
 
 
-_RUNNERS = {
-    "grid": _run_grid,
-    "bimodality": _run_bimodality,
-    "sweet-spot": _run_sweet_spot,
-    "table": _run_table,
-    "average": _run_average,
+def _table_job(cfg, curve, delta, points):
+    s, _, w = curve
+    ties, powers = hybrid.oc_curve(s, points, exact=cfg["estimator"] == "exact")
+    max_tie, gain = hybrid.restricted_summary(s, ties, powers)
+    entry = {
+        "delta": delta,
+        "location": describe_location(s.prior.location),
+        "w": w,
+        "max_tie_pct": 100.0 * max_tie,
+        "max_power_gain_pct": 100.0 * gain,
+    }
+    return [{"tie": tie, "power": power} for tie, power in zip(ties, powers)], entry
+
+
+def _average_job(cfg, curve, design, points):
+    s = curve[0]
+    return [
+        {"tie": hybrid.average_tie(s, design, x), "power": hybrid.average_power(s, design, x)}
+        for x in points
+    ], None
+
+
+# Kind -> (job, the extras key of its summary entries).
+_JOBS = {
+    "bimodality": (_bimodality_job, None),
+    "sweet-spot": (_sweet_spot_job, "sweet_spots"),
+    "table": (_table_job, "delta_summary"),
+    "average": (_average_job, None),
 }
+
+
+def _run_curves(cfg, pool) -> SweepResult:
+    """Every kind but grid: one job per (curve, group), whose cells share
+    one threshold solve, sweet spot or bimodality map."""
+    job, key = _JOBS[cfg["kind"]]
+    jobs = [(c, suffix, g, _points(cfg, g)) for c in _curves(cfg) for suffix, g in _groups(cfg)]
+    results = pool.map(lambda j: job(cfg, j[0], j[2], j[3]), jobs)
+    rows: list[OCRow] = []
+    entries = []
+    for ((s, sizes, w), suffix, _, points), (cells, entry) in zip(jobs, results):
+        rows += [OCRow(**_row_shell(cfg, s, sizes, w, x, suffix), **c) for x, c in zip(points, cells)]
+        entries.append(entry)
+    return SweepResult(rows, {key: entries} if key else {}, {})
 
 
 def run_config(cfg: dict, threads: int | None = None) -> SweepResult:
@@ -383,7 +365,7 @@ def run_config(cfg: dict, threads: int | None = None) -> SweepResult:
     cfg = normalize_config(cfg)
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=threads, initializer=join_run, initargs=({},)) as pool:
-        result = _RUNNERS[cfg["kind"]](cfg, pool)
+        result = (_run_grid if cfg["kind"] == "grid" else _run_curves)(cfg, pool)
     cells, draws = cost_estimate(cfg)
     payload = json.dumps(cfg, sort_keys=True, default=str).encode()
     result.meta = {

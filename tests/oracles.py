@@ -48,7 +48,7 @@ from scipy.special import ndtr
 from borrowsim import StudentT, build_informative, resolve_location
 from borrowsim.diagnostics import BimodalityReport
 from borrowsim.gaussian import mixture_pdf
-from borrowsim.hybrid import _control_bank, _design_draws, _treatment_params
+from borrowsim.hybrid import _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import bank_means, prior_bank_params
@@ -167,7 +167,7 @@ def per_draw_rate(s, external, theta_c, effect: float) -> float:
     zt = base_normals(s.seed, s.scenario_id, "treatment", s.reps)
     ybar_c = theta_c + s.se_c * zc
     ybar_t = theta_c + effect + s.se_t * zt
-    return float(np.mean(_control_bank(s, [external])(ybar_c, ybar_t) <= s.alpha))
+    return float(np.mean(_Bank(s, [external])(ybar_c, ybar_t) <= s.alpha))
 
 
 def per_draw_tie(s, bias: float) -> float:

@@ -184,7 +184,7 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
     solve = hybrid._threshold_brackets
 
     def counting(*args, **kwargs):
-        solves.append(args[1])
+        solves.append(args[2])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
@@ -210,6 +210,23 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert len(solves) == 5
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
+    # The solve and the per-draw kernel read one bank per point.
+    calls = []
+    build = hybrid.prior_bank_params
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "prior_bank_params", counting)
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    biases = (-0.5, 0.0, 0.25, 0.5)
+    hybrid.oc_curve(scenario(), biases, exact=exact)
+    assert len(calls) == len(biases)
 
 
 @pytest.mark.parametrize("recipe", ["fig7", "a14-treatment-prior-unbalanced"])

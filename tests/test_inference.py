@@ -45,8 +45,6 @@ class TestPosteriorWeights:
         for w in (0.0, 1.0):
             post = posterior(two_component_prior(w), DATA)
             assert post.w_informative == w
-        # zero-mass robust block still reports well-defined sub-weights
-        assert posterior(two_component_prior(1.0), DATA).sub_weights == (1.0,)
 
     def test_identical_components_leave_the_weight_alone(self):
         comp = GaussianComponent(0.2, 0.8)
@@ -107,18 +105,6 @@ class TestPosteriorWeights:
         )
         post = posterior(build_mixture_prior(spec), DATA)
         assert post.w_informative > 0.9
-
-    def test_sub_weights_are_internal_to_the_robust_block(self):
-        spec = MixturePriorSpec(0.5, EXT, ExternalMean(), StudentT(3.0, 1.0, 5))
-        prior = build_mixture_prior(spec)
-        data = SufficientStat(0.8, 20, 1.0)
-        subs = posterior(prior, data).sub_weights
-        assert len(subs) == 5
-        assert sum(subs) == pytest.approx(1.0, abs=1e-12)
-        # independent of the informative weight
-        spec9 = MixturePriorSpec(0.9, EXT, ExternalMean(), StudentT(3.0, 1.0, 5))
-        subs9 = posterior(build_mixture_prior(spec9), data).sub_weights
-        assert subs == pytest.approx(subs9, rel=1e-12)
 
 
 class TestTailProbability:

@@ -11,6 +11,7 @@ within Monte Carlo error.
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from borrowsim import (
     CurrentMean,
     ExternalMean,
+    HybridScenario,
     MixturePriorSpec,
     Normal,
     NullBoundary,
@@ -32,7 +34,7 @@ from borrowsim import (
     one_arm_tie,
     one_arm_tie_exact,
 )
-from borrowsim import onearm, scenarios
+from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.onearm import (
     _count_rejections,
@@ -88,6 +90,26 @@ def test_counts_equal_the_brute_force_rates(p):
     s, bias = build(p)
     assert one_arm_tie(s, bias) == brute_force_tie(s, bias)
     assert one_arm_power(s, bias) == brute_force_power(s, bias)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells)
+def test_extreme_conflicts_give_finite_bounded_numbers(p):
+    # Conflicts to 1e3 sd-ext with n_robust down to 1/400: no NaN, no
+    # underflow warning, and every rate and weight a probability.
+    s, bias = build(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rmse_std = onearm.one_arm_rmse(s, bias)[1]
+        assert math.isfinite(rmse_std) and rmse_std > 0.0
+        for value in (onearm.mean_posterior_weight(s, bias), one_arm_tie_exact(s, bias),
+                      one_arm_power_exact(s, bias)):
+            assert 0.0 <= value <= 1.0
+        if not isinstance(p["location"], NullBoundary):
+            h = HybridScenario(N, N, 1.0, EXT, s.prior, effect=p["alt"] * SE, seed=p["seed"],
+                               reps=p["reps"])
+            assert 0.0 <= hybrid.mean_posterior_weight(h, bias) <= 1.0
+            assert 0.0 <= hybrid.hybrid_tie_exact(h, bias) <= 1.0
 
 
 def scenario(location=None, form=None, w=0.5):

@@ -375,10 +375,10 @@ class TestSweepEngine:
         solve = hybrid._threshold_brackets
         solves = []
 
-        def counting(s, biases, externals, yc, stop=None):
+        def counting(s, bank, biases, yc, stop=None):
             if stop is not None:
                 solves.append(len(biases))
-            return solve(s, biases, externals, yc, stop)
+            return solve(s, bank, biases, yc, stop)
 
         monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
         cfg = {**recipe_config(recipe), "reps": 2000}
