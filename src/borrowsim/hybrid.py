@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .inference import bank_chunks, posterior_bank
+from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
 from .priors import Normal, prior_bank_params
 from .scenarios import (
     DesignPrior,
@@ -104,20 +104,33 @@ class _Bank:
         self.a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
         _, self.b, self.t_var = _treatment_params(s, externals[0].mean)
 
-    def posterior(self, yc, point):
+    def posterior(self, yc, point, work=False):
         """The control posterior at control means ``yc`` under the prior at
         ``externals[point[r]]``, one posterior_bank call: (W, pm, sj, a,
         pnb), with sj the superiority components' sds and pnb, a function
-        of treatment means, the probability that the treatment mean is not
-        above the control mean (the test rejects where it is <= alpha)."""
-        means = np.empty((self.variances.size, yc.size))
+        of treatment means (written into ``out`` if given), the probability
+        that the treatment mean is not above the control mean (the test
+        rejects where it is <= alpha). W and pm are new arrays, or with
+        ``work`` this thread's "W" and "pm" work buffers. pnb works in the
+        "means" buffer, so pnb and W, pm stay valid together."""
+        J, R = self.variances.size, yc.size
+        means = work_array("means", J, R)
         means[0] = self.info[point]
         means[1:] = yc if self.loc is None else self.loc[point]
-        W, pm, pv = posterior_bank(means, self.variances, self.log_w, yc, self.s.n_c, self.s.sigma)
+        args = (means, self.variances, self.log_w, yc, self.s.n_c, self.s.sigma)
+        if work:
+            W, pm = work_array("W", J, R), work_array("pm", J, R)
+            pv = posterior_bank_into(*args, W, pm)
+        else:
+            W, pm, pv = posterior_bank(*args)
         a, sj = self.a[point], np.sqrt(self.t_var + pv)[:, None]
 
-        def pnb(yt):
-            return np.einsum("jr,jr->r", W, ndtr((pm - (a + self.b * yt)[None, :]) / sj))
+        def pnb(yt, out=None):
+            shift = np.multiply(self.b, yt, out=work_array("col", R))
+            np.add(a, shift, out=shift)
+            z = np.subtract(pm, shift[None, :], out=work_array("means", J, R))
+            np.divide(z, sj, out=z)
+            return np.einsum("jr,jr->r", W, ndtr(z, out=z), out=out)
 
         return W, pm, sj, a, pnb
 
@@ -125,12 +138,15 @@ class _Bank:
         """The per-draw kernel, in slices from bank_chunks: at control means
         ``ybar_c`` the posterior's informative weight, or with ``ybar_t``
         pnb, under the prior at ``externals[point[r]]`` (``externals[0]``
-        if ``point`` is None)."""
+        if ``point`` is None). A chunk allocates nothing of size J x R."""
         point = np.zeros(ybar_c.size, np.intp) if point is None else point
         out = np.empty_like(ybar_c)
         for sl in bank_chunks(ybar_c.size, self.variances.size):
-            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl])
-            out[sl] = W[0] if ybar_t is None else pnb(ybar_t[sl])
+            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl], work=True)
+            if ybar_t is None:
+                out[sl] = W[0]
+            else:
+                pnb(ybar_t[sl], out=out[sl])
         return out
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .inference import bank_chunks, posterior_bank
+# posterior_bank stays bound here: perfbench's tracer patches every binding.
+from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array  # noqa: F401
 from .priors import EXACT_T_NODES, StudentT, bank_means, prior_bank_params
 from .scenarios import OneArmScenario, _shared, base_normals, sorted_normals
 
@@ -45,23 +46,34 @@ _BRENTQ_XTOL = 1e-12
 _GUARD_SE = 1e-9
 
 
-def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True):
+def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, work: bool = False):
     """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
-    101-component pass), posterior mean and informative weight."""
+    101-component pass), posterior mean and informative weight: new arrays,
+    or with ``work`` this thread's "tail", "pmeans" and "w_info" buffers.
+    Each chunk works in this thread's buffers and allocates nothing of size
+    J x R."""
     variances, log_w, info_mean, robust_loc = bank
     J = variances.size
     ybar = np.asarray(ybar, dtype=float)
-    tail = np.empty_like(ybar) if tails else None
-    pmeans = np.empty_like(ybar)
-    w_info = np.empty_like(ybar)
+    new = (lambda name: work_array(name, ybar.size)) if work else (lambda _: np.empty_like(ybar))
+    tail = new("tail") if tails else None
+    pmeans = new("pmeans")
+    w_info = new("w_info")
+    fixed = robust_loc is not None
+    means = bank_means(info_mean, robust_loc, J, None) if fixed else None
     for sl in bank_chunks(ybar.size, J):
         yb = ybar[sl]
-        means = bank_means(info_mean, robust_loc, J, yb)
-        W, pm, pv = posterior_bank(means, variances, log_w, yb, s.n, s.sigma)
+        # "means" holds the current-mean locations, then (spent) the ndtr
+        # argument of the tails.
+        scratch, W, pm = (work_array(name, J, yb.size) for name in ("means", "W", "pm"))
+        if not fixed:
+            means = bank_means(info_mean, None, J, yb, out=scratch)
+        pv = posterior_bank_into(means, variances, log_w, yb, s.n, s.sigma, W, pm)
         if tails:
-            sd = np.sqrt(pv)[:, None]
-            tail[sl] = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / sd))
-        pmeans[sl] = np.einsum("jr,jr->r", W, pm)
+            np.subtract(s.null_mean, pm, out=scratch)
+            np.divide(scratch, np.sqrt(pv)[:, None], out=scratch)
+            np.einsum("jr,jr->r", W, ndtr(scratch, out=scratch), out=tail[sl])
+        np.einsum("jr,jr->r", W, pm, out=pmeans[sl])
         w_info[sl] = W[0]
     return tail, pmeans, w_info
 
@@ -73,9 +85,10 @@ def _tail_function(s: OneArmScenario, bias: float):
     return lambda ys: _bank_stats(s, bank, ys)[0]
 
 
-def _draws(s: OneArmScenario, at_mean: float) -> np.ndarray:
+def _draws(s: OneArmScenario, at_mean: float, out=None) -> np.ndarray:
+    """The common observed means at ``at_mean``, written into ``out`` if given."""
     z = base_normals(s.seed, s.scenario_id, "current", s.reps)
-    return at_mean + s.se * z
+    return np.add(at_mean, np.multiply(s.se, z, out=out), out=out)
 
 
 def _guard(se: float, c: float) -> float:
@@ -135,8 +148,10 @@ def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[floa
 
     def compute():
         bank = prior_bank_params(s.prior, s.external_at(bias))
-        _, pmeans, w_info = _bank_stats(s, bank, _draws(s, centre), tails=False)
-        return float(np.sqrt(np.mean((pmeans - centre) ** 2))), float(np.mean(w_info))
+        ybar = _draws(s, centre, out=work_array("draws", s.reps))
+        _, pmeans, w_info = _bank_stats(s, bank, ybar, tails=False, work=True)
+        dev = np.subtract(pmeans, centre, out=pmeans)
+        return float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
 
     return _shared((s, bias, centre), compute)
 

@@ -326,12 +326,13 @@ def robust_location(spec: MixturePriorSpec, external: SufficientStat) -> float |
     return resolve_location(spec.location, external)
 
 
-def bank_means(info_mean, robust_loc, J, ybar):
+def bank_means(info_mean, robust_loc, J, ybar, out=None):
     """Prior component means for ``posterior_bank``: (J,), or (J, R) when
-    the robust location (None) tracks the observed means ``ybar``."""
+    the robust location (None) tracks the observed means ``ybar``, written
+    into ``out`` if given."""
     if robust_loc is not None:
         return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
-    means = np.empty((J, np.size(ybar)))
+    means = np.empty((J, np.size(ybar))) if out is None else out
     means[0] = info_mean
     means[1:] = ybar
     return means

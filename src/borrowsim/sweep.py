@@ -361,8 +361,12 @@ def _run_curves(cfg, pool) -> SweepResult:
 
 
 def run_config(cfg: dict, threads: int | None = None) -> SweepResult:
-    """Execute a scenario file (raw or normalized) and return all results."""
+    """Execute a scenario file (raw or normalized) and return all results,
+    on ``threads`` worker threads (default: one per core). Each worker
+    holds its own posterior work buffers, so the count bounds memory too."""
     cfg = normalize_config(cfg)
+    if threads is None:  # the cores this process may run on, where the platform says
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     started = time.perf_counter()
     with ThreadPoolExecutor(max_workers=threads, initializer=join_run, initargs=({},)) as pool:
         result = (_run_grid if cfg["kind"] == "grid" else _run_curves)(cfg, pool)

@@ -23,6 +23,11 @@ threshold bisection rebuilt for one (bias, effect). The library solves
 the threshold once per bias for a whole grid and shares it between TIE
 and power, and must match this bit for bit.
 
+``posterior_bank_expression`` is the posterior kernel as one expression
+over new arrays, and ``bank_stats_expression`` the one-arm tails, means
+and weights read off it in one pass. The library's kernel writes each step
+into reused work buffers, chunk by chunk, and must match these bit for bit.
+
 ``find_modes`` is the scalar mode finder: a derivative sign scan of one
 two-component mixture, each sign change refined by a Python bisection of
 one-point evaluations. The library's finder runs over a batch of
@@ -137,6 +142,35 @@ def exact_t_tail_oracle(spec, data, null_value: float, rel_tol: float = 1e-6) ->
             f"quadrature non-convergence: estimated error {err:g} for tail {tail:g}"
         )
     return tail
+
+
+def posterior_bank_expression(means, variances, log_weights, ybar, n, sigma):
+    """``inference.posterior_bank`` with a new array for every step."""
+    ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
+    variances = np.asarray(variances, dtype=float)
+    means = np.asarray(means, dtype=float)
+    if means.ndim == 1:
+        means = means[:, None]
+    data_precision = n / (sigma * sigma)
+    pred_var = (variances + 1.0 / data_precision)[:, None]
+    log_marg = -0.5 * (np.log(2.0 * np.pi * pred_var) + (ybar[None, :] - means) ** 2 / pred_var)
+    logw = np.asarray(log_weights, dtype=float)[:, None] + log_marg
+    logw -= logw.max(axis=0, keepdims=True)
+    post_w = np.exp(logw)
+    post_w /= post_w.sum(axis=0, keepdims=True)
+    post_var = 1.0 / (1.0 / variances + data_precision)
+    post_mean = post_var[:, None] * (means / variances[:, None] + ybar[None, :] * data_precision)
+    return post_w, post_mean, post_var
+
+
+def bank_stats_expression(s, bank, ybar):
+    """``onearm._bank_stats`` over every draw at once, from
+    ``posterior_bank_expression``."""
+    variances, log_w, info_mean, robust_loc = bank
+    means = bank_means(info_mean, robust_loc, variances.size, ybar)
+    W, pm, pv = posterior_bank_expression(means, variances, log_w, ybar, s.n, s.sigma)
+    tail = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / np.sqrt(pv)[:, None]))
+    return tail, np.einsum("jr,jr->r", W, pm), W[0]
 
 
 def posterior_stats(s, bias: float, ybar: np.ndarray):

@@ -304,7 +304,7 @@ class TestSharedThreshold:
         grid = normalize_config(recipe_config("fig8"))["sweep"]["bias"]
         s = scenario(w=0.5, location=CurrentMean())
         calls, ndtr = [], hybrid.ndtr
-        monkeypatch.setattr(hybrid, "ndtr", lambda x: calls.append(1) or ndtr(x))
+        monkeypatch.setattr(hybrid, "ndtr", lambda x, **kw: calls.append(1) or ndtr(x, **kw))
         hybrid._gh_thresholds(s, grid)
         assert len(calls) < 2 + 80
         monkeypatch.undo()

@@ -235,9 +235,9 @@ def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):
     passes = []
     original = onearm._bank_stats
 
-    def counting(*args, tails=True):
+    def counting(*args, tails=True, **kwargs):
         passes.append(tails)
-        return original(*args, tails=tails)
+        return original(*args, tails=tails, **kwargs)
 
     monkeypatch.setattr(onearm, "_bank_stats", counting)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())

@@ -564,6 +564,18 @@ class TestCli:
             outputs.append((tmp_path / name / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_threads_default_to_one_per_core(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_grid_config()))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "all")) == 0
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "one"),
+                            "--threads", "1") == 0
+        meta = json.loads((tmp_path / "all" / "meta.json").read_text())
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert meta["threads"] == cores
+        assert (tmp_path / "all" / "results.csv").read_bytes() == (
+            tmp_path / "one" / "results.csv").read_bytes()
+
     def test_flag_overrides_reps_and_seed(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_grid_config()))
