@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
-from .priors import Normal, prior_bank_params
+from .priors import AxisBank, Normal
 from .scenarios import (
     DesignPrior,
     HybridScenario,
@@ -87,20 +87,14 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
     return a, b, post_var
 
 
-class _Bank:
-    """The control arm's prior along an axis, one bank per external mean
-    in ``externals``, built once: the variances and log weights (which do
-    not depend on the external mean, so one posterior_bank call serves
-    every point), each point's informative mean and robust location, and
-    the treatment posterior, mean ``a[point] + b * ybar_t`` and variance
-    ``t_var``."""
+class _Bank(AxisBank):
+    """The control arm's prior along an axis of external means
+    (``AxisBank``) and the treatment posterior, mean ``a[point] + b *
+    ybar_t`` and variance ``t_var``."""
 
     def __init__(self, s: HybridScenario, externals):
-        banks = [prior_bank_params(s.prior, e) for e in externals]
+        super().__init__(s.prior, externals)
         self.s = s
-        self.variances, self.log_w, _, robust_loc = banks[0]
-        self.info = np.array([bank[2] for bank in banks])
-        self.loc = None if robust_loc is None else np.array([bank[3] for bank in banks])
         self.a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
         _, self.b, self.t_var = _treatment_params(s, externals[0].mean)
 
@@ -114,9 +108,7 @@ class _Bank:
         ``work`` this thread's "W" and "pm" work buffers. pnb works in the
         "means" buffer, so pnb and W, pm stay valid together."""
         J, R = self.variances.size, yc.size
-        means = work_array("means", J, R)
-        means[0] = self.info[point]
-        means[1:] = yc if self.loc is None else self.loc[point]
+        means = self.means(point, yc, work_array("means", J, R))
         args = (means, self.variances, self.log_w, yc, self.s.n_c, self.s.sigma)
         if work:
             W, pm = work_array("W", J, R), work_array("pm", J, R)
@@ -338,22 +330,25 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES):
-    """TIE and power at each bias, as two lists of floats.
+def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES,
+             rates=("tie", "power")):
+    """TIE and power (those named in ``rates``) at each bias, as lists of
+    floats.
 
     Monte Carlo (``biases`` become the scenario's axis, so one threshold
-    solve serves the curve), or with ``exact`` the Gauss-Hermite route: one
-    threshold solve per bias serves both rates, each of which is then the
-    sum over the control-mean nodes of the treatment mean's normal tail
-    above the node's threshold.
+    solve serves the curve, counted only at the rates' effects), or with
+    ``exact`` the Gauss-Hermite route: one threshold solve per bias serves
+    both rates, each of which is then the sum over the control-mean nodes
+    of the treatment mean's normal tail above the node's threshold.
     """
     if not exact:
         s = replace(s, bias_grid=tuple(biases))
-        pairs = [(hybrid_tie(s, b), hybrid_power(s, b)) for b in biases]
-        return [t for t, _ in pairs], [p for _, p in pairs]
+        rules = {"tie": hybrid_tie, "power": hybrid_power}
+        return tuple([rules[rate](s, b) for b in biases] for rate in rates)
     _, wts = _gh_rule(nodes)
     thresholds = _gh_thresholds(s, biases, nodes)
-    tails = (1.0 - ndtr((thresholds - (s.control_mean + e)) / s.se_t) for e in (0.0, s.effect))
+    effects = {"tie": 0.0, "power": s.effect}
+    tails = (1.0 - ndtr((thresholds - (s.control_mean + effects[r])) / s.se_t) for r in rates)
     return tuple([float(np.dot(wts, g) / math.sqrt(math.pi)) for g in tail] for tail in tails)
 
 

@@ -4,10 +4,13 @@ Monte Carlo estimates of the type-I-error rate, power, RMSE and mean
 posterior informative weight of the borrowing test, and a deterministic
 route via the rejection region in the observed mean (the decision depends
 on the data only through it). Because of that dependence the Monte Carlo
-TIE and power are counts of the sorted common draws that fall in the
-rejection region, not posterior passes. The RMSE and the mean weight are
-read off one tail-free posterior pass. A cell's TIE and power share one
-region, and its RMSE and mean weight one pass, through a per-thread slot.
+TIE and power are counts of the sorted common draws, not posterior
+passes, made per curve (``oc_curve``; a cell is a one-point curve): one
+kernel pass scans every point's tail, and the draws near its crossings
+are re-decided in one batched kernel call. The RMSE and the mean weight
+are read off one tail-free posterior pass. A curve's TIE and power share
+one scan, and a cell's RMSE and mean weight one pass, through a
+per-thread slot.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.special import ndtr
 
 # posterior_bank stays bound here: perfbench's tracer patches every binding.
 from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array  # noqa: F401
-from .priors import EXACT_T_NODES, StudentT, bank_means, prior_bank_params
+from .priors import EXACT_T_NODES, AxisBank, StudentT, bank_means, prior_bank_params
 from .scenarios import OneArmScenario, _shared, base_normals, sorted_normals
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "one_arm_rejection_region",
     "one_arm_tie_exact",
     "one_arm_power_exact",
+    "oc_curve",
 ]
 
 # Largest disagreement allowed between the exact-t banks at the node count
@@ -38,21 +42,25 @@ __all__ = [
 EXACT_T_TOL = 1e-12
 _EXACT_T_FALLBACK = (80, 160)
 
-# Absolute tolerance of the region's boundary refinement, and the half-width
-# (in se) of the band around a finite boundary whose draws the Monte Carlo
-# count re-decides one by one: far wider than the refinement's tolerance
-# (added on top, see ``_guard``) and the kernel's rounding at a crossing.
+# Points of the sign scan of tail - alpha over null +- 12 se, and the
+# absolute tolerance of the rejection region's boundary refinement.
+_SCAN_POINTS = 2001
 _BRENTQ_XTOL = 1e-12
+# The guard (in se) by which the Monte Carlo count widens the bands of draws
+# it re-decides: far wider than the kernel's rounding at a crossing.
 _GUARD_SE = 1e-9
 
 
-def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, work: bool = False):
+def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, work: bool = False,
+                point=None):
     """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
     101-component pass), posterior mean and informative weight: new arrays,
     or with ``work`` this thread's "tail", "pmeans" and "w_info" buffers.
-    Each chunk works in this thread's buffers and allocates nothing of size
-    J x R."""
-    variances, log_w, info_mean, robust_loc = bank
+    ``bank`` is a ``prior_bank_params`` tuple, or with ``point`` an
+    ``AxisBank`` whose prior at ``point[r]`` serves ``ybar[r]``. Each chunk
+    works in this thread's buffers and allocates nothing of size J x R."""
+    variances, log_w, info_mean, robust_loc = (
+        bank if point is None else (bank.variances, bank.log_w, None, None))
     J = variances.size
     ybar = np.asarray(ybar, dtype=float)
     new = (lambda name: work_array(name, ybar.size)) if work else (lambda _: np.empty_like(ybar))
@@ -63,10 +71,12 @@ def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, w
     means = bank_means(info_mean, robust_loc, J, None) if fixed else None
     for sl in bank_chunks(ybar.size, J):
         yb = ybar[sl]
-        # "means" holds the current-mean locations, then (spent) the ndtr
-        # argument of the tails.
+        # "means" holds the component means where they vary per draw, then
+        # (spent) the ndtr argument of the tails.
         scratch, W, pm = (work_array(name, J, yb.size) for name in ("means", "W", "pm"))
-        if not fixed:
+        if point is not None:
+            means = bank.means(point[sl], yb, scratch)
+        elif not fixed:
             means = bank_means(info_mean, None, J, yb, out=scratch)
         pv = posterior_bank_into(means, variances, log_w, yb, s.n, s.sigma, W, pm)
         if tails:
@@ -91,54 +101,69 @@ def _draws(s: OneArmScenario, at_mean: float, out=None) -> np.ndarray:
     return np.add(at_mean, np.multiply(s.se, z, out=out), out=out)
 
 
-def _guard(se: float, c: float) -> float:
-    """Half-width of the band around boundary ``c`` whose draws are
-    re-decided: 1e-9 se plus twice brentq's tolerance at ``c``."""
-    return _GUARD_SE * se + 2.0 * (_BRENTQ_XTOL + 4.0 * np.finfo(float).eps * abs(c))
+def _curve(s: OneArmScenario, biases):
+    """A curve's ``_bands``, from one scan of every point's tail, and its
+    per-draw rule ``decide(ys, point)``."""
+    bank = AxisBank(s.prior, [s.external_at(b) for b in biases])
+
+    def decide(ys, point):
+        return _bank_stats(s, bank, ys, point=point)[0] <= s.alpha
+
+    ys = np.linspace(*_scan_window(s), _SCAN_POINTS)
+    point = np.repeat(np.arange(len(biases)), ys.size)
+    scans = _bank_stats(s, bank, np.tile(ys, len(biases)), point=point)[0] - s.alpha
+    # A bracket stops once it holds under one draw on expectation.
+    stop = s.se * math.sqrt(2.0 * math.pi) / s.reps
+    return _bands(ys, scans.reshape(len(biases), -1), decide, stop, _GUARD_SE * s.se), decide
 
 
-def _count_rejections(z, at_mean, se, intervals, window, decide) -> int:
-    """Rejections among the observed means ``at_mean + se * z``, z ascending.
+def _bands(ys, scans, decide, stop: float, guard: float):
+    """Bands (point, lo, hi, whether the scan rejects above hi) of observed
+    means to re-decide, sorted and widened by ``guard``, from ``scans``
+    (tail - alpha at ``ys``, a row per point) and the rule ``decide(ys,
+    point)``: each sign change's bracket, bisected on the rule to under
+    ``stop`` wide, the two scan intervals beside a zero, and either side of
+    the window. Between a band and the next of its point the sign holds."""
+    sign = np.sign(scans)
+    n_points, n = sign.shape
+    p, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    lo, hi, left_rejects = ys[k], ys[k + 1], sign[p, k] < 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if not lo.size or (hi - lo).max() < stop or np.all((mid == lo) | (mid == hi)):
+            break
+        like_left = decide(mid, p) == left_rejects
+        lo, hi = np.where(like_left, mid, lo), np.where(like_left, hi, mid)
+    zp, zk = np.nonzero(sign == 0)
+    every, edge = np.arange(n_points), np.ones(n_points)
+    point = np.concatenate((p, zp, every, every))
+    lo = np.concatenate((lo, ys[np.maximum(zk - 1, 0)], -np.inf * edge, ys[-1] * edge))
+    hi = np.concatenate((hi, ys[np.minimum(zk + 1, n - 1)], ys[0] * edge, np.inf * edge))
+    above = np.concatenate((sign[p, k + 1], sign[zp, np.minimum(zk + 1, n - 1)], sign[:, 0], edge)) < 0
+    order = np.lexsort((lo, point))
+    return point[order], lo[order] - guard, hi[order] + guard, above[order]
 
-    The observed means stay sorted (float multiply-add is monotone). Draws
-    inside ``window`` and clear of every finite boundary's guard band are
-    decided by ``intervals``, with one search pair per interval; the others
-    (outside the window, where the region's infinite ends are only assumed,
-    or within a guard band) by ``decide``, the per-draw rule, on the same
-    floats the per-draw route forms. The searches run on z, so a draw
-    within a few ulps of a band's edge may land on either side of it; both
-    sides decide it alike, because the band is far wider than the error of
-    its boundary. The count therefore equals the per-draw decisions.
-    """
-    n = z.size
 
-    def first(c: float, strict: bool = False) -> int:
-        """First index whose observed mean is >= c (> c when ``strict``)."""
-        return int(np.searchsorted(z, (c - at_mean) / se, side="right" if strict else "left"))
-
-    lo, hi = window
-    i_lo, i_hi = first(lo), first(hi, strict=True)
-    count = 0
-    one_by_one = [(0, i_lo), (i_hi, n)]
-    for a, b in intervals:
-        start = i_lo if math.isinf(a) else max(i_lo, first(a + _guard(se, a), strict=True))
-        stop = i_hi if math.isinf(b) else min(i_hi, first(b - _guard(se, b)))
-        count += max(0, stop - start)
-        for c in (a, b):
-            if math.isfinite(c):
-                g = _guard(se, c)
-                one_by_one.append((max(i_lo, first(c - g)), min(i_hi, first(c + g, strict=True))))
-    # Guard bands of close boundaries overlap: decide each draw once.
-    idx = np.unique(np.concatenate([np.arange(a, b) for a, b in one_by_one]))
+def _count_rejections(z, at_mean, se, bands, decide) -> np.ndarray:
+    """Rejections at each point among the observed means ``at_mean + se *
+    z``, z ascending: the draws between a band and the next of its point
+    count if the scan rejects there, and each point's band draws are
+    decided once, in one ``decide`` call on the floats the per-draw route
+    forms. A draw within a few ulps of a band's end (the searches run on
+    z) decides alike on either side, the guard being far wider than the
+    scan's error, so the counts equal the per-draw decisions."""
+    point, lo, hi, above = bands
+    i_lo = np.searchsorted(z, (lo - at_mean) / se)
+    i_hi = np.searchsorted(z, (hi - at_mean) / se, side="right")
+    gaps = np.where(above[:-1] & (point[1:] == point[:-1]), np.maximum(i_lo[1:] - i_hi[:-1], 0), 0)
+    counts = np.bincount(point[:-1], gaps, point[-1] + 1).astype(np.int64)
+    sizes = np.maximum(i_hi - i_lo, 0)
+    idx = np.arange(sizes.sum()) + np.repeat(i_lo - np.cumsum(sizes) + sizes, sizes)
+    # A point's bands overlap where its brackets or zeros are close.
+    point, idx = np.divmod(np.unique(np.repeat(point, sizes) * z.size + idx), z.size)
     if idx.size:
-        count += int(np.count_nonzero(decide(at_mean + se * z[idx])))
-    return count
-
-
-def _shared_region(s: OneArmScenario, bias: float) -> tuple:
-    """Default-route rejection region of a cell, computed once for the
-    cell's TIE and power (either route) when they run back to back."""
-    return _shared((s, bias, None), lambda: tuple(one_arm_rejection_region(s, bias)))
+        counts += np.bincount(point[decide(at_mean + se * z[idx], point)], minlength=counts.size)
+    return counts
 
 
 def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[float, float]:
@@ -156,25 +181,24 @@ def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[floa
     return _shared((s, bias, centre), compute)
 
 
-def _rejection_rate(s: OneArmScenario, bias: float, at_mean: float) -> float:
-    """Share of the common draws at ``at_mean`` that the test rejects."""
+def oc_curve(s: OneArmScenario, biases, *, rates=("tie", "power")):
+    """Monte Carlo TIE and power (those named in ``rates``) at each bias, as
+    lists of floats: one scan, made once per thread, serves the curve."""
+    bands, decide = _shared((s, tuple(biases)), lambda: _curve(s, biases))
     z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
-
-    def decide(ys):
-        return _tail_function(s, bias)(ys) <= s.alpha
-
-    region = _shared_region(s, bias)
-    return _count_rejections(z, at_mean, s.se, region, _scan_window(s), decide) / s.reps
+    at = {"tie": s.null_mean, "power": s.alt_mean}
+    counts = (_count_rejections(z, at[rate], s.se, bands, decide) for rate in rates)
+    return tuple([int(c) / s.reps for c in count] for count in counts)
 
 
 def one_arm_tie(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo rejection rate with the truth at the null boundary."""
-    return _rejection_rate(s, bias, s.null_mean)
+    return oc_curve(s, (bias,), rates=("tie",))[0][0]
 
 
 def one_arm_power(s: OneArmScenario, bias: float) -> float:
     """Monte Carlo rejection rate with the truth at the alternative."""
-    return _rejection_rate(s, bias, s.alt_mean)
+    return oc_curve(s, (bias,), rates=("power",))[0][0]
 
 
 def one_arm_rmse(s: OneArmScenario, bias: float, true_mean: float | None = None):
@@ -276,7 +300,7 @@ def one_arm_rejection_region(
     routes scan 2001 points unless ``scan_points`` says otherwise.
     """
     lo, hi = _scan_window(s)
-    ys = np.linspace(lo, hi, 2001 if scan_points is None else scan_points)
+    ys = np.linspace(lo, hi, _SCAN_POINTS if scan_points is None else scan_points)
     if use_exact_t:
         tails, scan, _ = _checked_exact_t(s, bias, ys)
     else:
@@ -315,7 +339,9 @@ def _region_probability(intervals, mean: float, se: float) -> float:
 
 
 def _region(s: OneArmScenario, bias: float, kwargs):
-    return one_arm_rejection_region(s, bias, **kwargs) if kwargs else _shared_region(s, bias)
+    # The default route's region is made once for a cell's TIE and power.
+    return one_arm_rejection_region(s, bias, **kwargs) if kwargs else _shared(
+        (s, bias, None), lambda: tuple(one_arm_rejection_region(s, bias)))
 
 
 def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:

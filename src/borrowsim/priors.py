@@ -45,6 +45,7 @@ __all__ = [
     "prior_bank_params",
     "robust_location",
     "bank_means",
+    "AxisBank",
 ]
 
 
@@ -336,6 +337,24 @@ def bank_means(info_mean, robust_loc, J, ybar, out=None):
     means[0] = info_mean
     means[1:] = ybar
     return means
+
+
+class AxisBank:
+    """``prior_bank_params`` at each of ``externals``: one set of variances
+    and log weights (they do not depend on the external mean, so one kernel
+    call serves every point), and per point ``info`` and ``loc`` (or None)."""
+
+    def __init__(self, spec: MixturePriorSpec, externals):
+        banks = [prior_bank_params(spec, e) for e in externals]
+        self.variances, self.log_w, _, loc = banks[0]
+        self.info = np.array([bank[2] for bank in banks])
+        self.loc = None if loc is None else np.array([bank[3] for bank in banks])
+
+    def means(self, point, ybar, out):
+        """Component means (J, R) into ``out``: column r at point[r] and ybar[r]."""
+        out[0] = self.info[point]
+        out[1:] = ybar if self.loc is None else self.loc[point]
+        return out
 
 
 def _mixture(means, variances, log_weights) -> GaussianMixture:

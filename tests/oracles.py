@@ -7,8 +7,8 @@ check on it.
 
 ``brute_force_tie`` and ``brute_force_power`` are the one-arm Monte Carlo
 rates the per-draw way: a full posterior tail for every common draw, then
-the share at or below alpha. The library counts the sorted draws in the
-rejection region instead, and must match these exactly.
+the share at or below alpha. The library counts the sorted draws against
+one tail scan per curve instead, and must match these exactly.
 
 ``per_draw_tie``, ``per_draw_power``, ``per_draw_average_tie`` and
 ``per_draw_average_power`` are the hybrid Monte Carlo rates the per-draw

@@ -39,7 +39,7 @@ from borrowsim import (
     hybrid_power,
     hybrid_tie,
 )
-from borrowsim import hybrid, scenarios
+from borrowsim import hybrid, priors, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves, run_config
@@ -214,15 +214,16 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
-    # The solve and the per-draw kernel read one bank per point.
+    # The solve and the per-draw kernel read one bank per point, which the
+    # curve's AxisBank builds.
     calls = []
-    build = hybrid.prior_bank_params
+    build = priors.prior_bank_params
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(hybrid, "prior_bank_params", counting)
+    monkeypatch.setattr(priors, "prior_bank_params", counting)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     biases = (-0.5, 0.0, 0.25, 0.5)
     hybrid.oc_curve(scenario(), biases, exact=exact)

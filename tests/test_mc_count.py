@@ -1,14 +1,16 @@
-"""The one-arm Monte Carlo TIE and power as counts in the rejection region.
+"""The one-arm Monte Carlo TIE and power as counts against a curve's scans.
 
 The one-arm decision depends on the data only through the observed mean,
-so the library counts the sorted common draws that fall in the cell's
-rejection region instead of taking a posterior tail per draw. Draws close
-to a finite boundary, and draws outside the scan window where the region's
-infinite ends are only assumed, are re-decided by the per-draw kernel. The
-counts must therefore equal the brute-force per-draw rates exactly, not
-within Monte Carlo error.
+so the library scans the posterior tail of every point of a curve once,
+narrows the brackets of its sign changes, and counts the sorted common
+draws between them instead of taking a posterior tail per draw. Draws in
+a narrowed bracket, beside a zero scan value, and outside the scan window
+where the scan's sign is only assumed to hold, are re-decided by the
+per-draw kernel. The counts must therefore equal the brute-force
+per-draw rates exactly, not within Monte Carlo error.
 """
 
+import collections
 import math
 import threading
 import warnings
@@ -30,20 +32,14 @@ from borrowsim import (
     SufficientStat,
     one_arm_power,
     one_arm_power_exact,
-    one_arm_rejection_region,
     one_arm_tie,
     one_arm_tie_exact,
 )
 from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
-from borrowsim.onearm import (
-    _count_rejections,
-    _guard,
-    _scan_window,
-    _tail_function,
-)
+from borrowsim.onearm import _bands, _count_rejections, _tail_function
 from borrowsim.recipes import recipe_config
-from borrowsim.sweep import _curves, _grid_cell
+from borrowsim.sweep import _curves, _grid_cell, run_config
 from oracles import brute_force_power, brute_force_tie
 
 EXT = SufficientStat(0.0, 15, 1.0)
@@ -112,6 +108,19 @@ def test_extreme_conflicts_give_finite_bounded_numbers(p):
             assert 0.0 <= hybrid.hybrid_tie_exact(h, bias) <= 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(cells, st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6), st.integers(1_000, 5_000))
+def test_a_cell_counts_alike_on_a_curve_and_alone(p, conflicts, reps):
+    # Each point of a multi-point curve is counted as it is alone, and as
+    # the brute-force per-draw rates.
+    s, _ = build({**p, "reps": reps})
+    biases = [c * SD_EXT for c in conflicts]
+    ties, powers = onearm.oc_curve(s, biases)
+    for bias, tie, power in zip(biases, ties, powers):
+        assert tie == one_arm_tie(s, bias) == brute_force_tie(s, bias)
+        assert power == one_arm_power(s, bias) == brute_force_power(s, bias)
+
+
 def scenario(location=None, form=None, w=0.5):
     spec = MixturePriorSpec(
         w, EXT, location if location is not None else ExternalMean(),
@@ -121,114 +130,191 @@ def scenario(location=None, form=None, w=0.5):
 
 
 class Recorder:
-    """A per-draw rule that remembers which observed means it decided."""
+    """A per-draw rule that remembers which (observed mean, point) pairs it
+    decided."""
 
     def __init__(self, rule):
         self.rule = rule
         self.seen = []
 
-    def __call__(self, ys):
-        self.seen.extend(ys.tolist())
-        return self.rule(ys)
+    def __call__(self, ys, point):
+        self.seen.extend(zip(ys.tolist(), np.broadcast_to(point, ys.shape).tolist()))
+        return self.rule(ys, point)
 
 
-def probes(boundaries, window):
-    """Observed means at and around every boundary (guard bands at se 1)
-    and the window edges."""
+# A synthetic scan at se 1: null 0, window +-12, 2001 points 0.012 apart.
+YS = np.linspace(-12.0, 12.0, 2001)
+GUARD = 1e-9
+
+
+def region_rule(bounds):
+    """Rejects at or below bounds[0] and from bounds[1] to bounds[2]."""
+    return lambda y: (y <= bounds[0]) | ((y >= bounds[1]) & (y <= bounds[2]))
+
+
+def probes(bands, window=(YS[0], YS[-1])):
+    """Observed means at, inside and around every band's ends and the
+    window's edges, and beyond the window."""
     lo, hi = window
-    out = [lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)]
-    out += [-13.0 * SE, 13.0 * SE]  # beyond null +- 12 se
-    for c in boundaries:
-        g = _guard(1.0, c)
-        out += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
-        for side in (-1.0, 1.0):
-            out += [c + side * g * (1.0 - 1e-6), c + side * g * (1.0 + 1e-6)]
-            out += [c + side * 1e-3]
+    out = [lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf), -13.0, 13.0]
+    for a, b in zip(*bands[1:3]):
+        for c in (a, b):
+            if math.isfinite(c):
+                out += [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+                out += [c + side * 1e-3 * GUARD for side in (-1.0, 1.0)]
+                out += [c + side * 1e-3 for side in (-1.0, 1.0)]
+        if math.isfinite(a) and math.isfinite(b):
+            out.append(0.5 * (a + b))
     return np.sort(np.array(out + out[:4]))  # a few duplicates too
+
+
+def in_band(y, point, bands):
+    return any(p == point and a <= y <= b for p, a, b in zip(*bands[:3]))
+
+
+def check_count(z, at_mean, se, bands, rule):
+    """The counter's counts equal the rule's, each band's draws are decided
+    once and the draws clear of every band are not decided."""
+    points = int(bands[0].max()) + 1
+    decide = Recorder(rule)
+    counts = _count_rejections(z, at_mean, se, bands, decide)
+    ys = at_mean + se * z
+    assert counts.tolist() == [int(np.count_nonzero(rule(ys, np.full(ys.size, p)))) for p in range(points)]
+    copies = collections.Counter(ys.tolist())
+    assert all(n <= copies[y] for (y, _), n in collections.Counter(decide.seen).items())
+    seen = set(decide.seen)
+    margin = 1e-6 * GUARD * se
+    for p in range(points):
+        for y in ys:
+            if in_band(y, p, bands):
+                assert (y, p) in seen
+            elif not any(q == p and a - margin <= y <= b + margin for q, a, b in zip(*bands[:3])):
+                assert (y, p) not in seen
+    return counts
 
 
 class TestCounter:
     def test_real_region_boundary(self):
-        # A boundary where the kernel's tail crosses alpha: the draws right
-        # at it are re-decided, the draws just past the guard band follow
-        # the region, and the total equals the per-draw decisions.
-        s = scenario()
-        window = _scan_window(s)
-        region = one_arm_rejection_region(s, 2 * SD_EXT)
-        bounds = [x for iv in region for x in iv if math.isfinite(x)]
-        assert bounds
-        tails = _tail_function(s, 2 * SD_EXT)
-        ys = probes(bounds, window)
-        decide = Recorder(lambda y: tails(y) <= s.alpha)
-        count = _count_rejections(ys, 0.0, 1.0, region, window, decide)
-        assert count == int(np.count_nonzero(tails(ys) <= s.alpha))
-        seen = set(decide.seen)
-        for c in bounds:
-            g = _guard(1.0, c)
-            for y in ys:
-                if abs(y - c) <= g * (1.0 - 1e-6):
-                    assert y in seen
-                elif abs(y - c) >= g * (1.0 + 1e-6) and window[0] <= y <= window[1]:
-                    assert y not in seen
-        assert all(y in seen for y in ys if not window[0] <= y <= window[1])
+        # Brackets where the kernel's tail crosses alpha: the draws in and at
+        # the edges of a narrowed bracket's band are re-decided, the draws
+        # just past it follow the scan, those beyond the window are
+        # re-decided, and the totals equal the per-draw decisions.
+        s = scenario(location=CurrentMean())
+        biases = (2 * SD_EXT, -20 * SD_EXT)
+        bands, decide = onearm._curve(s, biases)
+        assert len(bands[0]) > 2 * len(biases)  # brackets besides the window's bands
+        z = (probes(bands) - s.null_mean) / s.se
+        check_count(z, s.null_mean, s.se, bands, decide)
 
-    @pytest.mark.parametrize("c", [(-0.5, 0.25, 1.0), (-0.5, -0.5 + 5e-10, 1.0)])
+    @pytest.mark.parametrize("c", [(-0.5, 0.25, 1.0), (YS[958] - 2.5e-10, YS[958] + 2.5e-10, 1.0)])
     @pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (0.5, -0.5, 0.9), (-0.9, 0.9, -0.5)])
     def test_two_interval_region(self, c, offsets):
-        # A union of two intervals whose per-draw rule crosses alpha up to
-        # 0.9e-9 away from the region's boundaries (a root refinement
-        # error), inside the guard band of observed means at se 1. In the
-        # second case the gap is narrower than a band, so two bands overlap
-        # and their shared draws must be decided once.
-        window = (-12.0 * SE, 12.0 * SE)
-        assert all(_guard(1.0, b) > 1e-9 for b in c)
-        true = [b + f * 1e-9 for b, f in zip(c, offsets)]
-        region = [(-math.inf, c[0]), (c[1], c[2])]
+        # A union of two intervals at point 0 and its mirror image at point
+        # 1, where the per-draw rule crosses up to 0.9e-10 away from where
+        # the scan saw it (the kernel's rounding differs between a scan and
+        # a draw). In the second case the gap is one scan point wide and
+        # narrower than a band, so the bands of the brackets beside it
+        # overlap and their shared draws must be decided once.
+        true = [b + f * 1e-10 for b, f in zip(c, offsets)]
+        seen_by_scan, rule = region_rule(c), region_rule(true)
+        scans = np.array([np.where(seen_by_scan(YS), -1.0, 1.0), np.where(seen_by_scan(-YS), -1.0, 1.0)])
+
+        def two_points(y, point):
+            return np.where(point == 0, rule(y), rule(-y))
+
+        bands = _bands(YS, scans, two_points, 1e-13, GUARD)
+        assert len(bands[0]) == 4 + 2 * 3
+        if c[1] - c[0] < GUARD:
+            near = sorted((a, b) for p, a, b in zip(*bands[:3]) if p == 0 and abs(a - c[0]) < 1e-6)
+            assert len(near) == 2 and near[0][1] > near[1][0]
+        ys = probes(bands)
+        check_count(ys, 0.0, 1.0, bands, two_points)
+
+    def test_zero_scan_values_wide_brackets_and_the_window(self):
+        # A scan value exactly zero at a crossing, brackets left a whole
+        # scan interval wide (a stop wider than the scan's spacing), and a
+        # rule that rejects beyond the window where the scan does not: every
+        # draw beside the zero, in a bracket or beyond the window is
+        # re-decided, the rest follow the scan.
+        in_region = region_rule((YS[700], 0.3, 1.0))
 
         def rule(y):
-            return (y <= true[0]) | ((y >= true[1]) & (y <= true[2]))
+            return in_region(y) | (y > 12.5)
 
-        ys = probes(c, window)
-        count = _count_rejections(ys, 0.0, 1.0, region, window, rule)
-        assert count == int(np.count_nonzero(rule(ys)))
+        scans = np.where(rule(YS), -1.0, 1.0)[None, :]
+        scans[0, 700] = 0.0
+        bands = _bands(YS, scans, lambda y, p: rule(y), 1.0, GUARD)
+        assert sorted(zip(*bands[1:3]))[1] == (YS[699] - GUARD, YS[701] + GUARD)
+        z = np.sort(np.concatenate((probes(bands), np.random.default_rng(3).normal(0.0, 5.0, 20_000))))
+        check_count(z, 0.0, 1.0, bands, lambda y, p: rule(y))
 
     def test_affine_observed_means_are_formed_like_the_draws(self):
         # The counter forms at_mean + se * z itself; those floats decide.
         s = scenario()
         z = np.sort(np.random.default_rng(5).standard_normal(5_000))
-        region = one_arm_rejection_region(s, 0.0)
+        bands, decide = onearm._curve(s, (0.0,))
         tails = _tail_function(s, 0.0)
         for at_mean in (s.null_mean, s.alt_mean, s.null_mean + 11.5 * s.se):
-            count = _count_rejections(
-                z, at_mean, s.se, region, _scan_window(s), lambda y: tails(y) <= s.alpha
-            )
-            assert count == int(np.count_nonzero(tails(at_mean + s.se * z) <= s.alpha))
+            counts = _count_rejections(z, at_mean, s.se, bands, decide)
+            assert counts.tolist() == [int(np.count_nonzero(tails(at_mean + s.se * z) <= s.alpha))]
 
 
 def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
-    calls = []
-    original = onearm.one_arm_rejection_region
+    # One scan per curve on the Monte Carlo routes, one region per cell on
+    # the exact routes, and a value of its own on each thread.
+    scans, regions = [], []
+    curve, region = onearm._curve, onearm.one_arm_rejection_region
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting_curve(s, biases):
+        scans.append(tuple(biases))
+        return curve(s, biases)
 
-    monkeypatch.setattr(onearm, "one_arm_rejection_region", counting)
+    def counting_region(*args, **kwargs):
+        regions.append(args)
+        return region(*args, **kwargs)
+
+    monkeypatch.setattr(onearm, "_curve", counting_curve)
+    monkeypatch.setattr(onearm, "one_arm_rejection_region", counting_region)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario(location=NullBoundary(0.0), form=StudentT(3.0, 1.0, 20))
-    one_arm_tie(s, SD_EXT)
-    one_arm_power(s, SD_EXT)
+    biases = (0.0, SD_EXT, 2 * SD_EXT)
+    ties, powers = onearm.oc_curve(s, biases)
+    assert onearm.oc_curve(s, biases, rates=("power", "tie")) == (powers, ties)
+    assert len(scans) == 1
+    assert (one_arm_tie(s, SD_EXT), one_arm_power(s, SD_EXT)) == (ties[1], powers[1])
+    assert len(scans) == 2
     one_arm_tie_exact(s, SD_EXT)
     one_arm_power_exact(s, SD_EXT)
-    assert len(calls) == 1
-    one_arm_tie(s, 2 * SD_EXT)
-    assert len(calls) == 2
+    assert len(regions) == 1
+    one_arm_tie_exact(s, 2 * SD_EXT)
+    assert len(regions) == 2 and len(scans) == 2
     # Another thread (another sweep worker) computes its own.
-    worker = threading.Thread(target=one_arm_power, args=(s, 2 * SD_EXT))
+    worker = threading.Thread(target=lambda: (one_arm_power(s, 2 * SD_EXT), one_arm_tie_exact(s, 2 * SD_EXT)))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(calls) == 3
+    assert len(scans) == 3 and len(regions) == 3
+
+
+def test_monte_carlo_rates_refine_no_boundary(monkeypatch):
+    # The counts come from the scan's brackets: no Monte Carlo TIE or power
+    # reaches brentq or the rejection region, on any location or form, in
+    # the library or in a sweep.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Monte Carlo rate refined a boundary")
+
+    monkeypatch.setattr(onearm, "brentq", forbidden)
+    monkeypatch.setattr(onearm, "one_arm_rejection_region", forbidden)
+    for location in (ExternalMean(), NullBoundary(0.0), CurrentMean()):
+        for form in (Normal(), StudentT(3.0, 1.0, 20)):
+            s = scenario(location=location, form=form)
+            one_arm_tie(s, SD_EXT)
+            one_arm_power(s, -SD_EXT)
+            onearm.oc_curve(s, (0.0, 2 * SD_EXT, 30 * SD_EXT))
+    for recipe in ("a1-dispersion", "fig1-t"):
+        cfg = {**recipe_config(recipe), "reps": 1_000}
+        cfg["sweep"] = {**cfg["sweep"], "bias": [-0.5, 0.0, 0.5]}
+        assert all(row.tie is not None for row in run_config(cfg, threads=2).rows)
 
 
 def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):

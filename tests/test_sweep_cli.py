@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from borrowsim import hybrid
 from borrowsim.cli import main
 from borrowsim.config import ConfigError, check_config, normalize_config
 from borrowsim.recipes import RECIPES, list_recipes, recipe_config
-from borrowsim.sweep import CSV_COLUMNS, cost_estimate, run_config
+from borrowsim.scenarios import OCRow
+from borrowsim.sweep import CSV_COLUMNS, SweepResult, cost_estimate, run_config, write_outputs
 
 
 def tiny_grid_config(**overrides):
@@ -409,6 +412,24 @@ class TestSweepEngine:
         res = run_config(cfg, threads=2)
         assert all(r.reps == 1000 and r.rmse_std > 0 and r.w_tilde > 0 for r in res.rows)
         assert res.meta["mc_draws"] == 2 * 2 * 1000  # two cells, rmse and w_tilde
+
+    def test_written_rows_are_the_rows_as_dicts(self, tmp_path):
+        # results.json and results.csv hold what dataclasses.asdict gave, key
+        # order included, for None values and numpy floats alike.
+        rows = [
+            OCRow("a", "one-arm", "external_mean", "normal", None, 0.5, np.float64(-0.1),
+                  tie=np.float64(0.025), w_tilde=0.3, reps=5000, seed=1),
+            OCRow("b", "hybrid", "current_mean", "t(df=3,scale=1,k=100)", np.float64(1.0), 0.25,
+                  0.0, power=1.0, power_calibrated=np.float64(0.5), obm=None),
+        ]
+        write_outputs(SweepResult(rows, {}, {}), tiny_grid_config(), tmp_path)
+        written = json.loads((tmp_path / "results.json").read_text())["rows"]
+        expected = json.loads(json.dumps([asdict(r) for r in rows], default=float))
+        assert written == expected
+        assert [list(r) for r in written] == [list(asdict(r)) for r in rows]
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert lines[1].split(",")[:8] == ["a", "one-arm", "external_mean", "normal", "", "0.5",
+                                           "-0.10000000000000001", "0.025000000000000001"]
 
     def test_table_kind_produces_summary(self):
         cfg = {
