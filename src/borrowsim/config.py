@@ -184,8 +184,8 @@ def _rule(f, c):
 
 
 def _span(v):
-    """Points of a {start, stop, step} grid, or the error text when it is
-    malformed or would expand to more than ``MAX_GRID_POINTS`` points."""
+    """Points of a {start, stop, step} grid, none past stop, or the error
+    text when it is malformed or would expand to more than ``MAX_GRID_POINTS``."""
     malformed = "need exactly start, stop and step, finite with start <= stop and step > 0"
     if set(v) != {"start", "stop", "step"}:
         return malformed
@@ -194,7 +194,8 @@ def _span(v):
         return malformed
     if (stop - start) / step + 1.0 > MAX_GRID_POINTS:
         return f"expands to more than {MAX_GRID_POINTS} points"
-    return [float(round(p, 12)) for p in np.arange(start, stop + 0.5 * step, step)]
+    points = np.arange(start, stop + 0.5 * step, step)
+    return [float(round(p, 12)) for p in points[points <= stop + 1e-9 * step]]
 
 
 def _check(f, box, name, c) -> list[str]:

@@ -3,14 +3,14 @@
 Monte Carlo estimates of the type-I-error rate, power, RMSE and mean
 posterior informative weight of the borrowing test, and a deterministic
 route via the rejection region in the observed mean (the decision depends
-on the data only through it). Because of that dependence the Monte Carlo
-TIE and power are counts of the sorted common draws, not posterior
-passes, made per curve (``oc_curve``; a cell is a one-point curve): one
-kernel pass scans every point's tail, and the draws near its crossings
-are re-decided in one batched kernel call. The RMSE and the mean weight
-are read off one tail-free posterior pass. A curve's TIE and power share
-one scan, and a cell's RMSE and mean weight one pass, through a
-per-thread slot.
+on the data only through it). Both routes' TIE and power are made per
+curve (``oc_curve``; a cell is a one-point curve) from one decision
+boundary: one kernel pass scans every point's tail, and the scan's sorted
+``_brackets`` are narrowed by bisection to count the sorted common draws
+(those near a crossing re-decided in one batched kernel call), or refined
+by ``brentq`` into the exact region. The RMSE and the mean weight are read
+off one tail-free posterior pass. A curve's TIE and power share one scan,
+and a cell's RMSE and mean weight one pass, through a per-thread slot.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ _BRENTQ_XTOL = 1e-12
 _GUARD_SE = 1e-9
 
 
-def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, work: bool = False,
-                point=None):
-    """Per-draw tail (None unless ``tails``: the ndtr is half the cost of a
-    101-component pass), posterior mean and informative weight: new arrays,
-    or with ``work`` this thread's "tail", "pmeans" and "w_info" buffers.
+def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, point=None):
+    """Per-draw tail (a new array), or without ``tails`` the per-draw
+    posterior mean and informative weight (this thread's "pmeans" and
+    "w_info" buffers; the ndtr is half the cost of a 101-component pass).
     ``bank`` is a ``prior_bank_params`` tuple, or with ``point`` an
     ``AxisBank`` whose prior at ``point[r]`` serves ``ybar[r]``. Each chunk
     works in this thread's buffers and allocates nothing of size J x R."""
@@ -63,10 +62,10 @@ def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, w
         bank if point is None else (bank.variances, bank.log_w, None, None))
     J = variances.size
     ybar = np.asarray(ybar, dtype=float)
-    new = (lambda name: work_array(name, ybar.size)) if work else (lambda _: np.empty_like(ybar))
-    tail = new("tail") if tails else None
-    pmeans = new("pmeans")
-    w_info = new("w_info")
+    if tails:
+        tail = np.empty_like(ybar)
+    else:
+        pmeans, w_info = work_array("pmeans", ybar.size), work_array("w_info", ybar.size)
     fixed = robust_loc is not None
     means = bank_means(info_mean, robust_loc, J, None) if fixed else None
     for sl in bank_chunks(ybar.size, J):
@@ -83,16 +82,10 @@ def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, w
             np.subtract(s.null_mean, pm, out=scratch)
             np.divide(scratch, np.sqrt(pv)[:, None], out=scratch)
             np.einsum("jr,jr->r", W, ndtr(scratch, out=scratch), out=tail[sl])
-        np.einsum("jr,jr->r", W, pm, out=pmeans[sl])
-        w_info[sl] = W[0]
-    return tail, pmeans, w_info
-
-
-def _tail_function(s: OneArmScenario, bias: float):
-    """Posterior tail at the null as a function of observed means, with the
-    cell's prior bank built once."""
-    bank = prior_bank_params(s.prior, s.external_at(bias))
-    return lambda ys: _bank_stats(s, bank, ys)[0]
+        else:
+            np.einsum("jr,jr->r", W, pm, out=pmeans[sl])
+            w_info[sl] = W[0]
+    return tail if tails else (pmeans, w_info)
 
 
 def _draws(s: OneArmScenario, at_mean: float, out=None) -> np.ndarray:
@@ -101,47 +94,93 @@ def _draws(s: OneArmScenario, at_mean: float, out=None) -> np.ndarray:
     return np.add(at_mean, np.multiply(s.se, z, out=out), out=out)
 
 
+def _scan(s: OneArmScenario, biases, points: int = _SCAN_POINTS, use_exact_t: bool = False):
+    """The grid ``ys`` over null +- 12 se, a curve's tail - alpha there (a
+    row per point, one chunked kernel pass over banks built once) and its
+    per-draw ``tails(ys, point)``; with ``use_exact_t``, one point's
+    ``_checked_exact_t`` scan and tail."""
+    ys = np.linspace(*_scan_window(s), points)
+    if use_exact_t:
+        tails, scan, _ = _checked_exact_t(s, *biases, ys)
+        return ys, scan[None] - s.alpha, tails
+    bank = AxisBank(s.prior, [s.external_at(b) for b in biases])
+
+    def tails(ys, point):
+        return _bank_stats(s, bank, ys, point=point)
+
+    scans = tails(np.tile(ys, len(biases)), np.repeat(np.arange(len(biases)), ys.size)) - s.alpha
+    return ys, scans.reshape(len(biases), -1), tails
+
+
+def _brackets(ys, scans):
+    """Sorted brackets (point, lo, hi, above, cut) of ``scans`` (tail -
+    alpha at ``ys``, a row per point): each sign change's scan interval
+    (cut NaN), the two scan intervals beside a zero (cut at the zero) and
+    either side of the window (cut -+inf). ``above``: whether the scan
+    rejects past the cut, up to the point's next bracket (never past +inf)."""
+    sign = np.sign(scans)
+    n_points, n = sign.shape
+    p, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    zp, zk = np.nonzero(sign == 0)
+    zk_above = np.minimum(zk + 1, n - 1)
+    every, edge = np.arange(n_points), np.ones(n_points)
+    point = np.concatenate((p, zp, every, every))
+    lo = np.concatenate((ys[k], ys[np.maximum(zk - 1, 0)], -np.inf * edge, ys[-1] * edge))
+    hi = np.concatenate((ys[k + 1], ys[zk_above], ys[0] * edge, np.inf * edge))
+    above = np.concatenate((sign[p, k + 1], sign[zp, zk_above], sign[:, 0], edge)) <= 0
+    cut = np.concatenate((np.full(k.size, np.nan), ys[zk], -np.inf * edge, np.inf * edge))
+    order = np.lexsort((lo, point))
+    return point[order], lo[order], hi[order], above[order], cut[order]
+
+
 def _curve(s: OneArmScenario, biases):
     """A curve's ``_bands``, from one scan of every point's tail, and its
     per-draw rule ``decide(ys, point)``."""
-    bank = AxisBank(s.prior, [s.external_at(b) for b in biases])
+    ys, scans, tails = _scan(s, biases)
 
     def decide(ys, point):
-        return _bank_stats(s, bank, ys, point=point)[0] <= s.alpha
+        return tails(ys, point) <= s.alpha
 
-    ys = np.linspace(*_scan_window(s), _SCAN_POINTS)
-    point = np.repeat(np.arange(len(biases)), ys.size)
-    scans = _bank_stats(s, bank, np.tile(ys, len(biases)), point=point)[0] - s.alpha
     # A bracket stops once it holds under one draw on expectation.
     stop = s.se * math.sqrt(2.0 * math.pi) / s.reps
-    return _bands(ys, scans.reshape(len(biases), -1), decide, stop, _GUARD_SE * s.se), decide
+    return _bands(ys, scans, decide, stop, _GUARD_SE * s.se), decide
 
 
 def _bands(ys, scans, decide, stop: float, guard: float):
     """Bands (point, lo, hi, whether the scan rejects above hi) of observed
-    means to re-decide, sorted and widened by ``guard``, from ``scans``
-    (tail - alpha at ``ys``, a row per point) and the rule ``decide(ys,
-    point)``: each sign change's bracket, bisected on the rule to under
-    ``stop`` wide, the two scan intervals beside a zero, and either side of
-    the window. Between a band and the next of its point the sign holds."""
-    sign = np.sign(scans)
-    n_points, n = sign.shape
-    p, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    lo, hi, left_rejects = ys[k], ys[k + 1], sign[p, k] < 0
+    means to re-decide: the ``_brackets`` of ``scans``, sign changes bisected
+    on the rule ``decide(ys, point)`` to under ``stop`` wide, all widened by
+    ``guard``. Between a band and the next of its point the sign holds."""
+    point, lo, hi, above, cut = _brackets(ys, scans)
+    i = np.flatnonzero(np.isnan(cut))
+    p, a, b, left_rejects = point[i], lo[i], hi[i], ~above[i]
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not lo.size or (hi - lo).max() < stop or np.all((mid == lo) | (mid == hi)):
+        mid = 0.5 * (a + b)
+        if not a.size or (b - a).max() < stop or np.all((mid == a) | (mid == b)):
             break
         like_left = decide(mid, p) == left_rejects
-        lo, hi = np.where(like_left, mid, lo), np.where(like_left, hi, mid)
-    zp, zk = np.nonzero(sign == 0)
-    every, edge = np.arange(n_points), np.ones(n_points)
-    point = np.concatenate((p, zp, every, every))
-    lo = np.concatenate((lo, ys[np.maximum(zk - 1, 0)], -np.inf * edge, ys[-1] * edge))
-    hi = np.concatenate((hi, ys[np.minimum(zk + 1, n - 1)], ys[0] * edge, np.inf * edge))
-    above = np.concatenate((sign[p, k + 1], sign[zp, np.minimum(zk + 1, n - 1)], sign[:, 0], edge)) < 0
-    order = np.lexsort((lo, point))
-    return point[order], lo[order] - guard, hi[order] + guard, above[order]
+        a, b = np.where(like_left, mid, a), np.where(like_left, b, mid)
+    lo[i], hi[i] = a, b
+    return point, lo - guard, hi + guard, above
+
+
+def _regions(ys, scans, tails, alpha: float):
+    """Each point's rejection region, a tuple of (lo, hi) intervals with
+    -+inf open ends, from the ``_brackets`` of ``scans``: each sign change
+    refined by ``brentq`` on the one-draw tail ``tails(ys, point)``, and
+    the region's side past each cut read off the scan."""
+    point, lo, hi, above, cut = _brackets(ys, scans)
+    for i in np.flatnonzero(np.isnan(cut)):
+        cut[i] = brentq(lambda y: float(tails(np.array([y]), point[i:i + 1])[0]) - alpha,
+                        lo[i], hi[i], xtol=_BRENTQ_XTOL)
+    # The region ends where the side changes. The scan rejects nothing past
+    # +inf, so each point's first bracket follows an unrejected side.
+    ends = above != np.concatenate(([False], above[:-1]))
+    bounds = cut[ends].tolist()
+    regions = [()] * scans.shape[0]
+    for p, a, b in zip(point[ends][::2], bounds[::2], bounds[1::2]):
+        regions[p] += ((a, b),)
+    return regions
 
 
 def _count_rejections(z, at_mean, se, bands, decide) -> np.ndarray:
@@ -174,19 +213,24 @@ def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[floa
     def compute():
         bank = prior_bank_params(s.prior, s.external_at(bias))
         ybar = _draws(s, centre, out=work_array("draws", s.reps))
-        _, pmeans, w_info = _bank_stats(s, bank, ybar, tails=False, work=True)
+        pmeans, w_info = _bank_stats(s, bank, ybar, tails=False)
         dev = np.subtract(pmeans, centre, out=pmeans)
         return float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
 
     return _shared((s, bias, centre), compute)
 
 
-def oc_curve(s: OneArmScenario, biases, *, rates=("tie", "power")):
-    """Monte Carlo TIE and power (those named in ``rates``) at each bias, as
-    lists of floats: one scan, made once per thread, serves the curve."""
+def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "power")):
+    """TIE and power (those named in ``rates``) at each bias, as lists of
+    floats: Monte Carlo counts of the sorted common draws, or with
+    ``exact`` the normal mass of each point's rejection region. One scan,
+    made once per thread, serves the curve."""
+    at = {"tie": s.null_mean, "power": s.alt_mean}
+    if exact:
+        regions = _exact_curve(s, biases)
+        return tuple([_region_probability(r, at[rate], s.se) for r in regions] for rate in rates)
     bands, decide = _shared((s, tuple(biases)), lambda: _curve(s, biases))
     z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
-    at = {"tie": s.null_mean, "power": s.alt_mean}
     counts = (_count_rejections(z, at[rate], s.se, bands, decide) for rate in rates)
     return tuple([int(c) / s.reps for c in count] for count in counts)
 
@@ -249,12 +293,12 @@ def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
     shifts = _exact_t_shifts(s.prior.form, near, far)
     banks = [prior_bank_params(s.prior, external, t_shift=d, t_nodes=nodes) for d in shifts]
 
-    def tails(ys):
+    def tails(ys, point=None):
         dist = np.zeros_like(ys) if robust_loc is None else np.abs(ys - robust_loc)
         band = np.clip(np.searchsorted(shifts, dist, side="right") - 1, 0, None)
         out = np.empty_like(ys)
         for b in np.unique(band):
-            out[band == b] = _bank_stats(s, banks[b], ys[band == b])[0]
+            out[band == b] = _bank_stats(s, banks[b], ys[band == b])
         return out
 
     return tails
@@ -281,6 +325,15 @@ def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
     )
 
 
+def _exact_curve(s: OneArmScenario, biases, use_exact_t: bool = False, scan_points=None):
+    """Each point's ``_regions`` off the curve's ``_scan``, made once per thread."""
+    points = _SCAN_POINTS if scan_points is None else scan_points
+    if points < 2:
+        raise ValueError(f"scan_points must be at least 2 (the window's ends), got {scan_points}")
+    return _shared((s, tuple(biases), use_exact_t, points),
+                   lambda: _regions(*_scan(s, biases, points, use_exact_t), s.alpha))
+
+
 def one_arm_rejection_region(
     s: OneArmScenario,
     bias: float,
@@ -291,42 +344,16 @@ def one_arm_rejection_region(
     """Intervals of observed means where the test rejects.
 
     Boundaries come from a sign scan of tail(ybar) - alpha over
-    null +- 12 se followed by root refinement; under prior-data conflict
-    the region can be a union of two intervals, which is exactly the
-    mechanism behind non-monotone error rates. Open ends are +-inf.
+    null +- 12 se, each crossing refined by ``brentq``; under prior-data
+    conflict the region can be a union of two intervals, which is exactly
+    the mechanism behind non-monotone error rates. Open ends are +-inf.
 
     ``use_exact_t`` takes the robust t exactly rather than as its k-point
     bank, and checks its own node count (``_checked_exact_t``). Both
-    routes scan 2001 points unless ``scan_points`` says otherwise.
+    routes scan 2001 points unless ``scan_points`` (at least 2) says
+    otherwise.
     """
-    lo, hi = _scan_window(s)
-    ys = np.linspace(lo, hi, _SCAN_POINTS if scan_points is None else scan_points)
-    if use_exact_t:
-        tails, scan, _ = _checked_exact_t(s, bias, ys)
-    else:
-        tails = _tail_function(s, bias)
-        scan = tails(ys)
-    vals = scan - s.alpha
-
-    def tail(y: float) -> float:
-        return float(tails(np.array([float(y)]))[0])
-
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    crossings = [
-        brentq(lambda y: tail(y) - s.alpha, ys[i], ys[i + 1], xtol=_BRENTQ_XTOL)
-        for i in idx
-    ]
-    edges = [lo] + crossings + [hi]
-    intervals: list[tuple[float, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if tail(0.5 * (a + b)) <= s.alpha:
-            left = -math.inf if a == lo else a
-            right = math.inf if b == hi else b
-            if intervals and intervals[-1][1] == left:
-                intervals[-1] = (intervals[-1][0], right)
-            else:
-                intervals.append((left, right))
-    return intervals
+    return list(_exact_curve(s, (bias,), use_exact_t, scan_points)[0])
 
 
 def _region_probability(intervals, mean: float, se: float) -> float:
@@ -338,16 +365,10 @@ def _region_probability(intervals, mean: float, se: float) -> float:
     return total
 
 
-def _region(s: OneArmScenario, bias: float, kwargs):
-    # The default route's region is made once for a cell's TIE and power.
-    return one_arm_rejection_region(s, bias, **kwargs) if kwargs else _shared(
-        (s, bias, None), lambda: tuple(one_arm_rejection_region(s, bias)))
-
-
 def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
     """Noise-free TIE: Gaussian mass of the rejection region at the null."""
-    return _region_probability(_region(s, bias, kwargs), s.null_mean, s.se)
+    return _region_probability(_exact_curve(s, (bias,), **kwargs)[0], s.null_mean, s.se)
 
 
 def one_arm_power_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
-    return _region_probability(_region(s, bias, kwargs), s.alt_mean, s.se)
+    return _region_probability(_exact_curve(s, (bias,), **kwargs)[0], s.alt_mean, s.se)

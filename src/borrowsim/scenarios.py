@@ -305,10 +305,10 @@ def base_uniforms(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarr
 
 
 # The last shared value on each thread, and the run the thread works for.
-# A sweep computes a cell's quantities, or a Monte Carlo curve's cells, one
-# after another on one worker thread, so what they share (a one-arm curve's
-# scan, a one-arm cell's rejection region or tail-free pass, a hybrid
-# curve's threshold solve and counts) is made once; the slot dies with the
+# A sweep computes a cell's quantities, or a curve's cells, one after
+# another on one worker thread, so what they share (a one-arm curve's scan
+# or regions, a one-arm cell's tail-free pass, a hybrid curve's threshold
+# solve and counts) is made once; the slot dies with the
 # sweep's workers, so no later run's call counts depend on what ran before.
 _last_cell = threading.local()
 _run_lock = threading.Lock()

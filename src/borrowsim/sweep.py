@@ -8,12 +8,12 @@ numbers), which the per-cell recomputation contract makes safe.
 
 This module owns every sweep-level decision: the cell enumeration
 (``_curves`` times ``_groups`` times ``_points``), the jobs (one per curve
-and group; a grid's Monte Carlo TIE and power one per curve or run of
-``_count_step`` points, its other fields one per cell), the Monte Carlo
-rule (``_fields``: which row fields a run's cells compute and which of
-them Monte Carlo estimates, read by the cells, by each row's ``reps`` and
-by the cost) and the cost itself (``cost_estimate``, which ``validate``
-prints and meta.json records).
+and group; a grid's TIE and power, Monte Carlo or exact, one per curve or
+run of ``_count_step`` points through its trial's ``oc_curve``, its other
+fields one per cell), the Monte Carlo rule (``_fields``: which row fields
+a run's cells compute and which of them Monte Carlo estimates, read by
+the cells, by each row's ``reps`` and by the cost) and the cost itself
+(``cost_estimate``, which ``validate`` prints and meta.json records).
 """
 
 from __future__ import annotations
@@ -178,24 +178,20 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
     }
 
 
+def _trial(s):
+    """The module of a scenario's trial."""
+    return onearm if isinstance(s, OneArmScenario) else hybrid
+
+
 def _grid_cell(cfg, s, bias):
-    """A grid cell's row fields but the Monte Carlo TIE and power."""
-    fields, mc = _fields(cfg)
-    fields -= mc & {"tie", "power"}
+    """A grid cell's RMSE, mean weight and bimodality fields."""
+    fields = _fields(cfg)[0]
     out = {}
-    one_arm = isinstance(s, OneArmScenario)
-    if "tie" in fields:
-        out["tie"] = (onearm.one_arm_tie_exact if one_arm else hybrid.hybrid_tie_exact)(s, bias)
-    if "power" in fields:
-        out["power"] = (onearm.one_arm_power_exact if one_arm else hybrid.hybrid_power_exact)(s, bias)
     if "rmse_std" in fields:
         true_mean = cfg.get("rmse_true_mean")
         _, out["rmse_std"] = onearm.one_arm_rmse(s, bias, true_mean)
     if "w_tilde" in fields:
-        if one_arm:
-            out["w_tilde"] = onearm.mean_posterior_weight(s, bias)
-        else:
-            out["w_tilde"] = hybrid.mean_posterior_weight(s, bias)
+        out["w_tilde"] = _trial(s).mean_posterior_weight(s, bias)
     if "obm" in fields:
         out["obm"] = diagnostics.bimodality_map(s, [s.prior.informative_weight], [bias]).item()
     return out
@@ -212,10 +208,7 @@ def _calibration_level(cfg, s, curve_ties) -> float:
     if isinstance(s.prior.location, ExternalMean) and isinstance(s.prior.form, Normal):
         return 1.0
     probe = _CALIBRATION_PROBE_SD_EXT * s.sd_ext
-    if isinstance(s, OneArmScenario):
-        probe_ties = [onearm.one_arm_tie_exact(s, b) for b in (-probe, probe)]
-    else:
-        probe_ties = hybrid.oc_curve(s, (-probe, probe), exact=True)[0]
+    probe_ties = _trial(s).oc_curve(s, (-probe, probe), exact=True, rates=("tie",))[0]
     return max(max(curve_ties), max(probe_ties))
 
 
@@ -269,9 +262,9 @@ def cost_estimate(cfg) -> tuple[int, int]:
 
 
 def _count_step(s, n: int) -> int:
-    """Points per Monte Carlo TIE/power job of a curve of ``n``: a hybrid
-    curve's all (one solve), a one-arm curve's as many as one kernel chunk
-    of scans holds (all at 2 components, 2 at 101, spread over threads)."""
+    """Points per TIE/power job of a curve of ``n``: a hybrid curve's all
+    (one solve), a one-arm curve's as many as one kernel chunk of scans
+    holds (all at 2 components, 2 at 101, spread over threads)."""
     if isinstance(s, HybridScenario):
         return n
     scan = priors.prior_bank_params(s.prior, s.external)[0].size * onearm._SCAN_POINTS
@@ -281,19 +274,18 @@ def _count_step(s, n: int) -> int:
 def _run_grid(cfg, pool) -> SweepResult:
     biases = _points(cfg, None)
     curves = _curves(cfg)
-    fields, mc = _fields(cfg)
-    counted = [rate for rate in ("tie", "power") if rate in mc]
+    fields = _fields(cfg)[0]
+    rates = [rate for rate in ("tie", "power") if rate in fields]
+    exact = cfg["estimator"] == "exact"
 
-    def count(s, points):
-        return (onearm if isinstance(s, OneArmScenario) else hybrid).oc_curve(s, points, rates=counted)
-
-    # The count jobs, the largest, go first; the other fields are a job per cell.
-    steps = [(s, _count_step(s, len(biases))) for s, _, _ in curves] if counted else []
-    jobs = [partial(count, s, biases[i:i + step]) for s, step in steps for i in range(0, len(biases), step)]
-    cells = [partial(_grid_cell, cfg, s, b) for s, _, _ in curves if fields - set(counted) for b in biases]
+    # The TIE/power jobs, the largest, go first; the other fields are a job per cell.
+    steps = [(s, _count_step(s, len(biases))) for s, _, _ in curves] if rates else []
+    jobs = [partial(_trial(s).oc_curve, s, biases[i:i + step], exact=exact, rates=rates)
+            for s, step in steps for i in range(0, len(biases), step)]
+    cells = [partial(_grid_cell, cfg, s, b) for s, _, _ in curves if fields - set(rates) for b in biases]
     out = list(pool.map(lambda job: job(), jobs + cells))
     none = [{}] * (len(curves) * len(biases))
-    counts = [dict(zip(counted, c)) for rates in out[:len(jobs)] for c in zip(*rates)] or none
+    counts = [dict(zip(rates, c)) for curve in out[:len(jobs)] for c in zip(*curve)] or none
     results = [{**a, **b} for a, b in zip(counts, out[len(jobs):] or none)]
 
     rows: list[OCRow] = []

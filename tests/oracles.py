@@ -17,6 +17,13 @@ draw, then the share at or below alpha. The library counts the draws
 against one threshold curve per cell instead, re-deciding only those too
 close to it, and must match these exactly.
 
+``scan_brentq_region`` (and ``rejection_region`` for a one-arm cell) is
+the one-arm rejection region the per-cell way: a sign scan of the tail,
+each crossing refined by ``brentq``, each interval's side decided by the
+tail at its midpoint, and the intervals merged. The library reads every
+side off a curve's scan and refines the same crossings with the same
+call, and must match this exactly wherever the scan has no zero.
+
 ``reject_prob_gh`` is the hybrid Gauss-Hermite rejection probability the
 one-call-per-effect way: the rule, the posterior bank and the 80-step
 threshold bisection rebuilt for one (bias, effect). The library solves
@@ -24,8 +31,8 @@ the threshold once per bias for a whole grid and shares it between TIE
 and power, and must match this bit for bit.
 
 ``posterior_bank_expression`` is the posterior kernel as one expression
-over new arrays, and ``bank_stats_expression`` the one-arm tails, means
-and weights read off it in one pass. The library's kernel writes each step
+over new arrays, and ``bank_stats_expression`` the one-arm tails, or the
+means and weights, read off it. The library's kernel writes each step
 into reused work buffers, chunk by chunk, and must match these bit for bit.
 
 ``find_modes`` is the scalar mode finder: a derivative sign scan of one
@@ -47,6 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from scipy.special import ndtr
 
@@ -163,26 +171,69 @@ def posterior_bank_expression(means, variances, log_weights, ybar, n, sigma):
     return post_w, post_mean, post_var
 
 
-def bank_stats_expression(s, bank, ybar):
+def bank_stats_expression(s, bank, ybar, tails=True):
     """``onearm._bank_stats`` over every draw at once, from
-    ``posterior_bank_expression``."""
+    ``posterior_bank_expression``: the tails, or without ``tails`` the
+    posterior means and informative weights."""
     variances, log_w, info_mean, robust_loc = bank
     means = bank_means(info_mean, robust_loc, variances.size, ybar)
     W, pm, pv = posterior_bank_expression(means, variances, log_w, ybar, s.n, s.sigma)
-    tail = np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / np.sqrt(pv)[:, None]))
-    return tail, np.einsum("jr,jr->r", W, pm), W[0]
+    if tails:
+        return np.einsum("jr,jr->r", W, ndtr((s.null_mean - pm) / np.sqrt(pv)[:, None]))
+    return np.einsum("jr,jr->r", W, pm), W[0]
+
+
+def cell_tails(s, bias: float):
+    """Posterior tail at the null as a function of observed means, under
+    the cell's prior bank."""
+    bank = prior_bank_params(s.prior, s.external_at(bias))
+    return lambda ybar: _bank_stats(s, bank, ybar)
 
 
 def posterior_stats(s, bias: float, ybar: np.ndarray):
     """Tail probability, posterior mean and informative weight per draw."""
-    return _bank_stats(s, prior_bank_params(s.prior, s.external_at(bias)), ybar)
+    bank = prior_bank_params(s.prior, s.external_at(bias))
+    return (_bank_stats(s, bank, ybar), *(a.copy() for a in _bank_stats(s, bank, ybar, tails=False)))
 
 
 def brute_force_rate(s, bias: float, at_mean: float) -> float:
     """Share of the common draws at ``at_mean`` whose posterior tail at the
     null is at most alpha, from one posterior pass over every draw."""
-    tails, _, _ = posterior_stats(s, bias, _draws(s, at_mean))
-    return float(np.mean(tails <= s.alpha))
+    return float(np.mean(cell_tails(s, bias)(_draws(s, at_mean)) <= s.alpha))
+
+
+def scan_brentq_region(tails, ys, alpha: float):
+    """Intervals of observed means where ``tails`` (vectorized) is at most
+    ``alpha``, the scan-and-midpoint way: a sign scan of tails - alpha on
+    ``ys``, each sign change refined by ``brentq`` on the one-point tail,
+    each interval between crossings decided by the tail at its midpoint,
+    and adjacent rejecting intervals merged. Open ends are +-inf. A scan
+    value of exactly zero is no sign change, so its crossing is missed."""
+    vals = tails(ys) - alpha
+
+    def tail(y: float) -> float:
+        return float(tails(np.array([float(y)]))[0])
+
+    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    crossings = [brentq(lambda y: tail(y) - alpha, ys[i], ys[i + 1], xtol=1e-12) for i in idx]
+    edges = [ys[0]] + crossings + [ys[-1]]
+    intervals: list[tuple[float, float]] = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if tail(0.5 * (a + b)) <= alpha:
+            left = -math.inf if a == ys[0] else a
+            right = math.inf if b == ys[-1] else b
+            if intervals and intervals[-1][1] == left:
+                intervals[-1] = (intervals[-1][0], right)
+            else:
+                intervals.append((left, right))
+    return intervals
+
+
+def rejection_region(s, bias: float, scan_points: int = 2001):
+    """A one-arm cell's rejection region by ``scan_brentq_region`` over
+    null +- 12 se, under its k-point prior bank."""
+    ys = np.linspace(s.null_mean - 12.0 * s.se, s.null_mean + 12.0 * s.se, scan_points)
+    return scan_brentq_region(cell_tails(s, bias), ys, s.alpha)
 
 
 def brute_force_tie(s, bias: float) -> float:

@@ -24,7 +24,7 @@ from borrowsim import (
     one_arm_rejection_region,
 )
 from borrowsim.onearm import EXACT_T_TOL, _checked_exact_t, _exact_t_tails
-from oracles import exact_t_tail_oracle
+from oracles import exact_t_tail_oracle, scan_brentq_region
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -71,6 +71,9 @@ def test_region_is_finite_and_ordered(p):
     bounds = [x for interval in region for x in interval]
     assert not any(math.isnan(x) for x in bounds)
     assert bounds == sorted(bounds)
+    # The region read off the scan's brackets is the per-cell oracle's.
+    ys = np.linspace(-12.0 * s.se, 12.0 * s.se, 2001)
+    assert region == scan_brentq_region(_checked_exact_t(s, bias, ys)[0], ys, s.alpha)
 
 
 def test_default_node_count_suffices_for_the_criterion_5_scenario():

@@ -1,4 +1,5 @@
-"""The one-arm Monte Carlo TIE and power as counts against a curve's scans.
+"""The one-arm TIE and power against a curve's scans: Monte Carlo counts
+and exact regions.
 
 The one-arm decision depends on the data only through the observed mean,
 so the library scans the posterior tail of every point of a curve once,
@@ -7,7 +8,9 @@ draws between them instead of taking a posterior tail per draw. Draws in
 a narrowed bracket, beside a zero scan value, and outside the scan window
 where the scan's sign is only assumed to hold, are re-decided by the
 per-draw kernel. The counts must therefore equal the brute-force
-per-draw rates exactly, not within Monte Carlo error.
+per-draw rates exactly, not within Monte Carlo error. The exact route
+reads each rejection region off the same scan and brackets, and must
+equal the per-cell scan-and-midpoint region of ``oracles`` exactly.
 """
 
 import collections
@@ -32,15 +35,16 @@ from borrowsim import (
     SufficientStat,
     one_arm_power,
     one_arm_power_exact,
+    one_arm_rejection_region,
     one_arm_tie,
     one_arm_tie_exact,
 )
 from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
-from borrowsim.onearm import _bands, _count_rejections, _tail_function
+from borrowsim.onearm import _bands, _count_rejections, _exact_curve, _region_probability, _regions
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves, _grid_cell, run_config
-from oracles import brute_force_power, brute_force_tie
+from oracles import brute_force_power, brute_force_tie, cell_tails, rejection_region, scan_brentq_region
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -119,6 +123,62 @@ def test_a_cell_counts_alike_on_a_curve_and_alone(p, conflicts, reps):
     for bias, tie, power in zip(biases, ties, powers):
         assert tie == one_arm_tie(s, bias) == brute_force_tie(s, bias)
         assert power == one_arm_power(s, bias) == brute_force_power(s, bias)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+def test_exact_regions_equal_the_scan_and_midpoint_oracle(p, conflicts):
+    # The exact route reads each region off the curve's scan and brackets;
+    # on a curve, each point alone and the per-cell oracle (scan, brentq,
+    # a tail at each interval's midpoint, merge) give the same intervals
+    # and the same TIE and power, to the last bit.
+    s, _ = build(p)
+    biases = [c * SD_EXT for c in conflicts]
+    regions = _exact_curve(s, biases)
+    ties, powers = onearm.oc_curve(s, biases, exact=True)
+    for bias, region, tie, power in zip(biases, regions, ties, powers):
+        oracle = rejection_region(s, bias)
+        assert list(region) == one_arm_rejection_region(s, bias) == oracle
+        assert tie == one_arm_tie_exact(s, bias) == _region_probability(oracle, s.null_mean, s.se)
+        assert power == one_arm_power_exact(s, bias) == _region_probability(oracle, s.alt_mean, s.se)
+
+
+def test_a_scan_zero_is_a_boundary_the_midpoint_oracle_misses():
+    # tail - alpha = c - y hits zero exactly at a scan point c: the test
+    # rejects from c on. The scan has no sign change there, so the oracle,
+    # which looks for boundaries only at sign changes, decides the whole
+    # window by the tail at its midpoint and finds no region.
+    alpha, ys = 0.025, np.linspace(-12.0, 12.0, 2001)
+    c = ys[1100]
+
+    def tails(y, point=None):
+        return alpha + (c - y)
+
+    scans = (tails(ys) - alpha)[None]
+    assert np.count_nonzero(scans == 0.0) == 1 and scans[0, 1100] == 0.0
+    assert _regions(ys, scans, tails, alpha) == [((c, math.inf),)]
+    assert scan_brentq_region(tails, ys, alpha) == []
+    # A zero the scan touches without changing side is no boundary: one
+    # point (measure zero) where the test does not reject nearby, and no
+    # gap where it rejects on both sides.
+    for side, region in ((1.0, ()), (-1.0, ((-math.inf, math.inf),))):
+        def touch(y, point=None, side=side):
+            return alpha + side * (y - c) ** 2
+
+        scans = (touch(ys) - alpha)[None]
+        assert np.count_nonzero(scans == 0.0) == 1 and scans[0, 1100] == 0.0
+        assert _regions(ys, scans, touch, alpha) == [region]
+    # Two zeros in a row: the test rejects at both (tail = alpha), so the
+    # region starts at the first when it rejects above, and ends at the
+    # second when it rejects below.
+    c2 = ys[1101]
+    for side, region in ((1.0, ((c, math.inf),)), (-1.0, ((-math.inf, c2),))):
+        def plateau(y, point=None, side=side):
+            return alpha + side * np.where(y < c, c - y, np.where(y > c2, c2 - y, 0.0))
+
+        scans = (plateau(ys) - alpha)[None]
+        assert np.flatnonzero(scans == 0.0).tolist() == [1100, 1101]
+        assert _regions(ys, scans, plateau, alpha) == [region]
 
 
 def scenario(location=None, form=None, w=0.5):
@@ -253,7 +313,7 @@ class TestCounter:
         s = scenario()
         z = np.sort(np.random.default_rng(5).standard_normal(5_000))
         bands, decide = onearm._curve(s, (0.0,))
-        tails = _tail_function(s, 0.0)
+        tails = cell_tails(s, 0.0)
         for at_mean in (s.null_mean, s.alt_mean, s.null_mean + 11.5 * s.se):
             counts = _count_rejections(z, at_mean, s.se, bands, decide)
             assert counts.tolist() == [int(np.count_nonzero(tails(at_mean + s.se * z) <= s.alpha))]
@@ -263,7 +323,7 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
     # One scan per curve on the Monte Carlo routes, one region per cell on
     # the exact routes, and a value of its own on each thread.
     scans, regions = [], []
-    curve, region = onearm._curve, onearm.one_arm_rejection_region
+    curve, region = onearm._curve, onearm._regions
 
     def counting_curve(s, biases):
         scans.append(tuple(biases))
@@ -274,7 +334,7 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
         return region(*args, **kwargs)
 
     monkeypatch.setattr(onearm, "_curve", counting_curve)
-    monkeypatch.setattr(onearm, "one_arm_rejection_region", counting_region)
+    monkeypatch.setattr(onearm, "_regions", counting_region)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario(location=NullBoundary(0.0), form=StudentT(3.0, 1.0, 20))
     biases = (0.0, SD_EXT, 2 * SD_EXT)
@@ -304,7 +364,7 @@ def test_monte_carlo_rates_refine_no_boundary(monkeypatch):
         raise AssertionError("a Monte Carlo rate refined a boundary")
 
     monkeypatch.setattr(onearm, "brentq", forbidden)
-    monkeypatch.setattr(onearm, "one_arm_rejection_region", forbidden)
+    monkeypatch.setattr(onearm, "_regions", forbidden)
     for location in (ExternalMean(), NullBoundary(0.0), CurrentMean()):
         for form in (Normal(), StudentT(3.0, 1.0, 20)):
             s = scenario(location=location, form=form)

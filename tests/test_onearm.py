@@ -106,6 +106,20 @@ class TestRejectionRegion:
         se = math.sqrt(max(exact * (1 - exact), 1e-8) / s.reps)
         assert abs(mc - exact) <= 3 * se
 
+    @pytest.mark.parametrize("use_exact_t", [False, True])
+    def test_a_scan_needs_two_points(self, use_exact_t):
+        # At 0 or 1 scan points the region used to come out empty, so the
+        # exact TIE read 0; from 2 points on the window's ends bound it.
+        s = scenario(form=StudentT(3.0, 1.0, 100), reps=1, seed=7)
+        for points in (0, 1):
+            with pytest.raises(ValueError, match=f"scan_points must be at least 2.*got {points}"):
+                one_arm_rejection_region(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
+            with pytest.raises(ValueError, match=f"got {points}"):
+                one_arm_tie_exact(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
+        for points in (2, 3, 11):
+            (lo, hi), = one_arm_rejection_region(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
+            assert lo == pytest.approx(0.3125, abs=1e-4) and hi == math.inf
+
     def test_region_supports_t_bank_decisions(self):
         s = scenario(w=0.5, form=StudentT(3.0, 1.0, 50), reps=10_000)
         region = one_arm_rejection_region(s, 2 * SD_EXT)

@@ -109,6 +109,17 @@ class TestValidation:
         cfg["sweep"]["bias"] = grid
         assert check_config(cfg) == [f"sweep.bias: expands to more than {config.MAX_GRID_POINTS} points"]
 
+    @pytest.mark.parametrize("grid, points", [
+        ({"start": 0, "stop": 0.26, "step": 0.1}, [0.0, 0.1, 0.2]),
+        ({"start": 0, "stop": 0.3, "step": 0.1}, [0.0, 0.1, 0.2, 0.3]),
+        ({"start": -1.0, "stop": 1.0, "step": 0.5}, [-1.0, -0.5, 0.0, 0.5, 1.0]),
+        ({"start": 0.5, "stop": 0.55, "step": 0.1}, [0.5]),
+    ])
+    def test_grid_shorthand_never_passes_stop(self, grid, points):
+        cfg = tiny_grid_config()
+        cfg["sweep"]["bias"] = grid
+        assert normalize_config(cfg)["sweep"]["bias"] == points
+
     def test_cost_estimate_counts_cells(self):
         cells, draws = cost_estimate(normalize_config(tiny_grid_config()))
         assert cells == 2 * 1 * 2 * 3
