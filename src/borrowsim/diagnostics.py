@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .gaussian import GaussianMixture, SufficientStat, mixture_cdf, mixture_density, mixture_pdf
+from .gaussian import GaussianMixture, SufficientStat, brentq, mixture_cdf, mixture_density, mixture_pdf
 from .priors import Normal
 from . import inference, priors
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from .gaussian import brentq
 # posterior_bank stays bound here: perfbench's tracer patches every binding.
 from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array  # noqa: F401
 from .priors import EXACT_T_NODES, AxisBank, StudentT, bank_means, prior_bank_params

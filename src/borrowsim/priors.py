@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
-from scipy.stats import gamma as _gamma
+from scipy.special import gammaincinv, roots_genlaguerre
 
 from .gaussian import GaussianComponent, GaussianMixture, SufficientStat
 
@@ -204,9 +203,11 @@ def gamma_precision_quantiles(df: float, k: int) -> np.ndarray:
 
     Quantiles of Gamma(shape df/2, rate df/2) at the midpoint levels
     (i - 0.5)/k, i = 1..k. Midpoints avoid the undefined 0 and 1 levels.
+    ``gammaincinv(a, q) * scale`` is what ``scipy.stats.gamma.ppf(q, a,
+    scale=scale)`` evaluates, bit for bit, without importing scipy.stats.
     """
     levels = (np.arange(1, k + 1) - 0.5) / k
-    lam = _gamma.ppf(levels, a=df / 2.0, scale=2.0 / df)
+    lam = gammaincinv(df / 2.0, levels) * (2.0 / df)
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
         raise ValueError(f"Gamma quantiles failed for df={df!r}")
     return lam

@@ -112,6 +112,35 @@ def test_extreme_conflicts_give_finite_bounded_numbers(p):
             assert 0.0 <= hybrid.hybrid_tie_exact(h, bias) <= 1.0
 
 
+@pytest.mark.parametrize("location", [ExternalMean(), NullBoundary(0.0), CurrentMean()],
+                         ids=["external", "null-boundary", "current"])
+@pytest.mark.parametrize("form, n_robust", [
+    (Normal(), 1.0 / 400.0), (Normal(), 1.0), (Normal(), 2.0),
+    (StudentT(3.0, 1.0, 100), 1.0), (StudentT(2.05, 0.3, 20), 1.0),
+], ids=["normal-1/400", "normal-1", "normal-2", "t3-k100", "t2.05-k20"])
+def test_rmse_and_weights_are_finite_on_the_extreme_grid(location, form, n_robust):
+    # The grid's corners, not random draws: every weight, n_robust from
+    # 1/400 to 2, both t banks, and conflicts to 1e3 sd-ext on either side.
+    # RMSE, its standardized form and the one-arm and hybrid mean weights
+    # are finite, the weights probabilities, and no step warns.
+    for w in (0.0, 0.5, 1.0):
+        spec = MixturePriorSpec(w, EXT, location, form, n_robust=n_robust)
+        s = OneArmScenario(0.0, 2.8 * SE, N, 1.0, EXT, spec, seed=7, reps=2_000)
+        h = None
+        if not isinstance(location, NullBoundary):
+            h = HybridScenario(N, N, 1.0, EXT, spec, effect=2.8 * SE, seed=7, reps=2_000)
+        for conflict in (0.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3):
+            bias = conflict * SD_EXT
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rmse, rmse_std = onearm.one_arm_rmse(s, bias)
+                weights = [onearm.mean_posterior_weight(s, bias)]
+                if h is not None:
+                    weights.append(hybrid.mean_posterior_weight(h, bias))
+            assert math.isfinite(rmse) and math.isfinite(rmse_std) and rmse_std > 0.0, (w, conflict)
+            assert all(0.0 <= v <= 1.0 for v in weights), (w, conflict, weights)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cells, st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6), st.integers(1_000, 5_000))
 def test_a_cell_counts_alike_on_a_curve_and_alone(p, conflicts, reps):

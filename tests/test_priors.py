@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import gammainc
+from scipy.stats import gamma as gamma_dist
 from scipy.stats import t as student_t
 
 from borrowsim import (
@@ -86,6 +87,18 @@ class TestTApproximation:
         for i, value in enumerate(lam):
             p = (i + 0.5) / 10
             assert value == pytest.approx(gamma_quantile_oracle(p, 1.5, 1.5), rel=1e-10)
+
+    @pytest.mark.parametrize("df", [0.1, 0.5, 1, 1.5, 2, 2.05, 2.5, 3, 4, 5, 7.3, 10, 30, 100, 1000])
+    def test_quantile_grid_is_scipy_stats_gamma_ppf_bit_for_bit(self, df):
+        # The bank's precisions come from scipy.special.gammaincinv, the
+        # expression scipy.stats.gamma.ppf evaluates. Every recipe's
+        # fingerprint rests on the two agreeing in the last bit; a SciPy that
+        # splits them fails here rather than moving results silently.
+        for k in (1, 2, 5, 10, 20, 50, 100, 101, 200, 400, 1000):
+            levels = (np.arange(1, k + 1) - 0.5) / k
+            expected = gamma_dist.ppf(levels, a=df / 2.0, scale=2.0 / df)
+            got = gamma_precision_quantiles(df, k)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (df, k)
 
     def test_single_component_uses_the_median_precision(self):
         m = t_to_normal_mixture(0.3, StudentT(3.0, 1.0, 1))
