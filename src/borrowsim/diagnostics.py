@@ -49,13 +49,15 @@ class BimodalityReport:
 
 
 def _pdf_derivative(x, weights, means, sds):
-    """Derivative of ``mixture_density`` in x."""
-    out = np.zeros_like(x)
+    """Derivative of ``mixture_density`` in x, each step written into this
+    thread's buffers (the result is "pdf_out")."""
+    out, d, z, phi = (inference.work_array("pdf_" + name, *x.shape) for name in ("out", "d", "z", "phi"))
+    out.fill(0.0)
     for w, mu, sd in zip(weights, means, sds):
-        d = x - mu
-        z = d / sd
-        phi = np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
-        out += -w * phi * d / (sd * sd)
+        np.divide(np.subtract(x, mu, out=d), sd, out=z)
+        np.exp(np.multiply(np.multiply(-0.5, z, out=phi), z, out=phi), out=phi)
+        np.divide(phi, sd * math.sqrt(2 * math.pi), out=phi)
+        out += np.divide(np.multiply(np.multiply(-w, phi, out=phi), d, out=phi), sd * sd, out=phi)
     return out
 
 

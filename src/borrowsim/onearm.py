@@ -8,9 +8,11 @@ curve (``oc_curve``; a cell is a one-point curve) from one decision
 boundary: one kernel pass scans every point's tail, and the scan's sorted
 ``_brackets`` are narrowed by bisection to count the sorted common draws
 (those near a crossing re-decided in one batched kernel call), or refined
-by ``brentq`` into the exact region. The RMSE and the mean weight are read
-off one tail-free posterior pass. A curve's TIE and power share one scan,
-and a cell's RMSE and mean weight one pass, through a per-thread slot.
+by ``brentq`` into the exact region (the exact scan covers the whole
+window, the Monte Carlo one the grid points that bracket its draws). The
+RMSE and the mean weight are read off one tail-free posterior pass. A
+curve's TIE and power share one scan, and a cell's RMSE and mean weight
+one pass, through a per-thread slot.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ __all__ = [
 EXACT_T_TOL = 1e-12
 _EXACT_T_FALLBACK = (80, 160)
 
-# Points of the sign scan of tail - alpha over null +- 12 se, and the
-# absolute tolerance of the rejection region's boundary refinement.
+# Points of the sign scan grid of tail - alpha over null +- 12 se (the
+# exact route scans them all, the Monte Carlo count those that bracket its
+# draws), and the absolute tolerance of the region's boundary refinement.
 _SCAN_POINTS = 2001
 _BRENTQ_XTOL = 1e-12
 # The guard (in se) by which the Monte Carlo count widens the bands of draws
@@ -94,12 +97,17 @@ def _draws(s: OneArmScenario, at_mean: float, out=None) -> np.ndarray:
     return np.add(at_mean, np.multiply(s.se, z, out=out), out=out)
 
 
-def _scan(s: OneArmScenario, biases, points: int = _SCAN_POINTS, use_exact_t: bool = False):
+def _scan(s: OneArmScenario, biases, points: int = _SCAN_POINTS, use_exact_t: bool = False, span=None):
     """The grid ``ys`` over null +- 12 se, a curve's tail - alpha there (a
     row per point, one chunked kernel pass over banks built once) and its
     per-draw ``tails(ys, point)``; with ``use_exact_t``, one point's
-    ``_checked_exact_t`` scan and tail."""
+    ``_checked_exact_t`` scan and tail. A ``span`` (lo, hi) keeps the points
+    from the one at or below lo to the one at or above hi (two at least),
+    each row value the full grid's to the bit (a kernel column is chunk-free)."""
     ys = np.linspace(*_scan_window(s), points)
+    if span is not None:
+        lo = min(max(np.searchsorted(ys, span[0], side="right") - 1, 0), points - 2)
+        ys = ys[lo:max(np.searchsorted(ys, span[1]), lo + 1) + 1]
     if use_exact_t:
         tails, scan, _ = _checked_exact_t(s, *biases, ys)
         return ys, scan[None] - s.alpha, tails
@@ -134,9 +142,11 @@ def _brackets(ys, scans):
 
 
 def _curve(s: OneArmScenario, biases):
-    """A curve's ``_bands``, from one scan of every point's tail, and its
-    per-draw rule ``decide(ys, point)``."""
-    ys, scans, tails = _scan(s, biases)
+    """A curve's ``_bands``, from one scan of every point's tail where its
+    TIE and power draws fall, and its per-draw rule ``decide(ys, point)``."""
+    z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    span = (min(s.null_mean, s.alt_mean) + s.se * z[0], max(s.null_mean, s.alt_mean) + s.se * z[-1])
+    ys, scans, tails = _scan(s, biases, span=span)
 
     def decide(ys, point):
         return tails(ys, point) <= s.alpha

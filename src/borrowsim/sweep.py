@@ -263,8 +263,9 @@ def cost_estimate(cfg) -> tuple[int, int]:
 
 def _count_step(s, n: int) -> int:
     """Points per TIE/power job of a curve of ``n``: a hybrid curve's all
-    (one solve), a one-arm curve's as many as one kernel chunk of scans
-    holds (all at 2 components, 2 at 101, spread over threads)."""
+    (one solve), a one-arm curve's as many as one kernel chunk of full-grid
+    scans holds (all at 2 components, 2 at 101, spread over threads), as
+    the exact route scans; the Monte Carlo scan keeps what its draws span."""
     if isinstance(s, HybridScenario):
         return n
     scan = priors.prior_bank_params(s.prior, s.external)[0].size * onearm._SCAN_POINTS

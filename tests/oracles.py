@@ -40,6 +40,10 @@ two-component mixture, each sign change refined by a Python bisection of
 one-point evaluations. The library's finder runs over a batch of
 mixtures at once and must match it bit for bit.
 
+``pdf_derivative_expression`` is the batch mode finder's density
+derivative with a new array for every step. The library writes each step
+into reused work buffers and must match it bit for bit.
+
 ``weight_propagation`` is the mean posterior informative weight the
 hand-written way: the log-marginals of the informative component and of
 the robust block written out, and the weight w / (w + (1 - w) r) formed
@@ -319,6 +323,17 @@ def _pdf_derivative(x, m):
         z = (x - c.mean) / c.sd
         phi = np.exp(-0.5 * z * z) / (c.sd * math.sqrt(2 * math.pi))
         out += -w * phi * (x - c.mean) / (c.sd * c.sd)
+    return out
+
+
+def pdf_derivative_expression(x, weights, means, sds):
+    """``diagnostics._pdf_derivative`` with a new array for every step."""
+    out = np.zeros_like(x)
+    for w, mu, sd in zip(weights, means, sds):
+        d = x - mu
+        z = d / sd
+        phi = np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
+        out += -w * phi * d / (sd * sd)
     return out
 
 

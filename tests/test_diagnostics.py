@@ -1,6 +1,10 @@
 """Mode finding, bimodality grading and highest-density regions."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +145,46 @@ class TestBatchedModeFinder:
         report = find_modes(m)
         assert report == oracles.find_modes(m)
         assert report.modes[0][0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(general, one_sided, unimodal, far_apart), min_size=1, max_size=8))
+    def test_the_derivative_in_work_buffers_is_the_expression_bit_for_bit(self, mixtures):
+        # On a batch's scan grid and on one point per mixture, as the
+        # bisection calls it.
+        weights = np.array([m.weights for m in mixtures]).T
+        means = np.array([m.means() for m in mixtures]).T
+        sds = np.array([m.sds() for m in mixtures]).T
+        grid = np.linspace(means.min(axis=0) - 6.0 * sds.max(axis=0),
+                           means.max(axis=0) + 6.0 * sds.max(axis=0), diagnostics._SCAN_POINTS)
+        for x in (grid, grid[777]):
+            got = diagnostics._pdf_derivative(x, weights, means, sds).copy()
+            want = oracles.pdf_derivative_expression(x, weights, means, sds)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fault counts of Linux getrusage")
+    def test_a_warm_map_takes_few_page_faults(self):
+        # A fresh interpreter, whose allocator has not raised its trim
+        # threshold (this suite's imports do): with a new array per step
+        # the heap top was trimmed and refaulted scan block after block:
+        # 3927 faults or more on this map in most fresh interpreters.
+        script = textwrap.dedent("""
+            import resource
+            from borrowsim import (ExternalMean, MixturePriorSpec, Normal, OneArmScenario,
+                                   SufficientStat, bimodality_map)
+            ext = SufficientStat(0.0, 15, 1.0)
+            spec = MixturePriorSpec(0.5, ext, ExternalMean(), Normal())
+            s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
+            w_grid = [i / 20 for i in range(21)]
+            bimodality_map(s, w_grid=w_grid)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            bimodality_map(s, w_grid=w_grid)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 100
 
     @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
     def test_map_matches_the_scalar_path_cell_by_cell(self, location):

@@ -17,6 +17,7 @@ import collections
 import math
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,6 +347,79 @@ class TestCounter:
         for at_mean in (s.null_mean, s.alt_mean, s.null_mean + 11.5 * s.se):
             counts = _count_rejections(z, at_mean, s.se, bands, decide)
             assert counts.tolist() == [int(np.count_nonzero(tails(at_mean + s.se * z) <= s.alpha))]
+
+
+def draw_span(s, lo_q=0.0, hi_q=1.0):
+    """The observed means from the TIE draws' ``lo_q`` quantile to the
+    power draws' ``hi_q`` quantile, as ``_curve`` forms the draws' span."""
+    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    lo, hi = z[round(lo_q * (z.size - 1))], z[round(hi_q * (z.size - 1))]
+    return min(s.null_mean, s.alt_mean) + s.se * lo, max(s.null_mean, s.alt_mean) + s.se * hi
+
+
+@pytest.mark.parametrize("location", [ExternalMean(), NullBoundary(0.0), CurrentMean()],
+                         ids=["external", "null-boundary", "current"])
+@pytest.mark.parametrize("form", [Normal(), StudentT(3.0, 1.0, 100)], ids=["J2", "J101"])
+def test_the_windowed_scan_matches_the_full_scan(location, form):
+    # The Monte Carlo scan keeps a slice of the full grid; its rows at the
+    # kept points equal the full scan's to the bit, whatever the span cuts.
+    s = replace(scenario(location=location, form=form), reps=10_000)
+    biases = (-30 * SD_EXT, 0.0, 0.7 * SD_EXT, 2 * SD_EXT)
+    ys, scans, _ = onearm._scan(s, biases)
+    for span in (draw_span(s), draw_span(s, 0.3, 0.6), (ys[700], ys[900]), (-1e3, 1e3)):
+        ys_w, scans_w, _ = onearm._scan(s, biases, span=span)
+        first = int(np.flatnonzero(ys == ys_w[0])[0])
+        kept = slice(first, first + ys_w.size)
+        assert ys_w.size >= 2 and ys_w[0] <= max(span[0], ys[0]) and ys_w[-1] >= min(span[1], ys[-1])
+        assert ys_w.size < ys.size or span == (-1e3, 1e3)
+        assert np.array_equal(ys_w.view(np.int64), ys[kept].view(np.int64))
+        assert np.array_equal(scans_w.view(np.int64), scans[:, kept].view(np.int64))
+
+
+def fig1_t_curve(reps):
+    """fig1-t's w 0.5 curve: its scenario and biases."""
+    cfg = normalize_config({**recipe_config("fig1-t"), "reps": reps})
+    return next(s for s, _, w in _curves(cfg) if w == 0.5), cfg["sweep"]["bias"]
+
+
+def test_the_window_stays_small_and_its_edges_hold_no_draws(monkeypatch):
+    # At 1e4 reps the Monte Carlo scan of a fig1-t curve keeps under half
+    # the grid, and no TIE or power draw lands in an edge band, where the
+    # scan's sign is only assumed and each draw is re-decided.
+    s, biases = fig1_t_curve(10_000)
+    kept = []
+
+    def recording_scan(*args, **kwargs):
+        out = scan(*args, **kwargs)
+        kept.append(out[0].size)
+        return out
+
+    scan = onearm._scan
+    monkeypatch.setattr(onearm, "_scan", recording_scan)
+    point, lo, hi, _ = onearm._curve(s, biases)[0]
+    assert kept == [kept[0]] and kept[0] <= 0.45 * onearm._SCAN_POINTS
+    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    for at_mean in (s.null_mean, s.alt_mean):
+        ybar = at_mean + s.se * z
+        assert ybar[0] > hi[np.isneginf(lo)].max() and ybar[-1] < lo[np.isposinf(hi)].min()
+
+
+def test_a_cut_window_still_counts_every_draw():
+    # A span cut to the middle half of the draws leaves a quarter of them
+    # beyond each edge: the edge bands re-decide those, so TIE and power
+    # still equal the per-draw rates.
+    s, biases = fig1_t_curve(10_000)
+    biases = biases[::8]
+    ys, scans, tails = onearm._scan(s, biases, span=draw_span(s, 0.25, 0.75))
+
+    def decide(ys, point):
+        return tails(ys, point) <= s.alpha
+
+    bands = _bands(ys, scans, decide, s.se * math.sqrt(2.0 * math.pi) / s.reps, GUARD * s.se)
+    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    ties, powers = (_count_rejections(z, at, s.se, bands, decide) for at in (s.null_mean, s.alt_mean))
+    assert ties.tolist() == [round(brute_force_tie(s, b) * s.reps) for b in biases]
+    assert powers.tolist() == [round(brute_force_power(s, b) * s.reps) for b in biases]
 
 
 def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
