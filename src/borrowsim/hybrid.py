@@ -5,9 +5,11 @@ T(control mean) that does not depend on the true effect and does not
 fall as the control mean rises (the normal likelihood has a monotone
 likelihood ratio). One vectorized bisection solves T for both routes.
 The Monte Carlo TIE, power and design-prior averages work per curve (a
-scenario's bias or analysis-shift axis): T solved once for every point,
-the common joint draws bucket-sorted once per stream and run and counted
-against it by searches, and the draws too close to it re-decided by the
+scenario's bias or analysis-shift axis): T solved once for every point
+on a grid of control means whose interval count is the power of two
+nearest sqrt(reps), the common joint draws bucket-sorted by exact grid
+cell once per stream and run and counted by searches against T at their
+cell's two ends, and the draws too close to it re-decided by the
 per-draw kernel in one batched pass per effect. The deterministic route
 integrates the treatment mean's tail above T over Gauss-Hermite nodes of
 the control mean. Also the mean posterior weight, calibrated no-borrowing
@@ -64,12 +66,10 @@ _BRACKET_SDS = 14.0
 _GH_CHUNK_ELEMENTS = 1 << 18
 # Bias resolution of the sweet spot's endpoints and argmax.
 _SWEET_SPOT_RESOLUTION = 1e-3
-# The Monte Carlo threshold curve: points of its uniform control-mean grid
-# (256 intervals, so a cell width is the span / 2**8 exactly), the bracket
-# width (in se_t) at which its solve stops, and the guard (in se_t) between
-# a bracket and the treatment means it classifies, far wider than the
-# kernel's rounding at a crossing.
-_MC_GRID = 257
+# The Monte Carlo threshold curve: the bracket width (in se_t) at which its
+# solve stops, and the guard (in se_t) between a bracket and the treatment
+# means it classifies, far wider than the kernel's rounding at a crossing.
+# Its grid size comes from the stream (``_grid_points``).
 _MC_STOP_SE = 1e-2
 _GUARD_SE = 1e-9
 # Band draws re-decided per kernel call, which bounds the memory a count holds.
@@ -198,37 +198,49 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     return lo_out, hi_out
 
 
+def _grid_points(reps: int) -> int:
+    """Points G of the Monte Carlo grid: G - 1 is the power of two nearest
+    sqrt(reps), so the solve and search (growing with G) and the band
+    (growing with reps / G) both stay small."""
+    low = 1 << (math.isqrt(reps).bit_length() - 1)  # the largest power of two <= sqrt(reps)
+    return 1 + (2 * low if math.sqrt(reps) > 1.5 * low else low)
+
+
 class _Layout:
     """One stream's common joint draws sorted by grid cell k (distribution
     counting, Knuth TAOCP vol. 3, 5.2), then by the treatment mean at
     effect 0: ``keys`` is k * reps + the draw's rank among those means, so
     one integer search answers every (point, cell) query exactly. The grid
-    has ``_MC_GRID`` points over the observed control means; a draw's cell
-    comes from floor arithmetic (at reps 1 the points coincide: cell 0)."""
+    has ``_grid_points(reps)`` points over the observed control means; a
+    draw is in cell k when grid[k] <= its control mean < grid[k + 1], the
+    last point being a cell of its own (at reps 1 the points coincide)."""
 
     def __init__(self, s: HybridScenario, design):
         self.theta = s.control_mean if design is None else _design_draws(s, design)
         zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
         ybar_c = self.theta + s.se_c * zc
-        y0, y1 = float(ybar_c.min()), float(ybar_c.max())
-        self.grid = np.linspace(y0, y1, _MC_GRID)
-        width = (y1 - y0) / (_MC_GRID - 1) or 1.0
-        k = np.minimum(((ybar_c - y0) / width).astype(np.uint16), _MC_GRID - 1)
+        y0, y1, G = float(ybar_c.min()), float(ybar_c.max()), _grid_points(s.reps)
+        self.grid = np.linspace(y0, y1, G)
+        # Floor arithmetic is at most one cell off: one comparison each way.
+        k = np.minimum(((ybar_c - y0) / ((y1 - y0) / (G - 1) or 1.0)).astype(np.intp), G - 1)
+        k -= ybar_c < self.grid[k]
+        k += ybar_c >= np.append(self.grid[1:], np.inf)[k]
+        k = k.astype(np.min_scalar_type(G - 1))
         v = self.theta + s.se_t * zt
         by_v = np.argsort(v)
-        perm = np.argsort(k[by_v], kind="stable")  # a radix sort of the 16-bit cells
+        perm = np.argsort(k[by_v], kind="stable")  # a radix sort of the 8- or 16-bit cells
         self.order, self.v = by_v[perm], v[by_v]
         self.keys = k[self.order].astype(np.int64) * s.reps + perm
-        self.ends = np.cumsum(np.bincount(k, minlength=_MC_GRID))
+        self.ends = np.cumsum(np.bincount(k, minlength=G))
 
 
 class _Curve:
     """Monte Carlo rejection counts along an axis of biases, or of analysis
     shifts under a design prior: one threshold solve for every point on the
     layout's grid, then one count of every point per effect. At a draw in
-    grid cell k (rounding can move it by one cell) T lies between the lower
-    bracket end at point k - 1 and the upper end at k + 2 if T is monotone,
-    which the grid checks."""
+    grid cell k, T lies between the lower bracket end at point k and the
+    upper end at k + 1 (k for the last point) if T is monotone, which the
+    grid checks."""
 
     def __init__(self, s: HybridScenario, design, axis):
         self.s, points = s, tuple(dict.fromkeys(axis))
@@ -248,12 +260,12 @@ class _Curve:
             i, k = (int(v) for v in falls[0])
             raise RuntimeError(
                 f"scenario {s.scenario_id!r}: the rejection threshold falls between "
-                f"control-mean grid points {k} and {k + 1} of {_MC_GRID} at bias "
+                f"control-mean grid points {k} and {k + 1} of {lo.shape[1]} at bias "
                 f"{float(points[i])!r}, and the Monte Carlo counts need it non-decreasing"
             )
         guard = _GUARD_SE * s.se_t
-        self.below = np.concatenate((lo[:, :1], lo[:, :-1]), axis=1) - guard  # lo[max(k - 1, 0)]
-        self.above = np.concatenate((hi[:, 2:], hi[:, -1:], hi[:, -1:]), axis=1) + guard
+        self.below = lo - guard
+        self.above = np.concatenate((hi[:, 1:], hi[:, -1:]), axis=1) + guard  # hi[min(k + 1, G - 1)]
 
     def count(self, effect: float) -> np.ndarray:
         """Rejections at every point at treatment - control = ``effect``: a
@@ -264,11 +276,12 @@ class _Curve:
         mean by rounding only, far less than the guard: the counts equal the
         per-draw decisions."""
         s, lay = self.s, self.layout
-        cells = np.arange(_MC_GRID) * s.reps
+        G = lay.grid.size
+        cells = np.arange(G) * s.reps
         r_lo, r_hi = (np.searchsorted(lay.v, end - effect, side="right") for end in (self.below, self.above))
         p_hi = np.searchsorted(lay.keys, cells + r_hi).ravel()
         p_lo = np.minimum(np.searchsorted(lay.keys, cells + r_lo).ravel(), p_hi)
-        counts = (lay.ends - p_hi.reshape(-1, _MC_GRID)).sum(axis=1)
+        counts = (lay.ends - p_hi.reshape(-1, G)).sum(axis=1)
         band_ends = np.cumsum(p_hi - p_lo)  # of each (point, cell) in the points' joint band
         zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
         for start in range(0, int(band_ends[-1]), _BAND_DRAWS):
@@ -276,8 +289,8 @@ class _Curve:
             c = np.searchsorted(band_ends, i, side="right")
             draw = lay.order[p_hi[c] - band_ends[c] + i]
             theta = lay.theta if np.ndim(lay.theta) == 0 else lay.theta[draw]
-            p = self.bank(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // _MC_GRID)
-            counts += np.bincount(c[p <= s.alpha] // _MC_GRID, minlength=counts.size)
+            p = self.bank(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // G)
+            counts += np.bincount(c[p <= s.alpha] // G, minlength=counts.size)
         return counts
 
 

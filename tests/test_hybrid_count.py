@@ -11,6 +11,7 @@ error.
 """
 
 import gc
+import hashlib
 import math
 import sys
 import threading
@@ -18,6 +19,7 @@ import warnings
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,7 @@ from borrowsim import hybrid, priors, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves, run_config
+import oracles
 from oracles import (
     per_draw_average_power,
     per_draw_average_tie,
@@ -142,8 +145,8 @@ def scenario(reps=5_000, **kwargs):
 
 @pytest.mark.parametrize("reps", [1, 2, 3])
 def test_tiny_reps_match_the_oracle_without_warnings(reps):
-    # At reps 1 every control mean is one value: the grid's points coincide
-    # and every draw is in its first cell.
+    # At reps 1 every control mean is one value: the grid's two points
+    # coincide and the draw is in the last cell, a cell of its own.
     s = scenario(reps=reps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -152,6 +155,121 @@ def test_tiny_reps_match_the_oracle_without_warnings(reps):
             assert hybrid_power(s, bias) == per_draw_power(s, bias)
         for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
             assert average_tie(s, design, 0.2) == per_draw_average_tie(s, design, 0.2)
+
+
+@pytest.mark.parametrize(
+    "reps, points", [(1, 2), (2, 2), (3, 3), (17, 5), (700, 33), (5_000, 65), (20_000, 129)]
+)
+def test_every_grid_size_counts_the_per_draw_rates(monkeypatch, reps, points):
+    # The grid has 1 + (the power of two nearest sqrt(reps)) points.
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    s = scenario(reps=reps)
+    assert hybrid._grid_points(reps) == points
+    assert hybrid._Layout(s, None).grid.size == points
+    biases = (-1.0, 0.0, 0.3)
+    ties, powers = hybrid.oc_curve(s, biases)
+    assert ties == [per_draw_tie(s, b) for b in biases]
+    assert powers == [per_draw_power(s, b) for b in biases]
+    for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
+        assert hybrid._Layout(s, design).grid.size == points
+        for shift in (-0.4, 0.2):
+            assert average_tie(s, design, shift) == per_draw_average_tie(s, design, shift)
+            assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
+
+
+def test_control_means_on_grid_points_take_the_cell_they_open(monkeypatch):
+    # se_c is 1 and the control mean 0, so the control means are the draws
+    # themselves: all 33 points of the grid over [-1, 1] (step 1/16, exact),
+    # the largest three times, the floats just below each point, and
+    # uniform draws. A draw is in cell k when grid[k] <= it < grid[k + 1],
+    # the last point being a cell of its own.
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-1.0, 1.0, 33)
+    zc = np.concatenate((grid, [1.0, 1.0], np.nextafter(grid[1:], -np.inf)))
+    zc = rng.permutation(np.concatenate((zc, rng.uniform(-1.0, 1.0, 700 - zc.size))))
+    zt = rng.standard_normal(700)
+
+    def stream(seed, scenario_id, role, reps):
+        return {"control": zc, "treatment": zt}[role]
+
+    for module in (hybrid, oracles):
+        monkeypatch.setattr(module, "base_normals", stream)
+    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=1.0)
+    s = HybridScenario(20, 4, 2.0, EXT, spec, effect=0.83, seed=11, reps=700)
+    assert s.se_c == 1.0
+    layout = hybrid._Layout(s, None)
+    assert layout.grid.tolist() == grid.tolist()
+    cells = layout.keys // s.reps
+    assert layout.ends.tolist() == np.cumsum(np.bincount(cells, minlength=grid.size)).tolist()
+    mean = zc[layout.order]
+    assert np.all(grid[cells] <= mean)
+    assert np.all((mean < np.append(grid[1:], np.inf)[cells]) | (cells == grid.size - 1))
+    assert (cells == grid.size - 1).sum() == 3
+    biases = (-1.0, -0.2, 0.0, 0.3, 1.0)
+    ties, powers = hybrid.oc_curve(s, biases)
+    assert ties == [per_draw_tie(s, b) for b in biases]
+    assert powers == [per_draw_power(s, b) for b in biases]
+
+
+def test_every_redecided_draw_lies_in_its_own_cells_band(monkeypatch):
+    # A draw in cell k is re-decided only if its treatment mean is within
+    # the guard of [lo[k], hi[k + 1]] (hi[k] at the last point), and at
+    # 2e4 reps no fig10 rate re-decides more than 8% of its draws: fig10's
+    # design draws spread the control means widest of the hybrid recipes.
+    solves, counts = {}, []
+    solve, decide, count = hybrid._threshold_brackets, hybrid._Bank.__call__, hybrid._Curve.count
+
+    def recording_solve(s, bank, points, yc, stop=None):
+        lo, hi = solve(s, bank, points, yc, stop)
+        solves[id(bank)] = (bank, yc, lo, hi, hybrid._GUARD_SE * s.se_t)
+        return lo, hi
+
+    def recording_count(curve, effect):
+        counts.append((curve.bank, len(curve.index), []))
+        return count(curve, effect)
+
+    def recording_decide(bank, ybar_c, ybar_t=None, point=None):
+        if ybar_t is not None and id(bank) in solves:
+            counts[-1][2].append((ybar_c, ybar_t, point))
+        return decide(bank, ybar_c, ybar_t, point)
+
+    monkeypatch.setattr(hybrid, "_threshold_brackets", recording_solve)
+    monkeypatch.setattr(hybrid._Curve, "count", recording_count)
+    monkeypatch.setattr(hybrid._Bank, "__call__", recording_decide)
+    cfg = {**recipe_config("fig10"), "reps": 20_000, "seed": 20260810}
+    run_config(cfg, threads=1)
+    assert len(counts) == 36  # 6 curves x 3 design priors x (TIE, power)
+    worst = 0.0
+    for bank, n_points, calls in counts:
+        _, grid, lo, hi, guard = solves[id(bank)]
+        assert grid.size == 129 and calls
+        ybar_c, ybar_t, point = (np.concatenate(v) for v in zip(*calls))
+        k = np.searchsorted(grid, ybar_c, side="right") - 1
+        # The guard, and as much again for the rounding of the searched means.
+        assert np.all(ybar_t > lo[point, k] - 2 * guard)
+        assert np.all(ybar_t <= hi[point, np.minimum(k + 1, grid.size - 1)] + 2 * guard)
+        worst = max(worst, np.bincount(point, minlength=n_points).max() / 20_000)
+    assert worst <= 0.08
+
+
+GH_THRESHOLD_DIGESTS = {
+    "fig7": "b0cce01ac0ff6490eb36ee3c742a8495e3cd6ec456bf725f1899063a10eb3720",
+    "fig8": "e2ac821679211d44f77adcf62602b94982ec4bb595a8752c038fb4cd982d93c6",
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(GH_THRESHOLD_DIGESTS))
+def test_gauss_hermite_thresholds_keep_their_bits(recipe):
+    # The Gauss-Hermite route's thresholds at every curve of the recipe over
+    # its bias axis, as sha256 of their float64 bytes, from before the Monte
+    # Carlo grid was sized to the stream: that grid shares the solve, but
+    # not its stopping rule or its control means.
+    cfg = normalize_config(recipe_config(recipe))
+    h = hashlib.sha256()
+    for s, _, _ in _curves(cfg):
+        h.update(hybrid._gh_thresholds(s, cfg["sweep"]["bias"]).tobytes())
+    assert h.hexdigest() == GH_THRESHOLD_DIGESTS[recipe]
 
 
 @pytest.mark.parametrize("rate", ["tie", "average"])
@@ -164,7 +282,7 @@ def test_a_curve_that_falls_raises(monkeypatch, rate):
     monkeypatch.setattr(hybrid, "_threshold_brackets", reversed_curve)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario()
-    with pytest.raises(RuntimeError, match=r"'hybrid'.*falls.*of 257 at bias 0\.25"):
+    with pytest.raises(RuntimeError, match=r"'hybrid'.*falls.*of 65 at bias 0\.25"):
         if rate == "tie":
             hybrid_tie(s, 0.25)
         else:
@@ -175,7 +293,7 @@ def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
     # A negative widening puts the lower ends far above every threshold.
     monkeypatch.setattr(hybrid, "_MC_STOP_SE", -50.0)
     monkeypatch.setattr(scenarios, "_last_cell", threading.local())
-    with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 257"):
+    with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 65"):
         hybrid_power(scenario(), 0.25)
 
 
