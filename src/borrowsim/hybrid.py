@@ -5,15 +5,17 @@ T(control mean) that does not depend on the true effect and does not
 fall as the control mean rises (the normal likelihood has a monotone
 likelihood ratio). One vectorized bisection solves T for both routes.
 The Monte Carlo TIE, power and design-prior averages work per curve (a
-scenario's bias or analysis-shift axis): T solved once for every point
-on a grid of control means whose interval count is the power of two
-nearest sqrt(reps), the common joint draws bucket-sorted by exact grid
-cell once per stream and run and counted by searches against T at their
-cell's two ends, and the draws too close to it re-decided by the
-per-draw kernel in one batched pass per effect. The deterministic route
-integrates the treatment mean's tail above T over Gauss-Hermite nodes of
-the control mean. Also the mean posterior weight, calibrated no-borrowing
-power, sweet spots and bias-restricted summaries.
+bias axis, ``oc_curve``, or an analysis-shift axis under a design prior,
+``average_curve``; a one-point rate is a curve of its own), built by the
+call that asks for it: T solved once for every point on a grid of
+control means whose interval count is the power of two nearest
+sqrt(reps), the common joint draws bucket-sorted by exact grid cell once
+per stream and run and counted by searches against T at their cell's two
+ends, and the draws too close to it re-decided by the per-draw kernel in
+one batched pass per effect. The deterministic route integrates the
+treatment mean's tail above T over Gauss-Hermite nodes of the control
+mean. Also the mean posterior weight, calibrated no-borrowing power,
+sweet spots and bias-restricted summaries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .scenarios import (
     TreatmentPrior,
     UnitInfo,
     _run_shared,
-    _shared,
     base_normals,
     base_uniforms,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "delta_grid",
     "restricted_summary",
     "delta_restricted_summary",
+    "average_curve",
     "average_tie",
     "average_power",
 ]
@@ -249,7 +251,7 @@ class _Curve:
             s.external_at(p) if design is None else replace(s.external, mean=s.external.mean + p)
             for p in points
         ]
-        self.bank, self.counts = _Bank(s, externals), {}
+        self.bank = _Bank(s, externals)
         theta = s.control_mean if design is None else (design, s.external, _design_robust_variance(s))
         self.layout = _run_shared(
             (s.seed, s.scenario_id, s.reps, s.se_c, s.se_t, theta), lambda: _Layout(s, design)
@@ -294,26 +296,23 @@ class _Curve:
         return counts
 
 
-def _rejection_rate(s: HybridScenario, point: float, design, effect: float) -> float:
-    """Share of the common joint draws the test rejects at ``point``, at
-    treatment - control = ``effect``. The first call at an effect counts the
-    point's curve, the scenario's ``bias_grid`` (or the point alone if off
-    it), into this thread's slot."""
-    axis = s.bias_grid if point in s.bias_grid else (point,)
-    curve = _shared((s, design, axis), lambda: _Curve(s, design, axis))
-    if effect not in curve.counts:
-        curve.counts[effect] = curve.count(effect)
-    return int(curve.counts[effect][curve.index[point]]) / s.reps
+def _rates(s: HybridScenario, design, axis, rates):
+    """The named Monte Carlo rates at each point of ``axis`` (biases, or
+    analysis shifts under ``design``): one curve, counted once per rate."""
+    curve = _Curve(s, design, axis)
+    effects = {"tie": 0.0, "power": s.effect}
+    counts = {rate: curve.count(effects[rate]) for rate in rates}
+    return tuple([int(counts[rate][curve.index[p]]) / s.reps for p in axis] for rate in rates)
 
 
 def hybrid_tie(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate with equal arm means."""
-    return _rejection_rate(s, bias, None, 0.0)
+    return oc_curve(s, (bias,), rates=("tie",))[0][0]
 
 
 def hybrid_power(s: HybridScenario, bias: float) -> float:
     """Monte Carlo rejection rate at treatment - control = effect."""
-    return _rejection_rate(s, bias, None, s.effect)
+    return oc_curve(s, (bias,), rates=("power",))[0][0]
 
 
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
@@ -348,16 +347,16 @@ def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH
     """TIE and power (those named in ``rates``) at each bias, as lists of
     floats.
 
-    Monte Carlo (``biases`` become the scenario's axis, so one threshold
-    solve serves the curve, counted only at the rates' effects), or with
-    ``exact`` the Gauss-Hermite route: one threshold solve per bias serves
-    both rates, each of which is then the sum over the control-mean nodes
-    of the treatment mean's normal tail above the node's threshold.
+    Monte Carlo (one threshold solve serves the curve, counted only at the
+    rates' effects), or with ``exact`` the Gauss-Hermite route: one
+    threshold solve per bias serves both rates, each of which is then the
+    sum over the control-mean nodes of the treatment mean's normal tail
+    above the node's threshold.
     """
+    if not np.size(biases):
+        return tuple([] for _ in rates)
     if not exact:
-        s = replace(s, bias_grid=tuple(biases))
-        rules = {"tie": hybrid_tie, "power": hybrid_power}
-        return tuple([rules[rate](s, b) for b in biases] for rate in rates)
+        return _rates(s, None, biases, rates)
     _, wts = _gh_rule(nodes)
     thresholds = _gh_thresholds(s, biases, nodes)
     effects = {"tie": 0.0, "power": s.effect}
@@ -512,22 +511,27 @@ def _design_draws(s: HybridScenario, design: DesignPrior) -> np.ndarray:
     raise TypeError(f"unknown design prior {design!r}")
 
 
-def _average_oc(s: HybridScenario, design, analysis_shift: float, effect: float) -> float:
-    if design is None:  # _rejection_rate reads None as the fixed control mean
+def average_curve(s: HybridScenario, design: DesignPrior, shifts, rates=("tie", "power")):
+    """TIE and power (those named in ``rates``) averaged over control means
+    drawn from the design prior, at each analysis shift, as lists of
+    floats: one threshold solve serves the curve.
+
+    Data are generated with equal arm means (TIE) or at the scenario's
+    effect (power) conditional on each draw; the analysis prior is the
+    scenario's mixture with its external mean shifted by the shift.
+    """
+    if design is None:  # _Curve reads None as the fixed control mean
         raise ValueError("no design prior given")
-    return _rejection_rate(s, analysis_shift, design, effect)
+    if not len(shifts):
+        return tuple([] for _ in rates)
+    return _rates(s, design, shifts, rates)
 
 
 def average_tie(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
-    """TIE averaged over control means drawn from the design prior.
-
-    Data are generated with equal arm means conditional on each draw; the
-    analysis prior is the scenario's mixture with its external mean
-    shifted by ``analysis_shift``.
-    """
-    return _average_oc(s, design, analysis_shift, 0.0)
+    """TIE averaged over the design prior at one analysis shift."""
+    return average_curve(s, design, (analysis_shift,), rates=("tie",))[0][0]
 
 
 def average_power(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
     """Power averaged over the design prior at the scenario's effect."""
-    return _average_oc(s, design, analysis_shift, s.effect)
+    return average_curve(s, design, (analysis_shift,), rates=("power",))[0][0]

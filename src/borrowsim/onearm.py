@@ -10,14 +10,16 @@ boundary: one kernel pass scans every point's tail, and the scan's sorted
 (those near a crossing re-decided in one batched kernel call), or refined
 by ``brentq`` into the exact region (the exact scan covers the whole
 window, the Monte Carlo one the grid points that bracket its draws). The
-RMSE and the mean weight are read off one tail-free posterior pass. A
-curve's TIE and power share one scan, and a cell's RMSE and mean weight
-one pass, through a per-thread slot.
+RMSE and the mean weight are read off one tail-free posterior pass. Each
+curve is built by the call that asks for it (a one-point rate scans alone);
+only a cell's RMSE and mean weight share one pass, through a single-entry
+per-thread memo.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,7 +28,7 @@ from .gaussian import brentq
 # posterior_bank stays bound here: perfbench's tracer patches every binding.
 from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array  # noqa: F401
 from .priors import EXACT_T_NODES, AxisBank, StudentT, bank_means, prior_bank_params
-from .scenarios import OneArmScenario, _shared, base_normals, sorted_normals
+from .scenarios import OneArmScenario, base_normals, sorted_normals
 
 __all__ = [
     "one_arm_tie",
@@ -215,31 +217,39 @@ def _count_rejections(z, at_mean, se, bands, decide) -> np.ndarray:
     return counts
 
 
+# The last tail-free pass on each thread, with its key. A sweep computes a
+# cell's RMSE and mean weight one after the other on one worker thread, so
+# they share it; a worker's memo dies with it at the end of the run.
+_last_pass = threading.local()
+
+
 def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[float, float]:
     """RMSE of the posterior mean around ``centre`` and mean informative
     weight, over the common draws at ``centre``: one pass that skips the
     tails, shared by a cell's RMSE and mean weight at the same centre."""
-
-    def compute():
+    key = (s, bias, centre)
+    if getattr(_last_pass, "key", None) != key:
         bank = prior_bank_params(s.prior, s.external_at(bias))
         ybar = _draws(s, centre, out=work_array("draws", s.reps))
         pmeans, w_info = _bank_stats(s, bank, ybar, tails=False)
         dev = np.subtract(pmeans, centre, out=pmeans)
-        return float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
-
-    return _shared((s, bias, centre), compute)
+        _last_pass.value = float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
+        _last_pass.key = key
+    return _last_pass.value
 
 
 def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "power")):
     """TIE and power (those named in ``rates``) at each bias, as lists of
     floats: Monte Carlo counts of the sorted common draws, or with
-    ``exact`` the normal mass of each point's rejection region. One scan,
-    made once per thread, serves the curve."""
+    ``exact`` the normal mass of each point's rejection region. One scan
+    serves the curve."""
+    if not len(biases):
+        return tuple([] for _ in rates)
     at = {"tie": s.null_mean, "power": s.alt_mean}
     if exact:
         regions = _exact_curve(s, biases)
         return tuple([_region_probability(r, at[rate], s.se) for r in regions] for rate in rates)
-    bands, decide = _shared((s, tuple(biases)), lambda: _curve(s, biases))
+    bands, decide = _curve(s, biases)
     z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
     counts = (_count_rejections(z, at[rate], s.se, bands, decide) for rate in rates)
     return tuple([int(c) / s.reps for c in count] for count in counts)
@@ -336,12 +346,11 @@ def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
 
 
 def _exact_curve(s: OneArmScenario, biases, use_exact_t: bool = False, scan_points=None):
-    """Each point's ``_regions`` off the curve's ``_scan``, made once per thread."""
+    """Each point's ``_regions`` off the curve's ``_scan``."""
     points = _SCAN_POINTS if scan_points is None else scan_points
     if points < 2:
         raise ValueError(f"scan_points must be at least 2 (the window's ends), got {scan_points}")
-    return _shared((s, tuple(biases), use_exact_t, points),
-                   lambda: _regions(*_scan(s, biases, points, use_exact_t), s.alpha))
+    return _regions(*_scan(s, biases, points, use_exact_t), s.alpha)
 
 
 def one_arm_rejection_region(

@@ -1,5 +1,5 @@
 """Scenario records, result rows, reproducible RNG streams and the
-per-thread slot a cell's paired quantities share.
+values one sweep run shares among its threads.
 
 A scenario freezes everything a sweep needs: true parameters, external
 data, prior construction policy, decision level, replication budget and
@@ -139,10 +139,9 @@ class OneArmScenario:
 class HybridScenario:
     """Two-arm trial borrowing external data for the control arm.
 
-    ``bias_grid`` holds values of (true control mean - external mean):
-    the sweep sets the external mean to control_mean - bias (for the
-    design-prior averages it holds analysis shifts). A Monte Carlo rate at
-    a point of it counts the whole grid at once. Power is evaluated at
+    A bias is (true control mean - external mean): ``external_at`` sets
+    the external mean to control_mean - bias. ``bias_grid``, the sweep's
+    bias axis, is the grid ``sweet_spot`` scans. Power is evaluated at
     treatment - control = ``effect``.
     """
 
@@ -304,27 +303,14 @@ def base_uniforms(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarr
     return u
 
 
-# The last shared value on each thread, and the run the thread works for.
-# A sweep computes a cell's quantities, or a curve's cells, one after
-# another on one worker thread, so what they share (a one-arm curve's scan
-# or regions, a one-arm cell's tail-free pass, a hybrid curve's threshold
-# solve and counts) is made once; the slot dies with the
-# sweep's workers, so no later run's call counts depend on what ran before.
-_last_cell = threading.local()
+# The run each sweep worker thread works for (``join_run``).
+_thread_run = threading.local()
 _run_lock = threading.Lock()
-
-
-def _shared(key, compute):
-    """``compute()``, or the value this thread last stored under ``key``."""
-    last = getattr(_last_cell, "value", None)
-    if last is None or last[0] != key:
-        last = _last_cell.value = (key, compute())
-    return last[1]
 
 
 def join_run(run: dict) -> None:
     """Pool initializer: the thread's ``_run_shared`` values go to ``run``."""
-    _last_cell.run = run
+    _thread_run.run = run
 
 
 def _run_shared(key, compute):
@@ -332,7 +318,7 @@ def _run_shared(key, compute):
     drops the read-only values (a hybrid stream's draw layout) at its end,
     so unlike the base draws no later run finds them; outside a run, on
     every call."""
-    run = getattr(_last_cell, "run", None)
+    run = getattr(_thread_run, "run", None)
     if run is None:
         return compute()
     with _run_lock:

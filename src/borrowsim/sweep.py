@@ -152,8 +152,8 @@ def _scenario(cfg, sizes, location_name, disp, w):
         treatment_prior=TreatmentPrior(cfg["treatment_prior"]),
         control_mean=cfg["control_mean"],
         scenario_id=cfg["scenario_id"],
-        # The curve's axis, whose Monte Carlo cells share one threshold solve.
-        bias_grid=cfg["sweep"].get("bias", cfg["sweep"].get("analysis_shift", ())),
+        # The bias axis, which sweet_spot scans.
+        bias_grid=cfg["sweep"].get("bias", ()),
     )
 
 
@@ -339,11 +339,8 @@ def _table_job(cfg, curve, delta, points):
 
 
 def _average_job(cfg, curve, design, points):
-    s = curve[0]
-    return [
-        {"tie": hybrid.average_tie(s, design, x), "power": hybrid.average_power(s, design, x)}
-        for x in points
-    ], None
+    ties, powers = hybrid.average_curve(curve[0], design, points)
+    return [{"tie": tie, "power": power} for tie, power in zip(ties, powers)], None
 
 
 # Kind -> (job, the extras key of its summary entries).

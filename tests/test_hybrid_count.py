@@ -2,8 +2,8 @@
 
 The hybrid test rejects exactly when the treatment mean exceeds a
 threshold that depends on the control mean alone and does not fall as it
-rises. The library solves that curve once per curve of cells (a
-scenario's bias or analysis-shift axis) on a grid over the control means,
+rises. The library solves that curve once per curve of cells (a bias or
+analysis-shift axis, one per call) on a grid over the control means,
 counts the common joint draws clearly above or below it, and re-decides
 the rest with the per-draw kernel. The counts must therefore equal the
 per-draw rates of ``tests/oracles.py`` exactly, not within Monte Carlo
@@ -17,7 +17,6 @@ import sys
 import threading
 import warnings
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from borrowsim import (
     Informative,
     MixturePriorSpec,
     Normal,
+    OneArmScenario,
     RobustMixture,
     StudentT,
     SufficientStat,
@@ -41,7 +41,7 @@ from borrowsim import (
     hybrid_power,
     hybrid_tie,
 )
-from borrowsim import hybrid, priors, scenarios
+from borrowsim import hybrid, onearm, priors
 from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves, run_config
@@ -123,7 +123,7 @@ def axes(draw):
 @settings(max_examples=20, deadline=None)
 @given(cells, designs, axes(), st.floats(-1e3, 1e3), st.one_of(st.integers(1, 3), st.none()))
 def test_every_point_of_a_curve_equals_the_per_draw_rates(p, design, axis, off, tiny_reps):
-    # ``off`` is a point called off the scenario's axis: a curve of its own.
+    # ``off`` is a point called alone: a curve of its own.
     s, _ = build({**p, "reps": tiny_reps or p["reps"]})
     off *= SD_EXT
     with warnings.catch_warnings():
@@ -131,11 +131,12 @@ def test_every_point_of_a_curve_equals_the_per_draw_rates(p, design, axis, off, 
         ties, powers = hybrid.oc_curve(s, axis)
         assert ties == [per_draw_tie(s, b) for b in axis]
         assert powers == [per_draw_power(s, b) for b in axis]
-        on_axis = replace(s, bias_grid=axis)
-        assert hybrid_tie(on_axis, off) == per_draw_tie(s, off)
-        for x in axis + [off]:
-            assert average_tie(on_axis, design, x) == per_draw_average_tie(s, design, x)
-            assert average_power(on_axis, design, x) == per_draw_average_power(s, design, x)
+        assert hybrid_tie(s, off) == per_draw_tie(s, off)
+        ties, powers = hybrid.average_curve(s, design, axis)
+        assert ties == [per_draw_average_tie(s, design, x) for x in axis]
+        assert powers == [per_draw_average_power(s, design, x) for x in axis]
+        assert average_tie(s, design, off) == per_draw_average_tie(s, design, off)
+        assert average_power(s, design, off) == per_draw_average_power(s, design, off)
 
 
 def scenario(reps=5_000, **kwargs):
@@ -162,7 +163,6 @@ def test_tiny_reps_match_the_oracle_without_warnings(reps):
 )
 def test_every_grid_size_counts_the_per_draw_rates(monkeypatch, reps, points):
     # The grid has 1 + (the power of two nearest sqrt(reps)) points.
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario(reps=reps)
     assert hybrid._grid_points(reps) == points
     assert hybrid._Layout(s, None).grid.size == points
@@ -175,6 +175,9 @@ def test_every_grid_size_counts_the_per_draw_rates(monkeypatch, reps, points):
         for shift in (-0.4, 0.2):
             assert average_tie(s, design, shift) == per_draw_average_tie(s, design, shift)
             assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
+        ties, powers = hybrid.average_curve(s, design, (-0.4, 0.2))
+        assert ties == [per_draw_average_tie(s, design, x) for x in (-0.4, 0.2)]
+        assert powers == [per_draw_average_power(s, design, x) for x in (-0.4, 0.2)]
 
 
 def test_control_means_on_grid_points_take_the_cell_they_open(monkeypatch):
@@ -194,7 +197,6 @@ def test_control_means_on_grid_points_take_the_cell_they_open(monkeypatch):
 
     for module in (hybrid, oracles):
         monkeypatch.setattr(module, "base_normals", stream)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=1.0)
     s = HybridScenario(20, 4, 2.0, EXT, spec, effect=0.83, seed=11, reps=700)
     assert s.se_c == 1.0
@@ -280,7 +282,6 @@ def test_a_curve_that_falls_raises(monkeypatch, rate):
         return tuple(v[:, ::-1] for v in solve(*args, **kwargs))
 
     monkeypatch.setattr(hybrid, "_threshold_brackets", reversed_curve)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario()
     with pytest.raises(RuntimeError, match=r"'hybrid'.*falls.*of 65 at bias 0\.25"):
         if rate == "tie":
@@ -292,12 +293,13 @@ def test_a_curve_that_falls_raises(monkeypatch, rate):
 def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
     # A negative widening puts the lower ends far above every threshold.
     monkeypatch.setattr(hybrid, "_MC_STOP_SE", -50.0)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 65"):
         hybrid_power(scenario(), 0.25)
 
 
 def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
+    # One solve per oc_curve or average_curve call, whatever its rates; a
+    # one-point rate is a curve of its own.
     solves = []
     solve = hybrid._threshold_brackets
 
@@ -306,28 +308,49 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario()
-    hybrid_tie(s, 0.25)
-    hybrid_power(s, 0.25)
-    assert len(solves) == 1
-    average_tie(s, UnitInfo(), 0.25)
-    average_power(s, UnitInfo(), 0.25)
+    tie, power = hybrid_tie(s, 0.25), hybrid_power(s, 0.25)
     assert len(solves) == 2
+    assert hybrid.oc_curve(s, (0.25,)) == ([tie], [power])
+    assert len(solves) == 3
+    tie, power = average_tie(s, UnitInfo(), 0.25), average_power(s, UnitInfo(), 0.25)
+    assert len(solves) == 5
+    assert hybrid.average_curve(s, UnitInfo(), (0.25,)) == ([tie], [power])
+    assert hybrid.average_curve(s, UnitInfo(), (0.25,), rates=("power",)) == ([power],)
+    assert len(solves) == 7
     # Another design prior draws other control means: a curve of its own.
     average_tie(s, Informative(), 0.25)
-    assert len(solves) == 3
+    assert len(solves) == 8
     # A Monte Carlo curve solves every bias at once.
     ties, powers = hybrid.oc_curve(s, (-0.5, 0.0, 0.5))
-    assert len(solves) == 4
+    assert len(solves) == 9
     assert ties == [per_draw_tie(s, b) for b in (-0.5, 0.0, 0.5)]
     assert powers == [per_draw_power(s, b) for b in (-0.5, 0.0, 0.5)]
-    # Another thread (another sweep worker) solves its own.
-    worker = threading.Thread(target=hybrid_power, args=(s, 0.5))
+    # Another thread (another sweep worker) solves its own, to equal values.
+    results = []
+    worker = threading.Thread(target=lambda: results.append(hybrid_power(s, 0.5)))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(solves) == 5
+    assert len(solves) == 10
+    assert results == [powers[2]]
+
+
+def onearm_scenario():
+    spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=1.0)
+    return OneArmScenario(0.0, 0.5, 20, 1.0, EXT, spec, seed=3, reps=2_000)
+
+
+@pytest.mark.parametrize("route", [
+    lambda rates: onearm.oc_curve(onearm_scenario(), [], rates=rates),
+    lambda rates: onearm.oc_curve(onearm_scenario(), [], exact=True, rates=rates),
+    lambda rates: hybrid.oc_curve(scenario(), [], rates=rates),
+    lambda rates: hybrid.oc_curve(scenario(), [], exact=True, rates=rates),
+    lambda rates: hybrid.average_curve(scenario(), UnitInfo(), [], rates=rates),
+], ids=["onearm-mc", "onearm-exact", "hybrid-mc", "hybrid-exact", "average"])
+def test_an_empty_axis_gives_one_empty_list_per_rate(route):
+    for rates in (("tie", "power"), ("power",)):
+        assert route(rates) == tuple([] for _ in rates)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -342,7 +365,6 @@ def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(priors, "prior_bank_params", counting)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     biases = (-0.5, 0.0, 0.25, 0.5)
     hybrid.oc_curve(scenario(), biases, exact=exact)
     assert len(calls) == len(biases)

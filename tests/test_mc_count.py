@@ -423,8 +423,9 @@ def test_a_cut_window_still_counts_every_draw():
 
 
 def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
-    # One scan per curve on the Monte Carlo routes, one region per cell on
-    # the exact routes, and a value of its own on each thread.
+    # One scan per Monte Carlo curve and one set of regions per exact curve,
+    # made by the call that asks for it: a second identical call, a
+    # one-point rate and another thread each make their own.
     scans, regions = [], []
     curve, region = onearm._curve, onearm._regions
 
@@ -438,25 +439,30 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
 
     monkeypatch.setattr(onearm, "_curve", counting_curve)
     monkeypatch.setattr(onearm, "_regions", counting_region)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
     s = scenario(location=NullBoundary(0.0), form=StudentT(3.0, 1.0, 20))
     biases = (0.0, SD_EXT, 2 * SD_EXT)
     ties, powers = onearm.oc_curve(s, biases)
-    assert onearm.oc_curve(s, biases, rates=("power", "tie")) == (powers, ties)
     assert len(scans) == 1
-    assert (one_arm_tie(s, SD_EXT), one_arm_power(s, SD_EXT)) == (ties[1], powers[1])
+    assert onearm.oc_curve(s, biases, rates=("power", "tie")) == (powers, ties)
     assert len(scans) == 2
-    one_arm_tie_exact(s, SD_EXT)
-    one_arm_power_exact(s, SD_EXT)
+    assert (one_arm_tie(s, SD_EXT), one_arm_power(s, SD_EXT)) == (ties[1], powers[1])
+    assert len(scans) == 4
+    exact_ties, exact_powers = onearm.oc_curve(s, biases, exact=True)
     assert len(regions) == 1
-    one_arm_tie_exact(s, 2 * SD_EXT)
-    assert len(regions) == 2 and len(scans) == 2
-    # Another thread (another sweep worker) computes its own.
-    worker = threading.Thread(target=lambda: (one_arm_power(s, 2 * SD_EXT), one_arm_tie_exact(s, 2 * SD_EXT)))
+    assert one_arm_tie_exact(s, SD_EXT) == exact_ties[1]
+    assert one_arm_power_exact(s, SD_EXT) == exact_powers[1]
+    assert len(regions) == 3
+    assert one_arm_tie_exact(s, 2 * SD_EXT) == exact_ties[2]
+    assert len(regions) == 4 and len(scans) == 4
+    # Another thread (another sweep worker) computes its own, to equal values.
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append((one_arm_power(s, 2 * SD_EXT), one_arm_tie_exact(s, 2 * SD_EXT))))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(scans) == 3 and len(regions) == 3
+    assert results == [(powers[2], exact_ties[2])]
+    assert len(scans) == 5 and len(regions) == 5
 
 
 def test_monte_carlo_rates_refine_no_boundary(monkeypatch):
@@ -489,16 +495,16 @@ def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):
         return original(*args, tails=tails, **kwargs)
 
     monkeypatch.setattr(onearm, "_bank_stats", counting)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    monkeypatch.setattr(onearm, "_last_pass", threading.local())
     cfg = normalize_config({**recipe_config("fig1"), "reps": 2_000})
     assert cfg["metrics"] == ["tie", "rmse", "w_tilde"] and cfg["rmse_true_mean"] is None
     s = _curves(cfg)[0][0]
     out = _grid_cell(cfg, s, SD_EXT)
     assert passes.count(False) == 1
     # Each quantity from a pass of its own has the same value.
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    monkeypatch.setattr(onearm, "_last_pass", threading.local())
     assert out["w_tilde"] == onearm.mean_posterior_weight(s, SD_EXT)
-    monkeypatch.setattr(scenarios, "_last_cell", threading.local())
+    monkeypatch.setattr(onearm, "_last_pass", threading.local())
     assert out["rmse_std"] == onearm.one_arm_rmse(s, SD_EXT)[1]
     assert passes.count(False) == 3
     # RMSE around another true mean needs its own pass over other draws.
