@@ -236,6 +236,8 @@ def _cross_rules(c) -> list[str]:
         errors.append("sweep: give n_robust or robust_variance, not both")
     if c["kind"] == "sweet-spot" and len(sweep["bias"]) < 2:
         errors.append("sweep.bias: sweet-spot scans need at least 2 points")
+    elif c["kind"] == "sweet-spot" and not all(a < b for a, b in zip(sweep["bias"], sweep["bias"][1:])):
+        errors.append("sweep.bias: sweet-spot scans need strictly increasing biases")
     if c["form"]["kind"] == "student_t" and c["kind"] == "bimodality":
         errors.append("kind: bimodality maps need the normal robust form")
     if c["form"]["kind"] == "student_t" and "obm" in c.get("metrics", ()):

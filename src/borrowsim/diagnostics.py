@@ -171,10 +171,11 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
 
     The posterior is built with the observed current mean pinned to the
     true mean (the scenario's null value); the external mean sits at
-    null + bias. The prior's component means are one column per bias, and
-    each weight's row is one ``posterior_bank`` call over them, fed to the
-    batch mode finder. Requires the Normal robust form (the k-component
-    heavy-tail bank can have more than two modes and is out of scope).
+    null + bias. Each weight's prior is an ``AxisBank`` over the biases,
+    and its row is one ``posterior_bank`` call over the component means,
+    one column per bias, fed to the batch mode finder. Requires the Normal
+    robust form (the k-component heavy-tail bank can have more than two
+    modes and is out of scope).
 
     Returns an array of shape (len(w_grid), len(bias_grid)).
     """
@@ -186,17 +187,13 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
         bias_grid = map_biases(scenario.sd_ext)
     data = SufficientStat(scenario.null_mean, scenario.n, scenario.sigma)
     externals = [scenario.external_at(b) for b in bias_grid]
-    means = np.column_stack([
-        priors.bank_means(e.mean, priors.robust_location(scenario.prior, e), 2, data.mean)
-        for e in externals
-    ])
-    out = np.empty((len(w_grid), means.shape[1]))
+    points, B = np.arange(len(externals)), len(externals)
+    out = np.empty((len(w_grid), B))
     for i, w in enumerate(np.asarray(w_grid, dtype=float)):
-        # Variances and weights do not depend on the bias.
-        spec = replace(scenario.prior, informative_weight=float(w))
-        variances, log_w = priors.prior_bank_params(spec, scenario.external)[:2]
+        bank = priors.AxisBank(replace(scenario.prior, informative_weight=float(w)), externals)
+        means = bank.means(points, np.full(B, data.mean), np.empty((2, B)))
         W, post_means, post_vars = inference.posterior_bank(
-            means, variances, log_w, data.mean, data.n, data.sigma
+            means, bank.variances, bank.log_w, data.mean, data.n, data.sigma
         )
         # The exact renormalization a GaussianMixture applies to its weights.
         W = W / (W[0] + W[1])

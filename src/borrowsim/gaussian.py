@@ -171,6 +171,20 @@ def brentq(*args, **kwargs):
     return brentq(*args, **kwargs)
 
 
+def bisect(a, b, keeps_a, stop=None):
+    """The brackets [a, b] (arrays) halved at most 80 times at mid = 0.5 *
+    (a + b), each keeping [mid, b] where ``keeps_a(mid)`` and [a, mid]
+    elsewhere: until every bracket is two adjacent floats (mid lands on an
+    end, so no end moves again) or, with ``stop`` set, narrower than it."""
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)) or stop is not None and (b - a).max() < stop:
+            break
+        keep = keeps_a(mid)
+        a, b = np.where(keep, mid, a), np.where(keep, b, mid)
+    return a, b
+
+
 def mixture_quantile(p: float, m: GaussianMixture) -> float:
     """Invert the mixture CDF by bracketed root search.
 

@@ -27,7 +27,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
+from .gaussian import bisect
+# posterior_bank stays bound here unused: perfbench/tests/test_perfbench.py
+# asserts that the tracer's wrapper replaces this binding.
+from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
 from .priors import AxisBank, Normal
 from .scenarios import (
     DesignPrior,
@@ -100,23 +103,16 @@ class _Bank(AxisBank):
         self.a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
         _, self.b, self.t_var = _treatment_params(s, externals[0].mean)
 
-    def posterior(self, yc, point, work=False):
+    def posterior(self, yc, point):
         """The control posterior at control means ``yc`` under the prior at
-        ``externals[point[r]]``, one posterior_bank call: (W, pm, sj, a,
-        pnb), with sj the superiority components' sds and pnb, a function
-        of treatment means (written into ``out`` if given), the probability
-        that the treatment mean is not above the control mean (the test
-        rejects where it is <= alpha). W and pm are new arrays, or with
-        ``work`` this thread's "W" and "pm" work buffers. pnb works in the
-        "means" buffer, so pnb and W, pm stay valid together."""
+        ``externals[point[r]]``, one ``AxisBank.kernel`` call: (W, pm, sj,
+        a, pnb), W and pm in this thread's buffers, sj the superiority
+        components' sds and pnb, a function of treatment means (written
+        into ``out`` if given), the probability that the treatment mean is
+        not above the control mean (the test rejects where it is <= alpha).
+        pnb works in the "means" and "col" buffers: W and pm stay valid."""
         J, R = self.variances.size, yc.size
-        means = self.means(point, yc, work_array("means", J, R))
-        args = (means, self.variances, self.log_w, yc, self.s.n_c, self.s.sigma)
-        if work:
-            W, pm = work_array("W", J, R), work_array("pm", J, R)
-            pv = posterior_bank_into(*args, W, pm)
-        else:
-            W, pm, pv = posterior_bank(*args)
+        W, pm, pv = self.kernel(point, yc, self.s.n_c, self.s.sigma)
         a, sj = self.a[point], np.sqrt(self.t_var + pv)[:, None]
 
         def pnb(yt, out=None):
@@ -136,7 +132,7 @@ class _Bank(AxisBank):
         point = np.zeros(ybar_c.size, np.intp) if point is None else point
         out = np.empty_like(ybar_c)
         for sl in bank_chunks(ybar_c.size, self.variances.size):
-            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl], work=True)
+            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl])
             if ybar_t is None:
                 out[sl] = W[0]
             else:
@@ -186,15 +182,7 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
                     f"bracket is on the wrong side at bias {float(biases[sl][i])!r}, "
                     f"{point} {node} of {nodes}"
                 )
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            # Once every bracket is two adjacent floats, mid lands on lo (known
-            # not to reject) or hi (known to reject): no later step moves either.
-            if np.all((mid == lo) | (mid == hi)) if stop is None else (hi - lo).max() < stop:
-                break
-            not_rejecting = pnb(mid) > s.alpha
-            lo = np.where(not_rejecting, mid, lo)
-            hi = np.where(not_rejecting, hi, mid)
+        lo, hi = bisect(lo, hi, lambda mid: pnb(mid) > s.alpha, stop)
         lo_out[sl] = lo.reshape(-1, nodes)
         hi_out[sl] = hi.reshape(-1, nodes)
     return lo_out, hi_out
@@ -400,7 +388,8 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
 def sweet_spot(s: HybridScenario) -> SweetSpot:
     """Bias range with TIE at most alpha and power at least the plain test's.
 
-    Scans the scenario's bias grid with the deterministic curves (kept on
+    Scans the scenario's bias grid (strictly increasing, at least two
+    points) with the deterministic curves (kept on
     the result as ``curve``), keeps the widest contiguous feasible run
     (``contiguous`` is False if the feasible set is split), refines both
     endpoints by bisection to ``_SWEET_SPOT_RESOLUTION`` in bias, and reports
@@ -409,6 +398,8 @@ def sweet_spot(s: HybridScenario) -> SweetSpot:
     if len(s.bias_grid) < 2:
         raise ValueError("sweet_spot needs a bias grid spanning the candidate region")
     grid = np.asarray(s.bias_grid, dtype=float)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("sweet_spot needs a strictly increasing bias grid")
     p0 = no_borrowing_power(s)
 
     def feasible(biases):

@@ -4,14 +4,14 @@ object API.
 The kernel ``posterior_bank`` does component-wise conjugate updates and
 marginal-likelihood weight updates in log space (so extreme prior-data
 conflict never underflows) on whole vectors of observed means at once,
-in slices from ``bank_chunks``. The Monte Carlo engines, the exact routes
-and the bimodality map call it on the prior's array form, which
-``priors.prior_bank_params`` builds. The per-draw passes call it as
+in slices from ``bank_chunks``. The engines call it on the prior's array
+form, ``priors.AxisBank``, whose ``kernel`` runs it as
 ``posterior_bank_into`` on this thread's reused work buffers
 (``work_array``), so a chunk allocates nothing of size components x draws
-and takes no page faults once the buffers are warm. The object API reads
-one dataset's posterior off the same kernel: ``posterior``, its tail
-probabilities and mean, and the two-arm superiority probability.
+and takes no page faults once the buffers are warm. The allocating
+``posterior_bank`` serves the bimodality map and the object API, which
+reads one dataset's posterior off the same kernel: ``posterior``, its
+tail probabilities and mean, and the two-arm superiority probability.
 """
 
 from __future__ import annotations

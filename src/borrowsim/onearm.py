@@ -24,10 +24,12 @@ import threading
 import numpy as np
 from scipy.special import ndtr
 
-from .gaussian import brentq
-# posterior_bank stays bound here: perfbench's tracer patches every binding.
-from .inference import bank_chunks, posterior_bank, posterior_bank_into, work_array  # noqa: F401
-from .priors import EXACT_T_NODES, AxisBank, StudentT, bank_means, prior_bank_params
+from .gaussian import bisect, brentq
+from . import inference
+# posterior_bank stays bound here unused: perfbench/tests/test_perfbench.py
+# asserts that the tracer's wrapper replaces this binding.
+from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
+from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location
 from .scenarios import OneArmScenario, base_normals, sorted_normals
 
 __all__ = [
@@ -51,40 +53,38 @@ _EXACT_T_FALLBACK = (80, 160)
 # draws), and the absolute tolerance of the region's boundary refinement.
 _SCAN_POINTS = 2001
 _BRENTQ_XTOL = 1e-12
+
+
+def _job_points(s: OneArmScenario) -> int:
+    """Points per TIE/power job of a sweep's one-arm curve: as many as one
+    kernel chunk of full-grid scans holds (131 at 2 components, 2 at 101)."""
+    scan = AxisBank(s.prior, [s.external]).variances.size * _SCAN_POINTS
+    return max(inference._CHUNK_ELEMENTS // scan, 1)
+
+
 # The guard (in se) by which the Monte Carlo count widens the bands of draws
 # it re-decides: far wider than the kernel's rounding at a crossing.
 _GUARD_SE = 1e-9
 
 
-def _bank_stats(s: OneArmScenario, bank, ybar: np.ndarray, tails: bool = True, point=None):
+def _bank_stats(s: OneArmScenario, bank: AxisBank, ybar: np.ndarray, tails: bool = True, point=None):
     """Per-draw tail (a new array), or without ``tails`` the per-draw
     posterior mean and informative weight (this thread's "pmeans" and
-    "w_info" buffers; the ndtr is half the cost of a 101-component pass).
-    ``bank`` is a ``prior_bank_params`` tuple, or with ``point`` an
-    ``AxisBank`` whose prior at ``point[r]`` serves ``ybar[r]``. Each chunk
-    works in this thread's buffers and allocates nothing of size J x R."""
-    variances, log_w, info_mean, robust_loc = (
-        bank if point is None else (bank.variances, bank.log_w, None, None))
-    J = variances.size
+    "w_info" buffers; the ndtr is half the cost of a 101-component pass),
+    under ``bank``'s prior at point[r] (0 if ``point`` is None) for
+    ``ybar[r]``. Each chunk works in this thread's buffers and allocates
+    nothing of size J x R."""
+    J = bank.variances.size
     ybar = np.asarray(ybar, dtype=float)
     if tails:
         tail = np.empty_like(ybar)
     else:
         pmeans, w_info = work_array("pmeans", ybar.size), work_array("w_info", ybar.size)
-    fixed = robust_loc is not None
-    means = bank_means(info_mean, robust_loc, J, None) if fixed else None
     for sl in bank_chunks(ybar.size, J):
         yb = ybar[sl]
-        # "means" holds the component means where they vary per draw, then
-        # (spent) the ndtr argument of the tails.
-        scratch, W, pm = (work_array(name, J, yb.size) for name in ("means", "W", "pm"))
-        if point is not None:
-            means = bank.means(point[sl], yb, scratch)
-        elif not fixed:
-            means = bank_means(info_mean, None, J, yb, out=scratch)
-        pv = posterior_bank_into(means, variances, log_w, yb, s.n, s.sigma, W, pm)
-        if tails:
-            np.subtract(s.null_mean, pm, out=scratch)
+        W, pm, pv = bank.kernel(None if point is None else point[sl], yb, s.n, s.sigma)
+        if tails:  # the ndtr argument goes into the spent "means" buffer
+            scratch = np.subtract(s.null_mean, pm, out=work_array("means", J, yb.size))
             np.divide(scratch, np.sqrt(pv)[:, None], out=scratch)
             np.einsum("jr,jr->r", W, ndtr(scratch, out=scratch), out=tail[sl])
         else:
@@ -165,14 +165,8 @@ def _bands(ys, scans, decide, stop: float, guard: float):
     ``guard``. Between a band and the next of its point the sign holds."""
     point, lo, hi, above, cut = _brackets(ys, scans)
     i = np.flatnonzero(np.isnan(cut))
-    p, a, b, left_rejects = point[i], lo[i], hi[i], ~above[i]
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if not a.size or (b - a).max() < stop or np.all((mid == a) | (mid == b)):
-            break
-        like_left = decide(mid, p) == left_rejects
-        a, b = np.where(like_left, mid, a), np.where(like_left, b, mid)
-    lo[i], hi[i] = a, b
+    p, left_rejects = point[i], ~above[i]
+    lo[i], hi[i] = bisect(lo[i], hi[i], lambda mid: decide(mid, p) == left_rejects, stop)
     return point, lo - guard, hi + guard, above
 
 
@@ -229,7 +223,7 @@ def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[floa
     tails, shared by a cell's RMSE and mean weight at the same centre."""
     key = (s, bias, centre)
     if getattr(_last_pass, "key", None) != key:
-        bank = prior_bank_params(s.prior, s.external_at(bias))
+        bank = AxisBank(s.prior, [s.external_at(bias)])
         ybar = _draws(s, centre, out=work_array("draws", s.reps))
         pmeans, w_info = _bank_stats(s, bank, ybar, tails=False)
         dev = np.subtract(pmeans, centre, out=pmeans)
@@ -303,7 +297,7 @@ def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
     if not isinstance(s.prior.form, StudentT):
         raise TypeError("exact-t decisions need a StudentT robust form")
     external = s.external_at(bias)
-    robust_loc = prior_bank_params(s.prior, external)[3]
+    robust_loc = robust_location(s.prior, external)
     lo, hi = _scan_window(s)
     if robust_loc is None:  # the location tracks the observed mean
         near = far = 0.0
@@ -311,7 +305,7 @@ def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
         near = max(0.0, lo - robust_loc, robust_loc - hi)
         far = max(robust_loc - lo, hi - robust_loc)
     shifts = _exact_t_shifts(s.prior.form, near, far)
-    banks = [prior_bank_params(s.prior, external, t_shift=d, t_nodes=nodes) for d in shifts]
+    banks = [AxisBank(s.prior, [external], t_shift=d, t_nodes=nodes) for d in shifts]
 
     def tails(ys, point=None):
         dist = np.zeros_like(ys) if robust_loc is None else np.abs(ys - robust_loc)

@@ -9,9 +9,10 @@ Gamma quantiles, so the whole prior stays a normal mixture and posterior
 updates stay closed-form. The exact-t routes use a Gauss-Laguerre bank
 over the same Gamma precision instead.
 
-``prior_bank_params`` is the one construction of the components: the
-array form every engine feeds to the posterior kernel, of which
-``build_mixture_prior`` and ``t_to_normal_mixture`` are mixture views.
+``prior_bank_params`` is the one construction of the components, of
+which ``build_mixture_prior`` and ``t_to_normal_mixture`` are mixture
+views; ``AxisBank`` holds it along an axis of external means, the one
+form the engines hand the posterior kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import gammaincinv, roots_genlaguerre
 
 from .gaussian import GaussianComponent, GaussianMixture, SufficientStat
+from .inference import posterior_bank_into, work_array
 
 __all__ = [
     "ExternalMean",
@@ -43,7 +45,6 @@ __all__ = [
     "build_mixture_prior",
     "prior_bank_params",
     "robust_location",
-    "bank_means",
     "AxisBank",
 ]
 
@@ -328,34 +329,38 @@ def robust_location(spec: MixturePriorSpec, external: SufficientStat) -> float |
     return resolve_location(spec.location, external)
 
 
-def bank_means(info_mean, robust_loc, J, ybar, out=None):
-    """Prior component means for ``posterior_bank``: (J,), or (J, R) when
-    the robust location (None) tracks the observed means ``ybar``, written
-    into ``out`` if given."""
-    if robust_loc is not None:
-        return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
-    means = np.empty((J, np.size(ybar))) if out is None else out
-    means[0] = info_mean
-    means[1:] = ybar
-    return means
-
-
 class AxisBank:
-    """``prior_bank_params`` at each of ``externals``: one set of variances
-    and log weights (they do not depend on the external mean, so one kernel
-    call serves every point), and per point ``info`` and ``loc`` (or None)."""
+    """The prior at each of ``externals`` (differing only in their mean) in
+    the engines' array form: one ``prior_bank_params`` call's variances and
+    log weights (the same at every point, so one kernel call serves all),
+    and per point ``info``, the informative mean, and ``loc``, the robust
+    location (None when it tracks the observed mean)."""
 
-    def __init__(self, spec: MixturePriorSpec, externals):
-        banks = [prior_bank_params(spec, e) for e in externals]
-        self.variances, self.log_w, _, loc = banks[0]
-        self.info = np.array([bank[2] for bank in banks])
-        self.loc = None if loc is None else np.array([bank[3] for bank in banks])
+    def __init__(self, spec: MixturePriorSpec, externals, t_shift=None, t_nodes=EXACT_T_NODES):
+        self.variances, self.log_w, _, loc = prior_bank_params(spec, externals[0], t_shift, t_nodes)
+        self.info = np.array([e.mean for e in externals])  # the informative component's mean
+        self.loc = None if loc is None else np.array([robust_location(spec, e) for e in externals])
+        self.column = (np.concatenate((self.info, np.full(self.variances.size - 1, self.loc[0])))
+                       if self.loc is not None and len(externals) == 1 else None)
 
     def means(self, point, ybar, out):
-        """Component means (J, R) into ``out``: column r at point[r] and ybar[r]."""
+        """Component means into ``out`` (J, R), column r at point[r] (0 if
+        None) and ybar[r]; the (J,) ``column`` if it is set."""
+        if self.column is not None:
+            return self.column
+        point = 0 if point is None else point
         out[0] = self.info[point]
         out[1:] = ybar if self.loc is None else self.loc[point]
         return out
+
+    def kernel(self, point, ybar, n, sigma):
+        """``posterior_bank_into`` at observed means ``ybar`` under the prior
+        at point[r]: ``(W, pm, pv)``, W and pm in this thread's "W" and "pm"
+        buffers, the means laid out in its "means" buffer (then free)."""
+        J, R = self.variances.size, ybar.size
+        W, pm = work_array("W", J, R), work_array("pm", J, R)
+        means = self.means(point, ybar, work_array("means", J, R))
+        return W, pm, posterior_bank_into(means, self.variances, self.log_w, ybar, n, sigma, W, pm)
 
 
 def _mixture(means, variances, log_weights) -> GaussianMixture:
@@ -372,4 +377,4 @@ def build_mixture_prior(
     one, and a current-mean location resolved against ``current``."""
     variances, log_weights, info_mean, _ = prior_bank_params(spec, spec.external)
     loc = resolve_location(spec.location, spec.external, current)
-    return _mixture(bank_means(info_mean, loc, variances.size, None), variances, log_weights)
+    return _mixture(np.concatenate(([info_mean], np.full(variances.size - 1, loc))), variances, log_weights)

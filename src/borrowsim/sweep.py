@@ -9,7 +9,7 @@ numbers), which the per-cell recomputation contract makes safe.
 This module owns every sweep-level decision: the cell enumeration
 (``_curves`` times ``_groups`` times ``_points``), the jobs (one per curve
 and group; a grid's TIE and power, Monte Carlo or exact, one per curve or
-run of ``_count_step`` points through its trial's ``oc_curve``, its other
+run of ``onearm._job_points`` points through its trial's ``oc_curve``, its other
 fields one per cell), the Monte Carlo rule (``_fields``: which row fields
 a run's cells compute and which of them Monte Carlo estimates, read by
 the cells, by each row's ``reps`` and by the cost) and the cost itself
@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from . import diagnostics, hybrid, inference, onearm, priors
+from . import diagnostics, hybrid, onearm
 from .config import normalize_config, sample_size_keys
 from .gaussian import SufficientStat
 from .priors import (
@@ -261,17 +261,6 @@ def cost_estimate(cfg) -> tuple[int, int]:
     return cells, cells * len(_fields(cfg)[1]) * cfg["reps"]
 
 
-def _count_step(s, n: int) -> int:
-    """Points per TIE/power job of a curve of ``n``: a hybrid curve's all
-    (one solve), a one-arm curve's as many as one kernel chunk of full-grid
-    scans holds (all at 2 components, 2 at 101, spread over threads), as
-    the exact route scans; the Monte Carlo scan keeps what its draws span."""
-    if isinstance(s, HybridScenario):
-        return n
-    scan = priors.prior_bank_params(s.prior, s.external)[0].size * onearm._SCAN_POINTS
-    return max(inference._CHUNK_ELEMENTS // scan, 1)
-
-
 def _run_grid(cfg, pool) -> SweepResult:
     biases = _points(cfg, None)
     curves = _curves(cfg)
@@ -280,7 +269,8 @@ def _run_grid(cfg, pool) -> SweepResult:
     exact = cfg["estimator"] == "exact"
 
     # The TIE/power jobs, the largest, go first; the other fields are a job per cell.
-    steps = [(s, _count_step(s, len(biases))) for s, _, _ in curves] if rates else []
+    steps = [(s, len(biases) if isinstance(s, HybridScenario) else onearm._job_points(s))
+             for s, _, _ in curves] if rates else []
     jobs = [partial(_trial(s).oc_curve, s, biases[i:i + step], exact=exact, rates=rates)
             for s, step in steps for i in range(0, len(biases), step)]
     cells = [partial(_grid_cell, cfg, s, b) for s, _, _ in curves if fields - set(rates) for b in biases]

@@ -31,8 +31,9 @@ the threshold once per bias for a whole grid and shares it between TIE
 and power, and must match this bit for bit.
 
 ``posterior_bank_expression`` is the posterior kernel as one expression
-over new arrays, and ``bank_stats_expression`` the one-arm tails, or the
-means and weights, read off it. The library's kernel writes each step
+over new arrays, on prior component means laid out by ``bank_means``,
+and ``bank_stats_expression`` the one-arm tails, or the means and
+weights, read off it. The library's kernel writes each step
 into reused work buffers, chunk by chunk, and must match these bit for bit.
 
 ``find_modes`` is the scalar mode finder: a derivative sign scan of one
@@ -68,7 +69,7 @@ from borrowsim.gaussian import mixture_pdf
 from borrowsim.hybrid import _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
-from borrowsim.priors import bank_means, prior_bank_params
+from borrowsim.priors import AxisBank, prior_bank_params
 from borrowsim.scenarios import base_normals
 
 # Points of the grid that locates the log-peak of the integrand.
@@ -156,6 +157,17 @@ def exact_t_tail_oracle(spec, data, null_value: float, rel_tol: float = 1e-6) ->
     return tail
 
 
+def bank_means(info_mean, robust_loc, J, ybar):
+    """Prior component means: the (J,) column at a fixed robust location,
+    or (J, R) when the location (None) tracks the observed means ``ybar``."""
+    if robust_loc is not None:
+        return np.concatenate(([info_mean], np.full(J - 1, robust_loc)))
+    means = np.empty((J, np.size(ybar)))
+    means[0] = info_mean
+    means[1:] = ybar
+    return means
+
+
 def posterior_bank_expression(means, variances, log_weights, ybar, n, sigma):
     """``inference.posterior_bank`` with a new array for every step."""
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
@@ -190,13 +202,13 @@ def bank_stats_expression(s, bank, ybar, tails=True):
 def cell_tails(s, bias: float):
     """Posterior tail at the null as a function of observed means, under
     the cell's prior bank."""
-    bank = prior_bank_params(s.prior, s.external_at(bias))
+    bank = AxisBank(s.prior, [s.external_at(bias)])
     return lambda ybar: _bank_stats(s, bank, ybar)
 
 
 def posterior_stats(s, bias: float, ybar: np.ndarray):
     """Tail probability, posterior mean and informative weight per draw."""
-    bank = prior_bank_params(s.prior, s.external_at(bias))
+    bank = AxisBank(s.prior, [s.external_at(bias)])
     return (_bank_stats(s, bank, ybar), *(a.copy() for a in _bank_stats(s, bank, ybar, tails=False)))
 
 

@@ -18,6 +18,7 @@ from borrowsim import (
     mixture_pdf,
     mixture_quantile,
 )
+from borrowsim.gaussian import bisect
 
 mpmath.mp.dps = 40
 
@@ -222,3 +223,50 @@ class TestValidation:
             SufficientStat(0.0, 0, 1.0)
         with pytest.raises(ValueError):
             SufficientStat(0.0, 3, -1.0)
+
+
+class TestBisect:
+    """The vectorized bisection under both trials' decision boundaries."""
+
+    @staticmethod
+    def counted(roots):
+        calls = []
+
+        def below(mid):
+            calls.append(mid)
+            return mid < roots
+
+        return below, calls
+
+    def test_stops_at_adjacent_floats(self):
+        roots = np.array([math.pi / 4, math.sqrt(2.0) + 1.0])
+        below, calls = self.counted(roots)
+        lo, hi = bisect(np.array([0.0, 1.0]), np.array([1.0, 3.0]), below)
+        assert np.all(np.nextafter(lo, np.inf) == hi)
+        assert np.all((lo < roots) & (roots <= hi))
+        # Width 1 to the float spacing 2**-53 near pi/4 is 53 halvings (width
+        # 2 to 2**-51 near 2.41 is 52): not one more, and far under the cap.
+        assert len(calls) == 53
+
+    def test_width_stop_only_when_set(self):
+        roots = np.array([0.3, 0.6])
+        below, calls = self.counted(roots)
+        lo, hi = bisect(np.zeros(2), np.ones(2), below, stop=1e-3)
+        assert len(calls) == 10 and np.all(hi - lo == 2.0**-10)
+        assert np.all((lo < roots) & (roots <= hi))
+        below, calls = self.counted(roots)
+        lo, hi = bisect(np.zeros(2), np.ones(2), below)
+        assert len(calls) > 10 and np.all(np.nextafter(lo, np.inf) == hi)
+
+    def test_at_most_80_halvings(self):
+        # From 1e300 wide, adjacent floats at 1 are about 1050 halvings away.
+        below, calls = self.counted(np.array([1.0]))
+        lo, hi = bisect(np.array([0.0]), np.array([1e300]), below)
+        assert len(calls) == 80 and hi - lo == 1e300 * 2.0**-80
+
+    @pytest.mark.parametrize("stop", [None, 1e-3])
+    def test_empty_brackets_come_back_unchanged(self, stop):
+        below, calls = self.counted(np.array([]))
+        a, b = np.array([]), np.array([])
+        lo, hi = bisect(a, b, below, stop)
+        assert lo is a and hi is b and calls == []

@@ -238,6 +238,17 @@ class TestSweetSpot:
         with pytest.raises(ValueError):
             sweet_spot(s)
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
+    def test_needs_an_increasing_grid(self, order):
+        # At the parent of this check, a reversed grid gave lower > upper and
+        # a shuffled one a narrow, wrong interval, with no error.
+        grid = self.grid()
+        grid = {"reversed": grid[::-1], "shuffled": tuple(np.random.default_rng(0).permutation(grid)),
+                "repeated": grid[:3] + grid[2:]}[order]
+        s = scenario(w=0.5, location=CurrentMean(), reps=10_000, bias_grid=grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweet_spot(s)
+
 
 class TestSharedThreshold:
     """One threshold solve per bias serves TIE, power and the sweet spot."""

@@ -355,8 +355,8 @@ def test_an_empty_axis_gives_one_empty_list_per_rate(route):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
-    # The solve and the per-draw kernel read one bank per point, which the
-    # curve's AxisBank builds.
+    # The solve and the per-draw kernel read the curve's one AxisBank, whose
+    # variances and log weights come from one prior_bank_params call.
     calls = []
     build = priors.prior_bank_params
 
@@ -367,7 +367,7 @@ def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
     monkeypatch.setattr(priors, "prior_bank_params", counting)
     biases = (-0.5, 0.0, 0.25, 0.5)
     hybrid.oc_curve(scenario(), biases, exact=exact)
-    assert len(calls) == len(biases)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("recipe", ["fig7", "a14-treatment-prior-unbalanced"])

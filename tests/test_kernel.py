@@ -32,8 +32,8 @@ from borrowsim import (
 from borrowsim.hybrid import _Bank, _treatment_params
 from borrowsim.inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
 from borrowsim.onearm import _bank_stats
-from borrowsim.priors import bank_means, prior_bank_params
-from oracles import bank_stats_expression, posterior_bank_expression
+from borrowsim.priors import AxisBank, prior_bank_params
+from oracles import bank_means, bank_stats_expression, posterior_bank_expression
 
 EXT = SufficientStat(0.0, 15, 1.0)
 FORMS = {2: Normal(), 101: StudentT(3.0, 1.0, 100)}
@@ -69,6 +69,10 @@ def bank_at(s, bias=0.7):
     return prior_bank_params(s.prior, s.external_at(bias))
 
 
+def axis_bank_at(s, bias=0.7):
+    return AxisBank(s.prior, [s.external_at(bias)])
+
+
 @pytest.mark.parametrize("J", [2, 101])
 @pytest.mark.parametrize("R", [1, 4095, 4097, 10_001])
 @LOCATIONS
@@ -79,10 +83,8 @@ def test_kernel_matches_the_expression(J, R, location):
     means = bank_means(info, loc, J, y)
     expected = posterior_bank_expression(means, variances, log_w, y, s.n, s.sigma)
     assert same(posterior_bank(means, variances, log_w, y, s.n, s.sigma), expected)
-    means = bank_means(info, loc, J, y, out=work_array("means", J, R))
-    W, pm = work_array("W", J, R), work_array("pm", J, R)
-    pv = posterior_bank_into(means, variances, log_w, y, s.n, s.sigma, W, pm)
-    assert same((W, pm, pv), expected)
+    # The engines' call: means laid out, and the kernel run, in work buffers.
+    assert same(axis_bank_at(s).kernel(None, y, s.n, s.sigma), expected)
 
 
 @pytest.mark.parametrize("J", [2, 101])
@@ -119,16 +121,39 @@ def test_bank_stats_in_chunks_match_one_chunk(monkeypatch, J, R, location):
     # At the 4096-draw floor: a short last chunk of 1809 draws, a last draw
     # that would be a chunk of its own, and a last chunk of two.
     s = one_arm(J, location)
-    bank, y = bank_at(s), draws(R)
+    bank, y = axis_bank_at(s), draws(R)
     monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1 << 30)
     whole = _bank_stats(s, bank, y)
     whole_means = [a.copy() for a in _bank_stats(s, bank, y, tails=False)]
     monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1)
     assert len(list(bank_chunks(R, J))) > 1
     assert same((_bank_stats(s, bank, y),), (whole,))
-    assert same((whole,), (bank_stats_expression(s, bank, y),))
+    assert same((whole,), (bank_stats_expression(s, bank_at(s), y),))
     assert same(_bank_stats(s, bank, y, tails=False), whole_means)
-    assert same(whole_means, bank_stats_expression(s, bank, y, tails=False))
+    assert same(whole_means, bank_stats_expression(s, bank_at(s), y, tails=False))
+
+
+@pytest.mark.parametrize("J", [2, 101])
+def test_a_one_point_fixed_bank_lays_out_one_column(J):
+    # A fixed location on a one-point axis gives the (J,) column, which the
+    # kernel broadcasts; it gives the floats of the (J, R) layout, bit for bit.
+    s, h, y = one_arm(J, ExternalMean()), hybrid(J, ExternalMean()), draws(10_001)
+    bank, wide = axis_bank_at(s), axis_bank_at(s)
+    wide.column = None
+    _, _, info, loc = bank_at(s)
+    assert bank.means(None, y, work_array("means", J, y.size)).shape == (J,)
+    assert same((bank.column,), (bank_means(info, loc, J, None),))
+    assert wide.means(None, y, work_array("means", J, y.size)).shape == (J, y.size)
+    assert axis_bank_at(one_arm(J, CurrentMean())).column is None
+    assert AxisBank(s.prior, [s.external_at(0.1), s.external_at(0.2)]).column is None
+    assert same((_bank_stats(s, bank, y),), (_bank_stats(s, wide, y),))
+    stats = [a.copy() for a in _bank_stats(s, bank, y, tails=False)]
+    assert same(stats, _bank_stats(s, wide, y, tails=False))
+    hb, hw = _Bank(h, [h.external_at(0.3)]), _Bank(h, [h.external_at(0.3)])
+    hw.column = None
+    yt = draws(10_001, 1) + 0.3
+    assert hb.column is not None
+    assert same((hb(y), hb(y, yt)), (hw(y), hw(y, yt)))
 
 
 def hybrid_expression(s, yc, yt):
@@ -159,9 +184,9 @@ def test_returned_arrays_survive_later_calls_on_the_thread():
     variances, log_w, info, loc = bank_at(s)
     y = draws(5000)
     held = posterior_bank(bank_means(info, loc, 101, y), variances, log_w, y, s.n, s.sigma)
-    stats = (_bank_stats(s, bank_at(s), draws(5000, 1)),)
+    stats = (_bank_stats(s, axis_bank_at(s), draws(5000, 1)),)
     copies = [a.copy() for a in held + stats]
-    _bank_stats(s, bank_at(s, -0.4), draws(7000, 2))
+    _bank_stats(s, axis_bank_at(s, -0.4), draws(7000, 2))
     h = hybrid(101, CurrentMean())
     _Bank(h, [h.external_at(0.1)])(draws(6000, 3), draws(6000, 4))
     y2 = draws(5000, 5)
@@ -179,7 +204,7 @@ def test_threads_keep_their_own_buffers(monkeypatch):
     def run(job):
         J, location, seed = job
         s = one_arm(J, location)
-        bank, y = bank_at(s, 0.2 * seed), draws(20_000, seed)
+        bank, y = axis_bank_at(s, 0.2 * seed), draws(20_000, seed)
         return (_bank_stats(s, bank, y), *(a.copy() for a in _bank_stats(s, bank, y, tails=False)))
 
     serial = [run(job) for job in jobs]
@@ -202,7 +227,7 @@ def test_a_warm_101_component_pass_takes_few_page_faults(tails, bound):
     import resource
 
     s = one_arm(101, ExternalMean())
-    bank, y = bank_at(s), draws(100_000)
+    bank, y = axis_bank_at(s), draws(100_000)
     _bank_stats(s, bank, y, tails)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     _bank_stats(s, bank, y, tails)

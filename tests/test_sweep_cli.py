@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borrowsim import hybrid
+from borrowsim import hybrid, onearm
 from borrowsim.cli import main
 from borrowsim.config import ConfigError, check_config, normalize_config
 from borrowsim.recipes import RECIPES, list_recipes, recipe_config
 from borrowsim.scenarios import OCRow
-from borrowsim.sweep import CSV_COLUMNS, SweepResult, cost_estimate, run_config, write_outputs
+from borrowsim.sweep import CSV_COLUMNS, SweepResult, _curves, cost_estimate, run_config, write_outputs
 
 
 def tiny_grid_config(**overrides):
@@ -235,6 +235,32 @@ RULES = [
     ("tiny", {"output": {"csv": ""}}, "output.csv"),
     ("fig10", {"external_mean": float("nan")}, "external_mean"),
 ]
+
+
+def test_one_arm_jobs_hold_one_kernel_chunk_of_scans():
+    # The whole curve at 2 components, 2 points at 101 and, across a7's k of
+    # 5 to 200, 43/23/10/5/2/1: the job list, and so the bytes, depend on it.
+    def steps(name):
+        cfg = normalize_config(recipe_config(name))
+        return [onearm._job_points(s) for s, _, _ in _curves(cfg)], len(cfg["sweep"]["bias"])
+
+    assert steps("fig1") == ([131] * 6, 41)
+    assert steps("fig1-t") == ([2, 2], 41)
+    assert steps("a7-t-components") == ([43, 23, 10, 5, 2, 1], 17)
+
+
+@pytest.mark.parametrize("bias", [[0.1, 0.0], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]],
+                         ids=["reversed", "shuffled", "repeated"])
+def test_sweet_spot_biases_must_increase(bias, tmp_path, capsys):
+    cfg = mutated("fig8", {"sweep.bias": bias})
+    error = "sweep.bias: sweet-spot scans need strictly increasing biases"
+    assert check_config(cfg) == [error]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert error in capsys.readouterr().out
+    # A grid of another kind may run in any order.
+    assert check_config(mutated("tiny", {"sweep.bias": bias})) == []
 
 
 @pytest.mark.parametrize("base,changes,fragment", RULES)
