@@ -9,7 +9,7 @@ intervals which may come out disjoint when the posterior splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
 _SCAN_POINTS = 2000
 _REFINE_TOL = 1e-9
 # Mixtures per block of the derivative scan: bounds its (2000 x block) arrays.
-_BATCH = 8
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,11 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
 
     The posterior is built with the observed current mean pinned to the
     true mean (the scenario's null value); the external mean sits at
-    null + bias. Each weight's prior is an ``AxisBank`` over the biases,
-    and its row is one ``posterior_bank`` call over the component means,
-    one column per bias, fed to the batch mode finder. Requires the Normal
-    robust form (the k-component heavy-tail bank can have more than two
-    modes and is out of scope).
+    null + bias. The prior is one ``AxisBank`` over every (weight, bias)
+    point, a log-weight column each, and the map is one ``posterior_bank``
+    call over its component means, fed to one run of the batch mode
+    finder. Requires the Normal robust form (the k-component heavy-tail
+    bank can have more than two modes and is out of scope).
 
     Returns an array of shape (len(w_grid), len(bias_grid)).
     """
@@ -185,21 +185,22 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
         w_grid = MAP_WEIGHTS
     if bias_grid is None:
         bias_grid = map_biases(scenario.sd_ext)
+    shape = (len(w_grid), len(bias_grid))
+    if 0 in shape:
+        return np.empty(shape)
     data = SufficientStat(scenario.null_mean, scenario.n, scenario.sigma)
-    externals = [scenario.external_at(b) for b in bias_grid]
-    points, B = np.arange(len(externals)), len(externals)
-    out = np.empty((len(w_grid), B))
-    for i, w in enumerate(np.asarray(w_grid, dtype=float)):
-        bank = priors.AxisBank(replace(scenario.prior, informative_weight=float(w)), externals)
-        means = bank.means(points, np.full(B, data.mean), np.empty((2, B)))
-        W, post_means, post_vars = inference.posterior_bank(
-            means, bank.variances, bank.log_w, data.mean, data.n, data.sigma
-        )
-        # The exact renormalization a GaussianMixture applies to its weights.
-        W = W / (W[0] + W[1])
-        sds = np.broadcast_to(np.sqrt(post_vars)[:, None], W.shape)
-        out[i] = _modes(W, post_means, sds)[3]
-    return out
+    externals = [scenario.external_at(b) for b in bias_grid] * shape[0]
+    weights = np.repeat(np.asarray(w_grid, dtype=float), shape[1])
+    bank = priors.AxisBank(scenario.prior, externals, weights=weights)
+    P = weights.size
+    means = bank.means(np.arange(P), np.full(P, data.mean), np.empty((2, P)))
+    W, post_means, post_vars = inference.posterior_bank(
+        means, bank.variances, bank.log_w, data.mean, data.n, data.sigma
+    )
+    # The exact renormalization a GaussianMixture applies to its weights.
+    W = W / (W[0] + W[1])
+    sds = np.broadcast_to(np.sqrt(post_vars)[:, None], W.shape)
+    return _modes(W, post_means, sds)[3].reshape(shape)
 
 
 def hpd_disjoint(m: GaussianMixture, level: float):

@@ -15,7 +15,9 @@ ends, and the draws too close to it re-decided by the per-draw kernel in
 one batched pass per effect. The deterministic route integrates the
 treatment mean's tail above T over Gauss-Hermite nodes of the control
 mean. Also the mean posterior weight, calibrated no-borrowing power,
-sweet spots and bias-restricted summaries.
+bias-restricted summaries, and the sweet spots, those of a weight block
+(curves differing only in the informative weight) advanced in lockstep,
+one Gauss-Hermite threshold solve per step for all of them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "no_borrowing_power",
     "oc_curve",
     "sweet_spot",
+    "sweet_spots",
     "delta_grid",
     "restricted_summary",
     "delta_restricted_summary",
@@ -94,12 +97,13 @@ def _treatment_params(s: HybridScenario, analysis_external_mean: float):
 
 class _Bank(AxisBank):
     """The control arm's prior along an axis of external means
-    (``AxisBank``) and the treatment posterior, mean ``a[point] + b *
-    ybar_t`` and variance ``t_var``."""
+    (``AxisBank``; ``w`` the informative weight at each point) and the
+    treatment posterior, mean ``a[point] + b * ybar_t`` and variance ``t_var``."""
 
-    def __init__(self, s: HybridScenario, externals):
-        super().__init__(s.prior, externals)
+    def __init__(self, s: HybridScenario, externals, weights=None):
+        super().__init__(s.prior, externals, weights=weights)
         self.s = s
+        self.w = np.broadcast_to(s.prior.informative_weight if weights is None else weights, len(externals))
         self.a = np.array([_treatment_params(s, e.mean)[0] for e in externals])
         _, self.b, self.t_var = _treatment_params(s, externals[0].mean)
 
@@ -145,7 +149,7 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     shape (len(biases), yc.size): at control mean ``yc[k]``, under the
     bank's prior at point i (bias ``biases[i]``, for messages), the test
     does not reject at treatment mean ``lo[i, k]`` and rejects at
-    ``hi[i, k]``.
+    ``hi[i, k]``. An error names the point's bias and weight.
 
     The superiority probability is strictly decreasing in the treatment
     mean, so every threshold is found at once by at most 80 steps of
@@ -179,8 +183,8 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
                 point = "Gauss-Hermite node" if stop is None else "control-mean grid point"
                 raise RuntimeError(
                     f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
-                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r}, "
-                    f"{point} {node} of {nodes}"
+                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r} and weight "
+                    f"{float(bank.w[sl][i])!r}, {point} {node} of {nodes}"
                 )
         lo, hi = bisect(lo, hi, lambda mid: pnb(mid) > s.alpha, stop)
         lo_out[sl] = lo.reshape(-1, nodes)
@@ -319,15 +323,25 @@ def _gh_rule(nodes: int):
     return x, wts
 
 
-def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES) -> np.ndarray:
-    """Treatment-mean rejection thresholds, shape (len(biases), nodes):
-    row i holds, at each Gauss-Hermite node of the control mean, the
-    midpoint of the collapsed bracket at bias ``biases[i]``."""
+def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES, weights=None) -> np.ndarray:
+    """Treatment-mean rejection thresholds, shape (len(biases), nodes): row i
+    holds, at each Gauss-Hermite node of the control mean, the midpoint of the
+    collapsed bracket at bias ``biases[i]`` (informative weight ``weights[i]``)."""
     biases = np.atleast_1d(np.asarray(biases, dtype=float))
     x, _ = _gh_rule(nodes)
     yc = s.control_mean + math.sqrt(2.0) * s.se_c * x
-    lo, hi = _threshold_brackets(s, _Bank(s, [s.external_at(b) for b in biases]), biases, yc)
+    lo, hi = _threshold_brackets(s, _Bank(s, [s.external_at(b) for b in biases], weights), biases, yc)
     return 0.5 * (lo + hi)
+
+
+def _gh_curve(s: HybridScenario, biases, rates=("tie", "power"), nodes: int = _GH_NODES, weights=None):
+    """``oc_curve``'s Gauss-Hermite route (``weights`` as in ``_gh_thresholds``): each rate
+    sums the treatment mean's normal tail above the threshold over the nodes."""
+    _, wts = _gh_rule(nodes)
+    thresholds = _gh_thresholds(s, biases, nodes, weights)
+    effects = {"tie": 0.0, "power": s.effect}
+    tails = (1.0 - ndtr((thresholds - (s.control_mean + effects[r])) / s.se_t) for r in rates)
+    return tuple([float(np.dot(wts, g) / math.sqrt(math.pi)) for g in tail] for tail in tails)
 
 
 def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES,
@@ -337,19 +351,13 @@ def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH
 
     Monte Carlo (one threshold solve serves the curve, counted only at the
     rates' effects), or with ``exact`` the Gauss-Hermite route: one
-    threshold solve per bias serves both rates, each of which is then the
-    sum over the control-mean nodes of the treatment mean's normal tail
-    above the node's threshold.
+    threshold solve per bias serves both rates (``_gh_curve``).
     """
     if not np.size(biases):
         return tuple([] for _ in rates)
     if not exact:
         return _rates(s, None, biases, rates)
-    _, wts = _gh_rule(nodes)
-    thresholds = _gh_thresholds(s, biases, nodes)
-    effects = {"tie": 0.0, "power": s.effect}
-    tails = (1.0 - ndtr((thresholds - (s.control_mean + effects[r])) / s.se_t) for r in rates)
-    return tuple([float(np.dot(wts, g) / math.sqrt(math.pi)) for g in tail] for tail in tails)
+    return _gh_curve(s, biases, rates, nodes)
 
 
 def hybrid_tie_exact(s: HybridScenario, bias: float) -> float:
@@ -386,28 +394,50 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
 
 
 def sweet_spot(s: HybridScenario) -> SweetSpot:
-    """Bias range with TIE at most alpha and power at least the plain test's.
+    """Bias range with TIE at most alpha and power at least the plain test's."""
+    return sweet_spots([s])[0]
 
-    Scans the scenario's bias grid (strictly increasing, at least two
-    points) with the deterministic curves (kept on
-    the result as ``curve``), keeps the widest contiguous feasible run
-    (``contiguous`` is False if the feasible set is split), refines both
-    endpoints by bisection to ``_SWEET_SPOT_RESOLUTION`` in bias, and reports
-    the maximum power over the refined interval.
-    """
-    if len(s.bias_grid) < 2:
+
+def sweet_spots(block) -> list[SweetSpot]:
+    """The sweet spots of a weight block (scenarios that differ only in the
+    informative weight) in lockstep: each step is one threshold solve over
+    the (weight, bias) points every open curve of ``_sweet_spot_steps``
+    asks for, and a curve drops out once its spot is found. A point's
+    floats are those of a solve of its own."""
+    s, grid = block[0], np.asarray(block[0].bias_grid, dtype=float)
+    if grid.size < 2:
         raise ValueError("sweet_spot needs a bias grid spanning the candidate region")
-    grid = np.asarray(s.bias_grid, dtype=float)
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweet_spot needs a strictly increasing bias grid")
-    p0 = no_borrowing_power(s)
-
-    def feasible(biases):
-        ties, powers = oc_curve(s, biases, exact=True)
+    w0, p0 = s.prior.informative_weight, no_borrowing_power(s)
+    if any(replace(t, prior=replace(t.prior, informative_weight=w0)) != s for t in block):
+        raise ValueError("the scenarios of a weight block may differ only in the informative weight")
+    curves = [_sweet_spot_steps(grid) for _ in block]
+    asks, spots = {c: next(curve) for c, curve in enumerate(curves)}, [None] * len(block)
+    while asks:
+        sizes = [len(biases) for biases in asks.values()]
+        weights = np.repeat([block[c].prior.informative_weight for c in asks], sizes)
+        ties, powers = _gh_curve(s, np.concatenate(list(asks.values())), weights=weights)
         ok = [t <= s.alpha + 1e-12 and p >= p0 - 1e-12 for t, p in zip(ties, powers)]
-        return ok, tuple(zip(ties, powers))
+        for c, stop, size in zip(list(asks), np.cumsum(sizes), sizes):
+            try:
+                asks[c] = curves[c].send(tuple(v[stop - size:stop] for v in (ok, ties, powers)))
+            except StopIteration as done:
+                spots[c] = done.value
+                del asks[c]
+    return spots
 
-    ok, curve = feasible(grid)
+
+def _sweet_spot_steps(grid):
+    """One curve's sweet spot as a coroutine that yields the biases it needs
+    next, is sent their (feasible, TIE, power) lists, and returns the spot:
+    a scan of the bias grid (strictly increasing, at least two points; kept
+    on the result as ``curve``), the widest contiguous feasible run
+    (``contiguous`` False if the feasible set is split), both its ends
+    bisected to ``_SWEET_SPOT_RESOLUTION`` in bias, and the maximum power
+    over the refined interval."""
+    ok, ties, powers = yield grid
+    curve = tuple(zip(ties, powers))
     # Runs of feasible grid points as (first, last) index pairs.
     edges = np.flatnonzero(np.diff(np.concatenate(([0], np.array(ok, dtype=int), [0]))))
     runs = list(zip(edges[::2], edges[1::2] - 1))
@@ -415,40 +445,35 @@ def sweet_spot(s: HybridScenario) -> SweetSpot:
         return SweetSpot(math.nan, math.nan, math.nan, math.nan, True, curve=curve)
     i0, i1 = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
 
-    def refine(inside, outside):
-        while abs(outside - inside) > _SWEET_SPOT_RESOLUTION:
-            mid = 0.5 * (inside + outside)
-            if feasible(mid)[0][0]:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lower = grid[i0] if i0 == 0 else refine(grid[i0], grid[i0 - 1])
-    upper = grid[i1] if i1 == len(grid) - 1 else refine(grid[i1], grid[i1 + 1])
+    # Both ends as [inside, outside], bisected together (one on the grid's edge starts collapsed).
+    ends = [[grid[i0], grid[max(i0 - 1, 0)]], [grid[i1], grid[min(i1 + 1, grid.size - 1)]]]
+    while todo := [e for e in ends if abs(e[1] - e[0]) > _SWEET_SPOT_RESOLUTION]:
+        mids = [0.5 * (inside + outside) for inside, outside in todo]
+        for end, mid, inside in zip(todo, mids, (yield mids)[0]):
+            end[0 if inside else 1] = mid
+    lower, upper = ends[0][0], ends[1][0]
 
     # Coarse argmax then golden-section refinement around it.
     coarse = np.linspace(lower, upper, 41)
-    powers = np.array(oc_curve(s, coarse, exact=True)[1])
+    powers = np.array((yield coarse)[2])
     j = int(np.argmax(powers))
     lo = coarse[max(j - 1, 0)]
     hi = coarse[min(j + 1, coarse.size - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
-    fc = hybrid_power_exact(s, c)
-    fd = hybrid_power_exact(s, d)
+    fc, fd = (yield [c, d])[2]
     while hi - lo > _SWEET_SPOT_RESOLUTION:
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
-            fd = hybrid_power_exact(s, d)
+            (fd,) = (yield [d])[2]
         else:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)
-            fc = hybrid_power_exact(s, c)
+            (fc,) = (yield [c])[2]
     argmax = 0.5 * (lo + hi)
-    best = max(float(powers[j]), hybrid_power_exact(s, argmax))
+    best = max(float(powers[j]), (yield [argmax])[2][0])
     if best == powers[j]:
         argmax = float(coarse[j])
     return SweetSpot(

@@ -71,7 +71,7 @@ def posterior_bank(means, variances, log_weights, ybar, n, sigma):
     means : array (J,) or (J, R)
         Prior component means; a (J, R) shape carries data-dependent
         locations (one per observed mean).
-    variances, log_weights : array (J,)
+    variances, log_weights : array (J,), or log_weights (J, R), one per mean
         Prior component variances and log prior weights (-inf allowed).
     ybar : scalar or array (R,)
         Observed current mean(s).
@@ -120,7 +120,7 @@ def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, p
     np.divide(logw, pred_var, out=logw)
     np.add(np.log(2.0 * np.pi * pred_var), logw, out=logw)
     np.multiply(-0.5, logw, out=logw)
-    np.add(log_weights[:, None], logw, out=logw)
+    np.add(log_weights.reshape(variances.size, -1), logw, out=logw)
     np.subtract(logw, np.maximum.reduce(logw, axis=0, keepdims=True, out=col), out=logw)
     np.exp(logw, out=post_w)
     norm = np.add.reduce(post_w, axis=0, keepdims=True, out=col)

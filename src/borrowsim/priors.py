@@ -18,7 +18,7 @@ form the engines hand the posterior kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -334,10 +334,18 @@ class AxisBank:
     the engines' array form: one ``prior_bank_params`` call's variances and
     log weights (the same at every point, so one kernel call serves all),
     and per point ``info``, the informative mean, and ``loc``, the robust
-    location (None when it tracks the observed mean)."""
+    location (None when it tracks the observed mean). With ``weights``, point
+    p's informative weight is weights[p], and ``log_w`` is (J, P), a column
+    per point (a ``prior_bank_params`` call per distinct weight)."""
 
-    def __init__(self, spec: MixturePriorSpec, externals, t_shift=None, t_nodes=EXACT_T_NODES):
+    def __init__(self, spec: MixturePriorSpec, externals, t_shift=None, t_nodes=EXACT_T_NODES,
+                 weights=None):
         self.variances, self.log_w, _, loc = prior_bank_params(spec, externals[0], t_shift, t_nodes)
+        if weights is not None:
+            distinct, at = np.unique(weights, return_inverse=True)
+            log_w = [prior_bank_params(replace(spec, informative_weight=float(w)), externals[0], t_shift,
+                                       t_nodes)[1] for w in distinct]
+            self.log_w = np.stack(log_w, axis=1)[:, at.ravel()]
         self.info = np.array([e.mean for e in externals])  # the informative component's mean
         self.loc = None if loc is None else np.array([robust_location(spec, e) for e in externals])
         self.column = (np.concatenate((self.info, np.full(self.variances.size - 1, self.loc[0])))
@@ -356,11 +364,14 @@ class AxisBank:
     def kernel(self, point, ybar, n, sigma):
         """``posterior_bank_into`` at observed means ``ybar`` under the prior
         at point[r]: ``(W, pm, pv)``, W and pm in this thread's "W" and "pm"
-        buffers, the means laid out in its "means" buffer (then free)."""
+        buffers, the means (and per-point log weights) laid out in its
+        "means" (and "log_w") buffer."""
         J, R = self.variances.size, ybar.size
         W, pm = work_array("W", J, R), work_array("pm", J, R)
         means = self.means(point, ybar, work_array("means", J, R))
-        return W, pm, posterior_bank_into(means, self.variances, self.log_w, ybar, n, sigma, W, pm)
+        log_w = self.log_w if self.log_w.ndim == 1 else np.take(
+            self.log_w, point, axis=1, out=work_array("log_w", J, R))
+        return W, pm, posterior_bank_into(means, self.variances, log_w, ybar, n, sigma, W, pm)
 
 
 def _mixture(means, variances, log_weights) -> GaussianMixture:

@@ -8,12 +8,14 @@ numbers), which the per-cell recomputation contract makes safe.
 
 This module owns every sweep-level decision: the cell enumeration
 (``_curves`` times ``_groups`` times ``_points``), the jobs (one per curve
-and group; a grid's TIE and power, Monte Carlo or exact, one per curve or
-run of ``onearm._job_points`` points through its trial's ``oc_curve``, its other
-fields one per cell), the Monte Carlo rule (``_fields``: which row fields
-a run's cells compute and which of them Monte Carlo estimates, read by
-the cells, by each row's ``reps`` and by the cost) and the cost itself
-(``cost_estimate``, which ``validate`` prints and meta.json records).
+and group; a bimodality map's and the sweet spots' one per weight block,
+the run of curves that differ only in ``w``; a grid's TIE and power, Monte
+Carlo or exact, one per curve or run of ``onearm._job_points`` points
+through its trial's ``oc_curve``, its other fields one per cell), the Monte
+Carlo rule (``_fields``: which row fields a run's cells compute and which
+of them Monte Carlo estimates, read by the cells, by each row's ``reps``
+and by the cost) and the cost itself (``cost_estimate``, which
+``validate`` prints and meta.json records).
 """
 
 from __future__ import annotations
@@ -294,24 +296,27 @@ def _run_grid(cfg, pool) -> SweepResult:
     return SweepResult(rows, {}, {})
 
 
-# A (curve, group) job of each kind but grid: (row fields per point, summary entry).
-def _bimodality_job(cfg, curve, group, points):
-    s, _, w = curve
-    return [{"obm": float(r)} for r in diagnostics.bimodality_map(s, [w], points)[0]], None
+# A job of each kind but grid, on a (curve, group) or, where ``_JOBS`` says
+# so, a (weight block, group): (row fields per point, summary entry), a list
+# of one per curve for a block.
+def _bimodality_job(cfg, block, group, points):
+    ratios = diagnostics.bimodality_map(block[0][0], [w for _, _, w in block], points)
+    return [([{"obm": float(r)} for r in row], None) for row in ratios]
 
 
-def _sweet_spot_job(cfg, curve, group, points):
-    s, sizes, w = curve
-    spot = hybrid.sweet_spot(s)
-    shell = _row_shell(cfg, s, sizes, w, None)
-    entry = {
-        **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
-        **{k: None if spot.empty else getattr(spot, k)
-           for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
-        "empty": spot.empty,
-        "contiguous": spot.contiguous,
-    }
-    return [{"tie": tie, "power": power} for tie, power in spot.curve], entry
+def _sweet_spot_job(cfg, block, group, points):
+    out = []
+    for (s, sizes, w), spot in zip(block, hybrid.sweet_spots([s for s, _, _ in block])):
+        shell = _row_shell(cfg, s, sizes, w, None)
+        entry = {
+            **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
+            **{k: None if spot.empty else getattr(spot, k)
+               for k in ("lower", "upper", "width", "max_power", "argmax_bias")},
+            "empty": spot.empty,
+            "contiguous": spot.contiguous,
+        }
+        out.append(([{"tie": tie, "power": power} for tie, power in spot.curve], entry))
+    return out
 
 
 def _table_job(cfg, curve, delta, points):
@@ -333,26 +338,31 @@ def _average_job(cfg, curve, design, points):
     return [{"tie": tie, "power": power} for tie, power in zip(ties, powers)], None
 
 
-# Kind -> (job, the extras key of its summary entries).
+# Kind -> (job, the extras key of its summary entries, whether it takes a weight block).
 _JOBS = {
-    "bimodality": (_bimodality_job, None),
-    "sweet-spot": (_sweet_spot_job, "sweet_spots"),
-    "table": (_table_job, "delta_summary"),
-    "average": (_average_job, None),
+    "bimodality": (_bimodality_job, None, True),
+    "sweet-spot": (_sweet_spot_job, "sweet_spots", True),
+    "table": (_table_job, "delta_summary", False),
+    "average": (_average_job, None, False),
 }
 
 
 def _run_curves(cfg, pool) -> SweepResult:
     """Every kind but grid: one job per (curve, group), whose cells share
-    one threshold solve, sweet spot or bimodality map."""
-    job, key = _JOBS[cfg["kind"]]
-    jobs = [(c, suffix, g, _points(cfg, g)) for c in _curves(cfg) for suffix, g in _groups(cfg)]
-    results = pool.map(lambda j: job(cfg, j[0], j[2], j[3]), jobs)
+    one threshold solve, or per (weight block, group): the run of
+    ``len(sweep.w)`` curves that differ only in ``w`` shares one bimodality
+    map, or advances its sweet spots in lockstep."""
+    job, key, by_block = _JOBS[cfg["kind"]]
+    curves, size = _curves(cfg), len(cfg["sweep"]["w"]) if by_block else 1
+    jobs = [(curves[i:i + size], g, _points(cfg, g), suffix)
+            for i in range(0, len(curves), size) for suffix, g in _groups(cfg)]
+    results = pool.map(lambda j: job(cfg, *j[:3]) if by_block else [job(cfg, j[0][0], *j[1:3])], jobs)
     rows: list[OCRow] = []
     entries = []
-    for ((s, sizes, w), suffix, _, points), (cells, entry) in zip(jobs, results):
-        rows += [OCRow(**_row_shell(cfg, s, sizes, w, x, suffix), **c) for x, c in zip(points, cells)]
-        entries.append(entry)
+    for (block, _, points, suffix), out in zip(jobs, results):
+        for (s, sizes, w), (cells, entry) in zip(block, out):
+            rows += [OCRow(**_row_shell(cfg, s, sizes, w, x, suffix), **c) for x, c in zip(points, cells)]
+            entries.append(entry)
     return SweepResult(rows, {key: entries} if key else {}, {})
 
 

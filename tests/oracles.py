@@ -30,6 +30,11 @@ threshold bisection rebuilt for one (bias, effect). The library solves
 the threshold once per bias for a whole grid and shares it between TIE
 and power, and must match this bit for bit.
 
+``sweet_spot`` is the hybrid sweet spot one curve at a time: a grid
+scan, then one solve per endpoint bisection step and golden-section
+step. The library advances a weight block's curves in lockstep, one solve
+per step for all of them, and must match this bit for bit.
+
 ``posterior_bank_expression`` is the posterior kernel as one expression
 over new arrays, on prior component means laid out by ``bank_means``,
 and ``bank_stats_expression`` the one-arm tails, or the means and
@@ -66,11 +71,12 @@ from scipy.special import ndtr
 from borrowsim import StudentT, build_informative, resolve_location
 from borrowsim.diagnostics import BimodalityReport
 from borrowsim.gaussian import mixture_pdf
-from borrowsim.hybrid import _Bank, _design_draws, _treatment_params
+from borrowsim import hybrid
+from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import AxisBank, prior_bank_params
-from borrowsim.scenarios import base_normals
+from borrowsim.scenarios import SweetSpot, base_normals
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001
@@ -320,6 +326,65 @@ def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
 
     g = 1.0 - ndtr((threshold - (theta_c + effect)) / s.se_t)
     return float(np.dot(wts, g) / math.sqrt(math.pi))
+
+
+def sweet_spot(s) -> SweetSpot:
+    """``hybrid.sweet_spot`` for one curve, each bisection and golden-section
+    step a solve of its own (through ``hybrid.oc_curve`` and
+    ``hybrid.hybrid_power_exact``), the lower end refined before the upper."""
+    grid = np.asarray(s.bias_grid, dtype=float)
+    p0 = hybrid.no_borrowing_power(s)
+
+    def feasible(biases):
+        ties, powers = hybrid.oc_curve(s, biases, exact=True)
+        ok = [t <= s.alpha + 1e-12 and p >= p0 - 1e-12 for t, p in zip(ties, powers)]
+        return ok, tuple(zip(ties, powers))
+
+    ok, curve = feasible(grid)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.array(ok, dtype=int), [0]))))
+    runs = list(zip(edges[::2], edges[1::2] - 1))
+    if not runs:
+        return SweetSpot(math.nan, math.nan, math.nan, math.nan, True, curve=curve)
+    i0, i1 = max(runs, key=lambda r: grid[r[1]] - grid[r[0]])
+
+    def refine(inside, outside):
+        while abs(outside - inside) > _SWEET_SPOT_RESOLUTION:
+            mid = 0.5 * (inside + outside)
+            if feasible(mid)[0][0]:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    lower = grid[i0] if i0 == 0 else refine(grid[i0], grid[i0 - 1])
+    upper = grid[i1] if i1 == len(grid) - 1 else refine(grid[i1], grid[i1 + 1])
+
+    coarse = np.linspace(lower, upper, 41)
+    powers = np.array(hybrid.oc_curve(s, coarse, exact=True)[1])
+    j = int(np.argmax(powers))
+    lo = coarse[max(j - 1, 0)]
+    hi = coarse[min(j + 1, coarse.size - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc = hybrid.hybrid_power_exact(s, c)
+    fd = hybrid.hybrid_power_exact(s, d)
+    while hi - lo > _SWEET_SPOT_RESOLUTION:
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = hybrid.hybrid_power_exact(s, d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = hybrid.hybrid_power_exact(s, c)
+    argmax = 0.5 * (lo + hi)
+    best = max(float(powers[j]), hybrid.hybrid_power_exact(s, argmax))
+    if best == powers[j]:
+        argmax = float(coarse[j])
+    return SweetSpot(
+        float(lower), float(upper), float(best), float(argmax), False, len(runs) == 1, curve
+    )
 
 
 _SCAN_POINTS = 2000

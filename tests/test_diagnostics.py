@@ -270,6 +270,31 @@ class TestBimodalityMap:
         grid = bimodality_map(s, w_grid=[0.9, 0.95], bias_grid=biases)
         assert grid[:, 0] == pytest.approx(grid[:, 1], abs=1e-9)
 
+    def test_empty_axes_give_empty_maps(self):
+        # An empty bias axis used to raise IndexError (a bank over no externals).
+        s = self.scenario(ExternalMean())
+        assert bimodality_map(s, w_grid=[0.5], bias_grid=[]).shape == (1, 0)
+        assert bimodality_map(s, w_grid=[], bias_grid=[0.0, 0.1]).shape == (0, 2)
+
+    @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
+    def test_a_weight_block_gives_the_one_weight_rows(self, location):
+        # One mode scan over every (weight, bias) column, w 0 and 1 (a log
+        # weight of -inf) among them, in scan blocks that straddle rows.
+        ext = SufficientStat(0.0, 15, 1.0)
+        spec = MixturePriorSpec(0.5, ext, location, Normal(), n_robust=0.25)
+        s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
+        w_grid = [0.0, 0.05, 0.3, 0.9, 0.96, 1.0, 0.5]
+        biases = np.arange(-4.0, 4.01, 0.5) * s.sd_ext
+        block = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+        rows = np.vstack([bimodality_map(s, w_grid=[w], bias_grid=biases) for w in w_grid])
+        assert block.shape == (len(w_grid), biases.size)
+        assert block.tobytes() == rows.tobytes()
+        assert np.all(block[0] == 1.0) and np.any(block > 1.0)
+
+    def test_weights_outside_the_unit_interval_are_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bimodality_map(self.scenario(ExternalMean()), w_grid=[0.5, 1.5], bias_grid=[0.0])
+
     def test_student_t_form_rejected(self):
         ext = SufficientStat(0.0, 15, 1.0)
         spec = MixturePriorSpec(0.5, ext, ExternalMean(), StudentT(3.0, 1.0, 10))

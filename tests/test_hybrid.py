@@ -34,7 +34,9 @@ from borrowsim import (
 )
 from borrowsim import hybrid, sweep
 from borrowsim.config import normalize_config
+from borrowsim.hybrid import sweet_spots
 from borrowsim.recipes import recipe_config
+import oracles
 from oracles import reject_prob_gh
 
 EXT = SufficientStat(0.0, 15, 1.0)
@@ -206,15 +208,15 @@ class TestSweetSpot:
 
     def test_split_feasible_set_is_reported_as_data(self, monkeypatch):
         # Feasible on [-0.6, -0.4] and on [0.0, 0.3]: the wider run is kept
-        # and the split is recorded, without a warning.
-        def fake_curve(s, biases, exact=False, nodes=160):
+        # and the split is recorded, without a warning. The fake replaces
+        # the Gauss-Hermite curve that every solve of the sweet spot reads.
+        def fake_curve(s, biases, rates=("tie", "power"), nodes=160, weights=None):
             b = np.atleast_1d(biases)
             ok = ((b >= -0.6) & (b <= -0.4)) | ((b >= 0.0) & (b <= 0.3))
             return (np.where(ok, 0.01, 0.5).tolist(),
                     np.where(ok, 0.9 - 0.1 * (b - 0.1) ** 2, 0.5).tolist())
 
-        monkeypatch.setattr(hybrid, "oc_curve", fake_curve)
-        monkeypatch.setattr(hybrid, "hybrid_power_exact", lambda s, b: fake_curve(s, b)[1][0])
+        monkeypatch.setattr(hybrid, "_gh_curve", fake_curve)
         s = scenario(w=0.5, location=CurrentMean(), bias_grid=self.grid())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -232,6 +234,58 @@ class TestSweetSpot:
         assert entry["contiguous"] is False
         assert entry["lower"] == pytest.approx(0.0, abs=1e-3)
         assert entry["upper"] == pytest.approx(0.3, abs=1e-3)
+
+    def grids(self):
+        return {"wide": tuple(np.round(np.arange(-1.5, 1.5001, 0.1), 10)),
+                "narrow": tuple(np.round(np.arange(-0.2, 0.2001, 0.05), 10))}
+
+    @pytest.mark.parametrize("location,treatment_prior,n_robust,grid,weights,kinds", [
+        # w 0 finds no spot; the others are inside the grid.
+        (CurrentMean(), TreatmentPrior.FLAT, 1.0, "wide", (0.0, 0.25, 0.75), ("empty", "inner", "inner")),
+        # An empty spot, a run touching the upper and one touching the lower edge.
+        (ExternalMean(), TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN, 1 / 25, "narrow", (0.0, 0.1, 0.5),
+         ("empty", "upper edge", "lower edge")),
+    ])
+    def test_a_block_gives_the_per_curve_spots_bit_for_bit(
+            self, location, treatment_prior, n_robust, grid, weights, kinds):
+        grid = self.grids()[grid]
+        block = [scenario(w=w, location=location, n_robust=n_robust, treatment_prior=treatment_prior,
+                          reps=10, bias_grid=grid) for w in weights]
+        spots = sweet_spots(block)
+        for s, spot, kind in zip(block, spots, kinds):
+            want = oracles.sweet_spot(s)
+            assert (spot, spot.curve) == (want, want.curve)
+            one = sweet_spot(s)
+            assert (spot.contiguous, one, one.curve) == (True, want, want.curve)
+            edges = (spot.lower == grid[0], spot.upper == grid[-1])
+            assert {"empty": spot.empty, "inner": edges == (False, False),
+                    "lower edge": edges == (True, False), "upper edge": edges == (False, True)}[kind]
+
+    def test_a_block_with_a_split_feasible_set_gives_the_per_curve_spots(self, monkeypatch):
+        # A fake curve by weight: w 0.5 split as above, w 0.25 one run from
+        # the lower edge, w 0.9 empty. The lockstep block and the per-curve
+        # reference read it at every point they ask for.
+        def fake_curve(s, biases, rates=("tie", "power"), nodes=160, weights=None):
+            b = np.atleast_1d(biases)
+            w = np.full(b.size, s.prior.informative_weight) if weights is None else np.asarray(weights)
+            ok = np.where(w == 0.5, ((b >= -0.6) & (b <= -0.4)) | ((b >= 0.0) & (b <= 0.3)),
+                          (w == 0.25) & (b <= -0.13))
+            return (np.where(ok, 0.01, 0.5).tolist(),
+                    np.where(ok, 0.9 - 0.1 * (b - 0.1 + w) ** 2, 0.5).tolist())
+
+        monkeypatch.setattr(hybrid, "_gh_curve", fake_curve)
+        block = [scenario(w=w, location=CurrentMean(), bias_grid=self.grid()) for w in (0.5, 0.25, 0.9)]
+        spots = sweet_spots(block)
+        assert [(s.empty, s.contiguous) for s in spots] == [(False, False), (False, True), (True, True)]
+        assert spots[1].lower == self.grid()[0]
+        for s, spot in zip(block, spots):
+            want = oracles.sweet_spot(s)
+            assert (spot, spot.curve) == (want, want.curve)
+
+    def test_a_block_differs_only_in_the_weight(self):
+        with pytest.raises(ValueError, match="only in the informative weight"):
+            sweet_spots([scenario(w=0.5, bias_grid=self.grid()),
+                         scenario(w=0.25, n_robust=0.25, bias_grid=self.grid())])
 
     def test_needs_a_grid(self):
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
@@ -285,28 +339,43 @@ class TestSharedThreshold:
         with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*node 0 of 160"):
             hybrid_tie_exact(s, 0.25)
 
+    def test_a_block_solve_names_the_failing_curves_weight(self, monkeypatch):
+        monkeypatch.setattr(hybrid, "_BRACKET_SDS", -30.0)
+        s = scenario(w=0.5)
+        with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25 and weight 0\.75.*node 0 of 160"):
+            hybrid._gh_thresholds(s, [0.25, 0.5], weights=[0.75, 0.5])
+        with pytest.raises(RuntimeError, match=r"lower end.*bias -0\.8 and weight 0\.25, .*node 0 of 160"):
+            sweet_spots([scenario(w=w, bias_grid=(-0.8, -0.75, -0.7)) for w in (0.25, 0.5)])
+
     def test_the_sweep_solves_no_grid_bias_beyond_the_sweet_spot(self, monkeypatch):
         cfg = recipe_config("fig8")
-        cfg["sweep"].update(location=["current_mean"], n_robust=[1.0], w=[0.5])
-        solved, scenarios = [], []
+        cfg["sweep"].update(location=["current_mean"], n_robust=[1.0], w=[0.25, 0.5])
+        solved = []
         solve = hybrid._gh_thresholds
 
-        def counting(s, biases, nodes=160):
-            scenarios.append(s)
-            solved.append(tuple(np.atleast_1d(biases).tolist()))
-            return solve(s, biases, nodes)
+        def counting(s, biases, nodes=160, weights=None):
+            b = np.atleast_1d(biases).tolist()
+            w = [s.prior.informative_weight] * len(b) if weights is None else np.asarray(weights).tolist()
+            solved.append(tuple(zip(w, b)))
+            return solve(s, biases, nodes, weights)
 
         monkeypatch.setattr(hybrid, "_gh_thresholds", counting)
         rows = sweep.run_config(cfg, threads=1).rows
-        from_sweep, s = list(solved), scenarios[0]
+        from_sweep = list(solved)
         solved.clear()
-        sweet_spot(s)
-        # The grid scan is one batched solve, and the curve the sweep writes
-        # is that scan: the sweep makes exactly the sweet spot's solves.
-        assert from_sweep[0] == s.bias_grid and len(s.bias_grid) == 61
-        assert Counter(from_sweep) == Counter(solved)
+        block = [s for s, _, _ in sweep._curves(normalize_config(cfg))]
+        for s in block:
+            oracles.sweet_spot(s)
+        # The grid scan is one solve over every curve's grid, and the curves
+        # the sweep writes are that scan: the sweep solves exactly the
+        # (weight, bias) points of the per-curve sweet spots, in fewer solves.
+        grid = block[0].bias_grid
+        assert from_sweep[0] == tuple((w, b) for w in (0.25, 0.5) for b in grid) and len(grid) == 61
+        assert Counter(p for points in from_sweep for p in points) == Counter(
+            p for points in solved for p in points)
+        assert len(from_sweep) < len(solved) / 2
         assert [(r.tie, r.power) for r in rows] == [
-            (reject_prob_gh(s, b, 0.0), reject_prob_gh(s, b, s.effect)) for b in s.bias_grid
+            (reject_prob_gh(s, b, 0.0), reject_prob_gh(s, b, s.effect)) for s in block for b in grid
         ]
 
     def test_the_solve_stops_once_every_bracket_has_collapsed(self, monkeypatch):

@@ -13,6 +13,7 @@ faults, which is the point of the buffers.
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ def test_kernel_matches_the_expression_at_one_mean_and_many_priors(J):
     W, pm = np.empty(means.shape), np.empty(means.shape)
     pv = posterior_bank_into(means, variances, log_w, 0.1, s.n, s.sigma, W, pm)
     assert same((W, pm, pv), expected)
+
+
+@pytest.mark.parametrize("J", [2, 101])
+@LOCATIONS
+def test_per_point_log_weights_match_per_weight_calls(J, location):
+    # A weight block's bank: a (J, R) log-weight column per point, w 0 and 1
+    # (a log weight of -inf) among them. Each column gives the floats of a
+    # (J,) call at its own weight over the same means, bit for bit.
+    s, y = one_arm(J, location), draws(4097)
+    weights = np.resize([0.0, 0.25, 1.0, 0.5, 0.25], y.size)
+    externals = [s.external_at(b) for b in np.linspace(-1.0, 1.0, 5)]
+    point = np.resize(np.arange(5), y.size)
+    bank = AxisBank(s.prior, externals, weights=weights[:5])
+    assert bank.log_w.shape == (J, 5)
+    got = [a.copy() for a in bank.kernel(point, y, s.n, s.sigma)]
+    log_w, means = bank.log_w[:, point], bank.means(point, y, np.empty((J, y.size)))
+    W, pm = np.empty((J, y.size)), np.empty((J, y.size))
+    pv = posterior_bank_into(means, bank.variances, log_w, y, s.n, s.sigma, W, pm)
+    assert same((W, pm, pv), got)
+    for w in (0.0, 0.25, 0.5, 1.0):
+        one = replace(s.prior, informative_weight=w)
+        column = prior_bank_params(one, externals[0])[1]
+        at = weights == w
+        assert same((log_w[:, at],), (np.repeat(column[:, None], at.sum(), axis=1),))
+        cW, cpm, cpv = AxisBank(one, externals).kernel(point, y, s.n, s.sigma)
+        assert same((W[:, at], pm[:, at], pv), (cW[:, at], cpm[:, at], cpv))
 
 
 @pytest.mark.parametrize("total", [1, 2, 4096, 4097, 4098, 8193, 10_001])
