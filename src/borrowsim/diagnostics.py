@@ -67,7 +67,9 @@ def _modes(weights, means, sds):
     Column r of the (2, R) arrays is one mixture. Stationary points are
     bracketed by a derivative sign scan on a 2000-point grid spanning
     [min mean - 6 max sd, max mean + 6 max sd], ``_BATCH`` mixtures at a
-    time, and every sign change of the batch is refined by one masked
+    time, over the grid points from the last at or below the lower mean to
+    the first at or above the upper one (no sign change lies outside
+    them), and every sign change of the batch is refined by one masked
     bisection to width 1e-9; a mixture of two normals has at most two
     modes, so the grid is not binding.
     Returns ``(n_modes, x, f, ratio)``: x and f (R, 3) hold the first mode,
@@ -80,10 +82,18 @@ def _modes(weights, means, sds):
     for start in range(0, R, _BATCH):
         sl = slice(start, start + _BATCH)
         grid = np.linspace(lo[sl], hi[sl], _SCAN_POINTS)
-        deriv = _pdf_derivative(grid, weights[:, sl], means[:, sl], sds[:, sl])
+        # Every term of the derivative is >= 0 at or below the lower mean and
+        # <= 0 at or above the upper one (the sign of x - mean is exact), so
+        # every sign change lies between the last grid point at or below the
+        # one and the first at or above the other: only those rows are scanned.
+        first = (grid <= means[:, sl].min(axis=0)).sum(axis=0) - 1
+        last = _SCAN_POINTS - (grid >= means[:, sl].max(axis=0)).sum(axis=0)
+        rows = np.minimum(first + np.arange(int((last - first).max()) + 1)[:, None], _SCAN_POINTS - 1)
+        scan = np.take_along_axis(grid, rows, axis=0)
+        deriv = _pdf_derivative(scan, weights[:, sl], means[:, sl], sds[:, sl])
         up, down = deriv > 0, deriv < 0
         col, idx = np.nonzero(((up[:-1] & down[1:]) | (down[:-1] & up[1:])).T)
-        flips.append((start + col, grid[idx, col], grid[idx + 1, col], deriv[idx, col]))
+        flips.append((start + col, scan[idx, col], scan[idx + 1, col], deriv[idx, col]))
     col, a, b, f_a = (np.concatenate(v) for v in zip(*flips))
 
     # Masked bisection of every sign change at once.

@@ -3,7 +3,8 @@
 The test rejects exactly when the treatment mean exceeds a threshold
 T(control mean) that does not depend on the true effect and does not
 fall as the control mean rises (the normal likelihood has a monotone
-likelihood ratio). One vectorized bisection solves T for both routes.
+likelihood ratio). Vectorized bisection solves T for the deterministic
+route, and checked Newton steps for the Monte Carlo one (``_threshold_brackets``).
 The Monte Carlo TIE, power and design-prior averages work per curve (a
 bias axis, ``oc_curve``, or an analysis-shift axis under a design prior,
 ``average_curve``; a one-point rate is a curve of its own), built by the
@@ -74,11 +75,13 @@ _BRACKET_SDS = 14.0
 _GH_CHUNK_ELEMENTS = 1 << 18
 # Bias resolution of the sweet spot's endpoints and argmax.
 _SWEET_SPOT_RESOLUTION = 1e-3
-# The Monte Carlo threshold curve: the bracket width (in se_t) at which its
-# solve stops, and the guard (in se_t) between a bracket and the treatment
-# means it classifies, far wider than the kernel's rounding at a crossing.
+# The Monte Carlo threshold curve: the bracket width (in se_t) its solve
+# ends below (a checked Newton bracket is 1/8 of it), the Newton steps it
+# takes, and the guard (in se_t) between a bracket and the treatment means
+# it classifies, far wider than the kernel's rounding at a crossing.
 # Its grid size comes from the stream (``_grid_points``).
 _MC_STOP_SE = 1e-2
+_NEWTON_STEPS = 3
 _GUARD_SE = 1e-9
 # Band draws re-decided per kernel call, which bounds the memory a count holds.
 _BAND_DRAWS = 1 << 13
@@ -110,23 +113,33 @@ class _Bank(AxisBank):
     def posterior(self, yc, point):
         """The control posterior at control means ``yc`` under the prior at
         ``externals[point[r]]``, one ``AxisBank.kernel`` call: (W, pm, sj,
-        a, pnb), W and pm in this thread's buffers, sj the superiority
+        a, pnb, dpnb), W and pm in this thread's buffers, sj the superiority
         components' sds and pnb, a function of treatment means (written
         into ``out`` if given), the probability that the treatment mean is
-        not above the control mean (the test rejects where it is <= alpha).
-        pnb works in the "means" and "col" buffers: W and pm stay valid."""
+        not above the control mean (the test rejects where it is <= alpha),
+        and dpnb its derivative, -b sum_j W_j phi(z_j) / sj_j at z_j = (pm_j
+        - a - b * ybar_t) / sj_j. Both work in the "means" and "col"
+        buffers: W and pm stay valid."""
         J, R = self.variances.size, yc.size
         W, pm, pv = self.kernel(point, yc, self.s.n_c, self.s.sigma)
         a, sj = self.a[point], np.sqrt(self.t_var + pv)[:, None]
 
-        def pnb(yt, out=None):
+        def z_at(yt):
             shift = np.multiply(self.b, yt, out=work_array("col", R))
             np.add(a, shift, out=shift)
             z = np.subtract(pm, shift[None, :], out=work_array("means", J, R))
-            np.divide(z, sj, out=z)
+            return np.divide(z, sj, out=z)
+
+        def pnb(yt, out=None):
+            z = z_at(yt)
             return np.einsum("jr,jr->r", W, ndtr(z, out=z), out=out)
 
-        return W, pm, sj, a, pnb
+        def dpnb(yt):
+            z = z_at(yt)
+            np.exp(np.multiply(-0.5, np.square(z, out=z), out=z), out=z)
+            return np.einsum("jr,jr->r", W, np.divide(z, sj, out=z)) * (-self.b / math.sqrt(2 * math.pi))
+
+        return W, pm, sj, a, pnb, dpnb
 
     def __call__(self, ybar_c, ybar_t=None, point=None) -> np.ndarray:
         """The per-draw kernel, in slices from bank_chunks: at control means
@@ -136,7 +149,7 @@ class _Bank(AxisBank):
         point = np.zeros(ybar_c.size, np.intp) if point is None else point
         out = np.empty_like(ybar_c)
         for sl in bank_chunks(ybar_c.size, self.variances.size):
-            W, _, _, _, pnb = self.posterior(ybar_c[sl], point[sl])
+            W, _, _, _, pnb, _ = self.posterior(ybar_c[sl], point[sl])
             if ybar_t is None:
                 out[sl] = W[0]
             else:
@@ -152,13 +165,21 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     ``hi[i, k]``. An error names the point's bias and weight.
 
     The superiority probability is strictly decreasing in the treatment
-    mean, so every threshold is found at once by at most 80 steps of
+    mean, so every threshold can be found at once by at most 80 steps of
     vectorized bisection, from brackets first checked to enclose them.
     With ``stop`` unset (the Gauss-Hermite route) the brackets start at
-    +-14 sds of the widest component and shrink to adjacent floats. With
-    ``stop`` set they start at the per-component crossings widened by
-    ``stop`` (the threshold is a weighted mean's crossing, so it lies
-    between them) and stop once every one is narrower than ``stop``.
+    +-14 sds of the widest component and shrink to adjacent floats.
+
+    With ``stop`` set (the Monte Carlo route, whose counts hold for any
+    bracket that encloses the threshold) every threshold takes
+    ``_NEWTON_STEPS`` (3) Newton steps on pnb - alpha from the posterior-
+    weighted mean of the per-component crossings, each clipped to the
+    crossings widened by ``stop`` (the threshold is a weighted mean's
+    crossing, so it lies between them). The result x is kept as [x - h,
+    x + h], h = stop / 16, where pnb(x - h) > alpha >= pnb(x + h). Only
+    where that check fails does the bracket fall back to the widened
+    crossings, checked as above, and bisection until every bracket is
+    narrower than ``stop``; a checked Newton bracket stays valid under it.
     """
     yc = np.asarray(yc, dtype=float)
     nodes, b = yc.size, bank.b
@@ -168,7 +189,7 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     for start in range(0, len(biases), step):
         sl = slice(start, min(start + step, len(biases)))
         points = np.repeat(np.arange(sl.start, sl.stop), nodes)
-        _, pm, sj, a, pnb = bank.posterior(np.tile(yc, sl.stop - sl.start), points)
+        W, pm, sj, a, pnb, dpnb = bank.posterior(np.tile(yc, sl.stop - sl.start), points)
         if stop is None:
             span = _BRACKET_SDS * float(sj.max())
             lo = (pm.min(axis=0) - span - a) / b
@@ -177,16 +198,23 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
             crossings = (pm - sj * ndtri(s.alpha) - a) / b
             lo = crossings.min(axis=0) - stop
             hi = crossings.max(axis=0) + stop
-        for end, ok in (("lower", pnb(lo) > s.alpha), ("upper", pnb(hi) <= s.alpha)):
-            if not ok.all():
-                i, node = divmod(int(np.argmin(ok)), nodes)
-                point = "Gauss-Hermite node" if stop is None else "control-mean grid point"
-                raise RuntimeError(
-                    f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
-                    f"bracket is on the wrong side at bias {float(biases[sl][i])!r} and weight "
-                    f"{float(bank.w[sl][i])!r}, {point} {node} of {nodes}"
-                )
-        lo, hi = bisect(lo, hi, lambda mid: pnb(mid) > s.alpha, stop)
+            x, h = np.einsum("jr,jr->r", W, crossings), stop / 16
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for _ in range(_NEWTON_STEPS):
+                    x = np.clip(x - (pnb(x) - s.alpha) / dpnb(x), lo, hi)
+            newton = (pnb(x - h) > s.alpha) & (pnb(x + h) <= s.alpha)
+            lo, hi = np.where(newton, x - h, lo), np.where(newton, x + h, hi)
+        if stop is None or not newton.all():
+            for end, ok in (("lower", pnb(lo) > s.alpha), ("upper", pnb(hi) <= s.alpha)):
+                if not ok.all():
+                    i, node = divmod(int(np.argmin(ok)), nodes)
+                    point = "Gauss-Hermite node" if stop is None else "control-mean grid point"
+                    raise RuntimeError(
+                        f"scenario {s.scenario_id!r}: the {end} end of the rejection-threshold "
+                        f"bracket is on the wrong side at bias {float(biases[sl][i])!r} and weight "
+                        f"{float(bank.w[sl][i])!r}, {point} {node} of {nodes}"
+                    )
+            lo, hi = bisect(lo, hi, lambda mid: pnb(mid) > s.alpha, stop)
         lo_out[sl] = lo.reshape(-1, nodes)
         hi_out[sl] = hi.reshape(-1, nodes)
     return lo_out, hi_out

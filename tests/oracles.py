@@ -50,6 +50,11 @@ mixtures at once and must match it bit for bit.
 derivative with a new array for every step. The library writes each step
 into reused work buffers and must match it bit for bit.
 
+``modes_full_scan`` is the batch mode finder scanning every point of its
+2000-point grid. The library scans only the points between the last at
+or below the lower component mean and the first at or above the upper
+one, and must match it bit for bit.
+
 ``weight_propagation`` is the mean posterior informative weight the
 hand-written way: the log-marginals of the informative component and of
 the robust block written out, and the weight w / (w + (1 - w) r) formed
@@ -70,8 +75,8 @@ from scipy.special import ndtr
 
 from borrowsim import StudentT, build_informative, resolve_location
 from borrowsim.diagnostics import BimodalityReport
-from borrowsim.gaussian import mixture_pdf
-from borrowsim import hybrid
+from borrowsim.gaussian import mixture_density, mixture_pdf
+from borrowsim import diagnostics, hybrid
 from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
@@ -412,6 +417,62 @@ def pdf_derivative_expression(x, weights, means, sds):
         phi = np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
         out += -w * phi * d / (sd * sd)
     return out
+
+
+def modes_full_scan(weights, means, sds):
+    """``diagnostics._modes`` with the derivative scanned on every grid point."""
+    R = weights.shape[1]
+    lo = means.min(axis=0) - 6.0 * sds.max(axis=0)
+    hi = means.max(axis=0) + 6.0 * sds.max(axis=0)
+    flips = []
+    for start in range(0, R, diagnostics._BATCH):
+        sl = slice(start, start + diagnostics._BATCH)
+        grid = np.linspace(lo[sl], hi[sl], _SCAN_POINTS)
+        deriv = pdf_derivative_expression(grid, weights[:, sl], means[:, sl], sds[:, sl])
+        up, down = deriv > 0, deriv < 0
+        col, idx = np.nonzero(((up[:-1] & down[1:]) | (down[:-1] & up[1:])).T)
+        flips.append((start + col, grid[idx, col], grid[idx + 1, col], deriv[idx, col]))
+    col, a, b, f_a = (np.concatenate(v) for v in zip(*flips))
+
+    w, mu, sd = weights[:, col], means[:, col], sds[:, col]
+    rising = f_a > 0
+    roots = np.full(col.size, np.nan)
+    active = b - a > _REFINE_TOL
+    while active.any():
+        mid = 0.5 * (a + b)
+        f_mid = pdf_derivative_expression(mid, w, mu, sd)
+        hit = active & (f_mid == 0.0)
+        roots[hit] = mid[hit]
+        active &= ~hit
+        same = (f_a > 0) == (f_mid > 0)
+        a = np.where(active & same, mid, a)
+        f_a = np.where(active & same, f_mid, f_a)
+        b = np.where(active & ~same, mid, b)
+        active &= b - a > _REFINE_TOL
+    roots = np.where(np.isnan(roots), 0.5 * (a + b), roots)
+
+    x = np.full((R, 3), np.nan)
+    n_max = np.bincount(col[rising], minlength=R)
+    ends = np.cumsum(n_max)
+    has, two = n_max > 0, n_max > 1
+    x[has, 0] = roots[rising][ends[has] - n_max[has]]
+    x[two, 1] = roots[rising][ends[two] - 1]
+    inside = ~rising & (roots > x[col, 0]) & (roots < x[col, 1])
+    cols, first = np.unique(col[inside], return_index=True)
+    x[cols, 2] = roots[inside][first]
+
+    for k, miss in ((0, ~has), (2, two & np.isnan(x[:, 2]))):
+        if miss.any():
+            g = np.linspace(lo[miss], hi[miss], _SCAN_POINTS)
+            vals = mixture_density(g, weights[:, miss], means[:, miss], sds[:, miss])
+            inner = (g > x[miss, 0]) & (g < x[miss, 1])
+            j = vals.argmax(axis=0) if k == 0 else np.where(inner, vals, np.inf).argmin(axis=0)
+            x[miss, k] = g[j, np.arange(g.shape[1])]
+
+    f = mixture_density(x.T, weights, means, sds).T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(f[:, 2] > 0.0, np.minimum(f[:, 0], f[:, 1]) / f[:, 2], np.inf)
+    return np.where(two, 2, 1), x, f, np.where(two, ratio, 1.0)
 
 
 def _bisect_sign_change(f, lo, hi, f_lo):

@@ -146,6 +146,38 @@ class TestBatchedModeFinder:
         assert report == oracles.find_modes(m)
         assert report.modes[0][0] == 0.0
 
+    @staticmethod
+    def assert_the_full_scan_bit_for_bit(mixtures):
+        # Every output of the batch finder equals the full-grid scan's bytes.
+        columns = [np.array(v, dtype=float).T for v in
+                   zip(*((m.weights, m.means(), m.sds()) for m in mixtures))]
+        got, want = diagnostics._modes(*columns), oracles.modes_full_scan(*columns)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(general, one_sided, unimodal, far_apart), min_size=1, max_size=40))
+    def test_scanning_between_the_means_equals_the_full_scan(self, mixtures):
+        self.assert_the_full_scan_bit_for_bit(mixtures)
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 32, 33])
+    def test_the_edge_cases_equal_the_full_scan_at_batch_edges(self, size):
+        # w 0 and 1, equal means, equal means and sds, a mode on a grid
+        # point, and modes 50 and 100 sds apart (the dead zone), cycled to
+        # fill batches that end at, before and after a batch boundary.
+        cases = [
+            _mixture(0.0, -1.0, 0.5, 2.0, 1.5),
+            _mixture(1.0, -1.0, 0.5, 2.0, 1.5),
+            _mixture(0.3, 0.7, 0.2, 0.7, 2.0),
+            _mixture(0.3, 0.7, 0.4, 0.7, 0.4),
+            _mixture(1.0, 0.0, 0.5, 1.80859375, 0.5),
+            _mixture(0.5, 0.0, 1.0, 50.0, 1.0),
+            _mixture(0.2, -3.0, 0.1, 2.0, 0.1),
+            _mixture(0.5, 0.0, 1.0, 100.0, 1.0),
+            _mixture(0.5, -2.0, 1.0, 2.0, 1.0),
+        ]
+        self.assert_the_full_scan_bit_for_bit([cases[i % len(cases)] for i in range(size)])
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(general, one_sided, unimodal, far_apart), min_size=1, max_size=8))
     def test_the_derivative_in_work_buffers_is_the_expression_bit_for_bit(self, mixtures):

@@ -17,6 +17,7 @@ import sys
 import threading
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,104 @@ def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
     monkeypatch.setattr(hybrid, "_MC_STOP_SE", -50.0)
     with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 65"):
         hybrid_power(scenario(), 0.25)
+
+
+def test_the_slope_is_the_superiority_probabilitys_derivative():
+    # Against central differences, under both treatment priors and a
+    # 20-component t form: the Newton steps of the Monte Carlo solve use it.
+    t_spec = MixturePriorSpec(0.5, EXT, ExternalMean(), StudentT(4.0, 1.0, 20))
+    for s in (scenario(), scenario(treatment_prior=TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN),
+              replace(scenario(), prior=t_spec)):
+        bank = hybrid._Bank(s, [s.external_at(b) for b in (-1.0, 0.0, 0.4)])
+        yc = np.linspace(-0.6, 0.6, 9)
+        _, _, _, _, pnb, dpnb = bank.posterior(np.tile(yc, 3), np.repeat(np.arange(3), 9))
+        yt = np.linspace(-0.2, 1.2, 27)
+        eps = 1e-6
+        numeric = (pnb(yt + eps) - pnb(yt - eps)) / (2 * eps)
+        slope = dpnb(yt)
+        assert np.all(slope < 0.0)
+        np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=1e-9)
+
+
+def recording_solves(monkeypatch):
+    """Record every Monte Carlo threshold solve (s, bank, points, grid, lo,
+    hi, stop) and every step of the bisection it falls back to."""
+    solves, steps = [], []
+    solve, bisect = hybrid._threshold_brackets, hybrid.bisect
+
+    def recording_solve(s, bank, points, yc, stop=None):
+        lo, hi = solve(s, bank, points, yc, stop)
+        if stop is not None:
+            solves.append((s, bank, points, yc, lo, hi, stop))
+        return lo, hi
+
+    def recording_bisect(a, b, keeps_a, stop=None):
+        def step(mid):
+            steps.append(stop)
+            return keeps_a(mid)
+        return bisect(a, b, step, stop)
+
+    monkeypatch.setattr(hybrid, "_threshold_brackets", recording_solve)
+    monkeypatch.setattr(hybrid, "bisect", recording_bisect)
+    return solves, steps
+
+
+def assert_every_bracket_encloses_its_threshold(s, bank, points, yc, lo, hi):
+    # The per-draw kernel does not reject at a lower end and rejects at an upper one.
+    point, ybar_c = np.repeat(np.arange(len(points)), yc.size), np.tile(yc, len(points))
+    assert np.all(bank(ybar_c, lo.ravel(), point) > s.alpha)
+    assert np.all(bank(ybar_c, hi.ravel(), point) <= s.alpha)
+
+
+@pytest.mark.parametrize("recipe", ["fig7", "fig10", "table1", "a14-treatment-prior-unbalanced"])
+def test_every_newton_bracket_passes_its_check(monkeypatch, recipe):
+    # Three Newton steps from the weighted mean of the component crossings
+    # land within h = stop / 16 of every threshold of the recipe at 2e4
+    # reps, so the solve returns [x - h, x + h] and never bisects.
+    solves, steps = recording_solves(monkeypatch)
+    run_config({**recipe_config(recipe), "reps": 20_000, "seed": 20260810}, threads=1)
+    assert solves and not [stop for stop in steps if stop is not None]
+    for s, bank, points, yc, lo, hi, stop in solves:
+        assert stop == hybrid._MC_STOP_SE * s.se_t
+        assert_every_bracket_encloses_its_threshold(s, bank, points, yc, lo, hi)
+        assert np.all(hi - lo <= 2 * (stop / 16) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("fault", ["zero", "nan", "sign"])
+def test_a_failed_newton_bracket_falls_back_to_bisection(monkeypatch, fault):
+    # A slope of 0 or NaN, or of the wrong sign, at every third element
+    # sends its Newton steps off: those brackets fail their check and are
+    # bisected from the crossing brackets, and the counts still equal the
+    # per-draw decisions, without a numerical warning.
+    posterior = hybrid._Bank.posterior
+
+    def faulty_posterior(bank, yc, point):
+        *rest, dpnb = posterior(bank, yc, point)
+
+        def faulty(yt):
+            d = dpnb(yt)
+            d[::3] = {"zero": 0.0, "nan": np.nan, "sign": -d[::3]}[fault]
+            return d
+        return (*rest, faulty)
+
+    monkeypatch.setattr(hybrid._Bank, "posterior", faulty_posterior)
+    solves, steps = recording_solves(monkeypatch)
+    s = replace(scenario(reps=3_000), treatment_prior=TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN)
+    axis = (-1.0, 0.0, 0.25, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ties, powers = hybrid.oc_curve(s, axis)
+        assert ties == [per_draw_tie(s, b) for b in axis]
+        assert powers == [per_draw_power(s, b) for b in axis]
+        ties, powers = hybrid.average_curve(s, RobustMixture(0.5), axis)
+        assert ties == [per_draw_average_tie(s, RobustMixture(0.5), x) for x in axis]
+        assert powers == [per_draw_average_power(s, RobustMixture(0.5), x) for x in axis]
+    assert len(solves) == 2 and steps and all(stop == solves[0][6] for stop in steps)
+    for s, bank, points, yc, lo, hi, stop in solves:
+        # The faulty elements took the bisection, which halves every bracket
+        # (the checked Newton ones too) until all are narrower than stop.
+        assert np.all(hi - lo < stop)
+        assert_every_bracket_encloses_its_threshold(s, bank, points, yc, lo, hi)
 
 
 def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
