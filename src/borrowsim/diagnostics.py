@@ -182,10 +182,10 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
     The posterior is built with the observed current mean pinned to the
     true mean (the scenario's null value); the external mean sits at
     null + bias. The prior is one ``AxisBank`` over every (weight, bias)
-    point, a log-weight column each, and the map is one ``posterior_bank``
-    call over its component means, fed to one run of the batch mode
-    finder. Requires the Normal robust form (the k-component heavy-tail
-    bank can have more than two modes and is out of scope).
+    point, a log-weight column each, and the map is one ``AxisBank.kernel``
+    call over them, fed to one run of the batch mode finder. Requires the
+    Normal robust form (the k-component heavy-tail bank can have more than
+    two modes and is out of scope).
 
     Returns an array of shape (len(w_grid), len(bias_grid)).
     """
@@ -203,10 +203,7 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
     weights = np.repeat(np.asarray(w_grid, dtype=float), shape[1])
     bank = priors.AxisBank(scenario.prior, externals, weights=weights)
     P = weights.size
-    means = bank.means(np.arange(P), np.full(P, data.mean), np.empty((2, P)))
-    W, post_means, post_vars = inference.posterior_bank(
-        means, bank.variances, bank.log_w, data.mean, data.n, data.sigma
-    )
+    W, post_means, post_vars = bank.kernel(np.arange(P), np.full(P, data.mean), data.n, data.sigma)
     # The exact renormalization a GaussianMixture applies to its weights.
     W = W / (W[0] + W[1])
     sds = np.broadcast_to(np.sqrt(post_vars)[:, None], W.shape)

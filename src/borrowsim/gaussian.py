@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_genlaguerre
 
 __all__ = [
     "GaussianComponent",
@@ -26,6 +27,7 @@ __all__ = [
     "conjugate_update",
     "marginal_likelihood",
     "log_marginal_likelihood",
+    "gauss_rule",
 ]
 
 # Weight drift beyond this is treated as an internal error rather than
@@ -183,6 +185,22 @@ def bisect(a, b, keeps_a, stop=None):
         keep = keeps_a(mid)
         a, b = np.where(keep, mid, a), np.where(keep, b, mid)
     return a, b
+
+
+@lru_cache(maxsize=32)
+def gauss_rule(family: str, nodes: int, alpha: float = 0.0):
+    """Nodes and weights of a Gaussian quadrature rule, built once per
+    (family, nodes, alpha) and shared read-only (each build solves an
+    eigenproblem): "hermite" for the weight exp(-x**2) (``hermgauss``), or
+    "laguerre" for x**alpha exp(-x) on x > 0 (``roots_genlaguerre``)."""
+    if family == "hermite":
+        x, wts = np.polynomial.hermite.hermgauss(nodes)
+    elif family == "laguerre":
+        x, wts = roots_genlaguerre(nodes, alpha)
+    else:
+        raise ValueError(f"unknown Gaussian rule family {family!r}")
+    x.flags.writeable = wts.flags.writeable = False
+    return x, wts
 
 
 def mixture_quantile(p: float, m: GaussianMixture) -> float:

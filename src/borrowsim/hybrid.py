@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .gaussian import bisect
+from . import inference
+from .gaussian import bisect, gauss_rule
 # posterior_bank stays bound here unused: perfbench/tests/test_perfbench.py
 # asserts that the tracer's wrapper replaces this binding.
 from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
@@ -71,18 +71,13 @@ _GH_NODES = 160
 # Half-width of the Gauss-Hermite route's initial threshold bracket, in sds
 # of the widest superiority component.
 _BRACKET_SDS = 14.0
-# Elements (components x control means x biases) per batched threshold solve.
-_GH_CHUNK_ELEMENTS = 1 << 18
 # Bias resolution of the sweet spot's endpoints and argmax.
 _SWEET_SPOT_RESOLUTION = 1e-3
 # The Monte Carlo threshold curve: the bracket width (in se_t) its solve
-# ends below (a checked Newton bracket is 1/8 of it), the Newton steps it
-# takes, and the guard (in se_t) between a bracket and the treatment means
-# it classifies, far wider than the kernel's rounding at a crossing.
-# Its grid size comes from the stream (``_grid_points``).
+# ends below (a checked Newton bracket is 1/8 of it) and the Newton steps it
+# takes. Its grid size comes from the stream (``_grid_points``).
 _MC_STOP_SE = 1e-2
 _NEWTON_STEPS = 3
-_GUARD_SE = 1e-9
 # Band draws re-decided per kernel call, which bounds the memory a count holds.
 _BAND_DRAWS = 1 << 13
 
@@ -185,7 +180,7 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     nodes, b = yc.size, bank.b
     lo_out = np.empty((len(biases), nodes))
     hi_out = np.empty_like(lo_out)
-    step = max(_GH_CHUNK_ELEMENTS // (bank.variances.size * nodes), 1)
+    step = max(inference._CHUNK_ELEMENTS // (bank.variances.size * nodes), 1)
     for start in range(0, len(biases), step):
         sl = slice(start, min(start + step, len(biases)))
         points = np.repeat(np.arange(sl.start, sl.stop), nodes)
@@ -285,18 +280,18 @@ class _Curve:
                 f"control-mean grid points {k} and {k + 1} of {lo.shape[1]} at bias "
                 f"{float(points[i])!r}, and the Monte Carlo counts need it non-decreasing"
             )
-        guard = _GUARD_SE * s.se_t
+        guard = inference._GUARD_SE * s.se_t
         self.below = lo - guard
         self.above = np.concatenate((hi[:, 1:], hi[:, -1:]), axis=1) + guard  # hi[min(k + 1, G - 1)]
 
     def count(self, effect: float) -> np.ndarray:
         """Rejections at every point at treatment - control = ``effect``: a
-        draw whose treatment mean is above the upper bracket end plus 1e-9
-        se_t rejects, one at or below the lower end minus it does not, and
-        the band between is re-decided. The searches compare theta_c + se_t
-        * z_t with an end minus the effect, which differs from the treatment
-        mean by rounding only, far less than the guard: the counts equal the
-        per-draw decisions."""
+        draw whose treatment mean is above the upper bracket end plus the
+        guard (1e-9 se_t) rejects, one at or below the lower end minus it
+        does not, and the band between is re-decided. The searches compare
+        theta_c + se_t * z_t with an end minus the effect, which differs from
+        the treatment mean by rounding only, far less than the guard: the
+        counts equal the per-draw decisions."""
         s, lay = self.s, self.layout
         G = lay.grid.size
         cells = np.arange(G) * s.reps
@@ -341,22 +336,12 @@ def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     return float(np.mean(_Bank(s, [s.external_at(bias)])(s.control_mean + s.se_c * zc)))
 
 
-@lru_cache(maxsize=4)
-def _gh_rule(nodes: int):
-    """Gauss-Hermite nodes and weights, built once per node count and
-    shared read-only (``hermgauss`` solves an eigenproblem on every call)."""
-    x, wts = np.polynomial.hermite.hermgauss(nodes)
-    x.flags.writeable = False
-    wts.flags.writeable = False
-    return x, wts
-
-
 def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES, weights=None) -> np.ndarray:
     """Treatment-mean rejection thresholds, shape (len(biases), nodes): row i
     holds, at each Gauss-Hermite node of the control mean, the midpoint of the
     collapsed bracket at bias ``biases[i]`` (informative weight ``weights[i]``)."""
     biases = np.atleast_1d(np.asarray(biases, dtype=float))
-    x, _ = _gh_rule(nodes)
+    x, _ = gauss_rule("hermite", nodes)
     yc = s.control_mean + math.sqrt(2.0) * s.se_c * x
     lo, hi = _threshold_brackets(s, _Bank(s, [s.external_at(b) for b in biases], weights), biases, yc)
     return 0.5 * (lo + hi)
@@ -365,15 +350,14 @@ def _gh_thresholds(s: HybridScenario, biases, nodes: int = _GH_NODES, weights=No
 def _gh_curve(s: HybridScenario, biases, rates=("tie", "power"), nodes: int = _GH_NODES, weights=None):
     """``oc_curve``'s Gauss-Hermite route (``weights`` as in ``_gh_thresholds``): each rate
     sums the treatment mean's normal tail above the threshold over the nodes."""
-    _, wts = _gh_rule(nodes)
+    _, wts = gauss_rule("hermite", nodes)
     thresholds = _gh_thresholds(s, biases, nodes, weights)
     effects = {"tie": 0.0, "power": s.effect}
     tails = (1.0 - ndtr((thresholds - (s.control_mean + effects[r])) / s.se_t) for r in rates)
     return tuple([float(np.dot(wts, g) / math.sqrt(math.pi)) for g in tail] for tail in tails)
 
 
-def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH_NODES,
-             rates=("tie", "power")):
+def oc_curve(s: HybridScenario, biases, *, exact: bool = False, rates=("tie", "power")):
     """TIE and power (those named in ``rates``) at each bias, as lists of
     floats.
 
@@ -385,7 +369,7 @@ def oc_curve(s: HybridScenario, biases, *, exact: bool = False, nodes: int = _GH
         return tuple([] for _ in rates)
     if not exact:
         return _rates(s, None, biases, rates)
-    return _gh_curve(s, biases, rates, nodes)
+    return _gh_curve(s, biases, rates)
 
 
 def hybrid_tie_exact(s: HybridScenario, bias: float) -> float:
@@ -421,22 +405,26 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
     return float(ndtr(shift - z))
 
 
-def sweet_spot(s: HybridScenario) -> SweetSpot:
-    """Bias range with TIE at most alpha and power at least the plain test's."""
-    return sweet_spots([s])[0]
+def sweet_spot(s: HybridScenario, grid) -> SweetSpot:
+    """Bias range with TIE at most alpha and power at least the plain test's,
+    found from a scan of the bias ``grid``."""
+    return sweet_spots([s], grid)[0]
 
 
-def sweet_spots(block) -> list[SweetSpot]:
+def sweet_spots(block, grid) -> list[SweetSpot]:
     """The sweet spots of a weight block (scenarios that differ only in the
-    informative weight) in lockstep: each step is one threshold solve over
-    the (weight, bias) points every open curve of ``_sweet_spot_steps``
-    asks for, and a curve drops out once its spot is found. A point's
-    floats are those of a solve of its own."""
-    s, grid = block[0], np.asarray(block[0].bias_grid, dtype=float)
+    informative weight) over one bias ``grid``, in lockstep: each step is
+    one threshold solve over the (weight, bias) points every open curve of
+    ``_sweet_spot_steps`` asks for, and a curve drops out once its spot is
+    found. A point's floats are those of a solve of its own."""
+    grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError("sweet_spot needs a bias grid spanning the candidate region")
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError("sweet_spot needs a strictly increasing bias grid")
+    if not block:
+        return []
+    s = block[0]
     w0, p0 = s.prior.informative_weight, no_borrowing_power(s)
     if any(replace(t, prior=replace(t.prior, informative_weight=w0)) != s for t in block):
         raise ValueError("the scenarios of a weight block may differ only in the informative weight")
@@ -511,8 +499,8 @@ def _sweet_spot_steps(grid):
 
 def delta_grid(delta: float) -> np.ndarray:
     """Biases of the |bias| <= delta summaries: step delta/20, ends included."""
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta!r}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     return np.linspace(-delta, delta, 41)
 
 

@@ -8,10 +8,11 @@ in slices from ``bank_chunks``. The engines call it on the prior's array
 form, ``priors.AxisBank``, whose ``kernel`` runs it as
 ``posterior_bank_into`` on this thread's reused work buffers
 (``work_array``), so a chunk allocates nothing of size components x draws
-and takes no page faults once the buffers are warm. The allocating
-``posterior_bank`` serves the bimodality map and the object API, which
-reads one dataset's posterior off the same kernel: ``posterior``, its
-tail probabilities and mean, and the two-arm superiority probability.
+and takes no page faults once the buffers are warm; the bimodality map
+calls it too. The allocating ``posterior_bank`` serves only the object
+API, which reads one dataset's posterior off the same kernel:
+``posterior``, its tail probabilities and mean, and the two-arm
+superiority probability.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ __all__ = [
 # per core, 1 << 19 and 1 << 20 ran fastest of 1 << 14 to 4 << 20 on 1 and
 # on 2 threads, 1 << 19 with the smaller resident set (ROADMAP.md).
 _CHUNK_ELEMENTS = 1 << 19
+
+# The guard (in standard errors of the tested mean) by which both trials'
+# Monte Carlo counts widen the bands of draws they re-decide by the kernel:
+# far wider than the kernel's rounding at a decision boundary.
+_GUARD_SE = 1e-9
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,6 @@ def _job_points(s: OneArmScenario) -> int:
     return max(inference._CHUNK_ELEMENTS // scan, 1)
 
 
-# The guard (in se) by which the Monte Carlo count widens the bands of draws
-# it re-decides: far wider than the kernel's rounding at a crossing.
-_GUARD_SE = 1e-9
-
-
 def _bank_stats(s: OneArmScenario, bank: AxisBank, ybar: np.ndarray, tails: bool = True, point=None):
     """Per-draw tail (a new array), or without ``tails`` the per-draw
     posterior mean and informative weight (this thread's "pmeans" and
@@ -155,7 +150,7 @@ def _curve(s: OneArmScenario, biases):
 
     # A bracket stops once it holds under one draw on expectation.
     stop = s.se * math.sqrt(2.0 * math.pi) / s.reps
-    return _bands(ys, scans, decide, stop, _GUARD_SE * s.se), decide
+    return _bands(ys, scans, decide, stop, inference._GUARD_SE * s.se), decide
 
 
 def _bands(ys, scans, decide, stop: float, guard: float):

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincinv, roots_genlaguerre
+from scipy.special import gammaincinv
 
-from .gaussian import GaussianComponent, GaussianMixture, SufficientStat
+from .gaussian import GaussianComponent, GaussianMixture, SufficientStat, gauss_rule
 from .inference import posterior_bank_into, work_array
 
 __all__ = [
@@ -218,13 +217,6 @@ def gamma_precision_quantiles(df: float, k: int) -> np.ndarray:
 EXACT_T_NODES = 40
 
 
-@lru_cache(maxsize=32)
-def _laguerre_rule(nodes: int, alpha: float):
-    x, wt = roots_genlaguerre(nodes, alpha)
-    with np.errstate(divide="ignore"):
-        return x, np.log(wt)
-
-
 def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
     """The exact t as a normal bank: precisions (in scale**-2) and log weights.
 
@@ -237,7 +229,9 @@ def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
     - (df/2) log c - lgamma(df/2) + b lambda_i.
     """
     half = 0.5 * form.df
-    x, log_wt = _laguerre_rule(nodes, half - 0.5)
+    x, wt = gauss_rule("laguerre", nodes, half - 0.5)
+    with np.errstate(divide="ignore"):
+        log_wt = np.log(wt)
     b = shift * shift / (2.0 * form.scale**2)
     c = half + b
     lam = x / c

@@ -140,8 +140,7 @@ class HybridScenario:
     """Two-arm trial borrowing external data for the control arm.
 
     A bias is (true control mean - external mean): ``external_at`` sets
-    the external mean to control_mean - bias. ``bias_grid``, the sweep's
-    bias axis, is the grid ``sweet_spot`` scans. Power is evaluated at
+    the external mean to control_mean - bias. Power is evaluated at
     treatment - control = ``effect``.
     """
 
@@ -155,7 +154,6 @@ class HybridScenario:
     alpha: float = ALPHA
     reps: int = REPS
     treatment_prior: TreatmentPrior = TreatmentPrior.FLAT
-    bias_grid: tuple[float, ...] = ()
     control_mean: float = 0.0
     scenario_id: str = "hybrid"
 
@@ -177,7 +175,6 @@ class HybridScenario:
             raise ValueError(f"effect must be > 0, got {self.effect!r}")
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "bias_grid", tuple(float(b) for b in self.bias_grid))
         object.__setattr__(self, "prior", replace(self.prior, external=self.external))
 
     @property

@@ -154,8 +154,6 @@ def _scenario(cfg, sizes, location_name, disp, w):
         treatment_prior=TreatmentPrior(cfg["treatment_prior"]),
         control_mean=cfg["control_mean"],
         scenario_id=cfg["scenario_id"],
-        # The bias axis, which sweet_spot scans.
-        bias_grid=cfg["sweep"].get("bias", ()),
     )
 
 
@@ -306,7 +304,7 @@ def _bimodality_job(cfg, block, group, points):
 
 def _sweet_spot_job(cfg, block, group, points):
     out = []
-    for (s, sizes, w), spot in zip(block, hybrid.sweet_spots([s for s, _, _ in block])):
+    for (s, sizes, w), spot in zip(block, hybrid.sweet_spots([s for s, _, _ in block], points)):
         shell = _row_shell(cfg, s, sizes, w, None)
         entry = {
             **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},

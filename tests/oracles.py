@@ -333,11 +333,12 @@ def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
     return float(np.dot(wts, g) / math.sqrt(math.pi))
 
 
-def sweet_spot(s) -> SweetSpot:
-    """``hybrid.sweet_spot`` for one curve, each bisection and golden-section
-    step a solve of its own (through ``hybrid.oc_curve`` and
-    ``hybrid.hybrid_power_exact``), the lower end refined before the upper."""
-    grid = np.asarray(s.bias_grid, dtype=float)
+def sweet_spot(s, grid) -> SweetSpot:
+    """``hybrid.sweet_spot`` for one curve over the bias ``grid``, each
+    bisection and golden-section step a solve of its own (through
+    ``hybrid.oc_curve`` and ``hybrid.hybrid_power_exact``), the lower end
+    refined before the upper."""
+    grid = np.asarray(grid, dtype=float)
     p0 = hybrid.no_borrowing_power(s)
 
     def feasible(biases):

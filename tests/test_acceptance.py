@@ -98,8 +98,7 @@ def one_arm(w, location, n_robust=1.0, robust_variance=None, form=None,
     return OneArmScenario(0.0, alt, 20, SIGMA, EXT, spec, seed=SEED, reps=reps)
 
 
-def hybrid(w, location, n_robust=1.0, robust_variance=None, reps=FULL_REPS,
-           bias_grid=()):
+def hybrid(w, location, n_robust=1.0, robust_variance=None, reps=FULL_REPS):
     spec = MixturePriorSpec(
         w, EXT, location, Normal(),
         n_robust=None if robust_variance is not None else n_robust,
@@ -107,7 +106,6 @@ def hybrid(w, location, n_robust=1.0, robust_variance=None, reps=FULL_REPS,
     )
     return HybridScenario(
         20, 20, SIGMA, EXT, spec, effect=0.83, seed=SEED, reps=reps,
-        bias_grid=bias_grid,
     )
 
 
@@ -414,8 +412,7 @@ def test_criterion_08_sweet_spot():
     grid = tuple(np.round(np.arange(-0.8, 0.45, 0.05), 10))
     spots = {}
     for w in (0.25, 0.5, 0.75):
-        s = hybrid(w, CurrentMean(), reps=10_000, bias_grid=grid)
-        spots[w] = sweet_spot(s)
+        spots[w] = sweet_spot(hybrid(w, CurrentMean(), reps=10_000), grid)
     mid = spots[0.5]
     ok = (
         not mid.empty and mid.max_power > 0.75

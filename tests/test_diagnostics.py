@@ -32,7 +32,7 @@ from borrowsim import (
     build_mixture_prior,
     posterior,
 )
-from borrowsim import diagnostics
+from borrowsim import diagnostics, inference
 import oracles
 
 SEPARATED = GaussianMixture(
@@ -322,6 +322,22 @@ class TestBimodalityMap:
         assert block.shape == (len(w_grid), biases.size)
         assert block.tobytes() == rows.tobytes()
         assert np.all(block[0] == 1.0) and np.any(block > 1.0)
+
+    @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
+    def test_the_map_runs_on_the_engines_kernel_entry(self, location, monkeypatch):
+        # The map reads the posterior through AxisBank.kernel, not through the
+        # allocating posterior_bank, and its bytes do not depend on which.
+        s = self.scenario(location)
+        w_grid, biases = [0.0, 0.5, 0.9, 1.0], np.arange(-4.0, 4.01, 1.0) * s.sd_ext
+        want = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bimodality map called posterior_bank")
+
+        monkeypatch.setattr(inference, "posterior_bank", refuse)
+        got = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+        assert got.tobytes() == want.tobytes()
+        assert bimodality_map(s, w_grid=[0.5], bias_grid=[biases[1]]).item() == want[1, 1]
 
     def test_weights_outside_the_unit_interval_are_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

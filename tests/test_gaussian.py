@@ -8,17 +8,26 @@ import pytest
 from scipy.integrate import quad
 
 from borrowsim import (
+    ExternalMean,
     GaussianComponent,
     GaussianMixture,
+    HybridScenario,
+    MixturePriorSpec,
+    OneArmScenario,
+    StudentT,
     SufficientStat,
     conjugate_update,
+    gaussian,
     gaussian_cdf,
+    hybrid,
     marginal_likelihood,
     mixture_cdf,
     mixture_pdf,
     mixture_quantile,
+    onearm,
 )
-from borrowsim.gaussian import bisect
+from borrowsim.gaussian import bisect, gauss_rule
+from borrowsim.priors import EXACT_T_NODES
 
 mpmath.mp.dps = 40
 
@@ -270,3 +279,48 @@ class TestBisect:
         a, b = np.array([]), np.array([])
         lo, hi = bisect(a, b, below, stop)
         assert lo is a and hi is b and calls == []
+
+
+class TestGaussRule:
+    """One cached, read-only builder serves the Gauss-Hermite rule of the
+    hybrid exact route and the Gauss-Laguerre rules of the exact-t route."""
+
+    @pytest.mark.parametrize("family,nodes,alpha", [("hermite", 160, 0.0), ("laguerre", 40, 1.0)])
+    def test_rules_come_back_read_only(self, family, nodes, alpha):
+        x, wts = gauss_rule(family, nodes, alpha)
+        assert x.shape == wts.shape == (nodes,)
+        assert not x.flags.writeable and not wts.flags.writeable
+        with pytest.raises(ValueError):
+            wts[0] = 0.0
+        assert gauss_rule(family, nodes, alpha)[0] is x
+
+    def test_an_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown Gaussian rule family"):
+            gauss_rule("legendre", 10)
+
+    def test_each_rule_is_built_once_per_key(self, monkeypatch):
+        # Repeated calls of the hybrid Gauss-Hermite route and of the exact-t
+        # route (which also builds the doubled node count it checks against)
+        # build each rule once: the second round builds nothing.
+        built = []
+        hermgauss, laguerre = np.polynomial.hermite.hermgauss, gaussian.roots_genlaguerre
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                            lambda n: built.append(("hermite", n)) or hermgauss(n))
+        monkeypatch.setattr(gaussian, "roots_genlaguerre",
+                            lambda n, a: built.append(("laguerre", n, a)) or laguerre(n, a))
+        gaussian.gauss_rule.cache_clear()
+        ext = SufficientStat(0.0, 15, 1.0)
+        hybrid_s = HybridScenario(20, 20, 1.0, ext, MixturePriorSpec(0.5, ext), effect=0.83, seed=1, reps=10)
+        t_spec = MixturePriorSpec(0.5, ext, ExternalMean(), StudentT(3.0, 1.0, 10))
+        onearm_s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, t_spec, seed=1, reps=10)
+        rounds = []
+        for _ in range(2):
+            hybrid.oc_curve(hybrid_s, [0.0, 0.3], exact=True)
+            hybrid.hybrid_tie_exact(hybrid_s, 0.1)
+            onearm.one_arm_tie_exact(onearm_s, 0.2, use_exact_t=True, scan_points=201)
+            onearm.one_arm_tie_exact(onearm_s, 0.4, use_exact_t=True, scan_points=201)
+            rounds.append(list(built))
+        assert ("hermite", 160) in built and ("laguerre", EXACT_T_NODES, 1.0) in built
+        assert ("laguerre", 2 * EXACT_T_NODES, 1.0) in built
+        assert len(built) == len(set(built))
+        assert rounds[0] == rounds[1]

@@ -45,7 +45,7 @@ SD_EXT = 1.0 / math.sqrt(15.0)
 
 def scenario(w=0.5, location=None, n_robust=1.0, robust_variance=None,
              treatment_prior=TreatmentPrior.FLAT, effect=0.83,
-             n_t=20, n_c=20, reps=100_000, seed=91, bias_grid=()):
+             n_t=20, n_c=20, reps=100_000, seed=91):
     spec = MixturePriorSpec(
         w,
         EXT,
@@ -56,7 +56,7 @@ def scenario(w=0.5, location=None, n_robust=1.0, robust_variance=None,
     )
     return HybridScenario(
         n_t, n_c, 1.0, EXT, spec, effect=effect, seed=seed, reps=reps,
-        treatment_prior=treatment_prior, bias_grid=bias_grid,
+        treatment_prior=treatment_prior,
     )
 
 
@@ -174,8 +174,8 @@ class TestSweetSpot:
         return tuple(np.round(np.arange(-0.8, 0.45, 0.05), 10))
 
     def test_current_mean_spot_exists_and_beats_the_plain_test(self):
-        s = scenario(w=0.5, location=CurrentMean(), reps=10_000, bias_grid=self.grid())
-        spot = sweet_spot(s)
+        s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
+        spot = sweet_spot(s, self.grid())
         assert not spot.empty
         assert spot.lower < 0.0 < spot.upper or spot.lower < spot.upper
         assert spot.max_power > 0.75
@@ -188,8 +188,8 @@ class TestSweetSpot:
     def test_smaller_weight_widens_the_spot(self):
         widths = {}
         for w in (0.25, 0.75):
-            s = scenario(w=w, location=CurrentMean(), reps=10_000, bias_grid=self.grid())
-            widths[w] = sweet_spot(s).width
+            s = scenario(w=w, location=CurrentMean(), reps=10_000)
+            widths[w] = sweet_spot(s, self.grid()).width
         assert widths[0.25] > widths[0.75]
 
     def test_no_borrowing_spot_carries_no_real_gain(self):
@@ -197,13 +197,11 @@ class TestSweetSpot:
         # the test is within a whisker of the plain z test: whatever
         # formally feasible band survives offers no material power gain
         # (an exactly flat prior would sit exactly on the boundary)
-        s = scenario(w=0.0, robust_variance=400.0, reps=10_000, bias_grid=self.grid())
-        spot = sweet_spot(s)
+        s = scenario(w=0.0, robust_variance=400.0, reps=10_000)
+        spot = sweet_spot(s, self.grid())
         if not spot.empty:
             assert spot.max_power - no_borrowing_power(s) < 1e-4
-        real = sweet_spot(
-            scenario(w=0.5, location=CurrentMean(), reps=10_000, bias_grid=self.grid())
-        )
+        real = sweet_spot(scenario(w=0.5, location=CurrentMean(), reps=10_000), self.grid())
         assert real.max_power - no_borrowing_power(s) > 0.05
 
     def test_split_feasible_set_is_reported_as_data(self, monkeypatch):
@@ -217,10 +215,10 @@ class TestSweetSpot:
                     np.where(ok, 0.9 - 0.1 * (b - 0.1) ** 2, 0.5).tolist())
 
         monkeypatch.setattr(hybrid, "_gh_curve", fake_curve)
-        s = scenario(w=0.5, location=CurrentMean(), bias_grid=self.grid())
+        s = scenario(w=0.5, location=CurrentMean())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spot = sweet_spot(s)
+            spot = sweet_spot(s, self.grid())
         assert not spot.empty and not spot.contiguous
         assert spot.lower == pytest.approx(0.0, abs=1e-3)
         assert spot.upper == pytest.approx(0.3, abs=1e-3)
@@ -250,12 +248,12 @@ class TestSweetSpot:
             self, location, treatment_prior, n_robust, grid, weights, kinds):
         grid = self.grids()[grid]
         block = [scenario(w=w, location=location, n_robust=n_robust, treatment_prior=treatment_prior,
-                          reps=10, bias_grid=grid) for w in weights]
-        spots = sweet_spots(block)
+                          reps=10) for w in weights]
+        spots = sweet_spots(block, grid)
         for s, spot, kind in zip(block, spots, kinds):
-            want = oracles.sweet_spot(s)
+            want = oracles.sweet_spot(s, grid)
             assert (spot, spot.curve) == (want, want.curve)
-            one = sweet_spot(s)
+            one = sweet_spot(s, grid)
             assert (spot.contiguous, one, one.curve) == (True, want, want.curve)
             edges = (spot.lower == grid[0], spot.upper == grid[-1])
             assert {"empty": spot.empty, "inner": edges == (False, False),
@@ -274,23 +272,29 @@ class TestSweetSpot:
                     np.where(ok, 0.9 - 0.1 * (b - 0.1 + w) ** 2, 0.5).tolist())
 
         monkeypatch.setattr(hybrid, "_gh_curve", fake_curve)
-        block = [scenario(w=w, location=CurrentMean(), bias_grid=self.grid()) for w in (0.5, 0.25, 0.9)]
-        spots = sweet_spots(block)
+        block = [scenario(w=w, location=CurrentMean()) for w in (0.5, 0.25, 0.9)]
+        spots = sweet_spots(block, self.grid())
         assert [(s.empty, s.contiguous) for s in spots] == [(False, False), (False, True), (True, True)]
         assert spots[1].lower == self.grid()[0]
         for s, spot in zip(block, spots):
-            want = oracles.sweet_spot(s)
+            want = oracles.sweet_spot(s, self.grid())
             assert (spot, spot.curve) == (want, want.curve)
 
     def test_a_block_differs_only_in_the_weight(self):
         with pytest.raises(ValueError, match="only in the informative weight"):
-            sweet_spots([scenario(w=0.5, bias_grid=self.grid()),
-                         scenario(w=0.25, n_robust=0.25, bias_grid=self.grid())])
+            sweet_spots([scenario(w=0.5), scenario(w=0.25, n_robust=0.25)], self.grid())
+
+    def test_an_empty_block_has_no_spots(self):
+        # An empty block used to raise IndexError on block[0]; its grid is
+        # still checked.
+        assert sweet_spots([], self.grid()) == []
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweet_spots([], self.grid()[::-1])
 
     def test_needs_a_grid(self):
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
         with pytest.raises(ValueError):
-            sweet_spot(s)
+            sweet_spot(s, ())
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
     def test_needs_an_increasing_grid(self, order):
@@ -299,9 +303,9 @@ class TestSweetSpot:
         grid = self.grid()
         grid = {"reversed": grid[::-1], "shuffled": tuple(np.random.default_rng(0).permutation(grid)),
                 "repeated": grid[:3] + grid[2:]}[order]
-        s = scenario(w=0.5, location=CurrentMean(), reps=10_000, bias_grid=grid)
+        s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweet_spot(s)
+            sweet_spot(s, grid)
 
 
 class TestSharedThreshold:
@@ -345,7 +349,7 @@ class TestSharedThreshold:
         with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25 and weight 0\.75.*node 0 of 160"):
             hybrid._gh_thresholds(s, [0.25, 0.5], weights=[0.75, 0.5])
         with pytest.raises(RuntimeError, match=r"lower end.*bias -0\.8 and weight 0\.25, .*node 0 of 160"):
-            sweet_spots([scenario(w=w, bias_grid=(-0.8, -0.75, -0.7)) for w in (0.25, 0.5)])
+            sweet_spots([scenario(w=w) for w in (0.25, 0.5)], (-0.8, -0.75, -0.7))
 
     def test_the_sweep_solves_no_grid_bias_beyond_the_sweet_spot(self, monkeypatch):
         cfg = recipe_config("fig8")
@@ -364,12 +368,12 @@ class TestSharedThreshold:
         from_sweep = list(solved)
         solved.clear()
         block = [s for s, _, _ in sweep._curves(normalize_config(cfg))]
+        grid = normalize_config(cfg)["sweep"]["bias"]
         for s in block:
-            oracles.sweet_spot(s)
+            oracles.sweet_spot(s, grid)
         # The grid scan is one solve over every curve's grid, and the curves
         # the sweep writes are that scan: the sweep solves exactly the
         # (weight, bias) points of the per-curve sweet spots, in fewer solves.
-        grid = block[0].bias_grid
         assert from_sweep[0] == tuple((w, b) for w in (0.25, 0.5) for b in grid) and len(grid) == 61
         assert Counter(p for points in from_sweep for p in points) == Counter(
             p for points in solved for p in points)
@@ -403,8 +407,8 @@ class TestSharedThreshold:
             (0.1, 0.25, 0.5, 0.75, 0.9),
         ):
             s = scenario(w=w, location=location, n_robust=n_robust)
-            coarse = np.array(hybrid.oc_curve(s, self.GRID, exact=True, nodes=160))
-            fine = np.array(hybrid.oc_curve(s, self.GRID, exact=True, nodes=320))
+            coarse = np.array(hybrid._gh_curve(s, self.GRID, nodes=160))
+            fine = np.array(hybrid._gh_curve(s, self.GRID, nodes=320))
             worst = max(worst, float(np.abs(coarse - fine).max()))
         assert worst < 1e-7
 
@@ -434,6 +438,17 @@ class TestDeltaRestricted:
         zero = [e for e in summary if e["max_tie_pct"] == 0.0]
         assert zero, "expected a delta whose Monte Carlo TIEs are all 0"
         assert all(math.isfinite(e["max_power_gain_pct"]) for e in summary)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -0.1])
+    def test_a_delta_must_be_finite_and_positive(self, delta):
+        # An infinite delta used to pass the check and give 41 NaN biases,
+        # which failed later inside SufficientStat.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                hybrid.delta_grid(delta)
+            with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                delta_restricted_summary(scenario(w=0.5, reps=10), delta, exact=True)
 
     def test_summary_at_level_zero_is_uncalibrated_power(self):
         s = scenario(w=0.5)

@@ -42,7 +42,7 @@ from borrowsim import (
     hybrid_power,
     hybrid_tie,
 )
-from borrowsim import hybrid, onearm, priors
+from borrowsim import hybrid, inference, onearm, priors
 from borrowsim.config import normalize_config
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves, run_config
@@ -225,7 +225,7 @@ def test_every_redecided_draw_lies_in_its_own_cells_band(monkeypatch):
 
     def recording_solve(s, bank, points, yc, stop=None):
         lo, hi = solve(s, bank, points, yc, stop)
-        solves[id(bank)] = (bank, yc, lo, hi, hybrid._GUARD_SE * s.se_t)
+        solves[id(bank)] = (bank, yc, lo, hi, inference._GUARD_SE * s.se_t)
         return lo, hi
 
     def recording_count(curve, effect):
