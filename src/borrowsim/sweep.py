@@ -11,11 +11,17 @@ This module owns every sweep-level decision: the cell enumeration
 and group; a bimodality map's and the sweet spots' one per weight block,
 the run of curves that differ only in ``w``; a grid's TIE and power, Monte
 Carlo or exact, one per curve or run of ``onearm._job_points`` points
-through its trial's ``oc_curve``, its other fields one per cell), the Monte
-Carlo rule (``_fields``: which row fields a run's cells compute and which
-of them Monte Carlo estimates, read by the cells, by each row's ``reps``
-and by the cost) and the cost itself (``cost_estimate``, which
-``validate`` prints and meta.json records).
+through its trial's ``oc_curve``, then a calibrated curve's exact probe
+TIEs, one per curve, its other fields one per cell), the Monte Carlo rule
+(``_fields``: which row fields a run's cells compute and which of them
+Monte Carlo estimates, read by the cells, by each row's ``reps`` and by
+the cost) and the cost itself (``cost_estimate``, which ``validate``
+prints and meta.json records).
+
+What the main thread does alone is kept small: it builds one row shell
+per curve, takes each calibration level as the worse of the grid and probe
+TIEs, and encodes results.json (``_json_text``) before it opens any output
+file, so a row that JSON cannot hold leaves nothing written.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -164,7 +171,8 @@ def _row_id(cfg, sizes, suffix="") -> str:
     return base + suffix
 
 
-def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
+def _row_shell(cfg, s, sizes, w, suffix="") -> dict:
+    """The fields every row of one curve shares: all but ``bias`` and the metrics."""
     return {
         "scenario_id": _row_id(cfg, sizes, suffix),
         "trial": cfg["trial"],
@@ -172,7 +180,6 @@ def _row_shell(cfg, s, sizes, w, bias, suffix="") -> dict:
         "form": describe_form(s.prior.form),
         "n_robust": s.prior.effective_n_robust(),
         "w": w,
-        "bias": bias,
         "reps": cfg["reps"] if _fields(cfg)[1] else 0,
         "seed": cfg["seed"],
     }
@@ -197,19 +204,15 @@ def _grid_cell(cfg, s, bias):
     return out
 
 
-def _calibration_level(cfg, s, curve_ties) -> float:
-    """Worst-case TIE the calibrated comparison should use for one curve.
-
-    A normal robust component centered at the external mean has no cap
-    (the error rate is eventually monotone in the conflict), so the
-    all-bias supremum is one; every other combination is capped and the
-    grid maximum plus a far-out probe approximates the supremum.
-    """
+def _calibration_probe(s):
+    """The job whose exact TIEs at a far-out bias pair, with a curve's grid
+    TIEs, approximate its all-bias worst case. None for a normal robust
+    component centered at the external mean: it has no cap (the error rate
+    is eventually monotone in the conflict), so the supremum is one."""
     if isinstance(s.prior.location, ExternalMean) and isinstance(s.prior.form, Normal):
-        return 1.0
+        return None
     probe = _CALIBRATION_PROBE_SD_EXT * s.sd_ext
-    probe_ties = _trial(s).oc_curve(s, (-probe, probe), exact=True, rates=("tie",))[0]
-    return max(max(curve_ties), max(probe_ties))
+    return partial(_trial(s).oc_curve, s, (-probe, probe), exact=True, rates=("tie",))
 
 
 def _dispersion_axis(cfg) -> list[tuple[str, float]]:
@@ -267,30 +270,35 @@ def _run_grid(cfg, pool) -> SweepResult:
     fields = _fields(cfg)[0]
     rates = [rate for rate in ("tie", "power") if rate in fields]
     exact = cfg["estimator"] == "exact"
+    want_cal = "power_calibrated" in cfg["metrics"]
 
-    # The TIE/power jobs, the largest, go first; the other fields are a job per cell.
+    # The TIE/power jobs, the largest, go first, then the calibration
+    # probes; the other fields are a job per cell.
     steps = [(s, len(biases) if isinstance(s, HybridScenario) else onearm._job_points(s))
              for s, _, _ in curves] if rates else []
     jobs = [partial(_trial(s).oc_curve, s, biases[i:i + step], exact=exact, rates=rates)
             for s, step in steps for i in range(0, len(biases), step)]
+    probes = [_calibration_probe(s) if want_cal else None for s, _, _ in curves]
+    probe_jobs = [p for p in probes if p]
     cells = [partial(_grid_cell, cfg, s, b) for s, _, _ in curves if fields - set(rates) for b in biases]
-    out = list(pool.map(lambda job: job(), jobs + cells))
+    out = list(pool.map(lambda job: job(), jobs + probe_jobs + cells))
     none = [{}] * (len(curves) * len(biases))
     counts = [dict(zip(rates, c)) for curve in out[:len(jobs)] for c in zip(*curve)] or none
-    results = [{**a, **b} for a, b in zip(counts, out[len(jobs):] or none)]
+    probe_ties = iter(out[len(jobs):len(jobs) + len(probe_jobs)])
+    results = [{**a, **b} for a, b in zip(counts, out[len(jobs) + len(probe_jobs):] or none)]
 
     rows: list[OCRow] = []
-    want_cal = "power_calibrated" in cfg["metrics"]
     hidden = {"tie", "power"} - set(cfg["metrics"])  # computed for the calibration only
-    for c, (s, sizes, w) in enumerate(curves):
+    for c, ((s, sizes, w), probe) in enumerate(zip(curves, probes)):
         chunk = results[c * len(biases):(c + 1) * len(biases)]
         cal = None
         if want_cal:
-            level = _calibration_level(cfg, s, [m["tie"] for m in chunk])
+            # The worst-case TIE the calibrated comparison uses for the curve.
+            level = 1.0 if probe is None else max(max(m["tie"] for m in chunk), max(next(probe_ties)[0]))
             cal = hybrid.calibrated_power_no_borrowing(level, s)
-        for bias, cell in zip(biases, chunk):
-            keep = {k: v for k, v in cell.items() if k not in hidden}
-            rows.append(OCRow(**_row_shell(cfg, s, sizes, w, bias), **keep, power_calibrated=cal))
+        shell = _row_shell(cfg, s, sizes, w)
+        rows += [OCRow(**shell, bias=bias, **{k: v for k, v in cell.items() if k not in hidden},
+                       power_calibrated=cal) for bias, cell in zip(biases, chunk)]
     return SweepResult(rows, {}, {})
 
 
@@ -305,7 +313,7 @@ def _bimodality_job(cfg, block, group, points):
 def _sweet_spot_job(cfg, block, group, points):
     out = []
     for (s, sizes, w), spot in zip(block, hybrid.sweet_spots([s for s, _, _ in block], points)):
-        shell = _row_shell(cfg, s, sizes, w, None)
+        shell = _row_shell(cfg, s, sizes, w)
         entry = {
             **{k: shell[k] for k in ("scenario_id", "location", "form", "n_robust", "w")},
             **{k: None if spot.empty else getattr(spot, k)
@@ -359,7 +367,8 @@ def _run_curves(cfg, pool) -> SweepResult:
     entries = []
     for (block, _, points, suffix), out in zip(jobs, results):
         for (s, sizes, w), (cells, entry) in zip(block, out):
-            rows += [OCRow(**_row_shell(cfg, s, sizes, w, x, suffix), **c) for x, c in zip(points, cells)]
+            shell = _row_shell(cfg, s, sizes, w, suffix)
+            rows += [OCRow(**shell, bias=x, **c) for x, c in zip(points, cells)]
             entries.append(entry)
     return SweepResult(rows, {key: entries} if key else {}, {})
 
@@ -417,10 +426,22 @@ def write_rows_csv(path, rows) -> None:
 
 def write_outputs(result: SweepResult, cfg: dict, out_dir) -> list[str]:
     """Write results.csv / results.json (+ summary.csv) and the metadata
-    sidecar; returns the written paths."""
+    sidecar; returns the written paths.
+
+    The results.json text is encoded before any file is opened, so a row
+    that JSON cannot hold (NaN, inf, an unsupported type) raises with
+    nothing written."""
     cfg = normalize_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     names = cfg["output"]
+    text = _json_text({
+        "schema_version": cfg["schema_version"],
+        "scenario_id": cfg["scenario_id"],
+        "kind": cfg["kind"],
+        "trial": cfg["trial"],
+        "rows": [vars(r) for r in result.rows],
+        "extras": result.extras,
+    })
+    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     csv_path = os.path.join(out_dir, names["csv"])
@@ -429,20 +450,7 @@ def write_outputs(result: SweepResult, cfg: dict, out_dir) -> list[str]:
 
     json_path = os.path.join(out_dir, names["json"])
     with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "schema_version": cfg["schema_version"],
-                "scenario_id": cfg["scenario_id"],
-                "kind": cfg["kind"],
-                "trial": cfg["trial"],
-                "rows": [vars(r) for r in result.rows],
-                "extras": result.extras,
-            },
-            fh,
-            indent=1,
-            allow_nan=False,
-            default=_json_default,
-        )
+        fh.write(text)
         fh.write("\n")
     written.append(json_path)
 
@@ -464,3 +472,49 @@ def _json_default(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+_dumps = partial(json.dumps, allow_nan=False, default=_json_default)
+
+# Dicts per C-encoder call. The encoder holds every small string it makes
+# until the call returns, about 60 bytes a value: at 8282 rows (fig2) one
+# call raised peak RSS by 6.6 MB for a 2.6 MB text, 64 rows hold 0.2 MB.
+_JSON_BATCH = 64
+
+
+def _flat_dicts(value) -> bool:
+    """Whether ``value`` is a non-empty list of non-empty dicts of scalars."""
+    if type(value) is not list or not value or set(map(type, value)) != {dict} or not all(value):
+        return False
+    types = set(map(type, chain.from_iterable(map(dict.values, value))))
+    return not any(issubclass(t, (dict, list, tuple)) for t in types)
+
+
+def _json_text(value, depth=0) -> str:
+    """``json.dumps(value, indent=1, allow_nan=False, default=_json_default)``
+    byte for byte, nested ``depth`` levels deep.
+
+    ``indent`` always takes CPython's pure-Python encoder. A list of flat
+    dicts (the rows, a summary's entries) takes the C encoder instead, one
+    call per ``_JSON_BATCH`` dicts, whose item separator carries each key's
+    newline and indent. A JSON string never holds a raw newline, so that
+    separator between ``}`` and ``{`` appears only between two dicts, and
+    is rewritten there to put each brace on a line of its own.
+    """
+    pad = "\n" + " " * depth
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        parts = []  # joined once, so a large block is not copied per concatenation
+        for k, v in value.items():
+            parts += ("," + pad + " ", _dumps(k), ": ", _json_text(v, depth + 1))
+        parts[0] = "{" + pad + " "
+        return "".join(parts + [pad, "}"])
+    if _flat_dicts(value):
+        dict_pad, key_pad = pad + " ", pad + "  "
+        join = dict_pad + "}," + dict_pad + "{" + key_pad
+        parts = ["[", dict_pad, "{", key_pad]
+        for i in range(0, len(value), _JSON_BATCH):
+            text = _dumps(value[i:i + _JSON_BATCH], separators=("," + key_pad, ": "))
+            parts += (text[2:-2].replace("}," + key_pad + "{", join), join)
+        parts[-1:] = (dict_pad, "}", pad, "]")
+        return "".join(parts)
+    return _dumps(value, indent=1).replace("\n", pad)

@@ -60,10 +60,16 @@ hand-written way: the log-marginals of the informative component and of
 the robust block written out, and the weight w / (w + (1 - w) r) formed
 from their ratio r. The library reads the weight off its posterior kernel
 (``mean_posterior_weight``) and must agree with this to rounding.
+
+``results_json`` is the results.json text the stdlib way: ``json.dump``
+with ``indent=1``, which always takes the pure-Python encoder. The library
+encodes each list of flat rows in one call of the C encoder and rewrites
+the joins between them, and must match this byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -607,3 +613,15 @@ def weight_propagation(s, w_grid, bias_grid, n_robust_grid=None) -> WeightPropag
                     mean[d, b, i] = float(np.mean(1.0 / (1.0 + np.exp(log_r - odds))))
                     at_expected[d, b, i] = 1.0 / (1.0 + math.exp(log_r0 - odds))
     return WeightPropagation(n_robust_grid, bias_grid, w_grid, mean, at_expected)
+
+
+def _numpy_item(value):
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    raise TypeError(f"not JSON serializable: {type(value)}")
+
+
+def results_json(payload) -> str:
+    """results.json for ``payload``: ``json.dump(indent=1)``, NaN and inf
+    refused, NumPy scalars written as their Python values, then a newline."""
+    return json.dumps(payload, indent=1, allow_nan=False, default=_numpy_item) + "\n"

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borrowsim import hybrid, onearm
+import oracles
+from borrowsim import hybrid, onearm, sweep
 from borrowsim.cli import main
 from borrowsim.config import ConfigError, check_config, normalize_config
+from borrowsim.priors import ExternalMean, Normal
 from borrowsim.recipes import RECIPES, list_recipes, recipe_config
 from borrowsim.scenarios import OCRow
 from borrowsim.sweep import CSV_COLUMNS, SweepResult, _curves, cost_estimate, run_config, write_outputs
@@ -429,6 +432,42 @@ class TestSweepEngine:
             assert len(solves) == curves
         assert rows[1] == rows[3]
 
+    def test_calibration_takes_the_worse_of_grid_and_probe_ties(self, monkeypatch):
+        # Each fig7 curve calibrates at the worst of its grid TIEs and the
+        # exact TIEs at the far-out probe pair, run as pool jobs; a normal
+        # robust component at the external mean takes level 1 and no probe.
+        oc_curve = hybrid.oc_curve
+        probed = []
+
+        def recording(s, biases, **kw):
+            if kw.get("exact"):
+                probed.append(s)
+            return oc_curve(s, biases, **kw)
+
+        monkeypatch.setattr(hybrid, "oc_curve", recording)
+        cfg = normalize_config({**recipe_config("fig7"), "reps": 2000})
+        rows = {}
+        for threads in (1, 2):
+            probed.clear()
+            rows[threads] = run_config(cfg, threads=threads).rows
+            assert len(probed) == 3
+            assert not any(isinstance(s.prior.location, ExternalMean) for s in probed)
+        assert [r.power_calibrated for r in rows[1]] == [r.power_calibrated for r in rows[2]]
+
+        n = len(cfg["sweep"]["bias"])
+        levels = []
+        for c, (s, _, _) in enumerate(_curves(cfg)):
+            chunk = rows[2][c * n:(c + 1) * n]
+            if isinstance(s.prior.location, ExternalMean) and isinstance(s.prior.form, Normal):
+                level = 1.0
+            else:
+                probe = sweep._CALIBRATION_PROBE_SD_EXT * s.sd_ext
+                probe_ties = oc_curve(s, (-probe, probe), exact=True, rates=("tie",))[0]
+                level = max([r.tie for r in chunk] + probe_ties)
+            levels.append(level)
+            assert {r.power_calibrated for r in chunk} == {hybrid.calibrated_power_no_borrowing(level, s)}
+        assert levels.count(1.0) == 3 and all(0.0 < v < 1.0 for v in levels if v != 1.0)
+
     def test_seed_changes_results(self):
         a = run_config(tiny_grid_config(), threads=2).rows
         b = run_config(tiny_grid_config(seed=5), threads=2).rows
@@ -492,6 +531,107 @@ class TestSweepEngine:
         (entry,) = res.extras["delta_summary"]
         assert entry["max_tie_pct"] == pytest.approx(2.38, abs=0.05)
         assert entry["max_power_gain_pct"] == pytest.approx(9.88, abs=0.2)
+
+
+def _payload(rows, extras):
+    return {"schema_version": 1, "scenario_id": "x", "kind": "grid", "trial": "hybrid",
+            "rows": rows, "extras": extras}
+
+
+# Strings that look like the joins the encoder rewrites, or need escaping.
+_TRICKY = ["},\n   {", "},\n  {\n   ", "}, {", "}]", '"', "\\", "\n", "\t", "\x00\x1f\x7f",
+           "é", "\u2603", "\U0001f600", "\ud800"]
+_TEXT = st.one_of(st.text(max_size=8), st.lists(st.sampled_from(_TRICKY), max_size=3).map("".join))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+_ROWS = st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=6), max_size=5)
+
+
+class TestResultsJson:
+    """results.json is byte for byte what ``json.dump(indent=1)`` writes
+    (``oracles.results_json``)."""
+
+    _BIAS = [-0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("recipe,changes", [
+        ("fig1", {"metrics": ["tie", "power", "rmse", "w_tilde"],
+                  "sweep": {"location": ["external_mean"], "n_robust": [1.0], "w": [0.5], "bias": _BIAS}}),
+        ("fig7", {"sweep": {"location": ["external_mean", "current_mean"], "n_robust": [1.0],
+                            "w": [0.5], "bias": _BIAS}}),
+        ("table1", {"sweep": {"location": ["current_mean"], "n_robust": [1.0], "w": [0.5],
+                              "deltas": [0.1, 0.2]}}),
+        ("fig8", {"sweep": {"location": ["current_mean"], "n_robust": [1.0], "w": [0.0, 0.5],
+                            "bias": {"start": -1.0, "stop": 1.0, "step": 0.25}}}),
+        ("fig2", {"sweep": {"location": ["current_mean"], "n_robust": [1.0], "w": [0.25, 0.5],
+                            "bias": _BIAS}}),
+        ("fig10", {"sweep": {"location": ["external_mean"], "n_robust": [1.0], "w": [0.5],
+                             "design_priors": ["informative", "rmp"], "analysis_shift": [0.0, 0.5]}}),
+    ])
+    def test_every_kind_writes_what_json_dump_writes(self, tmp_path, recipe, changes):
+        cfg = recipe_config(recipe)
+        cfg.update({k: v for k, v in changes.items() if k != "sweep"}, reps=500)
+        cfg["sweep"].update(changes["sweep"])
+        cfg = normalize_config(cfg)
+        res = run_config(cfg, threads=2)
+        write_outputs(res, cfg, tmp_path)
+        expected = oracles.results_json({
+            "schema_version": cfg["schema_version"], "scenario_id": cfg["scenario_id"],
+            "kind": cfg["kind"], "trial": cfg["trial"],
+            "rows": [vars(r) for r in res.rows], "extras": res.extras,
+        })
+        assert (tmp_path / "results.json").read_text() == expected
+        if recipe == "fig8":  # an empty spot's nulls and the bools
+            spots = res.extras["sweet_spots"]
+            assert spots[0]["empty"] is True and spots[0]["lower"] is None
+            assert spots[1]["empty"] is False and spots[1]["contiguous"] is True
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_ROWS, entries=_ROWS)
+    def test_flat_rows_encode_as_json_dump_does(self, rows, entries):
+        payload = _payload(rows, {"sweet_spots": entries, "empty": []})
+        assert sweep._json_text(payload) + "\n" == oracles.results_json(payload)
+
+    @pytest.mark.parametrize("n", [sweep._JSON_BATCH - 1, sweep._JSON_BATCH, sweep._JSON_BATCH + 1,
+                                   2 * sweep._JSON_BATCH + 1])
+    def test_rows_across_encoder_batches_encode_as_json_dump_does(self, n):
+        rows = [{"i": i, "s": _TRICKY[i % len(_TRICKY)], "x": 0.1 * i, "b": i % 2 == 0, "n": None}
+                for i in range(n)]
+        payload = _payload(rows, {"sweet_spots": rows[:n // 2 + 1]})
+        assert sweep._json_text(payload) + "\n" == oracles.results_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        _payload([], {}),
+        _payload([], {"delta_summary": []}),
+        _payload([{"a": 1}, {}], {"s": [{}]}),
+        _payload([{"a": [1, {"b": 2}], "c": {"d": [], "e": {"f": None}}}, {"a": 1}], {"s": {"t": [{"u": 1}]}}),
+        _payload([{"a": (1, 2)}], {1: [{"x": 0.5}], "s": [[{"y": 1}]]}),
+    ], ids=["empty", "empty-extras-list", "empty-dicts", "nested", "tuples-and-int-keys"])
+    def test_edge_payloads_encode_as_json_dump_does(self, payload):
+        assert sweep._json_text(payload) + "\n" == oracles.results_json(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf")])
+    @pytest.mark.parametrize("where", ["rows", "extras"])
+    def test_nan_and_inf_raise_from_both_writers(self, bad, where):
+        good = [{"tie": 0.5}, {"tie": 0.25}]
+        payload = _payload([*good, {"tie": bad}], {}) if where == "rows" else _payload(good, {"s": [{"m": bad}]})
+        with pytest.raises(ValueError):
+            sweep._json_text(payload)
+        with pytest.raises(ValueError):
+            oracles.results_json(payload)
+
+    @pytest.mark.parametrize("bad,error", [(math.nan, ValueError), (math.inf, ValueError), (1j, TypeError)])
+    def test_a_row_json_cannot_hold_writes_no_file(self, tmp_path, bad, error):
+        rows = [OCRow("a", "one-arm", "external_mean", "normal", 1.0, 0.5, 0.0, tie=0.025, reps=5000),
+                OCRow("a", "one-arm", "external_mean", "normal", 1.0, 0.5, 0.5, tie=bad, reps=5000)]
+        out = tmp_path / "out"
+        with pytest.raises(error):
+            write_outputs(SweepResult(rows, {}, {"cells": 2}), tiny_grid_config(), out)
+        assert not out.exists()
 
 
 class TestCli:
