@@ -68,9 +68,6 @@ def _cmd_run(args) -> int:
     result = run_config(cfg, threads=args.threads)
     try:
         written = write_outputs(result, cfg, out_dir)
-        with open(os.path.join(out_dir, "config.json"), "w") as fh:
-            json.dump(cfg, fh, indent=1)
-            fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,15 @@ def _pos(x):
 
 def _name(x):
     return isinstance(x, str) and x != ""
+
+
+def _file_name(x):
+    """A name that opens a file in the run directory itself."""
+    return _name(x) and x not in (".", "..") and not any(
+        sep and sep in x for sep in ("\0", os.sep, os.altsep))
+
+
+_FILE_TEXT = "must be a non-empty file name with no path separator or NUL, not . or .."
 
 
 def sample_size_keys(trial) -> tuple[str, ...]:
@@ -163,11 +173,14 @@ _FIELDS = (
     }, default=lambda c: ["tie", "power"] if c["trial"] == "hybrid" else ["tie"],
            shape="list", only=(("kind", ("grid",)),)),
     _Field("output", default={}, shape="object"),
-    _Field("output.csv", _name, "must be a non-empty file name", "results.csv"),
-    _Field("output.json", _name, "must be a non-empty file name", "results.json"),
-    _Field("output.meta", _name, "must be a non-empty file name", "meta.json"),
-    _Field("output.summary", _name, "must be a non-empty file name", "summary.csv"),
+    _Field("output.csv", _file_name, _FILE_TEXT, "results.csv"),
+    _Field("output.json", _file_name, _FILE_TEXT, "results.json"),
+    _Field("output.meta", _file_name, _FILE_TEXT, "meta.json"),
+    _Field("output.summary", _file_name, _FILE_TEXT, "summary.csv"),
 )
+# The fixed name of the normalized config a run writes beside the ``output.*``
+# files; ``_cross_rules`` keeps all five names apart.
+CONFIG_FILE = "config.json"
 # Rows whose value decides where later rows apply; an error in one ends the walk.
 _AXES = ("trial", "kind", "form", "form.kind")
 _PARTS = [f.key.rpartition(".") for f in _FIELDS]
@@ -242,6 +255,11 @@ def _cross_rules(c) -> list[str]:
         errors.append("kind: bimodality maps need the normal robust form")
     if c["form"]["kind"] == "student_t" and "obm" in c.get("metrics", ()):
         errors.append("metrics: obm is defined for the normal robust form only")
+    seen = {CONFIG_FILE.casefold(): f"{CONFIG_FILE} (the run's config)"}
+    for key, name in sorted(c["output"].items()):  # csv, json, meta, summary
+        other = seen.setdefault(name.casefold(), f"output.{key}")
+        if other != f"output.{key}":
+            errors.append(f"output.{key}: must differ from {other}, ignoring case, got {name!r}")
     keys = sample_size_keys(c["trial"])
     for i, entry in enumerate(sweep["sample_sizes"]):
         if set(entry) - set(keys):

@@ -197,9 +197,11 @@ class HybridScenario:
         return SufficientStat(self.control_mean - bias, self.external.n, self.external.sigma)
 
 
-@dataclass(frozen=True)
+@dataclass
 class OCRow:
-    """One operating-characteristics record; None marks an unset metric."""
+    """One operating-characteristics record; None marks an unset metric. Its
+    fields, in order, are the results.csv header and a results.json row's keys.
+    A mutable record compared with ``==``; it is not hashable."""
 
     scenario_id: str
     trial: str

@@ -19,28 +19,28 @@ the cost) and the cost itself (``cost_estimate``, which ``validate``
 prints and meta.json records).
 
 What the main thread does alone is kept small: it builds one row shell
-per curve, takes each calibration level as the worse of the grid and probe
-TIEs, and encodes results.json (``_json_text``) before it opens any output
-file, so a row that JSON cannot hold leaves nothing written.
+per curve and takes each calibration level as the worse of the grid and
+probe TIEs. A row is an ``OCRow``, whose fields are the results.csv header,
+and ``write_outputs`` is the one writer of every file in a run directory.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from . import diagnostics, hybrid, onearm
-from .config import normalize_config, sample_size_keys
+from .config import CONFIG_FILE, normalize_config, sample_size_keys
 from .gaussian import SufficientStat
 from .priors import (
     ExternalMean,
@@ -65,11 +65,7 @@ from .scenarios import (
 
 __all__ = ["SweepResult", "run_config", "write_outputs", "cost_estimate", "CSV_COLUMNS"]
 
-CSV_COLUMNS = (
-    "scenario_id", "trial", "location", "form", "n_robust", "w", "bias",
-    "tie", "power", "power_calibrated", "rmse_std", "w_tilde", "obm",
-    "reps", "seed",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(OCRow))
 
 # Probe used to approximate the all-bias worst case when calibrating the
 # no-borrowing comparison; capped locations have flattened out well before
@@ -77,7 +73,7 @@ CSV_COLUMNS = (
 _CALIBRATION_PROBE_SD_EXT = 30.0
 
 
-@dataclass
+@dataclasses.dataclass
 class SweepResult:
     rows: list[OCRow]
     extras: dict
@@ -425,47 +421,37 @@ def write_rows_csv(path, rows) -> None:
 
 
 def write_outputs(result: SweepResult, cfg: dict, out_dir) -> list[str]:
-    """Write results.csv / results.json (+ summary.csv) and the metadata
-    sidecar; returns the written paths.
+    """Write every file of a run into ``out_dir``, under the names of
+    ``cfg["output"]``: results.csv, results.json, summary.csv when the kind
+    has a summary, meta.json, and the normalized config as ``CONFIG_FILE``;
+    returns the written paths.
 
-    The results.json text is encoded before any file is opened, so a row
-    that JSON cannot hold (NaN, inf, an unsupported type) raises with
-    nothing written."""
+    Each JSON text is encoded before any file is opened, so a row that
+    JSON cannot hold (NaN, inf, an unsupported type) raises with nothing
+    written."""
     cfg = normalize_config(cfg)
-    names = cfg["output"]
-    text = _json_text({
-        "schema_version": cfg["schema_version"],
-        "scenario_id": cfg["scenario_id"],
-        "kind": cfg["kind"],
-        "trial": cfg["trial"],
-        "rows": [vars(r) for r in result.rows],
-        "extras": result.extras,
-    })
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    csv_path = os.path.join(out_dir, names["csv"])
-    write_rows_csv(csv_path, result.rows)
-    written.append(csv_path)
-
-    json_path = os.path.join(out_dir, names["json"])
-    with open(json_path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
-    written.append(json_path)
-
+    texts = {
+        "json": _json_text({
+            "schema_version": cfg["schema_version"],
+            "scenario_id": cfg["scenario_id"],
+            "kind": cfg["kind"],
+            "trial": cfg["trial"],
+            "rows": [vars(r) for r in result.rows],
+            "extras": result.extras,
+        }),
+        "meta": json.dumps(result.meta, indent=1),
+        "config": json.dumps(cfg, indent=1),
+    }
     summary = next(iter(result.extras.values()), None)
+    paths = {k: os.path.join(out_dir, name) for k, name in {**cfg["output"], "config": CONFIG_FILE}.items()}
+    os.makedirs(out_dir, exist_ok=True)
+    write_rows_csv(paths["csv"], result.rows)
+    for key, text in texts.items():
+        with open(paths[key], "w") as fh:
+            fh.writelines((text, "\n"))
     if summary:
-        summary_path = os.path.join(out_dir, names["summary"])
-        _write_csv(summary_path, list(summary[0]), summary)
-        written.append(summary_path)
-
-    meta_path = os.path.join(out_dir, names["meta"])
-    with open(meta_path, "w") as fh:
-        json.dump(result.meta, fh, indent=1)
-        fh.write("\n")
-    written.append(meta_path)
-    return written
+        _write_csv(paths["summary"], list(summary[0]), summary)
+    return [paths[k] for k in ("csv", "json", "summary", "meta", "config") if summary or k != "summary"]
 
 
 def _json_default(value):

@@ -23,6 +23,12 @@ from borrowsim.scenarios import OCRow
 from borrowsim.sweep import CSV_COLUMNS, SweepResult, _curves, cost_estimate, run_config, write_outputs
 
 
+# The results.csv header and each results.json row's keys, in order: a fixed
+# contract, stated here apart from the ``OCRow`` that the writers read it off.
+HEADER = ("scenario_id", "trial", "location", "form", "n_robust", "w", "bias", "tie", "power",
+          "power_calibrated", "rmse_std", "w_tilde", "obm", "reps", "seed")
+
+
 def tiny_grid_config(**overrides):
     cfg = {
         "schema_version": 1,
@@ -280,6 +286,39 @@ def test_each_rule_names_its_field(base, changes, fragment):
 
 def test_top_level_must_be_an_object():
     assert check_config([]) == ["config: top level must be a JSON object"]
+
+
+# Output names under which a run would lose a result file: two files under
+# one name, ignoring case as a case-insensitive filesystem does, a file
+# under config.json's name, or a name outside the run directory, which
+# could fail only after the sweep: (output changes, the error).
+_BAD_OUTPUT = [
+    ({"csv": "same.txt", "json": "same.txt"}, "output.json: must differ from output.csv"),
+    ({"json": "config.json"}, "output.json: must differ from config.json"),
+    ({"meta": "Results.CSV"}, "output.meta: must differ from output.csv"),
+    ({"summary": "CONFIG.JSON"}, "output.summary: must differ from config.json"),
+    *(({"json": name}, "output.json: must be a non-empty file name")
+      for name in ["sub/r.json", "..", ".", "/tmp/r.json", "r\0.json", ""]),
+]
+
+
+@pytest.mark.parametrize("output,error", _BAD_OUTPUT)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_output_names_are_distinct_plain_file_names(tmp_path, capsys, command, output, error):
+    cfg = tiny_grid_config(output=output)
+    assert [e for e in check_config(cfg) if e.startswith(error)], check_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", str(path), *out]) == 2
+    captured = capsys.readouterr()
+    assert f"invalid: {error}" in (captured.err if command == "run" else captured.out)
+    assert not (tmp_path / "o").exists()
+
+
+def test_dots_and_case_are_fine_in_distinct_names():
+    output = {"csv": ".r.csv", "json": "r..json", "meta": "META.json", "summary": "Config.json.csv"}
+    assert check_config(tiny_grid_config(output=output)) == []
 
 
 @pytest.mark.parametrize("base,key,value", [
@@ -558,6 +597,9 @@ class TestResultsJson:
 
     _BIAS = [-0.5, 0.0, 0.5]
 
+    def test_the_header_is_the_fixed_contract(self):
+        assert CSV_COLUMNS == HEADER
+
     @pytest.mark.parametrize("recipe,changes", [
         ("fig1", {"metrics": ["tie", "power", "rmse", "w_tilde"],
                   "sweep": {"location": ["external_mean"], "n_robust": [1.0], "w": [0.5], "bias": _BIAS}}),
@@ -585,6 +627,8 @@ class TestResultsJson:
             "rows": [vars(r) for r in res.rows], "extras": res.extras,
         })
         assert (tmp_path / "results.json").read_text() == expected
+        assert all(tuple(row) == HEADER for row in json.loads(expected)["rows"])
+        assert (tmp_path / "results.csv").read_text().splitlines()[0] == ",".join(HEADER)
         if recipe == "fig8":  # an empty spot's nulls and the bools
             spots = res.extras["sweet_spots"]
             assert spots[0]["empty"] is True and spots[0]["lower"] is None
@@ -629,9 +673,14 @@ class TestResultsJson:
         rows = [OCRow("a", "one-arm", "external_mean", "normal", 1.0, 0.5, 0.0, tie=0.025, reps=5000),
                 OCRow("a", "one-arm", "external_mean", "normal", 1.0, 0.5, 0.5, tie=bad, reps=5000)]
         out = tmp_path / "out"
+        result = SweepResult(rows, {}, {"cells": 2})
         with pytest.raises(error):
-            write_outputs(SweepResult(rows, {}, {"cells": 2}), tiny_grid_config(), out)
+            write_outputs(result, tiny_grid_config(), out)
         assert not out.exists()
+        out.mkdir()  # an existing directory stays empty, config.json included
+        with pytest.raises(error):
+            write_outputs(result, tiny_grid_config(), out)
+        assert os.listdir(out) == []
 
 
 class TestCli:
@@ -709,6 +758,35 @@ class TestCli:
         written = json.loads((tmp_path / "o" / "config.json").read_text())
         assert normalize_config(written) == written
 
+    def test_library_writes_the_config_the_cli_wrote(self, tmp_path):
+        # config.json is json.dump(cfg, indent=1) of the normalized config and
+        # a newline, whether the CLI or a library caller writes the run.
+        cfg = tiny_grid_config(reps=2000)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "cli")) == 0
+        write_outputs(run_config(cfg, threads=2), cfg, tmp_path / "lib")
+        text = (tmp_path / "lib" / "config.json").read_bytes()
+        assert text == (json.dumps(normalize_config(cfg), indent=1) + "\n").encode()
+        assert text == (tmp_path / "cli" / "config.json").read_bytes()
+
+    @pytest.mark.parametrize("base,changes,count", [
+        ("tiny", {}, 4),
+        ("table1", {"reps": 200, "sweep.location": ["current_mean"], "sweep.w": [0.5],
+                    "sweep.deltas": [0.1]}, 5),
+    ], ids=["grid", "table"])
+    def test_every_written_file_is_returned_and_reported(self, tmp_path, capsys, base, changes, count):
+        cfg = mutated(base, changes)
+        written = write_outputs(run_config(cfg, threads=2), cfg, tmp_path / "lib")
+        assert sorted(written) == sorted(str(tmp_path / "lib" / f) for f in os.listdir(tmp_path / "lib"))
+        assert len(written) == count and written[-1].endswith("config.json")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "cli")) == 0
+        wrote = capsys.readouterr().out.splitlines()[-1].partition(": wrote ")[2].split(", ")
+        assert sorted(wrote) == sorted(str(tmp_path / "cli" / f) for f in os.listdir(tmp_path / "cli"))
+        assert len(wrote) == count
+
     def test_missing_seed_fails_validation(self, tmp_path, capsys):
         cfg = tiny_grid_config()
         del cfg["seed"]
@@ -743,7 +821,7 @@ class TestCli:
         for name in ("results.csv", "results.json", "meta.json", "config.json"):
             assert (out_dir / name).exists()
         header = (out_dir / "results.csv").read_text().splitlines()[0]
-        assert header == ",".join(CSV_COLUMNS)
+        assert header == ",".join(HEADER)
         payload = json.loads((out_dir / "results.json").read_text())
         assert len(payload["rows"]) == 12
         meta = json.loads((out_dir / "meta.json").read_text())
