@@ -1,18 +1,7 @@
 """Robust mixture priors for borrowing external data, and the frequentist
 and Bayesian operating characteristics of the resulting trial designs."""
 
-from .gaussian import (
-    GaussianComponent,
-    GaussianMixture,
-    SufficientStat,
-    conjugate_update,
-    gaussian_cdf,
-    log_marginal_likelihood,
-    marginal_likelihood,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_quantile,
-)
+from .gaussian import GaussianComponent, SufficientStat
 from .priors import (
     CurrentMean,
     ExternalMean,
@@ -21,27 +10,9 @@ from .priors import (
     NullBoundary,
     StudentT,
     build_informative,
-    build_mixture_prior,
     resolve_location,
-    t_scale_matching_variance,
-    t_to_normal_mixture,
-    unit_information_variance,
 )
-from .inference import (
-    PosteriorSummary,
-    posterior,
-    posterior_mean,
-    prob_t_not_better,
-    tail_probability,
-)
-from .diagnostics import (
-    BimodalityReport,
-    bimodality_map,
-    bimodality_ratio,
-    find_modes,
-    hpd_disjoint,
-    obm,
-)
+from .diagnostics import bimodality_map
 from .scenarios import (
     DesignPrior,
     HybridScenario,

@@ -14,10 +14,12 @@ from .sweep import cost_estimate, run_config, write_outputs
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: {path} is not UTF-8 text (byte {exc.start}): {exc.reason}")
     except json.JSONDecodeError as exc:
         raise SystemExit(
             f"error: {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

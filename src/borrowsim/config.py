@@ -117,8 +117,8 @@ _FIELDS = (
         "hybrid": ("grid", "sweet-spot", "table", "average"),
     }, default=REQUIRED),
     _Field("scenario_id", _name, "must be a non-empty string", REQUIRED),
-    _Field("seed", _is_int, "must be an integer (set in the file, via --seed, or OC_SEED)",
-           REQUIRED),
+    _Field("seed", lambda v: _is_int(v) and 0 <= v < 2**64,
+           "must be an integer in [0, 2**64) (set in the file, via --seed, or OC_SEED)", REQUIRED),
     _Field("reps", _pos_int, "must be an integer >= 1", REPS),
     _Field("alpha", lambda v: _is_num(v) and 0.0 < v < 1.0, "must be in (0, 1)", ALPHA),
     _Field("sigma", _pos, "must be > 0", 1.0),

@@ -1,51 +1,31 @@
 """Posterior shape diagnostics for two-component normal mixtures.
 
-Mode and antimode finding by derivative sign scan plus bisection, the
-mode-to-antimode density ratio used to grade bimodality strength, a
-(weight x conflict) map of that ratio, and level-set highest-density
-intervals which may come out disjoint when the posterior splits.
+``_modes`` finds the modes and antimode of a batch of mixtures at once,
+by a derivative sign scan plus masked bisection, and grades bimodality
+by the mode-to-antimode density ratio. ``bimodality_map`` runs it over a
+(weight x conflict) grid of posteriors read off the posterior kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianMixture, SufficientStat, brentq, mixture_cdf, mixture_density, mixture_pdf
+from .gaussian import SufficientStat, mixture_density
 from .priors import Normal
 from . import inference, priors
 
 __all__ = [
-    "BimodalityReport",
-    "find_modes",
-    "bimodality_ratio",
-    "obm",
     "bimodality_map",
     "MAP_WEIGHTS",
     "map_biases",
-    "hpd_disjoint",
 ]
 
 _SCAN_POINTS = 2000
 _REFINE_TOL = 1e-9
 # Mixtures per block of the derivative scan: bounds its (2000 x block) arrays.
 _BATCH = 16
-
-
-@dataclass(frozen=True)
-class BimodalityReport:
-    """Stationary-point summary of a two-component mixture density.
-
-    ``ratio`` is the smaller mode density divided by the antimode density
-    (1 when unimodal, by the merging-modes limit).
-    """
-
-    n_modes: int
-    modes: tuple[tuple[float, float], ...]
-    antimode: tuple[float, float] | None
-    ratio: float
 
 
 def _pdf_derivative(x, weights, means, sds):
@@ -144,29 +124,6 @@ def _modes(weights, means, sds):
     return np.where(two, 2, 1), x, f, np.where(two, ratio, 1.0)
 
 
-def find_modes(m: GaussianMixture) -> BimodalityReport:
-    """Locate the modes (and antimode, if any) of a 2-component mixture
-    (the batch finder ``_modes`` on one column)."""
-    if len(m) != 2:
-        raise ValueError(f"mode finding is defined for 2 components, got {len(m)}")
-    n_modes, x, f, ratio = _modes(
-        np.asarray(m.weights)[:, None], m.means()[:, None], m.sds()[:, None]
-    )
-    points = [(float(a), float(b)) for a, b in zip(x[0], f[0])]
-    if n_modes[0] == 1:
-        return BimodalityReport(1, (points[0],), None, 1.0)
-    return BimodalityReport(2, tuple(points[:2]), points[2], float(ratio[0]))
-
-
-def bimodality_ratio(m: GaussianMixture) -> float:
-    """min(mode densities) / antimode density; 1 for a unimodal mixture."""
-    return find_modes(m).ratio
-
-
-# Short alias matching the result-table column name.
-obm = bimodality_ratio
-
-
 # Default axes of the map, which the config's defaults read: weights
 # 0, 0.01, ..., 1 and biases 0, sd_ext/10, ..., 4 sd_ext.
 MAP_WEIGHTS = tuple(round(0.01 * i, 10) for i in range(101))
@@ -204,56 +161,8 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
     bank = priors.AxisBank(scenario.prior, externals, weights=weights)
     P = weights.size
     W, post_means, post_vars = bank.kernel(np.arange(P), np.full(P, data.mean), data.n, data.sigma)
-    # The exact renormalization a GaussianMixture applies to its weights.
+    # Each column renormalized (w / sum w) as a one-mixture posterior is, so the
+    # map equals the one-mixture route bit for bit.
     W = W / (W[0] + W[1])
     sds = np.broadcast_to(np.sqrt(post_vars)[:, None], W.shape)
     return _modes(W, post_means, sds)[3].reshape(shape)
-
-
-def hpd_disjoint(m: GaussianMixture, level: float):
-    """Highest-density region of the mixture at the given mass level.
-
-    Finds the density cutoff whose superlevel set carries exactly
-    ``level`` mass (root search on the cutoff; set mass via CDF
-    differences at the level-set boundaries) and returns
-    ``(is_disjoint, intervals)``.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
-    means = m.means()
-    sds = m.sds()
-    lo = float(means.min() - 9.0 * sds.max())
-    hi = float(means.max() + 9.0 * sds.max())
-    grid = np.linspace(lo, hi, 8001)
-    pdf_grid = mixture_pdf(grid, m)
-    peak = float(pdf_grid.max())
-
-    def intervals_at(c):
-        vals = pdf_grid - c
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        crossings = [
-            brentq(lambda x: mixture_pdf(x, m) - c, grid[i], grid[i + 1],
-                   xtol=1e-13, rtol=8.9e-16)
-            for i in idx
-        ]
-        # The density dips below any positive cutoff at the grid edges, so
-        # crossings pair up as (enter, leave).
-        if len(crossings) % 2 == 1:
-            crossings = crossings[:-1] if vals[0] > 0 else crossings[1:]
-        return [(crossings[i], crossings[i + 1]) for i in range(0, len(crossings), 2)]
-
-    def mass_minus_level(c):
-        return sum(
-            mixture_cdf(b, m) - mixture_cdf(a, m) for a, b in intervals_at(c)
-        ) - level
-
-    c_hi = peak * (1.0 - 1e-9)
-    c_lo = peak * 1e-12
-    cutoff = brentq(mass_minus_level, c_lo, c_hi, xtol=peak * 1e-14, rtol=8.9e-16)
-    result = intervals_at(cutoff)
-    mass = mass_minus_level(cutoff) + level
-    if abs(mass - level) > 1e-6:
-        raise RuntimeError(
-            f"level-set root search left mass {mass:.8f} != {level:.8f}"
-        )
-    return len(result) > 1, result

@@ -1,10 +1,12 @@
-"""Gaussian and Gaussian-mixture probability algebra.
+"""Normal-endpoint values and the numerical tools the engines share.
 
-Closed-form building blocks used by every other module: densities, CDFs,
-quantiles, conjugate posterior updates and marginal likelihoods for a
-normal endpoint with known observation standard deviation. Everything in
-here is a pure function of immutable values and safe to call from any
-number of threads.
+``GaussianComponent`` (one normal) and ``SufficientStat`` (an observed
+mean, its sample size and the known per-observation sd) are the values
+priors are built from. ``mixture_density`` evaluates whole columns of
+normal mixtures at once, ``gauss_rule`` holds the quadrature rules,
+``bisect`` halves arrays of brackets together, and ``brentq`` is scipy's
+root solve, imported at its first call. Everything in here is a pure
+function of immutable values and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -14,27 +16,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, roots_genlaguerre
+from scipy.special import roots_genlaguerre
 
 __all__ = [
     "GaussianComponent",
-    "GaussianMixture",
     "SufficientStat",
-    "gaussian_cdf",
-    "mixture_pdf",
-    "mixture_cdf",
-    "mixture_quantile",
-    "conjugate_update",
-    "marginal_likelihood",
-    "log_marginal_likelihood",
+    "mixture_density",
     "gauss_rule",
 ]
-
-# Weight drift beyond this is treated as an internal error rather than
-# silently renormalized away.
-WEIGHT_DRIFT_TOL = 1e-9
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -53,61 +42,6 @@ class GaussianComponent:
     @property
     def variance(self) -> float:
         return self.sd * self.sd
-
-
-@dataclass(frozen=True)
-class GaussianMixture:
-    """Finite normal mixture with normalized, non-negative weights.
-
-    Weights must sum to one within ``WEIGHT_DRIFT_TOL`` at construction;
-    they are then renormalized exactly so downstream arithmetic never
-    accumulates drift.
-    """
-
-    components: tuple[GaussianComponent, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        w = np.asarray(self.weights, dtype=float)
-        if len(comps) < 1:
-            raise ValueError("mixture needs at least one component")
-        if w.ndim != 1 or w.size != len(comps):
-            raise ValueError(
-                f"{len(comps)} components but {w.size} weights"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ValueError("mixture weights must be finite")
-        if np.any(w < 0.0) or np.any(w > 1.0 + WEIGHT_DRIFT_TOL):
-            raise ValueError(f"mixture weights must lie in [0, 1], got {w!r}")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_DRIFT_TOL:
-            raise ValueError(
-                f"mixture weights sum to {total!r}; drift beyond "
-                f"{WEIGHT_DRIFT_TOL} is an internal error"
-            )
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "weights", tuple(w / total))
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def mean(self) -> float:
-        return float(sum(w * c.mean for w, c in zip(self.weights, self.components)))
-
-    def variance(self) -> float:
-        m = self.mean()
-        second = sum(
-            w * (c.variance + c.mean * c.mean)
-            for w, c in zip(self.weights, self.components)
-        )
-        return float(second - m * m)
-
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
-
-    def sds(self) -> np.ndarray:
-        return np.array([c.sd for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -133,11 +67,6 @@ class SufficientStat:
         return self.sigma / math.sqrt(self.n)
 
 
-def gaussian_cdf(x: float, c: GaussianComponent) -> float:
-    """Phi((x - mean) / sd), accurate to well below 1e-12 absolute."""
-    return float(ndtr((x - c.mean) / c.sd))
-
-
 def mixture_density(x, weights, means, sds):
     """Density of the normal mixtures whose components are the rows of the
     (J,) or (J, R) parameter arrays, at points ``x`` of shape (..., R)."""
@@ -146,23 +75,6 @@ def mixture_density(x, weights, means, sds):
         z = (x - mu) / sd
         out += w * np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     return out
-
-
-def mixture_pdf(x, m: GaussianMixture):
-    """Mixture density; accepts a scalar or an ndarray of points."""
-    out = mixture_density(np.asarray(x, dtype=float), np.asarray(m.weights), m.means(), m.sds())
-    return out if out.ndim else float(out)
-
-
-def mixture_cdf(x, m: GaussianMixture):
-    """Mixture CDF; accepts a scalar or an ndarray of points."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for w, c in zip(m.weights, m.components):
-        if w == 0.0:
-            continue
-        out += w * ndtr((x - c.mean) / c.sd)
-    return out if out.ndim else float(out)
 
 
 def brentq(*args, **kwargs):
@@ -201,50 +113,3 @@ def gauss_rule(family: str, nodes: int, alpha: float = 0.0):
         raise ValueError(f"unknown Gaussian rule family {family!r}")
     x.flags.writeable = wts.flags.writeable = False
     return x, wts
-
-
-def mixture_quantile(p: float, m: GaussianMixture) -> float:
-    """Invert the mixture CDF by bracketed root search.
-
-    The bracket spans [min mean - 12 max sd, max mean + 12 max sd]; a level
-    p whose quantile falls outside signals a malformed mixture and raises.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {p!r}")
-    means = m.means()
-    sds = m.sds()
-    lo = float(means.min() - 12.0 * sds.max())
-    hi = float(means.max() + 12.0 * sds.max())
-    f_lo = mixture_cdf(lo, m) - p
-    f_hi = mixture_cdf(hi, m) - p
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise ValueError(
-            f"quantile bracket [{lo}, {hi}] does not enclose level {p}; "
-            "mixture appears malformed"
-        )
-    # brentq = bisection with secant/inverse-quadratic refinement.
-    return float(brentq(lambda x: mixture_cdf(x, m) - p, lo, hi, xtol=1e-13, rtol=8.9e-16))
-
-
-def conjugate_update(prior: GaussianComponent, data: SufficientStat) -> GaussianComponent:
-    """Posterior component under a normal likelihood with known sigma.
-
-    Precision additivity holds exactly: 1/v' = 1/v + n/sigma**2.
-    """
-    v = prior.variance
-    data_precision = data.n / (data.sigma * data.sigma)
-    post_var = 1.0 / (1.0 / v + data_precision)
-    post_mean = post_var * (prior.mean / v + data.mean * data_precision)
-    return GaussianComponent(post_mean, math.sqrt(post_var))
-
-
-def log_marginal_likelihood(prior: GaussianComponent, data: SufficientStat) -> float:
-    """Log density of the observed mean under the prior-predictive normal."""
-    pred_var = prior.variance + data.sigma * data.sigma / data.n
-    resid = data.mean - prior.mean
-    return -0.5 * (_LOG_2PI + math.log(pred_var)) - 0.5 * resid * resid / pred_var
-
-
-def marginal_likelihood(prior: GaussianComponent, data: SufficientStat) -> float:
-    """Density of the observed mean under N(prior.mean, prior.var + sigma**2/n)."""
-    return math.exp(log_marginal_likelihood(prior, data))

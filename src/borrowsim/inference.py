@@ -1,42 +1,24 @@
-"""Posterior computation under the mixture prior: the kernel and the
-object API.
+"""The posterior kernel under the mixture prior.
 
 The kernel ``posterior_bank`` does component-wise conjugate updates and
 marginal-likelihood weight updates in log space (so extreme prior-data
 conflict never underflows) on whole vectors of observed means at once,
-in slices from ``bank_chunks``. The engines call it on the prior's array
-form, ``priors.AxisBank``, whose ``kernel`` runs it as
-``posterior_bank_into`` on this thread's reused work buffers
+in slices from ``bank_chunks``. The engines and the bimodality map call
+it on the prior's array form, ``priors.AxisBank``, whose ``kernel`` runs
+it as ``posterior_bank_into`` on this thread's reused work buffers
 (``work_array``), so a chunk allocates nothing of size components x draws
-and takes no page faults once the buffers are warm; the bimodality map
-calls it too. The allocating ``posterior_bank`` serves only the object
-API, which reads one dataset's posterior off the same kernel:
-``posterior``, its tail probabilities and mean, and the two-arm
-superiority probability.
+and takes no page faults once the buffers are warm. The allocating
+``posterior_bank`` is the same kernel writing into new arrays.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
-
-from .gaussian import (
-    GaussianComponent,
-    GaussianMixture,
-    SufficientStat,
-    mixture_cdf,
-)
 
 __all__ = [
-    "PosteriorSummary",
-    "posterior",
-    "tail_probability",
-    "posterior_mean",
-    "prob_t_not_better",
     "posterior_bank",
     "posterior_bank_into",
     "work_array",
@@ -53,20 +35,6 @@ _CHUNK_ELEMENTS = 1 << 19
 # Monte Carlo counts widen the bands of draws they re-decide by the kernel:
 # far wider than the kernel's rounding at a decision boundary.
 _GUARD_SE = 1e-9
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Mixture posterior plus the quantities read off it downstream.
-
-    ``w_informative`` is the posterior weight of component 0 (the
-    informative component by construction).
-    """
-
-    posterior: GaussianMixture
-    w_informative: float
-    mean: float
-    tail_at: tuple[float, float] | None = None
 
 
 def posterior_bank(means, variances, log_weights, ybar, n, sigma):
@@ -176,58 +144,3 @@ def bank_chunks(total: int, n_components: int):
         stop = total if total - start <= step + 1 else start + step
         yield slice(start, stop)
         start = stop
-
-
-def posterior(
-    prior: GaussianMixture,
-    data: SufficientStat,
-    null_value: float | None = None,
-) -> PosteriorSummary:
-    """Full mixture posterior for one dataset.
-
-    Component j keeps its identity; its new weight is proportional to the
-    old weight times the marginal likelihood of the data under it.
-    """
-    means = prior.means()
-    variances = prior.sds() ** 2
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.asarray(prior.weights))
-    post_w, post_mean, post_var = posterior_bank(
-        means, variances, logw, data.mean, data.n, data.sigma
-    )
-    post_w = post_w[:, 0]
-    post_mean = post_mean[:, 0]
-    comps = tuple(
-        GaussianComponent(m, math.sqrt(v)) for m, v in zip(post_mean, post_var)
-    )
-    mixture = GaussianMixture(comps, tuple(post_w))
-    summary = PosteriorSummary(mixture, float(post_w[0]), float(np.dot(post_w, post_mean)))
-    if null_value is not None:
-        summary = replace(summary, tail_at=(null_value, tail_probability(summary, null_value)))
-    return summary
-
-
-def tail_probability(post: PosteriorSummary, threshold: float) -> float:
-    """Posterior probability that the parameter lies at or below ``threshold``."""
-    return float(mixture_cdf(threshold, post.posterior))
-
-
-def posterior_mean(post: PosteriorSummary) -> float:
-    """Weighted mean of the posterior component means."""
-    return post.mean
-
-
-def prob_t_not_better(post_c: PosteriorSummary, post_t: GaussianComponent) -> float:
-    """Probability that the treatment parameter is not above the control one.
-
-    Treatment and control posteriors are independent; the treatment
-    posterior is a single normal (flat or conjugate unit-information
-    prior), the control posterior a mixture.
-    """
-    total = 0.0
-    for w, c in zip(post_c.posterior.weights, post_c.posterior.components):
-        if w == 0.0:
-            continue
-        s = math.sqrt(post_t.sd**2 + c.sd**2)
-        total += w * float(ndtr((c.mean - post_t.mean) / s))
-    return total

@@ -9,10 +9,10 @@ Gamma quantiles, so the whole prior stays a normal mixture and posterior
 updates stay closed-form. The exact-t routes use a Gauss-Laguerre bank
 over the same Gamma precision instead.
 
-``prior_bank_params`` is the one construction of the components, of
-which ``build_mixture_prior`` and ``t_to_normal_mixture`` are mixture
-views; ``AxisBank`` holds it along an axis of external means, the one
-form the engines hand the posterior kernel.
+``prior_bank_params`` is the one construction of the components (their
+variances and log weights); ``AxisBank`` holds it along an axis of
+external means, the one form of the prior that the engines and the
+bimodality map hand the posterior kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaincinv
 
-from .gaussian import GaussianComponent, GaussianMixture, SufficientStat, gauss_rule
+from .gaussian import GaussianComponent, SufficientStat, gauss_rule
 from .inference import posterior_bank_into, work_array
 
 __all__ = [
@@ -36,12 +36,8 @@ __all__ = [
     "RobustForm",
     "MixturePriorSpec",
     "build_informative",
-    "unit_information_variance",
     "resolve_location",
-    "t_to_normal_mixture",
     "t_laguerre_bank",
-    "t_scale_matching_variance",
-    "build_mixture_prior",
     "prior_bank_params",
     "robust_location",
     "AxisBank",
@@ -168,17 +164,6 @@ def build_informative(external: SufficientStat) -> GaussianComponent:
     return GaussianComponent(external.mean, external.sigma / math.sqrt(external.n))
 
 
-def unit_information_variance(sigma: float) -> float:
-    """Prior variance worth exactly one observation.
-
-    The Fisher information of a single normal observation with known sd is
-    1/sigma**2, so the unit-information variance is sigma**2.
-    """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    return sigma * sigma
-
-
 def resolve_location(
     policy: LocationPolicy,
     external: SufficientStat,
@@ -240,39 +225,6 @@ def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
         + half * math.log(half) - half * math.log(c) - math.lgamma(half)
         + b * lam
     )
-
-
-def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
-    """Equal-weight normal bank approximating a location-scale t.
-
-    A t with df degrees of freedom is a normal scale mixture whose
-    precision is Gamma(df/2, df/2) distributed; component i gets variance
-    scale**2 / lambda_i with lambda_i the (i - 0.5)/k Gamma quantile.
-    Component variances are strictly decreasing in i.
-
-    The bank tracks the t only out to about its widest component,
-    scale / sqrt(lambda_min) (about 6.5 * scale for df 3, k 100). Beyond
-    that its tail is normal: at df 3, k 100, scale 1 and w 0.5 with
-    external sd 1/sqrt(15), the one-arm error rate under conflict
-    matches the exact t's to 2e-5 at 30 external sds (0.0324), stalls
-    at 0.0305 at 45 and 0.0306 at 60, then climbs (0.0363 at 120, 0.097
-    at 480), while the exact t's keeps falling toward 0.025 like
-    1/conflict. Limits in the conflict are therefore checked on the
-    exact-t route, whose Gauss-Laguerre bank (``t_laguerre_bank``) is
-    exact for the t up to a node-count residual that it checks.
-    """
-    return _mixture(np.full(form.k, mu), *_robust_block(form))
-
-
-def t_scale_matching_variance(variance: float, df: float) -> float:
-    """Scale making the exact t variance equal ``variance``.
-
-    Used by the scale-sensitivity sweeps; the default convention instead
-    matches the df -> inf normal limit.
-    """
-    if not (variance > 0 and df > 2):
-        raise ValueError("need variance > 0 and df > 2")
-    return math.sqrt(variance * (df - 2.0) / df)
 
 
 def _robust_block(form: StudentT, t_shift: float | None = None, t_nodes: int = EXACT_T_NODES):
@@ -366,20 +318,3 @@ class AxisBank:
         log_w = self.log_w if self.log_w.ndim == 1 else np.take(
             self.log_w, point, axis=1, out=work_array("log_w", J, R))
         return W, pm, posterior_bank_into(means, self.variances, log_w, ybar, n, sigma, W, pm)
-
-
-def _mixture(means, variances, log_weights) -> GaussianMixture:
-    comps = tuple(GaussianComponent(float(m), math.sqrt(v)) for m, v in zip(means, variances))
-    return GaussianMixture(comps, tuple(np.exp(log_weights)))
-
-
-def build_mixture_prior(
-    spec: MixturePriorSpec,
-    current: SufficientStat | None = None,
-) -> GaussianMixture:
-    """The prior as a mixture: components (mean, sqrt(variance)) and weights
-    exp(log weight) of ``prior_bank_params``, component 0 the informative
-    one, and a current-mean location resolved against ``current``."""
-    variances, log_weights, info_mean, _ = prior_bank_params(spec, spec.external)
-    loc = resolve_location(spec.location, spec.external, current)
-    return _mixture(np.concatenate(([info_mean], np.full(variances.size - 1, loc))), variances, log_weights)

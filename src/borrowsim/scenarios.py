@@ -85,8 +85,8 @@ def _check_common(alpha, reps, seed):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if int(reps) != reps or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
-    if int(seed) != seed:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if int(seed) != seed or not 0 <= seed < 2**64:  # the streams key on 64 bits (``_token``)
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)

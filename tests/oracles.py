@@ -42,9 +42,11 @@ weights, read off it. The library's kernel writes each step
 into reused work buffers, chunk by chunk, and must match these bit for bit.
 
 ``find_modes`` is the scalar mode finder: a derivative sign scan of one
-two-component mixture, each sign change refined by a Python bisection of
-one-point evaluations. The library's finder runs over a batch of
-mixtures at once and must match it bit for bit.
+two-component mixture (a ``mixtures.GaussianMixture``), each sign change
+refined by a Python bisection of one-point evaluations, returning a
+``mixtures.BimodalityReport``. The library's finder runs over a batch of
+mixtures at once and must match it bit for bit, as must
+``mixtures.find_modes``, the library's finder on one mixture.
 
 ``pdf_derivative_expression`` is the batch mode finder's density
 derivative with a new array for every step. The library writes each step
@@ -80,14 +82,14 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from borrowsim import StudentT, build_informative, resolve_location
-from borrowsim.diagnostics import BimodalityReport
-from borrowsim.gaussian import mixture_density, mixture_pdf
+from borrowsim.gaussian import mixture_density
 from borrowsim import diagnostics, hybrid
 from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import AxisBank, prior_bank_params
 from borrowsim.scenarios import SweetSpot, base_normals
+from mixtures import BimodalityReport, mixture_pdf
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001

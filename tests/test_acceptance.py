@@ -58,22 +58,24 @@ from borrowsim import (
     UnitInfo,
     average_tie,
     bimodality_map,
-    conjugate_update,
     delta_restricted_summary,
-    find_modes,
     hybrid_power,
-    marginal_likelihood,
-    mixture_pdf,
     one_arm_power,
     one_arm_rejection_region,
     one_arm_tie,
     one_arm_tie_exact,
-    posterior,
-    prob_t_not_better,
     sweet_spot,
 )
-from borrowsim.gaussian import GaussianMixture
 from borrowsim.onearm import mean_posterior_weight
+from mixtures import (
+    GaussianMixture,
+    conjugate_update,
+    find_modes,
+    marginal_likelihood,
+    mixture_pdf,
+    posterior,
+    prob_t_not_better,
+)
 from oracles import exact_t_tail_oracle
 
 SIGMA = 1.0

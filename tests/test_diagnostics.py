@@ -1,4 +1,4 @@
-"""Mode finding, bimodality grading and highest-density regions."""
+"""Mode finding, bimodality grading and the bimodality map."""
 
 import math
 import os
@@ -16,23 +16,23 @@ from borrowsim import (
     CurrentMean,
     ExternalMean,
     GaussianComponent,
-    GaussianMixture,
     MixturePriorSpec,
     Normal,
     NullBoundary,
     StudentT,
     SufficientStat,
     bimodality_map,
-    bimodality_ratio,
-    find_modes,
-    hpd_disjoint,
-    mixture_cdf,
-    mixture_pdf,
     OneArmScenario,
-    build_mixture_prior,
-    posterior,
 )
 from borrowsim import diagnostics, inference
+from mixtures import (
+    GaussianMixture,
+    bimodality_ratio,
+    build_mixture_prior,
+    find_modes,
+    mixture_pdf,
+    posterior,
+)
 import oracles
 
 SEPARATED = GaussianMixture(
@@ -255,7 +255,7 @@ class TestBimodalityRatio:
         def posterior_ratio(bias):
             ext = SufficientStat(bias, 15, 1.0)
             spec = MixturePriorSpec(0.9, ext, ExternalMean(), Normal(), n_robust=1.0)
-            from borrowsim import build_mixture_prior, posterior
+            from mixtures import build_mixture_prior, posterior
 
             data = SufficientStat(0.0, 20, 1.0)
             post = posterior(build_mixture_prior(spec, current=data), data)
@@ -349,46 +349,3 @@ class TestBimodalityMap:
         s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
         with pytest.raises(TypeError):
             bimodality_map(s, w_grid=[0.5], bias_grid=[0.0])
-
-
-class TestHpd:
-    def test_unimodal_single_interval(self):
-        m = GaussianMixture(
-            (GaussianComponent(0.0, 1.0), GaussianComponent(0.5, 1.2)), (0.5, 0.5)
-        )
-        disjoint, intervals = hpd_disjoint(m, 0.95)
-        assert not disjoint
-        assert len(intervals) == 1
-
-    def test_separated_pair_splits(self):
-        disjoint, intervals = hpd_disjoint(SEPARATED, 0.90)
-        assert disjoint
-        assert len(intervals) == 2
-        # level-set symmetry
-        (a1, b1), (a2, b2) = intervals
-        assert a1 == pytest.approx(-b2, abs=1e-6)
-        assert b1 == pytest.approx(-a2, abs=1e-6)
-
-    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
-    def test_mass_matches_level(self, level):
-        disjoint, intervals = hpd_disjoint(SEPARATED, level)
-        mass = sum(mixture_cdf(b, SEPARATED) - mixture_cdf(a, SEPARATED) for a, b in intervals)
-        assert mass == pytest.approx(level, abs=1e-6)
-
-    def test_regions_nest_as_level_grows(self):
-        small = hpd_disjoint(SEPARATED, 0.5)[1]
-        large = hpd_disjoint(SEPARATED, 0.9)[1]
-        for a, b in small:
-            assert any(a >= c - 1e-9 and b <= d + 1e-9 for c, d in large)
-
-    def test_density_cut_property(self):
-        # inside the region the density is at least the cutoff implied by
-        # any point just outside
-        _, intervals = hpd_disjoint(SEPARATED, 0.9)
-        boundary_density = mixture_pdf(intervals[0][0], SEPARATED)
-        inside = np.linspace(intervals[0][0], intervals[0][1], 50)
-        assert np.all(mixture_pdf(inside, SEPARATED) >= boundary_density - 1e-9)
-
-    def test_level_bounds_checked(self):
-        with pytest.raises(ValueError):
-            hpd_disjoint(SEPARATED, 1.0)

@@ -10,24 +10,25 @@ from scipy.integrate import quad
 from borrowsim import (
     ExternalMean,
     GaussianComponent,
-    GaussianMixture,
     HybridScenario,
     MixturePriorSpec,
     OneArmScenario,
     StudentT,
     SufficientStat,
-    conjugate_update,
     gaussian,
-    gaussian_cdf,
     hybrid,
-    marginal_likelihood,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_quantile,
     onearm,
 )
 from borrowsim.gaussian import bisect, gauss_rule
 from borrowsim.priors import EXACT_T_NODES
+from mixtures import (
+    GaussianMixture,
+    conjugate_update,
+    gaussian_cdf,
+    marginal_likelihood,
+    mixture_cdf,
+    mixture_pdf,
+)
 
 mpmath.mp.dps = 40
 
@@ -107,35 +108,6 @@ class TestMixturePdfCdf:
         xs = np.sort(rng.uniform(-12, 12, 200))
         cdf = mixture_cdf(xs, m)
         assert np.all(np.diff(cdf) >= 0)
-
-
-class TestMixtureQuantile:
-    def test_symmetric_median(self):
-        m = GaussianMixture(
-            (GaussianComponent(-2.0, 1.0), GaussianComponent(2.0, 1.0)), (0.5, 0.5)
-        )
-        assert mixture_quantile(0.5, m) == pytest.approx(0.0, abs=1e-10)
-
-    def test_standard_normal_quantile(self):
-        m = GaussianMixture((STD,), (1.0,))
-        oracle = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf("0.975") - 1))
-        q = mixture_quantile(0.975, m)
-        assert q == pytest.approx(oracle, abs=1e-10)
-        assert q == pytest.approx(1.959964, abs=1e-6)
-
-    @pytest.mark.parametrize("p", [0.001, 0.05, 0.31, 0.5, 0.77, 0.95, 0.999])
-    def test_round_trip(self, p):
-        m = GaussianMixture(
-            (GaussianComponent(-0.5, 0.7), GaussianComponent(1.5, 1.8)), (0.65, 0.35)
-        )
-        assert mixture_cdf(mixture_quantile(p, m), m) == pytest.approx(p, abs=1e-9)
-
-    def test_out_of_range_level_rejected(self):
-        m = GaussianMixture((STD,), (1.0,))
-        with pytest.raises(ValueError):
-            mixture_quantile(0.0, m)
-        with pytest.raises(ValueError):
-            mixture_quantile(1.0, m)
 
 
 class TestConjugateUpdate:

@@ -23,18 +23,20 @@ assert not loaded, f"import borrowsim, borrowsim.cli loaded {loaded}"
 
 # The first solves race from four threads, as a sweep's workers would.
 sys.setswitchinterval(1e-6)
-m = bs.GaussianMixture((bs.GaussianComponent(0.0, 0.26), bs.GaussianComponent(1.5, 2.0)), (0.7, 0.3))
+ext = bs.SufficientStat(0.0, 15, 1.0)
+s = bs.OneArmScenario(0.0, 0.5, 20, 1.0, ext, bs.MixturePriorSpec(0.5, ext), seed=1, reps=10)
 with ThreadPoolExecutor(4) as pool:
-    qs = list(pool.map(lambda _: bs.mixture_quantile(0.3, m), range(4)))
-assert "scipy.optimize" in sys.modules, "mixture_quantile solved without scipy.optimize"
+    regions = list(pool.map(lambda _: bs.one_arm_rejection_region(s, 0.3), range(4)))
+assert "scipy.optimize" in sys.modules, "the rejection region solved without scipy.optimize"
 assert "scipy.stats" not in sys.modules, "a root solve loaded scipy.stats"
+assert regions == [bs.one_arm_rejection_region(s, 0.3)] * 4, regions
 
 from scipy.optimize import brentq
 
-lo = float(m.means().min() - 12.0 * m.sds().max())
-hi = float(m.means().max() + 12.0 * m.sds().max())
-direct = float(brentq(lambda x: bs.mixture_cdf(x, m) - 0.3, lo, hi, xtol=1e-13, rtol=8.9e-16))
-assert qs == [direct] * 4, (qs, direct)
+def f(x):
+    return x**3 - 2.0 * x - 5.0
+
+assert bs.gaussian.brentq(f, 2.0, 3.0, xtol=1e-13) == brentq(f, 2.0, 3.0, xtol=1e-13)
 print("import footprint ok")
 """
 

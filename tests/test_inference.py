@@ -11,12 +11,14 @@ from borrowsim import (
     CurrentMean,
     ExternalMean,
     GaussianComponent,
-    GaussianMixture,
     MixturePriorSpec,
     Normal,
     NullBoundary,
     StudentT,
     SufficientStat,
+)
+from mixtures import (
+    GaussianMixture,
     build_mixture_prior,
     mixture_pdf,
     posterior,
@@ -117,7 +119,7 @@ class TestTailProbability:
     def test_informative_only_equals_single_gaussian_tail(self):
         post = posterior(two_component_prior(1.0), DATA)
         comp = post.posterior.components[0]
-        from borrowsim import gaussian_cdf
+        from mixtures import gaussian_cdf
 
         assert tail_probability(post, 0.1) == pytest.approx(
             gaussian_cdf(0.1, comp), rel=1e-12

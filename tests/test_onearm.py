@@ -261,3 +261,10 @@ class TestDeterminism:
         s1 = scenario(seed=5, reps=50_000)
         d1 = one_arm_tie(s1, 0.0) - one_arm_tie(s1, 0.01 * SD_EXT)
         assert abs(d1) < 5e-4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_64_bits_is_rejected(self, seed):
+        # The draw streams key on the seed's low 64 bits, so a seed 2**64
+        # away from another would share its draws.
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            scenario(seed=seed)

@@ -1,7 +1,5 @@
 """Mixture-prior construction, including the heavy-tail normal bank."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -18,14 +16,15 @@ from borrowsim import (
     StudentT,
     SufficientStat,
     build_informative,
+    resolve_location,
+)
+from borrowsim.priors import gamma_precision_quantiles, prior_bank_params
+from mixtures import (
     build_mixture_prior,
     mixture_pdf,
-    resolve_location,
-    t_scale_matching_variance,
     t_to_normal_mixture,
     unit_information_variance,
 )
-from borrowsim.priors import gamma_precision_quantiles, prior_bank_params
 
 EXT = SufficientStat(0.0, 15, 1.0)
 
@@ -143,11 +142,6 @@ class TestTApproximation:
                 assert dist <= prev
             prev = dist
         assert prev < 1e-4
-
-    def test_scale_matching_variance(self):
-        scale = t_scale_matching_variance(1.0, 3.0)
-        assert scale == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
-        assert StudentT(3.0, scale, 100).scale ** 2 * 3.0 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestBuildMixturePrior:

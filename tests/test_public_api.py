@@ -1,0 +1,48 @@
+"""The names ``borrowsim`` exports, and the README's library tour on them."""
+
+import os
+import re
+import types
+
+import pytest
+
+import borrowsim as bs
+
+PUBLIC = [
+    "CurrentMean", "DesignPrior", "ExternalMean", "GaussianComponent", "HybridScenario",
+    "Informative", "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario",
+    "RobustMixture", "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo",
+    "average_power", "average_tie", "bimodality_map", "build_informative",
+    "calibrated_power_no_borrowing", "delta_restricted_summary", "hybrid_power",
+    "hybrid_power_exact", "hybrid_tie", "hybrid_tie_exact", "no_borrowing_power",
+    "one_arm_power", "one_arm_power_exact", "one_arm_rejection_region", "one_arm_rmse",
+    "one_arm_tie", "one_arm_tie_exact", "resolve_location", "sweet_spot",
+]
+
+# The one-dataset object API: the tests keep what they use in mixtures.py.
+REMOVED = [
+    "GaussianMixture", "conjugate_update", "gaussian_cdf", "log_marginal_likelihood",
+    "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
+    "build_mixture_prior", "t_scale_matching_variance", "t_to_normal_mixture",
+    "unit_information_variance", "PosteriorSummary", "posterior", "posterior_mean",
+    "prob_t_not_better", "tail_probability", "BimodalityReport", "bimodality_ratio",
+    "find_modes", "hpd_disjoint", "obm",
+]
+
+
+def test_the_public_names_are_pinned_and_the_object_api_is_gone():
+    names = sorted(n for n, v in vars(bs).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == sorted(PUBLIC)
+    for name in REMOVED:
+        with pytest.raises(ImportError):
+            exec(f"from borrowsim import {name}", {})
+
+
+def test_the_readme_library_tour_runs_verbatim():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```$", text, re.M | re.S)
+    assert block is not None, "README.md has no python block under 'Library quick tour'"
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -243,6 +243,8 @@ RULES = [
     ("tiny", {"output": {"csv": "a.csv", "xlsx": "b"}}, "output: unknown keys"),
     ("tiny", {"output": {"csv": ""}}, "output.csv"),
     ("fig10", {"external_mean": float("nan")}, "external_mean"),
+    ("tiny", {"seed": -1}, "seed"),
+    ("tiny", {"seed": 2**64}, "seed"),
 ]
 
 
@@ -800,6 +802,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             self.run_cli("validate", "--config", str(path))
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_file_that_is_not_utf8_fails_in_one_line(self, tmp_path, command):
+        # It used to end in a UnicodeDecodeError traceback.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(command, "--config", str(path), *out)
+        assert str(exc.value) == f"error: {path} is not UTF-8 text (byte 0): invalid start byte"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"fig7"', "null"])
