@@ -24,25 +24,7 @@ from .scenarios import (
     TreatmentPrior,
     UnitInfo,
 )
-from .onearm import (
-    one_arm_power,
-    one_arm_power_exact,
-    one_arm_rejection_region,
-    one_arm_rmse,
-    one_arm_tie,
-    one_arm_tie_exact,
-)
-from .hybrid import (
-    average_power,
-    average_tie,
-    calibrated_power_no_borrowing,
-    delta_restricted_summary,
-    hybrid_power,
-    hybrid_power_exact,
-    hybrid_tie,
-    hybrid_tie_exact,
-    no_borrowing_power,
-    sweet_spot,
-)
+from .onearm import one_arm_rejection_region, one_arm_rmse, one_arm_tie_exact
+from .hybrid import calibrated_power_no_borrowing
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
             try:
                 cfg[key] = int(value)
             except ValueError:
-                raise SystemExit(f"error: {env} must be an integer, got {value!r}")
+                raise ConfigError([f"{env}: must be an integer, got {value!r}"])
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "reps", None) is not None:

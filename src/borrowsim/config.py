@@ -75,13 +75,10 @@ def _pos(x):
     return _is_num(x) and x > 0
 
 
-def _name(x):
-    return isinstance(x, str) and x != ""
-
-
 def _file_name(x):
-    """A name that opens a file in the run directory itself."""
-    return _name(x) and x not in (".", "..") and not any(
+    """A plain name: of a file in the run directory, or of the default run
+    directory in ``results/``."""
+    return isinstance(x, str) and x not in ("", ".", "..") and not any(
         sep and sep in x for sep in ("\0", os.sep, os.altsep))
 
 
@@ -116,7 +113,7 @@ _FIELDS = (
         "one-arm": ("grid", "bimodality"),
         "hybrid": ("grid", "sweet-spot", "table", "average"),
     }, default=REQUIRED),
-    _Field("scenario_id", _name, "must be a non-empty string", REQUIRED),
+    _Field("scenario_id", _file_name, _FILE_TEXT, REQUIRED),
     _Field("seed", lambda v: _is_int(v) and 0 <= v < 2**64,
            "must be an integer in [0, 2**64) (set in the file, via --seed, or OC_SEED)", REQUIRED),
     _Field("reps", _pos_int, "must be an integer >= 1", REPS),

@@ -7,13 +7,12 @@ likelihood ratio). Vectorized bisection solves T for the deterministic
 route, and checked Newton steps for the Monte Carlo one (``_threshold_brackets``).
 The Monte Carlo TIE, power and design-prior averages work per curve (a
 bias axis, ``oc_curve``, or an analysis-shift axis under a design prior,
-``average_curve``; a one-point rate is a curve of its own), built by the
-call that asks for it: T solved once for every point on a grid of
-control means whose interval count is the power of two nearest
-sqrt(reps), the common joint draws bucket-sorted by exact grid cell once
-per stream and run and counted by searches against T at their cell's two
-ends, and the draws too close to it re-decided by the per-draw kernel in
-one batched pass per effect. The deterministic route integrates the
+``average_curve``), built by the call that asks for it: T solved once
+for every point on a grid of control means whose interval count is the
+power of two nearest sqrt(reps), the common joint draws bucket-sorted by
+exact grid cell once per stream and run and counted by searches against
+T at their cell's two ends, and the draws too close to it re-decided by
+the per-draw kernel in one batched pass per effect. The deterministic route integrates the
 treatment mean's tail above T over Gauss-Hermite nodes of the control
 mean. Also the mean posterior weight, calibrated no-borrowing power,
 bias-restricted summaries, and the sweet spots, those of a weight block
@@ -50,21 +49,12 @@ from .scenarios import (
 )
 
 __all__ = [
-    "hybrid_tie",
-    "hybrid_power",
-    "hybrid_tie_exact",
-    "hybrid_power_exact",
     "calibrated_power_no_borrowing",
-    "no_borrowing_power",
     "oc_curve",
-    "sweet_spot",
     "sweet_spots",
     "delta_grid",
     "restricted_summary",
-    "delta_restricted_summary",
     "average_curve",
-    "average_tie",
-    "average_power",
 ]
 
 _GH_NODES = 160
@@ -320,16 +310,6 @@ def _rates(s: HybridScenario, design, axis, rates):
     return tuple([int(counts[rate][curve.index[p]]) / s.reps for p in axis] for rate in rates)
 
 
-def hybrid_tie(s: HybridScenario, bias: float) -> float:
-    """Monte Carlo rejection rate with equal arm means."""
-    return oc_curve(s, (bias,), rates=("tie",))[0][0]
-
-
-def hybrid_power(s: HybridScenario, bias: float) -> float:
-    """Monte Carlo rejection rate at treatment - control = effect."""
-    return oc_curve(s, (bias,), rates=("power",))[0][0]
-
-
 def mean_posterior_weight(s: HybridScenario, bias: float) -> float:
     """MC mean of the control posterior informative weight under the null."""
     zc = base_normals(s.seed, s.scenario_id, "control", s.reps)
@@ -372,29 +352,18 @@ def oc_curve(s: HybridScenario, biases, *, exact: bool = False, rates=("tie", "p
     return _gh_curve(s, biases, rates)
 
 
-def hybrid_tie_exact(s: HybridScenario, bias: float) -> float:
-    return oc_curve(s, [bias], exact=True)[0][0]
-
-
-def hybrid_power_exact(s: HybridScenario, bias: float) -> float:
-    return oc_curve(s, [bias], exact=True)[1][0]
-
-
-def no_borrowing_power(s) -> float:
-    """Power of the plain one-sided z test at the scenario's alpha."""
-    return calibrated_power_no_borrowing(s.alpha, s)
-
-
 def calibrated_power_no_borrowing(max_tie: float, s) -> float:
     """Closed-form z-test power at significance level ``max_tie``.
 
     Fair-comparison baseline: the no-borrowing test is rerun at the error
-    rate the borrowing test actually achieved.
+    rate the borrowing test actually achieved. A level of 0 (Monte Carlo
+    TIEs can all be 0 at small reps) gives power 0: a z test at level 0
+    never rejects.
     """
-    if not 0.0 < max_tie <= 1.0:
-        raise ValueError(f"max_tie must be in (0, 1], got {max_tie!r}")
-    if max_tie == 1.0:
-        return 1.0
+    if not 0.0 <= max_tie <= 1.0:
+        raise ValueError(f"max_tie must be in [0, 1], got {max_tie!r}")
+    if max_tie in (0.0, 1.0):
+        return float(max_tie)
     z = float(ndtri(1.0 - max_tie))
     if isinstance(s, OneArmScenario):
         shift = (s.alt_mean - s.null_mean) * math.sqrt(s.n) / s.sigma
@@ -405,27 +374,22 @@ def calibrated_power_no_borrowing(max_tie: float, s) -> float:
     return float(ndtr(shift - z))
 
 
-def sweet_spot(s: HybridScenario, grid) -> SweetSpot:
-    """Bias range with TIE at most alpha and power at least the plain test's,
-    found from a scan of the bias ``grid``."""
-    return sweet_spots([s], grid)[0]
-
-
 def sweet_spots(block, grid) -> list[SweetSpot]:
-    """The sweet spots of a weight block (scenarios that differ only in the
-    informative weight) over one bias ``grid``, in lockstep: each step is
-    one threshold solve over the (weight, bias) points every open curve of
-    ``_sweet_spot_steps`` asks for, and a curve drops out once its spot is
-    found. A point's floats are those of a solve of its own."""
+    """The sweet spots (bias ranges with TIE at most alpha and power at
+    least the plain test's) of a weight block (scenarios that differ only
+    in the informative weight) over one bias ``grid``, in lockstep: each
+    step is one threshold solve over the (weight, bias) points every open
+    curve of ``_sweet_spot_steps`` asks for, and a curve drops out once its
+    spot is found. A point's floats are those of a solve of its own."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
-        raise ValueError("sweet_spot needs a bias grid spanning the candidate region")
+        raise ValueError("a sweet spot needs a bias grid spanning the candidate region")
     if not np.all(np.diff(grid) > 0.0):
-        raise ValueError("sweet_spot needs a strictly increasing bias grid")
+        raise ValueError("a sweet spot needs a strictly increasing bias grid")
     if not block:
         return []
     s = block[0]
-    w0, p0 = s.prior.informative_weight, no_borrowing_power(s)
+    w0, p0 = s.prior.informative_weight, calibrated_power_no_borrowing(s.alpha, s)
     if any(replace(t, prior=replace(t.prior, informative_weight=w0)) != s for t in block):
         raise ValueError("the scenarios of a weight block may differ only in the informative weight")
     curves = [_sweet_spot_steps(grid) for _ in block]
@@ -506,17 +470,10 @@ def delta_grid(delta: float) -> np.ndarray:
 
 def restricted_summary(s: HybridScenario, ties, powers) -> tuple[float, float]:
     """Worst TIE and best power with borrowing minus the no-borrowing power
-    calibrated to it. A worst TIE of 0 (Monte Carlo TIEs can all be 0 at
-    small reps) calibrates to power 0: a z test at level 0 never rejects."""
+    calibrated to it: on the curve over ``delta_grid(delta)``, the summary
+    of |bias| <= delta."""
     max_tie = max(ties)
-    baseline = calibrated_power_no_borrowing(max_tie, s) if max_tie > 0.0 else 0.0
-    return max_tie, max(powers) - baseline
-
-
-def delta_restricted_summary(s: HybridScenario, delta: float, *, exact: bool = False):
-    """Worst TIE and best calibrated power gain when |bias| <= delta: the
-    ``restricted_summary`` of the curve over ``delta_grid(delta)``."""
-    return restricted_summary(s, *oc_curve(s, delta_grid(delta), exact=exact))
+    return max_tie, max(powers) - calibrated_power_no_borrowing(max_tie, s)
 
 
 def _design_robust_variance(s: HybridScenario) -> float:
@@ -543,10 +500,10 @@ def _design_draws(s: HybridScenario, design: DesignPrior) -> np.ndarray:
     raise TypeError(f"unknown design prior {design!r}")
 
 
-def average_curve(s: HybridScenario, design: DesignPrior, shifts, rates=("tie", "power")):
-    """TIE and power (those named in ``rates``) averaged over control means
-    drawn from the design prior, at each analysis shift, as lists of
-    floats: one threshold solve serves the curve.
+def average_curve(s: HybridScenario, design: DesignPrior, shifts):
+    """TIE and power averaged over control means drawn from the design
+    prior, at each analysis shift, as lists of floats: one threshold solve
+    serves the curve.
 
     Data are generated with equal arm means (TIE) or at the scenario's
     effect (power) conditional on each draw; the analysis prior is the
@@ -555,15 +512,5 @@ def average_curve(s: HybridScenario, design: DesignPrior, shifts, rates=("tie", 
     if design is None:  # _Curve reads None as the fixed control mean
         raise ValueError("no design prior given")
     if not len(shifts):
-        return tuple([] for _ in rates)
-    return _rates(s, design, shifts, rates)
-
-
-def average_tie(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
-    """TIE averaged over the design prior at one analysis shift."""
-    return average_curve(s, design, (analysis_shift,), rates=("tie",))[0][0]
-
-
-def average_power(s: HybridScenario, design: DesignPrior, analysis_shift: float = 0.0) -> float:
-    """Power averaged over the design prior at the scenario's effect."""
-    return average_curve(s, design, (analysis_shift,), rates=("power",))[0][0]
+        return [], []
+    return _rates(s, design, shifts, ("tie", "power"))

@@ -11,9 +11,8 @@ boundary: one kernel pass scans every point's tail, and the scan's sorted
 by ``brentq`` into the exact region (the exact scan covers the whole
 window, the Monte Carlo one the grid points that bracket its draws). The
 RMSE and the mean weight are read off one tail-free posterior pass. Each
-curve is built by the call that asks for it (a one-point rate scans alone);
-only a cell's RMSE and mean weight share one pass, through a single-entry
-per-thread memo.
+curve is built by the call that asks for it; only a cell's RMSE and mean
+weight share one pass, through a single-entry per-thread memo.
 """
 
 from __future__ import annotations
@@ -33,12 +32,9 @@ from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location
 from .scenarios import OneArmScenario, base_normals, sorted_normals
 
 __all__ = [
-    "one_arm_tie",
-    "one_arm_power",
     "one_arm_rmse",
     "one_arm_rejection_region",
     "one_arm_tie_exact",
-    "one_arm_power_exact",
     "oc_curve",
 ]
 
@@ -244,16 +240,6 @@ def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "p
     return tuple([int(c) / s.reps for c in count] for count in counts)
 
 
-def one_arm_tie(s: OneArmScenario, bias: float) -> float:
-    """Monte Carlo rejection rate with the truth at the null boundary."""
-    return oc_curve(s, (bias,), rates=("tie",))[0][0]
-
-
-def one_arm_power(s: OneArmScenario, bias: float) -> float:
-    """Monte Carlo rejection rate with the truth at the alternative."""
-    return oc_curve(s, (bias,), rates=("power",))[0][0]
-
-
 def one_arm_rmse(s: OneArmScenario, bias: float, true_mean: float | None = None):
     """RMSE of the posterior mean around the truth, raw and standardized.
 
@@ -376,7 +362,3 @@ def _region_probability(intervals, mean: float, se: float) -> float:
 def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
     """Noise-free TIE: Gaussian mass of the rejection region at the null."""
     return _region_probability(_exact_curve(s, (bias,), **kwargs)[0], s.null_mean, s.se)
-
-
-def one_arm_power_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
-    return _region_probability(_exact_curve(s, (bias,), **kwargs)[0], s.alt_mean, s.se)

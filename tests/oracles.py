@@ -342,12 +342,14 @@ def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
 
 
 def sweet_spot(s, grid) -> SweetSpot:
-    """``hybrid.sweet_spot`` for one curve over the bias ``grid``, each
-    bisection and golden-section step a solve of its own (through
-    ``hybrid.oc_curve`` and ``hybrid.hybrid_power_exact``), the lower end
-    refined before the upper."""
+    """``hybrid.sweet_spots`` for one curve over the bias ``grid``, each
+    bisection and golden-section step a solve of its own (a one-point
+    ``hybrid.oc_curve``), the lower end refined before the upper."""
     grid = np.asarray(grid, dtype=float)
-    p0 = hybrid.no_borrowing_power(s)
+    p0 = hybrid.calibrated_power_no_borrowing(s.alpha, s)
+
+    def power(bias):
+        return hybrid.oc_curve(s, [bias], exact=True)[1][0]
 
     def feasible(biases):
         ties, powers = hybrid.oc_curve(s, biases, exact=True)
@@ -381,19 +383,19 @@ def sweet_spot(s, grid) -> SweetSpot:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
-    fc = hybrid.hybrid_power_exact(s, c)
-    fd = hybrid.hybrid_power_exact(s, d)
+    fc = power(c)
+    fd = power(d)
     while hi - lo > _SWEET_SPOT_RESOLUTION:
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
-            fd = hybrid.hybrid_power_exact(s, d)
+            fd = power(d)
         else:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)
-            fc = hybrid.hybrid_power_exact(s, c)
+            fc = power(c)
     argmax = 0.5 * (lo + hi)
-    best = max(float(powers[j]), hybrid.hybrid_power_exact(s, argmax))
+    best = max(float(powers[j]), power(argmax))
     if best == powers[j]:
         argmax = float(coarse[j])
     return SweetSpot(

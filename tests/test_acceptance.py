@@ -56,16 +56,13 @@ from borrowsim import (
     StudentT,
     SufficientStat,
     UnitInfo,
-    average_tie,
     bimodality_map,
-    delta_restricted_summary,
-    hybrid_power,
-    one_arm_power,
     one_arm_rejection_region,
-    one_arm_tie,
     one_arm_tie_exact,
-    sweet_spot,
 )
+from borrowsim import onearm
+from borrowsim.hybrid import average_curve, delta_grid, restricted_summary, sweet_spots
+from borrowsim.hybrid import oc_curve as hybrid_curve
 from borrowsim.onearm import mean_posterior_weight
 from mixtures import (
     GaussianMixture,
@@ -114,8 +111,7 @@ def hybrid(w, location, n_robust=1.0, robust_variance=None, reps=FULL_REPS):
 def test_criterion_01_one_arm_baseline():
     start = time.perf_counter()
     s = one_arm(0.0, NullBoundary(0.0), robust_variance=400.0)
-    tie = one_arm_tie(s, 0.0)
-    power = one_arm_power(s, 0.0)
+    (tie,), (power,) = onearm.oc_curve(s, [0.0])
     elapsed = time.perf_counter() - start
     ok = abs(tie - 0.025) <= 0.001 and abs(power - 0.609) <= 0.002 and elapsed <= 30
     report(1, ok, f"tie={tie:.5f} (0.025±0.001), power={power:.5f} (0.609±0.002), "
@@ -127,7 +123,7 @@ def test_criterion_01_one_arm_baseline():
 
 def test_criterion_02_hybrid_baseline_power():
     s = hybrid(0.0, ExternalMean(), robust_variance=400.0)
-    power = hybrid_power(s, 0.0)
+    (power,), = hybrid_curve(s, [0.0], rates=("power",))
     # Closed-form one-sided z-test power at effect 0.83: the difference of
     # two 20-patient means with sigma 1 has variance 1/20 + 1/20 = 0.1.
     # "0.75" is this value rounded to two decimals.
@@ -162,7 +158,7 @@ def test_criterion_03_table1_reproduction():
     def work(job):
         _, location, delta = job
         s = hybrid(0.5, location)
-        return delta_restricted_summary(s, delta)
+        return restricted_summary(s, *hybrid_curve(s, delta_grid(delta)))
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(work, jobs))
@@ -412,9 +408,9 @@ def test_criterion_07c_map_symmetric_in_bias_sign():
 
 def test_criterion_08_sweet_spot():
     grid = tuple(np.round(np.arange(-0.8, 0.45, 0.05), 10))
-    spots = {}
-    for w in (0.25, 0.5, 0.75):
-        spots[w] = sweet_spot(hybrid(w, CurrentMean(), reps=10_000), grid)
+    weights = (0.25, 0.5, 0.75)
+    block = [hybrid(w, CurrentMean(), reps=10_000) for w in weights]
+    spots = dict(zip(weights, sweet_spots(block, grid)))
     mid = spots[0.5]
     ok = (
         not mid.empty and mid.max_power > 0.75
@@ -437,7 +433,7 @@ def test_criterion_09_average_tie_is_controlled():
     values = {}
     for name, design, w in pairs:
         s = hybrid(w, ExternalMean())
-        values[name] = average_tie(s, design, 0.0)
+        values[name] = average_curve(s, design, [0.0])[0][0]
     ok = all(abs(v - 0.025) <= 0.002 for v in values.values())
     detail = ", ".join(f"{k}={v:.5f}" for k, v in values.items())
     report(9, ok, f"average TIE with matched design/analysis: {detail} (0.025±0.002)")

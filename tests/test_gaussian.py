@@ -288,7 +288,7 @@ class TestGaussRule:
         rounds = []
         for _ in range(2):
             hybrid.oc_curve(hybrid_s, [0.0, 0.3], exact=True)
-            hybrid.hybrid_tie_exact(hybrid_s, 0.1)
+            hybrid.oc_curve(hybrid_s, [0.1], exact=True)
             onearm.one_arm_tie_exact(onearm_s, 0.2, use_exact_t=True, scan_points=201)
             onearm.one_arm_tie_exact(onearm_s, 0.4, use_exact_t=True, scan_points=201)
             rounds.append(list(built))

@@ -21,16 +21,7 @@ from borrowsim import (
     SufficientStat,
     TreatmentPrior,
     UnitInfo,
-    average_power,
-    average_tie,
     calibrated_power_no_borrowing,
-    delta_restricted_summary,
-    hybrid_power,
-    hybrid_power_exact,
-    hybrid_tie,
-    hybrid_tie_exact,
-    no_borrowing_power,
-    sweet_spot,
 )
 from borrowsim import hybrid, sweep
 from borrowsim.config import normalize_config
@@ -60,32 +51,37 @@ def scenario(w=0.5, location=None, n_robust=1.0, robust_variance=None,
     )
 
 
+def one_point(s, bias, rate, exact=False):
+    """One rate at one bias: a one-point ``hybrid.oc_curve``."""
+    return hybrid.oc_curve(s, [bias], exact=exact, rates=(rate,))[0][0]
+
+
 class TestBaselines:
     def test_no_borrowing_tie(self):
         s = scenario(w=0.0, robust_variance=400.0, reps=400_000)
-        mc = hybrid_tie(s, 0.0)
-        exact = hybrid_tie_exact(s, 0.0)
+        mc = one_point(s, 0.0, "tie")
+        exact = one_point(s, 0.0, "tie", exact=True)
         assert exact == pytest.approx(0.0249, abs=2e-4)
         assert abs(mc - exact) < 3 * math.sqrt(exact * (1 - exact) / s.reps)
 
     def test_no_borrowing_power_closed_form(self):
         # the two-sample z test at level 0.025 and effect 0.83 has power
         # 0.74689 (the often-quoted 0.75 is that value rounded)
-        p0 = no_borrowing_power(scenario())
+        p0 = calibrated_power_no_borrowing(0.025, scenario())
         assert p0 == pytest.approx(0.746887, abs=1e-5)
         s = scenario(w=0.0, robust_variance=400.0, reps=400_000)
-        mc = hybrid_power(s, 0.0)
-        exact = hybrid_power_exact(s, 0.0)
+        mc = one_point(s, 0.0, "power")
+        exact = one_point(s, 0.0, "power", exact=True)
         assert exact == pytest.approx(p0, abs=5e-4)
         assert abs(mc - exact) < 3 * math.sqrt(exact * (1 - exact) / s.reps)
 
     def test_borrowing_at_zero_bias_beats_the_plain_test(self):
         s = scenario(w=0.5, reps=200_000)
-        assert hybrid_power_exact(s, 0.0) > 0.75
+        assert one_point(s, 0.0, "power", exact=True) > 0.75
 
     def test_power_increases_with_the_effect(self):
         values = [
-            hybrid_power_exact(scenario(effect=e, reps=10_000), 0.0)
+            one_point(scenario(effect=e, reps=10_000), 0.0, "power", exact=True)
             for e in (0.4, 0.83, 1.2)
         ]
         assert values[0] < values[1] < values[2]
@@ -96,8 +92,8 @@ class TestCrossPathAgreement:
     @pytest.mark.parametrize("bias", [-0.5, 0.0, 0.25, 0.5])
     def test_monte_carlo_matches_quadrature(self, location, bias):
         s = scenario(w=0.5, location=location, reps=200_000)
-        exact = hybrid_tie_exact(s, bias)
-        mc = hybrid_tie(s, bias)
+        exact = one_point(s, bias, "tie", exact=True)
+        mc = one_point(s, bias, "tie")
         se = math.sqrt(max(exact * (1 - exact), 1e-8) / s.reps)
         assert abs(mc - exact) <= 3 * se
 
@@ -107,8 +103,8 @@ class TestCrossPathAgreement:
             reps=200_000,
         )
         for bias in (0.0, 1.0):
-            exact = hybrid_tie_exact(s, bias)
-            mc = hybrid_tie(s, bias)
+            exact = one_point(s, bias, "tie", exact=True)
+            mc = one_point(s, bias, "tie")
             se = math.sqrt(max(exact * (1 - exact), 1e-8) / s.reps)
             assert abs(mc - exact) <= 3 * se
 
@@ -119,7 +115,7 @@ class TestTreatmentArmPrior:
             w=0.5, treatment_prior=TreatmentPrior.UNIT_INFO_AT_EXTERNAL_MEAN,
             reps=10_000,
         )
-        far = [hybrid_tie_exact(s, b) for b in (5.0, 8.0, 12.0)]
+        far = [one_point(s, b, "tie", exact=True) for b in (5.0, 8.0, 12.0)]
         assert max(far) < 0.10
         assert abs(far[-1] - far[-2]) < 0.01
 
@@ -133,11 +129,12 @@ class TestTreatmentArmPrior:
             n_t=40, n_c=20, reps=10_000,
         )
         bias = 12.0
-        assert hybrid_tie_exact(s_unbal, bias) > hybrid_tie_exact(s_bal, bias) + 0.05
+        unbalanced, balanced = (one_point(v, bias, "tie", exact=True) for v in (s_unbal, s_bal))
+        assert unbalanced > balanced + 0.05
 
     def test_external_mean_normal_inflates_unboundedly_in_contrast(self):
         s = scenario(w=0.5, reps=10_000)
-        values = [hybrid_tie_exact(s, b) for b in (2.0, 4.0, 8.0, 20.0)]
+        values = [one_point(s, b, "tie", exact=True) for b in (2.0, 4.0, 8.0, 20.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.5
 
@@ -159,14 +156,19 @@ class TestCalibratedPower:
     def test_degenerate_level_gives_full_power(self):
         assert calibrated_power_no_borrowing(1.0, scenario()) == 1.0
 
+    def test_level_zero_gives_no_power(self):
+        # A z test at level 0 never rejects (Monte Carlo TIEs can all be 0).
+        assert calibrated_power_no_borrowing(0.0, scenario()) == 0.0
+
     def test_monotone_in_the_level(self):
         levels = [0.005, 0.025, 0.05, 0.2, 0.5]
         values = [calibrated_power_no_borrowing(m, scenario()) for m in levels]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError):
-            calibrated_power_no_borrowing(0.0, scenario())
+        for level in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValueError, match=r"max_tie must be in \[0, 1\]"):
+                calibrated_power_no_borrowing(level, scenario())
 
 
 class TestSweetSpot:
@@ -175,21 +177,21 @@ class TestSweetSpot:
 
     def test_current_mean_spot_exists_and_beats_the_plain_test(self):
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
-        spot = sweet_spot(s, self.grid())
+        spot = sweet_spots([s], self.grid())[0]
         assert not spot.empty
         assert spot.lower < 0.0 < spot.upper or spot.lower < spot.upper
         assert spot.max_power > 0.75
         assert spot.lower <= spot.argmax_bias <= spot.upper
         # both constraints hold strictly inside
         mid = 0.5 * (spot.lower + spot.upper)
-        assert hybrid_tie_exact(s, mid) <= s.alpha + 1e-9
-        assert hybrid_power_exact(s, mid) >= no_borrowing_power(s) - 1e-9
+        assert one_point(s, mid, "tie", exact=True) <= s.alpha + 1e-9
+        assert one_point(s, mid, "power", exact=True) >= calibrated_power_no_borrowing(s.alpha, s) - 1e-9
 
     def test_smaller_weight_widens_the_spot(self):
         widths = {}
         for w in (0.25, 0.75):
             s = scenario(w=w, location=CurrentMean(), reps=10_000)
-            widths[w] = sweet_spot(s, self.grid()).width
+            widths[w] = sweet_spots([s], self.grid())[0].width
         assert widths[0.25] > widths[0.75]
 
     def test_no_borrowing_spot_carries_no_real_gain(self):
@@ -198,11 +200,11 @@ class TestSweetSpot:
         # formally feasible band survives offers no material power gain
         # (an exactly flat prior would sit exactly on the boundary)
         s = scenario(w=0.0, robust_variance=400.0, reps=10_000)
-        spot = sweet_spot(s, self.grid())
+        spot = sweet_spots([s], self.grid())[0]
         if not spot.empty:
-            assert spot.max_power - no_borrowing_power(s) < 1e-4
-        real = sweet_spot(scenario(w=0.5, location=CurrentMean(), reps=10_000), self.grid())
-        assert real.max_power - no_borrowing_power(s) > 0.05
+            assert spot.max_power - calibrated_power_no_borrowing(s.alpha, s) < 1e-4
+        real = sweet_spots([scenario(w=0.5, location=CurrentMean(), reps=10_000)], self.grid())[0]
+        assert real.max_power - calibrated_power_no_borrowing(s.alpha, s) > 0.05
 
     def test_split_feasible_set_is_reported_as_data(self, monkeypatch):
         # Feasible on [-0.6, -0.4] and on [0.0, 0.3]: the wider run is kept
@@ -218,7 +220,7 @@ class TestSweetSpot:
         s = scenario(w=0.5, location=CurrentMean())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spot = sweet_spot(s, self.grid())
+            spot = sweet_spots([s], self.grid())[0]
         assert not spot.empty and not spot.contiguous
         assert spot.lower == pytest.approx(0.0, abs=1e-3)
         assert spot.upper == pytest.approx(0.3, abs=1e-3)
@@ -253,7 +255,7 @@ class TestSweetSpot:
         for s, spot, kind in zip(block, spots, kinds):
             want = oracles.sweet_spot(s, grid)
             assert (spot, spot.curve) == (want, want.curve)
-            one = sweet_spot(s, grid)
+            one = sweet_spots([s], grid)[0]
             assert (spot.contiguous, one, one.curve) == (True, want, want.curve)
             edges = (spot.lower == grid[0], spot.upper == grid[-1])
             assert {"empty": spot.empty, "inner": edges == (False, False),
@@ -294,7 +296,7 @@ class TestSweetSpot:
     def test_needs_a_grid(self):
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
         with pytest.raises(ValueError):
-            sweet_spot(s, ())
+            sweet_spots([s], ())
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled", "repeated"])
     def test_needs_an_increasing_grid(self, order):
@@ -305,7 +307,7 @@ class TestSweetSpot:
                 "repeated": grid[:3] + grid[2:]}[order]
         s = scenario(w=0.5, location=CurrentMean(), reps=10_000)
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweet_spot(s, grid)
+            sweet_spots([s], grid)
 
 
 class TestSharedThreshold:
@@ -333,15 +335,15 @@ class TestSharedThreshold:
         ties, powers = hybrid.oc_curve(s, self.GRID, exact=True)
         assert ties == [reject_prob_gh(s, b, 0.0) for b in self.GRID]
         assert powers == [reject_prob_gh(s, b, s.effect) for b in self.GRID]
-        assert hybrid_tie_exact(s, self.GRID[3]) == ties[3]
-        assert hybrid_power_exact(s, self.GRID[3]) == powers[3]
+        assert one_point(s, self.GRID[3], "tie", exact=True) == ties[3]
+        assert one_point(s, self.GRID[3], "power", exact=True) == powers[3]
 
     def test_a_bracket_on_the_wrong_side_raises(self, monkeypatch):
         # A negative half-width puts the lower end above every threshold.
         monkeypatch.setattr(hybrid, "_BRACKET_SDS", -30.0)
         s = scenario(w=0.5)
         with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*node 0 of 160"):
-            hybrid_tie_exact(s, 0.25)
+            one_point(s, 0.25, "tie", exact=True)
 
     def test_a_block_solve_names_the_failing_curves_weight(self, monkeypatch):
         monkeypatch.setattr(hybrid, "_BRACKET_SDS", -30.0)
@@ -416,14 +418,17 @@ class TestSharedThreshold:
 class TestDeltaRestricted:
     def test_gains_shrink_as_the_restriction_loosens(self):
         s = scenario(w=0.5, reps=10_000)
-        tie_01, gain_01 = delta_restricted_summary(s, 0.1, exact=True)
-        tie_05, gain_05 = delta_restricted_summary(s, 0.5, exact=True)
+        tie_01, gain_01 = hybrid.restricted_summary(
+            s, *hybrid.oc_curve(s, hybrid.delta_grid(0.1), exact=True))
+        tie_05, gain_05 = hybrid.restricted_summary(
+            s, *hybrid.oc_curve(s, hybrid.delta_grid(0.5), exact=True))
         assert tie_05 > tie_01 > 0.02
         assert gain_01 > gain_05
 
     def test_reference_point_against_quadrature(self):
         s = scenario(w=0.5, reps=10_000)
-        max_tie, gain = delta_restricted_summary(s, 0.1, exact=True)
+        max_tie, gain = hybrid.restricted_summary(
+            s, *hybrid.oc_curve(s, hybrid.delta_grid(0.1), exact=True))
         assert max_tie == pytest.approx(0.0238, abs=3e-4)
         assert gain == pytest.approx(0.0988, abs=2e-3)
 
@@ -447,8 +452,6 @@ class TestDeltaRestricted:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="delta must be finite and > 0"):
                 hybrid.delta_grid(delta)
-            with pytest.raises(ValueError, match="delta must be finite and > 0"):
-                delta_restricted_summary(scenario(w=0.5, reps=10), delta, exact=True)
 
     def test_summary_at_level_zero_is_uncalibrated_power(self):
         s = scenario(w=0.5)
@@ -465,7 +468,7 @@ class TestAverageOCs:
     )
     def test_matched_design_and_analysis_hold_the_level(self, design, w):
         s = scenario(w=w, reps=400_000)
-        tie = average_tie(s, design, 0.0)
+        tie = hybrid.average_curve(s, design, [0.0])[0][0]
         assert tie == pytest.approx(0.025, abs=0.0015)
 
     def test_degenerate_design_prior_reduces_to_plain_tie(self):
@@ -474,8 +477,8 @@ class TestAverageOCs:
         ext_huge = SufficientStat(0.0, 10**12, 1.0)
         spec = MixturePriorSpec(0.5, ext_huge, ExternalMean(), Normal(), n_robust=1.0)
         s = HybridScenario(20, 20, 1.0, ext_huge, spec, effect=0.83, seed=91, reps=200_000)
-        avg = average_tie(s, Informative(), 0.0)
-        fixed = hybrid_tie(s, 0.0)
+        avg = hybrid.average_curve(s, Informative(), [0.0])[0][0]
+        fixed = one_point(s, 0.0, "tie")
         assert avg == pytest.approx(fixed, abs=2e-3)
 
     def test_current_mean_analysis_avoids_the_upward_trend(self):
@@ -483,21 +486,21 @@ class TestAverageOCs:
         s_cur = scenario(w=0.5, location=CurrentMean(), reps=200_000)
         design = RobustMixture(0.5)
         # conflict direction that pulls the control posterior down
-        ext_far = average_tie(s_ext, design, -2.0)
-        cur_far = average_tie(s_cur, design, -2.0)
+        ext_far = hybrid.average_curve(s_ext, design, [-2.0])[0][0]
+        cur_far = hybrid.average_curve(s_cur, design, [-2.0])[0][0]
         assert ext_far > 0.04
         assert cur_far < ext_far - 0.01
         # and the external-mean trend keeps growing with the shift
-        assert ext_far > average_tie(s_ext, design, -0.5)
+        assert ext_far > hybrid.average_curve(s_ext, design, [-0.5])[0][0]
 
     def test_average_power_behaves_like_power(self):
         s = scenario(w=0.5, reps=200_000)
-        assert average_power(s, RobustMixture(0.5), 0.0) > 0.7
+        assert hybrid.average_curve(s, RobustMixture(0.5), [0.0])[1][0] > 0.7
 
     def test_design_prior_required(self):
         s = scenario(w=0.5, reps=1000)
         with pytest.raises(ValueError):
-            average_tie(s, None, 0.0)
+            hybrid.average_curve(s, None, [0.0])
 
 
 class TestScenarioValidation:

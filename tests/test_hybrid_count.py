@@ -37,10 +37,6 @@ from borrowsim import (
     SufficientStat,
     TreatmentPrior,
     UnitInfo,
-    average_power,
-    average_tie,
-    hybrid_power,
-    hybrid_tie,
 )
 from borrowsim import hybrid, inference, onearm, priors
 from borrowsim.config import normalize_config
@@ -97,20 +93,28 @@ def build(p):
     return s, p["conflict"] * SD_EXT
 
 
+def one_point(s, x, rate, design=None):
+    """One rate at one bias, or under ``design`` at one analysis shift: a
+    one-point ``hybrid.oc_curve`` or ``hybrid.average_curve``."""
+    if design is None:
+        return hybrid.oc_curve(s, [x], rates=(rate,))[0][0]
+    return hybrid.average_curve(s, design, [x])[rate == "power"][0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(cells)
 def test_counts_equal_the_per_draw_rates(p):
     s, bias = build(p)
-    assert hybrid_tie(s, bias) == per_draw_tie(s, bias)
-    assert hybrid_power(s, bias) == per_draw_power(s, bias)
+    assert one_point(s, bias, "tie") == per_draw_tie(s, bias)
+    assert one_point(s, bias, "power") == per_draw_power(s, bias)
 
 
 @settings(max_examples=40, deadline=None)
 @given(cells, designs)
 def test_design_prior_averages_equal_the_per_draw_rates(p, design):
     s, shift = build(p)
-    assert average_tie(s, design, shift) == per_draw_average_tie(s, design, shift)
-    assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
+    assert one_point(s, shift, "tie", design) == per_draw_average_tie(s, design, shift)
+    assert one_point(s, shift, "power", design) == per_draw_average_power(s, design, shift)
 
 
 @st.composite
@@ -132,12 +136,12 @@ def test_every_point_of_a_curve_equals_the_per_draw_rates(p, design, axis, off, 
         ties, powers = hybrid.oc_curve(s, axis)
         assert ties == [per_draw_tie(s, b) for b in axis]
         assert powers == [per_draw_power(s, b) for b in axis]
-        assert hybrid_tie(s, off) == per_draw_tie(s, off)
+        assert one_point(s, off, "tie") == per_draw_tie(s, off)
         ties, powers = hybrid.average_curve(s, design, axis)
         assert ties == [per_draw_average_tie(s, design, x) for x in axis]
         assert powers == [per_draw_average_power(s, design, x) for x in axis]
-        assert average_tie(s, design, off) == per_draw_average_tie(s, design, off)
-        assert average_power(s, design, off) == per_draw_average_power(s, design, off)
+        assert one_point(s, off, "tie", design) == per_draw_average_tie(s, design, off)
+        assert one_point(s, off, "power", design) == per_draw_average_power(s, design, off)
 
 
 def scenario(reps=5_000, **kwargs):
@@ -153,10 +157,10 @@ def test_tiny_reps_match_the_oracle_without_warnings(reps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bias in (-1.0, 0.0, 0.3):
-            assert hybrid_tie(s, bias) == per_draw_tie(s, bias)
-            assert hybrid_power(s, bias) == per_draw_power(s, bias)
+            assert one_point(s, bias, "tie") == per_draw_tie(s, bias)
+            assert one_point(s, bias, "power") == per_draw_power(s, bias)
         for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
-            assert average_tie(s, design, 0.2) == per_draw_average_tie(s, design, 0.2)
+            assert one_point(s, 0.2, "tie", design) == per_draw_average_tie(s, design, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -174,8 +178,8 @@ def test_every_grid_size_counts_the_per_draw_rates(monkeypatch, reps, points):
     for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
         assert hybrid._Layout(s, design).grid.size == points
         for shift in (-0.4, 0.2):
-            assert average_tie(s, design, shift) == per_draw_average_tie(s, design, shift)
-            assert average_power(s, design, shift) == per_draw_average_power(s, design, shift)
+            assert one_point(s, shift, "tie", design) == per_draw_average_tie(s, design, shift)
+            assert one_point(s, shift, "power", design) == per_draw_average_power(s, design, shift)
         ties, powers = hybrid.average_curve(s, design, (-0.4, 0.2))
         assert ties == [per_draw_average_tie(s, design, x) for x in (-0.4, 0.2)]
         assert powers == [per_draw_average_power(s, design, x) for x in (-0.4, 0.2)]
@@ -286,16 +290,16 @@ def test_a_curve_that_falls_raises(monkeypatch, rate):
     s = scenario()
     with pytest.raises(RuntimeError, match=r"'hybrid'.*falls.*of 65 at bias 0\.25"):
         if rate == "tie":
-            hybrid_tie(s, 0.25)
+            one_point(s, 0.25, "tie")
         else:
-            average_tie(s, UnitInfo(), 0.25)
+            one_point(s, 0.25, "tie", UnitInfo())
 
 
 def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
     # A negative widening puts the lower ends far above every threshold.
     monkeypatch.setattr(hybrid, "_MC_STOP_SE", -50.0)
     with pytest.raises(RuntimeError, match=r"'hybrid'.*lower end.*bias 0\.25.*grid point 0 of 65"):
-        hybrid_power(scenario(), 0.25)
+        one_point(scenario(), 0.25, "power")
 
 
 def test_the_slope_is_the_superiority_probabilitys_derivative():
@@ -397,8 +401,8 @@ def test_a_failed_newton_bracket_falls_back_to_bisection(monkeypatch, fault):
 
 
 def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
-    # One solve per oc_curve or average_curve call, whatever its rates; a
-    # one-point rate is a curve of its own.
+    # One solve per oc_curve call, whatever its rates, or average_curve call;
+    # a one-point rate is a curve of its own.
     solves = []
     solve = hybrid._threshold_brackets
 
@@ -408,30 +412,29 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
 
     monkeypatch.setattr(hybrid, "_threshold_brackets", counting)
     s = scenario()
-    tie, power = hybrid_tie(s, 0.25), hybrid_power(s, 0.25)
+    tie, power = one_point(s, 0.25, "tie"), one_point(s, 0.25, "power")
     assert len(solves) == 2
     assert hybrid.oc_curve(s, (0.25,)) == ([tie], [power])
     assert len(solves) == 3
-    tie, power = average_tie(s, UnitInfo(), 0.25), average_power(s, UnitInfo(), 0.25)
+    tie, power = one_point(s, 0.25, "tie", UnitInfo()), one_point(s, 0.25, "power", UnitInfo())
     assert len(solves) == 5
     assert hybrid.average_curve(s, UnitInfo(), (0.25,)) == ([tie], [power])
-    assert hybrid.average_curve(s, UnitInfo(), (0.25,), rates=("power",)) == ([power],)
-    assert len(solves) == 7
+    assert len(solves) == 6
     # Another design prior draws other control means: a curve of its own.
-    average_tie(s, Informative(), 0.25)
-    assert len(solves) == 8
+    one_point(s, 0.25, "tie", Informative())
+    assert len(solves) == 7
     # A Monte Carlo curve solves every bias at once.
     ties, powers = hybrid.oc_curve(s, (-0.5, 0.0, 0.5))
-    assert len(solves) == 9
+    assert len(solves) == 8
     assert ties == [per_draw_tie(s, b) for b in (-0.5, 0.0, 0.5)]
     assert powers == [per_draw_power(s, b) for b in (-0.5, 0.0, 0.5)]
     # Another thread (another sweep worker) solves its own, to equal values.
     results = []
-    worker = threading.Thread(target=lambda: results.append(hybrid_power(s, 0.5)))
+    worker = threading.Thread(target=lambda: results.append(one_point(s, 0.5, "power")))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(solves) == 10
+    assert len(solves) == 9
     assert results == [powers[2]]
 
 
@@ -440,15 +443,18 @@ def onearm_scenario():
     return OneArmScenario(0.0, 0.5, 20, 1.0, EXT, spec, seed=3, reps=2_000)
 
 
-@pytest.mark.parametrize("route", [
-    lambda rates: onearm.oc_curve(onearm_scenario(), [], rates=rates),
-    lambda rates: onearm.oc_curve(onearm_scenario(), [], exact=True, rates=rates),
-    lambda rates: hybrid.oc_curve(scenario(), [], rates=rates),
-    lambda rates: hybrid.oc_curve(scenario(), [], exact=True, rates=rates),
-    lambda rates: hybrid.average_curve(scenario(), UnitInfo(), [], rates=rates),
+_BOTH, _POWER = ("tie", "power"), ("power",)
+
+
+@pytest.mark.parametrize("route, rate_sets", [
+    (lambda rates: onearm.oc_curve(onearm_scenario(), [], rates=rates), (_BOTH, _POWER)),
+    (lambda rates: onearm.oc_curve(onearm_scenario(), [], exact=True, rates=rates), (_BOTH, _POWER)),
+    (lambda rates: hybrid.oc_curve(scenario(), [], rates=rates), (_BOTH, _POWER)),
+    (lambda rates: hybrid.oc_curve(scenario(), [], exact=True, rates=rates), (_BOTH, _POWER)),
+    (lambda rates: hybrid.average_curve(scenario(), UnitInfo(), []), (_BOTH,)),
 ], ids=["onearm-mc", "onearm-exact", "hybrid-mc", "hybrid-exact", "average"])
-def test_an_empty_axis_gives_one_empty_list_per_rate(route):
-    for rates in (("tie", "power"), ("power",)):
+def test_an_empty_axis_gives_one_empty_list_per_rate(route, rate_sets):
+    for rates in rate_sets:
         assert route(rates) == tuple([] for _ in rates)
 
 

@@ -34,10 +34,7 @@ from borrowsim import (
     OneArmScenario,
     StudentT,
     SufficientStat,
-    one_arm_power,
-    one_arm_power_exact,
     one_arm_rejection_region,
-    one_arm_tie,
     one_arm_tie_exact,
 )
 from borrowsim import hybrid, onearm, scenarios
@@ -85,12 +82,17 @@ def build(p):
     return s, p["conflict"] * SD_EXT
 
 
+def one_point(s, bias, rate, exact=False):
+    """One rate at one bias: a one-point ``onearm.oc_curve``."""
+    return onearm.oc_curve(s, [bias], exact=exact, rates=(rate,))[0][0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(cells)
 def test_counts_equal_the_brute_force_rates(p):
     s, bias = build(p)
-    assert one_arm_tie(s, bias) == brute_force_tie(s, bias)
-    assert one_arm_power(s, bias) == brute_force_power(s, bias)
+    assert one_point(s, bias, "tie") == brute_force_tie(s, bias)
+    assert one_point(s, bias, "power") == brute_force_power(s, bias)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,13 +106,13 @@ def test_extreme_conflicts_give_finite_bounded_numbers(p):
         rmse_std = onearm.one_arm_rmse(s, bias)[1]
         assert math.isfinite(rmse_std) and rmse_std > 0.0
         for value in (onearm.mean_posterior_weight(s, bias), one_arm_tie_exact(s, bias),
-                      one_arm_power_exact(s, bias)):
+                      one_point(s, bias, "power", exact=True)):
             assert 0.0 <= value <= 1.0
         if not isinstance(p["location"], NullBoundary):
             h = HybridScenario(N, N, 1.0, EXT, s.prior, effect=p["alt"] * SE, seed=p["seed"],
                                reps=p["reps"])
             assert 0.0 <= hybrid.mean_posterior_weight(h, bias) <= 1.0
-            assert 0.0 <= hybrid.hybrid_tie_exact(h, bias) <= 1.0
+            assert 0.0 <= hybrid.oc_curve(h, [bias], exact=True)[0][0] <= 1.0
 
 
 @pytest.mark.parametrize("location", [ExternalMean(), NullBoundary(0.0), CurrentMean()],
@@ -151,8 +153,8 @@ def test_a_cell_counts_alike_on_a_curve_and_alone(p, conflicts, reps):
     biases = [c * SD_EXT for c in conflicts]
     ties, powers = onearm.oc_curve(s, biases)
     for bias, tie, power in zip(biases, ties, powers):
-        assert tie == one_arm_tie(s, bias) == brute_force_tie(s, bias)
-        assert power == one_arm_power(s, bias) == brute_force_power(s, bias)
+        assert tie == one_point(s, bias, "tie") == brute_force_tie(s, bias)
+        assert power == one_point(s, bias, "power") == brute_force_power(s, bias)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,7 +172,8 @@ def test_exact_regions_equal_the_scan_and_midpoint_oracle(p, conflicts):
         oracle = rejection_region(s, bias)
         assert list(region) == one_arm_rejection_region(s, bias) == oracle
         assert tie == one_arm_tie_exact(s, bias) == _region_probability(oracle, s.null_mean, s.se)
-        assert power == one_arm_power_exact(s, bias) == _region_probability(oracle, s.alt_mean, s.se)
+        assert power == one_point(s, bias, "power", exact=True) == _region_probability(
+            oracle, s.alt_mean, s.se)
 
 
 def test_a_scan_zero_is_a_boundary_the_midpoint_oracle_misses():
@@ -445,19 +448,19 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
     assert len(scans) == 1
     assert onearm.oc_curve(s, biases, rates=("power", "tie")) == (powers, ties)
     assert len(scans) == 2
-    assert (one_arm_tie(s, SD_EXT), one_arm_power(s, SD_EXT)) == (ties[1], powers[1])
+    assert (one_point(s, SD_EXT, "tie"), one_point(s, SD_EXT, "power")) == (ties[1], powers[1])
     assert len(scans) == 4
     exact_ties, exact_powers = onearm.oc_curve(s, biases, exact=True)
     assert len(regions) == 1
     assert one_arm_tie_exact(s, SD_EXT) == exact_ties[1]
-    assert one_arm_power_exact(s, SD_EXT) == exact_powers[1]
+    assert one_point(s, SD_EXT, "power", exact=True) == exact_powers[1]
     assert len(regions) == 3
     assert one_arm_tie_exact(s, 2 * SD_EXT) == exact_ties[2]
     assert len(regions) == 4 and len(scans) == 4
     # Another thread (another sweep worker) computes its own, to equal values.
     results = []
     worker = threading.Thread(
-        target=lambda: results.append((one_arm_power(s, 2 * SD_EXT), one_arm_tie_exact(s, 2 * SD_EXT))))
+        target=lambda: results.append((one_point(s, 2 * SD_EXT, "power"), one_arm_tie_exact(s, 2 * SD_EXT))))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
@@ -477,8 +480,8 @@ def test_monte_carlo_rates_refine_no_boundary(monkeypatch):
     for location in (ExternalMean(), NullBoundary(0.0), CurrentMean()):
         for form in (Normal(), StudentT(3.0, 1.0, 20)):
             s = scenario(location=location, form=form)
-            one_arm_tie(s, SD_EXT)
-            one_arm_power(s, -SD_EXT)
+            one_point(s, SD_EXT, "tie")
+            one_point(s, -SD_EXT, "power")
             onearm.oc_curve(s, (0.0, 2 * SD_EXT, 30 * SD_EXT))
     for recipe in ("a1-dispersion", "fig1-t"):
         cfg = {**recipe_config(recipe), "reps": 1_000}

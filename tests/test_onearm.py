@@ -15,13 +15,11 @@ from borrowsim import (
     OneArmScenario,
     StudentT,
     SufficientStat,
-    one_arm_power,
-    one_arm_power_exact,
     one_arm_rejection_region,
     one_arm_rmse,
-    one_arm_tie,
     one_arm_tie_exact,
 )
+from borrowsim import onearm
 from borrowsim.config import normalize_config
 from borrowsim.onearm import mean_posterior_weight
 from borrowsim.recipes import recipe_config
@@ -45,6 +43,11 @@ def scenario(w=0.5, location=None, n_robust=1.0, robust_variance=None, form=None
     return OneArmScenario(0.0, 0.5, n, 1.0, EXT, spec, seed=seed, reps=reps)
 
 
+def one_point(s, bias, rate, exact=False):
+    """One rate at one bias: a one-point ``onearm.oc_curve``."""
+    return onearm.oc_curve(s, [bias], exact=exact, rates=(rate,))[0][0]
+
+
 def near_flat_tie_oracle(n_robust=1.0 / 400.0, n=20, alpha=0.025):
     """Closed-form TIE of the robust-only test with the prior at the null."""
     z = ndtri(1 - alpha)
@@ -61,7 +64,7 @@ class TestNoBorrowingBaselines:
                      reps=400_000)
         oracle = near_flat_tie_oracle()
         assert oracle == pytest.approx(0.0249, abs=1e-4)
-        mc = one_arm_tie(s, 0.0)
+        mc = one_point(s, 0.0, "tie")
         se = math.sqrt(oracle * (1 - oracle) / s.reps)
         assert abs(mc - oracle) < 3 * se
         assert one_arm_tie_exact(s, 0.0) == pytest.approx(oracle, abs=1e-9)
@@ -69,18 +72,18 @@ class TestNoBorrowingBaselines:
     def test_power_against_closed_form(self):
         s = scenario(w=0.0, location=NullBoundary(0.0), robust_variance=400.0,
                      reps=400_000)
-        exact = one_arm_power_exact(s, 0.0)
+        exact = one_point(s, 0.0, "power", exact=True)
         # the plain z test at alpha 0.025, n=20, effect 0.5 sits at 0.6088;
         # the 1/400-precision prior at the null shaves a few parts in 1e4
         assert exact == pytest.approx(0.6083, abs=5e-4)
-        mc = one_arm_power(s, 0.0)
+        mc = one_point(s, 0.0, "power")
         assert abs(mc - exact) < 3 * math.sqrt(exact * (1 - exact) / s.reps)
 
     def test_power_far_alternative_saturates(self):
         s = scenario(w=0.0, location=NullBoundary(0.0), robust_variance=400.0,
                      reps=10_000)
         s = OneArmScenario(0.0, 5.0, 20, 1.0, EXT, s.prior, seed=3, reps=10_000)
-        assert one_arm_power(s, 0.0) == pytest.approx(1.0, abs=1e-4)
+        assert one_point(s, 0.0, "power") == pytest.approx(1.0, abs=1e-4)
 
 
 class TestRejectionRegion:
@@ -102,7 +105,7 @@ class TestRejectionRegion:
         s = scenario(w=0.5, location=location, reps=200_000)
         bias = bias_mult * SD_EXT
         exact = one_arm_tie_exact(s, bias)
-        mc = one_arm_tie(s, bias)
+        mc = one_point(s, bias, "tie")
         se = math.sqrt(max(exact * (1 - exact), 1e-8) / s.reps)
         assert abs(mc - exact) <= 3 * se
 
@@ -166,7 +169,7 @@ class TestPowerDominance:
     def test_power_at_least_tie_when_alternative_above_null(self, bias_mult):
         s = scenario(w=0.5, reps=10_000)
         bias = bias_mult * SD_EXT
-        assert one_arm_power_exact(s, bias) >= one_arm_tie_exact(s, bias)
+        assert one_point(s, bias, "power", exact=True) >= one_arm_tie_exact(s, bias)
 
 
 class TestRmse:
@@ -246,20 +249,20 @@ class TestWeightPropagation:
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
-        a = one_arm_tie(scenario(seed=5, reps=50_000), SD_EXT)
-        b = one_arm_tie(scenario(seed=5, reps=50_000), SD_EXT)
+        a = one_point(scenario(seed=5, reps=50_000), SD_EXT, "tie")
+        b = one_point(scenario(seed=5, reps=50_000), SD_EXT, "tie")
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = one_arm_tie(scenario(seed=5, reps=50_000), SD_EXT)
-        b = one_arm_tie(scenario(seed=6, reps=50_000), SD_EXT)
+        a = one_point(scenario(seed=5, reps=50_000), SD_EXT, "tie")
+        b = one_point(scenario(seed=6, reps=50_000), SD_EXT, "tie")
         assert a != b
 
     def test_common_random_numbers_across_bias(self):
         # identical draws across the bias axis make the TIE difference of
         # adjacent biases far less noisy than independent sampling would
         s1 = scenario(seed=5, reps=50_000)
-        d1 = one_arm_tie(s1, 0.0) - one_arm_tie(s1, 0.01 * SD_EXT)
+        d1 = one_point(s1, 0.0, "tie") - one_point(s1, 0.01 * SD_EXT, "tie")
         assert abs(d1) < 5e-4
 
     @pytest.mark.parametrize("seed", [-1, 2**64])

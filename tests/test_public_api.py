@@ -12,15 +12,20 @@ PUBLIC = [
     "CurrentMean", "DesignPrior", "ExternalMean", "GaussianComponent", "HybridScenario",
     "Informative", "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario",
     "RobustMixture", "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo",
-    "average_power", "average_tie", "bimodality_map", "build_informative",
-    "calibrated_power_no_borrowing", "delta_restricted_summary", "hybrid_power",
-    "hybrid_power_exact", "hybrid_tie", "hybrid_tie_exact", "no_borrowing_power",
-    "one_arm_power", "one_arm_power_exact", "one_arm_rejection_region", "one_arm_rmse",
-    "one_arm_tie", "one_arm_tie_exact", "resolve_location", "sweet_spot",
+    "bimodality_map", "build_informative", "calibrated_power_no_borrowing",
+    "one_arm_rejection_region", "one_arm_rmse", "one_arm_tie_exact", "resolve_location",
 ]
 
-# The one-dataset object API: the tests keep what they use in mixtures.py.
-REMOVED = [
+# The one-point rate wrappers: a rate comes from the curve call behind it.
+WRAPPERS = [
+    "one_arm_tie", "one_arm_power", "one_arm_power_exact", "hybrid_tie", "hybrid_power",
+    "hybrid_tie_exact", "hybrid_power_exact", "average_tie", "average_power", "sweet_spot",
+    "delta_restricted_summary", "no_borrowing_power",
+]
+
+# Those and the one-dataset object API (the tests keep what they use of it
+# in mixtures.py) are gone.
+REMOVED = WRAPPERS + [
     "GaussianMixture", "conjugate_update", "gaussian_cdf", "log_marginal_likelihood",
     "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "build_mixture_prior", "t_scale_matching_variance", "t_to_normal_mixture",
@@ -37,6 +42,8 @@ def test_the_public_names_are_pinned_and_the_object_api_is_gone():
     for name in REMOVED:
         with pytest.raises(ImportError):
             exec(f"from borrowsim import {name}", {})
+    for name in WRAPPERS:
+        assert not hasattr(bs.onearm, name) and not hasattr(bs.hybrid, name)
 
 
 def test_the_readme_library_tour_runs_verbatim():

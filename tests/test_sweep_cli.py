@@ -1,6 +1,7 @@
 """Scenario-file validation, sweep engine and command-line interface."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -245,6 +246,8 @@ RULES = [
     ("fig10", {"external_mean": float("nan")}, "external_mean"),
     ("tiny", {"seed": -1}, "seed"),
     ("tiny", {"seed": 2**64}, "seed"),
+    ("tiny", {"scenario_id": "../x"}, "scenario_id"),
+    ("tiny", {"scenario_id": "a/b"}, "scenario_id"),
 ]
 
 
@@ -890,6 +893,30 @@ class TestCli:
         )
         meta = json.loads((tmp_path / "f" / "meta.json").read_text())
         assert meta["seed"] == 222 and meta["reps"] == 3000
+
+    @pytest.mark.parametrize("env", ["OC_SEED", "OC_REPS"])
+    def test_a_malformed_env_override_exits_2(self, tmp_path, capsys, monkeypatch, env):
+        # It used to exit 1, while OC_REPS=0 and --reps abc exit 2.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_grid_config()))
+        monkeypatch.setenv(env, "abc")
+        assert self.run_cli("validate", "--config", str(path)) == 2
+        assert f"invalid: {env}: must be an integer, got 'abc'" in capsys.readouterr().out
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert f"invalid: {env}: must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_calibrated_grid_whose_every_tie_is_0_runs(self, tmp_path):
+        # A robust component of precision 1e4 at the null: no draw rejects,
+        # nor does the exact route at the probes, so the calibration level
+        # is 0. It used to fail after the whole sweep, writing nothing.
+        cfg = tiny_grid_config(reps=2000, metrics=["tie", "power_calibrated"], sweep={
+            "location": ["null_boundary"], "n_robust": [10000], "w": [0.0], "bias": [0.0, 0.5]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert self.run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 0
+        rows = list(csv.DictReader((tmp_path / "o" / "results.csv").read_text().splitlines()))
+        assert [(r["tie"], r["power_calibrated"]) for r in rows] == [("0", "0")] * 2
 
     def test_run_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit):
