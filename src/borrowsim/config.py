@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import MAP_WEIGHTS, map_biases
-from .priors import ExternalMean, NullBoundary, StudentT
+from .priors import MAX_T_COMPONENTS, ExternalMean, NullBoundary, StudentT
 from .scenarios import ALPHA, LOCATION_NAMES, REPS, TreatmentPrior
 
 SCHEMA_VERSION = 1
@@ -83,6 +83,9 @@ def _file_name(x):
 
 
 _FILE_TEXT = "must be a non-empty file name with no path separator or NUL, not . or .."
+# The rule of ``priors.StudentT.k``: form.k and each sweep.k.
+_K_RULE = (lambda v: _pos_int(v) and v <= MAX_T_COMPONENTS,
+           f"must be an integer in [1, {MAX_T_COMPONENTS}]")
 
 
 def sample_size_keys(trial) -> tuple[str, ...]:
@@ -126,7 +129,7 @@ _FIELDS = (
     _Field("form.kind", ("normal", "student_t"), default=REQUIRED),
     _Field("form.df", lambda v: _is_num(v) and v > 2, "must be > 2", StudentT.df, only=(_T,)),
     _Field("form.scale", _pos, "must be > 0", StudentT.scale, only=(_T,)),
-    _Field("form.k", _pos_int, "must be an integer >= 1", StudentT.k, only=(_T,)),
+    _Field("form.k", *_K_RULE, StudentT.k, only=(_T,)),
     _Field("n", _pos_int, "must be an integer >= 1", REQUIRED, only=(_ONE_ARM,)),
     _Field("null_mean", _is_num, "must be a finite number", 0.0, only=(_ONE_ARM,)),
     _Field("alt_mean", _is_num, "must be a finite number",
@@ -154,8 +157,7 @@ _FIELDS = (
     _Field("sweep.robust_variance", _pos, "must be > 0", shape="list", only=(_NORMAL,)),
     _Field("sweep.n_robust", _pos, "must be > 0",
            lambda c: _ABSENT if "robust_variance" in c["sweep"] else [1.0], "list", (_NORMAL,)),
-    _Field("sweep.k", _pos_int, "must be an integer >= 1", lambda c: [c["form"]["k"]], "list",
-           (_T,)),
+    _Field("sweep.k", *_K_RULE, lambda c: [c["form"]["k"]], "list", (_T,)),
     _Field("sweep.scale", _pos, "must be > 0", lambda c: [c["form"]["scale"]], "list", (_T,)),
     _Field("sweep.deltas", _pos, "must be > 0", REQUIRED, "list", (("kind", ("table",)),)),
     _Field("sweep.analysis_shift", _is_num, "must be a finite number", REQUIRED, "grid",

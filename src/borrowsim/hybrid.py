@@ -220,12 +220,13 @@ class _Layout:
     one integer search answers every (point, cell) query exactly. The grid
     has ``_grid_points(reps)`` points over the observed control means; a
     draw is in cell k when grid[k] <= its control mean < grid[k + 1], the
-    last point being a cell of its own (at reps 1 the points coincide)."""
+    last point being a cell of its own (at reps 1 the points coincide).
+    It keeps the control and treatment streams ``zc`` and ``zt``."""
 
     def __init__(self, s: HybridScenario, design):
         self.theta = s.control_mean if design is None else _design_draws(s, design)
-        zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
-        ybar_c = self.theta + s.se_c * zc
+        self.zc, self.zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
+        ybar_c = self.theta + s.se_c * self.zc
         y0, y1, G = float(ybar_c.min()), float(ybar_c.max()), _grid_points(s.reps)
         self.grid = np.linspace(y0, y1, G)
         # Floor arithmetic is at most one cell off: one comparison each way.
@@ -233,7 +234,7 @@ class _Layout:
         k -= ybar_c < self.grid[k]
         k += ybar_c >= np.append(self.grid[1:], np.inf)[k]
         k = k.astype(np.min_scalar_type(G - 1))
-        v = self.theta + s.se_t * zt
+        v = self.theta + s.se_t * self.zt
         by_v = np.argsort(v)
         perm = np.argsort(k[by_v], kind="stable")  # a radix sort of the 8- or 16-bit cells
         self.order, self.v = by_v[perm], v[by_v]
@@ -290,13 +291,12 @@ class _Curve:
         p_lo = np.minimum(np.searchsorted(lay.keys, cells + r_lo).ravel(), p_hi)
         counts = (lay.ends - p_hi.reshape(-1, G)).sum(axis=1)
         band_ends = np.cumsum(p_hi - p_lo)  # of each (point, cell) in the points' joint band
-        zc, zt = (base_normals(s.seed, s.scenario_id, r, s.reps) for r in ("control", "treatment"))
         for start in range(0, int(band_ends[-1]), _BAND_DRAWS):
             i = np.arange(start, min(start + _BAND_DRAWS, int(band_ends[-1])))
             c = np.searchsorted(band_ends, i, side="right")
             draw = lay.order[p_hi[c] - band_ends[c] + i]
             theta = lay.theta if np.ndim(lay.theta) == 0 else lay.theta[draw]
-            p = self.bank(theta + s.se_c * zc[draw], theta + effect + s.se_t * zt[draw], c // G)
+            p = self.bank(theta + s.se_c * lay.zc[draw], theta + effect + s.se_t * lay.zt[draw], c // G)
             counts += np.bincount(c[p <= s.alpha] // G, minlength=counts.size)
         return counts
 

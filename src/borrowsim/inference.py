@@ -134,11 +134,11 @@ def work_array(name: str, *shape: int) -> np.ndarray:
 
 
 def bank_chunks(total: int, n_components: int):
-    """Slices of ``total`` observed means within the element budget (the
-    last may hold one more). None is one wide unless ``total`` is 1:
-    einsum sums a lone column in another order than a column among others,
-    so a draw's floats would depend on where the chunks fall."""
-    step = max(_CHUNK_ELEMENTS // max(n_components, 1), 4096)
+    """Slices of ``total`` observed means within the element budget, for
+    any bank the schema allows (the last may hold one more). None is one wide
+    unless ``total`` is 1: einsum sums a lone column in another order than a
+    column among others, so a draw's floats would depend on where chunks fall."""
+    step = max(_CHUNK_ELEMENTS // max(n_components, 1), 2)
     start = 0
     while start < total:
         stop = total if total - start <= step + 1 else start + step

@@ -11,14 +11,13 @@ boundary: one kernel pass scans every point's tail, and the scan's sorted
 by ``brentq`` into the exact region (the exact scan covers the whole
 window, the Monte Carlo one the grid points that bracket its draws). The
 RMSE and the mean weight are read off one tail-free posterior pass. Each
-curve is built by the call that asks for it; only a cell's RMSE and mean
-weight share one pass, through a single-entry per-thread memo.
+curve is built by the call that asks for it; the sorted draws and a cell's
+tail-free pass are run values, one per sweep run (``scenarios._run_shared``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,7 +28,7 @@ from . import inference
 # asserts that the tracer's wrapper replaces this binding.
 from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
 from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location
-from .scenarios import OneArmScenario, base_normals, sorted_normals
+from .scenarios import OneArmScenario, _run_shared, base_normals, sorted_normals
 
 __all__ = [
     "one_arm_rmse",
@@ -134,10 +133,9 @@ def _brackets(ys, scans):
     return point[order], lo[order], hi[order], above[order], cut[order]
 
 
-def _curve(s: OneArmScenario, biases):
+def _curve(s: OneArmScenario, biases, z):
     """A curve's ``_bands``, from one scan of every point's tail where its
-    TIE and power draws fall, and its per-draw rule ``decide(ys, point)``."""
-    z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    TIE and power draws, the sorted ``z``, fall, and its rule ``decide(ys, point)``."""
     span = (min(s.null_mean, s.alt_mean) + s.se * z[0], max(s.null_mean, s.alt_mean) + s.se * z[-1])
     ys, scans, tails = _scan(s, biases, span=span)
 
@@ -202,25 +200,18 @@ def _count_rejections(z, at_mean, se, bands, decide) -> np.ndarray:
     return counts
 
 
-# The last tail-free pass on each thread, with its key. A sweep computes a
-# cell's RMSE and mean weight one after the other on one worker thread, so
-# they share it; a worker's memo dies with it at the end of the run.
-_last_pass = threading.local()
-
-
 def _tail_free_pass(s: OneArmScenario, bias: float, centre: float) -> tuple[float, float]:
     """RMSE of the posterior mean around ``centre`` and mean informative
     weight, over the common draws at ``centre``: one pass that skips the
-    tails, shared by a cell's RMSE and mean weight at the same centre."""
-    key = (s, bias, centre)
-    if getattr(_last_pass, "key", None) != key:
+    tails, a run value shared by a cell's RMSE and mean weight at the same centre."""
+    def compute():
         bank = AxisBank(s.prior, [s.external_at(bias)])
         ybar = _draws(s, centre, out=work_array("draws", s.reps))
         pmeans, w_info = _bank_stats(s, bank, ybar, tails=False)
         dev = np.subtract(pmeans, centre, out=pmeans)
-        _last_pass.value = float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
-        _last_pass.key = key
-    return _last_pass.value
+        return float(np.sqrt(np.mean(np.square(dev, out=dev)))), float(np.mean(w_info))
+
+    return _run_shared(("tail-free", s, bias, centre), compute)
 
 
 def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "power")):
@@ -234,8 +225,8 @@ def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "p
     if exact:
         regions = _exact_curve(s, biases)
         return tuple([_region_probability(r, at[rate], s.se) for r in regions] for rate in rates)
-    bands, decide = _curve(s, biases)
     z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    bands, decide = _curve(s, biases, z)
     counts = (_count_rejections(z, at[rate], s.se, bands, decide) for rate in rates)
     return tuple([int(c) / s.reps for c in count] for count in counts)
 

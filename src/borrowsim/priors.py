@@ -80,6 +80,10 @@ class Normal:
     """Robust component is a single normal."""
 
 
+# Most normals in a t bank: every kernel chunk (``inference.bank_chunks``) then fits its budget.
+MAX_T_COMPONENTS = 1000
+
+
 @dataclass(frozen=True)
 class StudentT:
     """Robust component is a location-scale t, approximated by k normals.
@@ -97,8 +101,8 @@ class StudentT:
             raise ValueError(f"df must be > 2 for a finite variance, got {self.df!r}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be > 0, got {self.scale!r}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if int(self.k) != self.k or not 1 <= self.k <= MAX_T_COMPONENTS:
+            raise ValueError(f"k must be an integer in [1, {MAX_T_COMPONENTS}], got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 
 

@@ -8,7 +8,8 @@ the seed. Draw streams are counter-based (Philox) and keyed by
 independently of execution order, and the same base draws are shared
 across the bias and weight axes (common random numbers keep the
 operating-characteristic curves smooth and their differences
-low-variance).
+low-variance). Between calls the library keeps only the base streams;
+what is derived from them is built once per sweep run (``_run_shared``).
 """
 
 from __future__ import annotations
@@ -278,33 +279,24 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def base_normals(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
     """Shared standard-normal draws for one scenario stream (read-only)."""
-    z = substream(seed, scenario_id, role).standard_normal(reps)
-    z.flags.writeable = False
-    return z
-
-
-@lru_cache(maxsize=4)
-def sorted_normals(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
-    """``base_normals`` of one stream in ascending order (read-only), for
-    the routes that count draws in a region rather than visit them."""
-    z = np.sort(base_normals(seed, scenario_id, role, reps))
-    z.flags.writeable = False
-    return z
+    return _read_only(substream(seed, scenario_id, role).standard_normal(reps))
 
 
 @lru_cache(maxsize=32)
 def base_uniforms(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
-    u = substream(seed, scenario_id, role).random(reps)
-    u.flags.writeable = False
-    return u
+    return _read_only(substream(seed, scenario_id, role).random(reps))
 
 
 # The run each sweep worker thread works for (``join_run``).
 _thread_run = threading.local()
-_run_lock = threading.Lock()
 
 
 def join_run(run: dict) -> None:
@@ -314,13 +306,21 @@ def join_run(run: dict) -> None:
 
 def _run_shared(key, compute):
     """``compute()`` once per ``key`` among the threads of a run, which
-    drops the read-only values (a hybrid stream's draw layout) at its end,
-    so unlike the base draws no later run finds them; outside a run, on
-    every call."""
+    drops the values at its end, so unlike the base draws no later run
+    finds them; outside a run, on every call. Each key builds under its
+    own lock, so a build holds up only the threads that wait for its value."""
     run = getattr(_thread_run, "run", None)
     if run is None:
         return compute()
-    with _run_lock:
-        if key not in run:
-            run[key] = compute()
-    return run[key]
+    slot = run.setdefault(key, [threading.Lock()])  # one atomic dict call
+    with slot[0]:
+        if len(slot) == 1:
+            slot.append(compute())
+    return slot[1]
+
+
+def sorted_normals(seed: int, scenario_id: str, role: str, reps: int) -> np.ndarray:
+    """``base_normals`` of one stream in ascending order (read-only), a run
+    value, for the routes that count draws in a region rather than visit them."""
+    return _run_shared(("sorted", seed, scenario_id, role, reps),
+                       lambda: _read_only(np.sort(base_normals(seed, scenario_id, role, reps))))

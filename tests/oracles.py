@@ -41,6 +41,13 @@ and ``bank_stats_expression`` the one-arm tails, or the means and
 weights, read off it. The library's kernel writes each step
 into reused work buffers, chunk by chunk, and must match these bit for bit.
 
+``scalar_posterior`` is the posterior for one observed mean from the
+textbook formulas in Python floats, sharing no code with the kernel: each
+component's conjugate update in variance form, and its weight from the
+log prior weight plus the log marginal likelihood, normalized by
+log-sum-exp. The kernel works in precision form over arrays and must
+agree with it within rounding bounds stated before the comparison.
+
 ``find_modes`` is the scalar mode finder: a derivative sign scan of one
 two-component mixture (a ``mixtures.GaussianMixture``), each sign change
 refined by a Python bisection of one-point evaluations, returning a
@@ -204,6 +211,27 @@ def posterior_bank_expression(means, variances, log_weights, ybar, n, sigma):
     post_var = 1.0 / (1.0 / variances + data_precision)
     post_mean = post_var[:, None] * (means / variances[:, None] + ybar[None, :] * data_precision)
     return post_w, post_mean, post_var
+
+
+def scalar_posterior(means, variances, log_weights, ybar: float, n: int, sigma: float):
+    """Posterior component weights, means and variances (lists of floats)
+    for one observed mean ``ybar`` under the normal mixture prior
+    (``means``, ``variances``, ``log_weights``), data variance sigma**2 / n.
+    Weight j is proportional to w_j N(ybar; m_j, v_j + sigma**2 / n),
+    formed in log space and normalized by log-sum-exp; component j's
+    posterior is N((m_j s2 + ybar v_j) / (v_j + s2), v_j s2 / (v_j + s2))."""
+    s2 = sigma * sigma / n
+    log_post = [
+        lw - 0.5 * (math.log(2.0 * math.pi * (v + s2)) + (ybar - m) ** 2 / (v + s2))
+        for m, v, lw in zip(means, variances, log_weights)
+    ]
+    top = max(log_post)
+    unnormalized = [math.exp(lp - top) for lp in log_post]
+    total = math.fsum(unnormalized)
+    weights = [u / total for u in unnormalized]
+    post_means = [(m * s2 + ybar * v) / (v + s2) for m, v in zip(means, variances)]
+    post_vars = [v * s2 / (v + s2) for v in variances]
+    return weights, post_means, post_vars
 
 
 def bank_stats_expression(s, bank, ybar, tails=True):

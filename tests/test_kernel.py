@@ -33,8 +33,8 @@ from borrowsim import (
 from borrowsim.hybrid import _Bank, _treatment_params
 from borrowsim.inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
 from borrowsim.onearm import _bank_stats
-from borrowsim.priors import AxisBank, prior_bank_params
-from oracles import bank_means, bank_stats_expression, posterior_bank_expression
+from borrowsim.priors import MAX_T_COMPONENTS, AxisBank, prior_bank_params
+from oracles import bank_means, bank_stats_expression, posterior_bank_expression, scalar_posterior
 
 EXT = SufficientStat(0.0, 15, 1.0)
 FORMS = {2: Normal(), 101: StudentT(3.0, 1.0, 100)}
@@ -133,7 +133,7 @@ def test_per_point_log_weights_match_per_weight_calls(J, location):
 
 @pytest.mark.parametrize("total", [1, 2, 4096, 4097, 4098, 8193, 10_001])
 def test_chunks_tile_the_draws_and_none_is_one_wide(monkeypatch, total):
-    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1)  # the 4096-draw floor
+    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 4096 * 101)  # 4096-draw chunks
     chunks = list(bank_chunks(total, 101))
     assert chunks[0].start == 0 and chunks[-1].stop == total
     assert all(a.stop == b.start for a, b in zip(chunks[:-1], chunks[1:]))
@@ -141,18 +141,65 @@ def test_chunks_tile_the_draws_and_none_is_one_wide(monkeypatch, total):
     assert 1 < chunks[-1].stop - chunks[-1].start <= 4097 or total == 1
 
 
+@pytest.mark.parametrize("J", [1, 2, 101, 201, MAX_T_COMPONENTS + 1])
+def test_no_chunk_exceeds_the_budget_or_is_one_wide(monkeypatch, J):
+    # Every bank the schema allows, up to a t bank of MAX_T_COMPONENTS
+    # normals with the informative one, chunks within 2^19 elements (the
+    # last chunk within one column more); at a budget below two columns,
+    # the chunks are two draws wide (the last two or three).
+    step = inference._CHUNK_ELEMENTS // J
+    assert step >= 2 and step * J <= 1 << 19
+    for budget, width in ((inference._CHUNK_ELEMENTS, step), (1, 2)):
+        monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", budget)
+        for total in (1, 2, 3, width, width + 1, width + 2, 5 * width + 1):
+            widths = [c.stop - c.start for c in bank_chunks(total, J)]
+            assert sum(widths) == total and all(w == width for w in widths[:-1])
+            assert 2 <= widths[-1] <= width + 1 or total == 1
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("J", [2, 101])
+@LOCATIONS
+def test_the_kernel_agrees_with_the_scalar_posterior(J, location, w):
+    # An independent reference, not a bit-exact one: the kernel against the
+    # textbook posterior in Python floats, at conflicts up to 1e3 sd-ext.
+    # Bounds fixed in advance: a posterior variance within 4 ulps, a
+    # component mean within 8 eps (|m| + |ybar|), and a weight within 64 eps
+    # of the largest exponent (ybar - m)^2 / (v + s2), plus one, since
+    # each log weight rounds in proportion to its size (about 6e5 at 1e3).
+    prior = replace(spec(J, location), informative_weight=w)
+    n, sigma, s2 = 20, 1.0, 1.0 / 20
+    conflicts = np.array([-1e3, -100.0, -10.0, -2.0, 0.0, 0.5, 3.0, 30.0, 1e3])
+    ybar = EXT.mean + conflicts * EXT.sigma / np.sqrt(EXT.n)
+    W, pm, pv = (np.array(a, copy=True) for a in AxisBank(prior, [EXT]).kernel(None, ybar, n, sigma))
+    variances, log_w, info_mean, robust_loc = (v.tolist() if isinstance(v, np.ndarray) else v
+                                               for v in prior_bank_params(prior, EXT))
+    for r, y in enumerate(ybar.tolist()):
+        means = [info_mean] + [y if robust_loc is None else robust_loc] * (J - 1)
+        ref_w, ref_m, ref_v = scalar_posterior(means, variances, log_w, y, n, sigma)
+        top = max((y - m) ** 2 / (v + s2) for m, v in zip(means, variances))
+        assert np.all(np.abs(W[:, r] - ref_w) <= 64 * EPS * (1.0 + top))
+        assert np.all(np.abs(W[:, r].sum() - 1.0) <= 64 * EPS * J)
+        bound = [8 * EPS * (abs(m) + abs(y)) for m in means]
+        assert np.all(np.abs(pm[:, r] - ref_m) <= bound)
+        assert np.all(np.abs(pv - ref_v) <= 4 * EPS * np.array(ref_v))
+
+
 @pytest.mark.parametrize("J", [2, 101])
 @pytest.mark.parametrize("R", [10_001, 8_193, 8_194])
 @LOCATIONS
 def test_bank_stats_in_chunks_match_one_chunk(monkeypatch, J, R, location):
-    # At the 4096-draw floor: a short last chunk of 1809 draws, a last draw
+    # In 4096-draw chunks: a short last chunk of 1809 draws, a last draw
     # that would be a chunk of its own, and a last chunk of two.
     s = one_arm(J, location)
     bank, y = axis_bank_at(s), draws(R)
     monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1 << 30)
     whole = _bank_stats(s, bank, y)
     whole_means = [a.copy() for a in _bank_stats(s, bank, y, tails=False)]
-    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 4096 * J)
     assert len(list(bank_chunks(R, J))) > 1
     assert same((_bank_stats(s, bank, y),), (whole,))
     assert same((whole,), (bank_stats_expression(s, bank_at(s), y),))

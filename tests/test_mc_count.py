@@ -17,6 +17,7 @@ import collections
 import math
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +42,7 @@ from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.onearm import _bands, _count_rejections, _exact_curve, _region_probability, _regions
 from borrowsim.recipes import recipe_config
+from borrowsim.scenarios import join_run
 from borrowsim.sweep import _curves, _grid_cell, run_config
 from oracles import brute_force_power, brute_force_tie, cell_tails, rejection_region, scan_brentq_region
 
@@ -85,6 +87,11 @@ def build(p):
 def one_point(s, bias, rate, exact=False):
     """One rate at one bias: a one-point ``onearm.oc_curve``."""
     return onearm.oc_curve(s, [bias], exact=exact, rates=(rate,))[0][0]
+
+
+def sorted_draws(s):
+    """The scenario's sorted common draws, as ``oc_curve`` hands them to ``_curve``."""
+    return scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,7 +301,7 @@ class TestCounter:
         # re-decided, and the totals equal the per-draw decisions.
         s = scenario(location=CurrentMean())
         biases = (2 * SD_EXT, -20 * SD_EXT)
-        bands, decide = onearm._curve(s, biases)
+        bands, decide = onearm._curve(s, biases, sorted_draws(s))
         assert len(bands[0]) > 2 * len(biases)  # brackets besides the window's bands
         z = (probes(bands) - s.null_mean) / s.se
         check_count(z, s.null_mean, s.se, bands, decide)
@@ -345,7 +352,7 @@ class TestCounter:
         # The counter forms at_mean + se * z itself; those floats decide.
         s = scenario()
         z = np.sort(np.random.default_rng(5).standard_normal(5_000))
-        bands, decide = onearm._curve(s, (0.0,))
+        bands, decide = onearm._curve(s, (0.0,), sorted_draws(s))
         tails = cell_tails(s, 0.0)
         for at_mean in (s.null_mean, s.alt_mean, s.null_mean + 11.5 * s.se):
             counts = _count_rejections(z, at_mean, s.se, bands, decide)
@@ -355,7 +362,7 @@ class TestCounter:
 def draw_span(s, lo_q=0.0, hi_q=1.0):
     """The observed means from the TIE draws' ``lo_q`` quantile to the
     power draws' ``hi_q`` quantile, as ``_curve`` forms the draws' span."""
-    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    z = sorted_draws(s)
     lo, hi = z[round(lo_q * (z.size - 1))], z[round(hi_q * (z.size - 1))]
     return min(s.null_mean, s.alt_mean) + s.se * lo, max(s.null_mean, s.alt_mean) + s.se * hi
 
@@ -399,9 +406,9 @@ def test_the_window_stays_small_and_its_edges_hold_no_draws(monkeypatch):
 
     scan = onearm._scan
     monkeypatch.setattr(onearm, "_scan", recording_scan)
-    point, lo, hi, _ = onearm._curve(s, biases)[0]
+    z = sorted_draws(s)
+    point, lo, hi, _ = onearm._curve(s, biases, z)[0]
     assert kept == [kept[0]] and kept[0] <= 0.45 * onearm._SCAN_POINTS
-    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
     for at_mean in (s.null_mean, s.alt_mean):
         ybar = at_mean + s.se * z
         assert ybar[0] > hi[np.isneginf(lo)].max() and ybar[-1] < lo[np.isposinf(hi)].min()
@@ -419,7 +426,7 @@ def test_a_cut_window_still_counts_every_draw():
         return tails(ys, point) <= s.alpha
 
     bands = _bands(ys, scans, decide, s.se * math.sqrt(2.0 * math.pi) / s.reps, GUARD * s.se)
-    z = scenarios.sorted_normals(s.seed, s.scenario_id, "current", s.reps)
+    z = sorted_draws(s)
     ties, powers = (_count_rejections(z, at, s.se, bands, decide) for at in (s.null_mean, s.alt_mean))
     assert ties.tolist() == [round(brute_force_tie(s, b) * s.reps) for b in biases]
     assert powers.tolist() == [round(brute_force_power(s, b) * s.reps) for b in biases]
@@ -432,9 +439,9 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
     scans, regions = [], []
     curve, region = onearm._curve, onearm._regions
 
-    def counting_curve(s, biases):
+    def counting_curve(s, biases, z):
         scans.append(tuple(biases))
-        return curve(s, biases)
+        return curve(s, biases, z)
 
     def counting_region(*args, **kwargs):
         regions.append(args)
@@ -490,6 +497,7 @@ def test_monte_carlo_rates_refine_no_boundary(monkeypatch):
 
 
 def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):
+    # In a run (a sweep worker's thread) a cell's RMSE and w̃ share one pass.
     passes = []
     original = onearm._bank_stats
 
@@ -497,22 +505,23 @@ def test_rmse_and_weight_of_a_cell_share_one_tail_free_pass(monkeypatch):
         passes.append(tails)
         return original(*args, tails=tails, **kwargs)
 
+    def in_run(*args):
+        with ThreadPoolExecutor(1, initializer=join_run, initargs=({},)) as pool:
+            return pool.submit(_grid_cell, *args).result(timeout=120)
+
     monkeypatch.setattr(onearm, "_bank_stats", counting)
-    monkeypatch.setattr(onearm, "_last_pass", threading.local())
     cfg = normalize_config({**recipe_config("fig1"), "reps": 2_000})
     assert cfg["metrics"] == ["tie", "rmse", "w_tilde"] and cfg["rmse_true_mean"] is None
     s = _curves(cfg)[0][0]
-    out = _grid_cell(cfg, s, SD_EXT)
+    out = in_run(cfg, s, SD_EXT)
     assert passes.count(False) == 1
-    # Each quantity from a pass of its own has the same value.
-    monkeypatch.setattr(onearm, "_last_pass", threading.local())
+    # Outside a run each quantity takes a pass of its own, to the same value.
     assert out["w_tilde"] == onearm.mean_posterior_weight(s, SD_EXT)
-    monkeypatch.setattr(onearm, "_last_pass", threading.local())
     assert out["rmse_std"] == onearm.one_arm_rmse(s, SD_EXT)[1]
     assert passes.count(False) == 3
     # RMSE around another true mean needs its own pass over other draws.
     passes.clear()
     cfg = normalize_config({**recipe_config("fig1"), "reps": 2_000, "rmse_true_mean": 0.3})
-    _grid_cell(cfg, _curves(cfg)[0][0], SD_EXT)
+    in_run(cfg, _curves(cfg)[0][0], SD_EXT)
     assert passes.count(False) == 2
 

@@ -18,7 +18,8 @@ from borrowsim import (
     build_informative,
     resolve_location,
 )
-from borrowsim.priors import gamma_precision_quantiles, prior_bank_params
+from borrowsim import inference
+from borrowsim.priors import MAX_T_COMPONENTS, gamma_precision_quantiles, prior_bank_params
 from mixtures import (
     build_mixture_prior,
     mixture_pdf,
@@ -219,3 +220,11 @@ class TestSpecValidation:
             StudentT(scale=-1.0)
         with pytest.raises(ValueError):
             StudentT(k=0)
+
+    def test_a_t_bank_holds_at_most_max_t_components(self):
+        # A kernel chunk of two draws of the largest bank fits the budget.
+        assert StudentT(k=MAX_T_COMPONENTS).k == MAX_T_COMPONENTS
+        for k in (MAX_T_COMPONENTS + 1, 100_000):
+            with pytest.raises(ValueError, match=f"in \\[1, {MAX_T_COMPONENTS}\\]"):
+                StudentT(k=k)
+        assert 2 * (MAX_T_COMPONENTS + 1) <= inference._CHUNK_ELEMENTS

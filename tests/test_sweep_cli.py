@@ -248,6 +248,8 @@ RULES = [
     ("tiny", {"seed": 2**64}, "seed"),
     ("tiny", {"scenario_id": "../x"}, "scenario_id"),
     ("tiny", {"scenario_id": "a/b"}, "scenario_id"),
+    ("fig1-t", {"form.k": 100_000}, "form.k"),
+    ("fig1-t", {"sweep.k": [100, 1001]}, "sweep.k[1]"),
 ]
 
 
