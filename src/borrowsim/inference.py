@@ -7,7 +7,8 @@ in slices from ``bank_chunks``. The engines and the bimodality map call
 it on the prior's array form, ``priors.AxisBank``, whose ``kernel`` runs
 it as ``posterior_bank_into`` on this thread's reused work buffers
 (``work_array``), so a chunk allocates nothing of size components x draws
-and takes no page faults once the buffers are warm. The allocating
+and takes no page faults once the buffers are warm; ``AxisBank`` hands it
+two rows of means, so a bank squares on 2 x draws. The allocating
 ``posterior_bank`` is the same kernel writing into new arrays.
 """
 
@@ -42,9 +43,10 @@ def posterior_bank(means, variances, log_weights, ybar, n, sigma):
 
     Parameters
     ----------
-    means : array (J,) or (J, R)
-        Prior component means; a (J, R) shape carries data-dependent
-        locations (one per observed mean).
+    means : array (J,) or (J, R), or (2,) or (2, R)
+        Prior component means; a (., R) shape carries data-dependent
+        locations (one per observed mean). Two rows stand for J: component
+        0's mean, and the one that components 1..J-1 share.
     variances, log_weights : array (J,), or log_weights (J, R), one per mean
         Prior component variances and log prior weights (-inf allowed).
     ybar : scalar or array (R,)
@@ -72,9 +74,17 @@ def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, p
     """``posterior_bank`` written into ``post_w`` and ``post_mean``, (J, R)
     C-contiguous buffers that overlap no input; returns ``post_vars``.
 
-    Each (J, R) step is one ufunc with ``out=``; the (1, R) temporaries
-    use this thread's ``work_array("col")``. The results do not depend on
-    where they are written, only on the buffers' shapes.
+    ``means`` has J rows, or 2: component 0's and the one components 1..J-1
+    share (the only form ``AxisBank`` lays out). (ybar - m)**2 is formed on
+    those rows alone, in ``post_mean`` (free until the posterior means), and
+    divided into all J rows by -2 pred_var: halving each term of -0.5 *
+    (log(2 pi pred_var) + (ybar - m)**2 / pred_var) is exact unless a result
+    is subnormal, and (ybar - m)**2 is 0 or (for means of order one) at
+    least about 4e-32, so each log weight is that expression's float with no
+    J x R multiply. Each (J, R) step is one ufunc with ``out=`` (one per
+    block for 2 rows); the (1, R) temporaries use this thread's
+    ``work_array("col")``. The results do not depend on where they are
+    written, only on the buffers' shapes.
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     variances = np.asarray(variances, dtype=float)
@@ -88,12 +98,10 @@ def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, p
     data_precision = n / (sigma * sigma)
     pred_var = (variances + 1.0 / data_precision)[:, None]
     col = work_array("col", 1, post_w.shape[1])
-    # log marginal: -0.5 * (log(2 pi pred_var) + (ybar - means)**2 / pred_var)
-    logw = np.subtract(ybar[None, :], means, out=post_w)
-    np.square(logw, out=logw)
-    np.divide(logw, pred_var, out=logw)
-    np.add(np.log(2.0 * np.pi * pred_var), logw, out=logw)
-    np.multiply(-0.5, logw, out=logw)
+    # log marginal: (ybar - means)**2 / (-2 pred_var) - 0.5 * log(2 pi pred_var)
+    dev = np.subtract(ybar[None, :], means, out=post_mean[:means.shape[0]])
+    logw = _spread(np.divide, np.square(dev, out=dev), -2.0 * pred_var, post_w)
+    np.add(-0.5 * np.log(2.0 * np.pi * pred_var), logw, out=logw)
     np.add(log_weights.reshape(variances.size, -1), logw, out=logw)
     np.subtract(logw, np.maximum.reduce(logw, axis=0, keepdims=True, out=col), out=logw)
     np.exp(logw, out=post_w)
@@ -103,12 +111,22 @@ def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, p
     np.divide(post_w, norm, out=post_w)
 
     post_var = 1.0 / (1.0 / variances + data_precision)
-    # post_var * (means / variances + ybar * data_precision)
-    into = post_mean if means.shape == post_mean.shape else None  # (J, 1) means stay small
-    scaled = np.divide(means, variances[:, None], out=into)
+    # post_var * (means / variances + ybar * data_precision); one-column means stay small
+    scaled = post_mean if means.shape[1] == post_mean.shape[1] else np.empty((variances.size, 1))
+    _spread(np.divide, means, variances[:, None], scaled)
     np.add(scaled, np.multiply(ybar[None, :], data_precision, out=col), out=post_mean)
     np.multiply(post_var[:, None], post_mean, out=post_mean)
     return post_var
+
+
+def _spread(op, rows, by, out):
+    """``op(rows, by)`` into the J rows of ``out``: row for row when ``rows``
+    has J, else (2 rows) row 0 into row 0 and row 1 into rows 1..J-1."""
+    if rows.shape[0] == out.shape[0]:
+        return op(rows, by, out=out)
+    op(rows[:1], by[:1], out=out[:1])
+    op(rows[1:], by[1:], out=out[1:])
+    return out
 
 
 # This thread's work buffers, one flat float array per name, grown on demand

@@ -133,10 +133,12 @@ def _brackets(ys, scans):
     return point[order], lo[order], hi[order], above[order], cut[order]
 
 
-def _curve(s: OneArmScenario, biases, z):
-    """A curve's ``_bands``, from one scan of every point's tail where its
-    TIE and power draws, the sorted ``z``, fall, and its rule ``decide(ys, point)``."""
-    span = (min(s.null_mean, s.alt_mean) + s.se * z[0], max(s.null_mean, s.alt_mean) + s.se * z[-1])
+def _curve(s: OneArmScenario, biases, z, centres):
+    """A curve's ``_bands``, from one scan of every point's tail where the
+    draws it counts fall, the sorted ``z`` about each of ``centres`` (the
+    true means of the rates asked for: a TIE-only curve scans no power
+    draw), and its rule ``decide(ys, point)``."""
+    span = (min(centres) + s.se * z[0], max(centres) + s.se * z[-1])
     ys, scans, tails = _scan(s, biases, span=span)
 
     def decide(ys, point):
@@ -219,14 +221,14 @@ def oc_curve(s: OneArmScenario, biases, *, exact: bool = False, rates=("tie", "p
     floats: Monte Carlo counts of the sorted common draws, or with
     ``exact`` the normal mass of each point's rejection region. One scan
     serves the curve."""
-    if not len(biases):
+    if not (len(biases) and rates):
         return tuple([] for _ in rates)
     at = {"tie": s.null_mean, "power": s.alt_mean}
     if exact:
         regions = _exact_curve(s, biases)
         return tuple([_region_probability(r, at[rate], s.se) for r in regions] for rate in rates)
     z = sorted_normals(s.seed, s.scenario_id, "current", s.reps)
-    bands, decide = _curve(s, biases, z)
+    bands, decide = _curve(s, biases, z, [at[rate] for rate in rates])
     counts = (_count_rejections(z, at[rate], s.se, bands, decide) for rate in rates)
     return tuple([int(c) / s.reps for c in count] for count in counts)
 

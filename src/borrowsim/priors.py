@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .gaussian import GaussianComponent, SufficientStat, gauss_rule
 from .inference import posterior_bank_into, work_array
@@ -187,21 +186,6 @@ def resolve_location(
     raise TypeError(f"unknown location policy {policy!r}")
 
 
-def gamma_precision_quantiles(df: float, k: int) -> np.ndarray:
-    """Precision grid for the t approximation.
-
-    Quantiles of Gamma(shape df/2, rate df/2) at the midpoint levels
-    (i - 0.5)/k, i = 1..k. Midpoints avoid the undefined 0 and 1 levels.
-    ``gammaincinv(a, q) * scale`` is what ``scipy.stats.gamma.ppf(q, a,
-    scale=scale)`` evaluates, bit for bit, without importing scipy.stats.
-    """
-    levels = (np.arange(1, k + 1) - 0.5) / k
-    lam = gammaincinv(df / 2.0, levels) * (2.0 / df)
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise ValueError(f"Gamma quantiles failed for df={df!r}")
-    return lam
-
-
 # Gauss-Laguerre nodes of the exact-t bank.
 EXACT_T_NODES = 40
 
@@ -233,10 +217,11 @@ def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
 
 def _robust_block(form: StudentT, t_shift: float | None = None, t_nodes: int = EXACT_T_NODES):
     """A t robust component as a normal bank: its variances and its log
-    weights within the block. The k-point Gamma-quantile bank, or with
-    ``t_shift`` the exact t's Gauss-Laguerre bank (``t_laguerre_bank``)."""
+    weights within the block. The k-point Gamma-quantile bank (the cached
+    ``gauss_rule("gamma", k, df)``), or with ``t_shift`` the exact t's
+    Gauss-Laguerre bank (``t_laguerre_bank``)."""
     if t_shift is None:
-        lam = gamma_precision_quantiles(form.df, form.k)
+        lam, _ = gauss_rule("gamma", form.k, form.df)
         log_block = np.full(form.k, -math.log(form.k))
     else:
         lam, log_block = t_laguerre_bank(form, t_shift, t_nodes)
@@ -298,27 +283,29 @@ class AxisBank:
             self.log_w = np.stack(log_w, axis=1)[:, at.ravel()]
         self.info = np.array([e.mean for e in externals])  # the informative component's mean
         self.loc = None if loc is None else np.array([robust_location(spec, e) for e in externals])
-        self.column = (np.concatenate((self.info, np.full(self.variances.size - 1, self.loc[0])))
+        self.column = (np.array([self.info[0], self.loc[0]])
                        if self.loc is not None and len(externals) == 1 else None)
 
     def means(self, point, ybar, out):
-        """Component means into ``out`` (J, R), column r at point[r] (0 if
-        None) and ybar[r]; the (J,) ``column`` if it is set."""
+        """The kernel's two rows of component means into ``out`` (2, R):
+        the informative mean and the robust location, which components
+        1..J-1 share, at point[r] (0 if None), the location ybar[r] where it
+        tracks the observed mean; the (2,) ``column`` if it is set."""
         if self.column is not None:
             return self.column
         point = 0 if point is None else point
         out[0] = self.info[point]
-        out[1:] = ybar if self.loc is None else self.loc[point]
+        out[1] = ybar if self.loc is None else self.loc[point]
         return out
 
     def kernel(self, point, ybar, n, sigma):
         """``posterior_bank_into`` at observed means ``ybar`` under the prior
         at point[r]: ``(W, pm, pv)``, W and pm in this thread's "W" and "pm"
-        buffers, the means (and per-point log weights) laid out in its
-        "means" (and "log_w") buffer."""
+        buffers, the two rows of means (and the per-point log weights) laid
+        out in its "means" (and "log_w") buffer."""
         J, R = self.variances.size, ybar.size
         W, pm = work_array("W", J, R), work_array("pm", J, R)
-        means = self.means(point, ybar, work_array("means", J, R))
+        means = self.means(point, ybar, work_array("means", 2, R))
         log_w = self.log_w if self.log_w.ndim == 1 else np.take(
             self.log_w, point, axis=1, out=work_array("log_w", J, R))
         return W, pm, posterior_bank_into(means, self.variances, log_w, ybar, n, sigma, W, pm)

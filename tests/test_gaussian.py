@@ -19,8 +19,11 @@ from borrowsim import (
     hybrid,
     onearm,
 )
+from borrowsim.config import normalize_config
 from borrowsim.gaussian import bisect, gauss_rule
 from borrowsim.priors import EXACT_T_NODES
+from borrowsim.recipes import recipe_config
+from borrowsim.sweep import _curves
 from mixtures import (
     GaussianMixture,
     conjugate_update,
@@ -255,9 +258,11 @@ class TestBisect:
 
 class TestGaussRule:
     """One cached, read-only builder serves the Gauss-Hermite rule of the
-    hybrid exact route and the Gauss-Laguerre rules of the exact-t route."""
+    hybrid exact route, the Gauss-Laguerre rules of the exact-t route and
+    the Gamma-quantile grid of the t bank."""
 
-    @pytest.mark.parametrize("family,nodes,alpha", [("hermite", 160, 0.0), ("laguerre", 40, 1.0)])
+    @pytest.mark.parametrize("family,nodes,alpha",
+                             [("hermite", 160, 0.0), ("laguerre", 40, 1.0), ("gamma", 100, 3.0)])
     def test_rules_come_back_read_only(self, family, nodes, alpha):
         x, wts = gauss_rule(family, nodes, alpha)
         assert x.shape == wts.shape == (nodes,)
@@ -265,6 +270,21 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             wts[0] = 0.0
         assert gauss_rule(family, nodes, alpha)[0] is x
+
+    def test_a_fig1_t_curve_inverts_the_gamma_distribution_once(self, monkeypatch):
+        # Every AxisBank of a fig1-t curve (the job sizing, the scan and a
+        # cell's tail-free pass) reads the one cached k-point Gamma grid.
+        calls = []
+        inverse = gaussian.gammaincinv
+        monkeypatch.setattr(gaussian, "gammaincinv", lambda a, q: calls.append(a) or inverse(a, q))
+        gaussian.gauss_rule.cache_clear()
+        cfg = normalize_config({**recipe_config("fig1-t"), "reps": 200})
+        s, biases = next(s for s, _, _ in _curves(cfg)), cfg["sweep"]["bias"]
+        onearm._job_points(s)
+        onearm.oc_curve(s, biases[:4])
+        onearm.one_arm_rmse(s, biases[0])
+        onearm.mean_posterior_weight(s, biases[1])
+        assert calls == [1.5]
 
     def test_an_unknown_family_is_rejected(self):
         with pytest.raises(ValueError, match="unknown Gaussian rule family"):

@@ -25,6 +25,7 @@ from borrowsim import (
     HybridScenario,
     MixturePriorSpec,
     Normal,
+    NullBoundary,
     OneArmScenario,
     StudentT,
     SufficientStat,
@@ -37,7 +38,7 @@ from borrowsim.priors import MAX_T_COMPONENTS, AxisBank, prior_bank_params
 from oracles import bank_means, bank_stats_expression, posterior_bank_expression, scalar_posterior
 
 EXT = SufficientStat(0.0, 15, 1.0)
-FORMS = {2: Normal(), 101: StudentT(3.0, 1.0, 100)}
+FORMS = {2: Normal(), 101: StudentT(3.0, 1.0, 100), 1001: StudentT(3.0, 1.0, MAX_T_COMPONENTS)}
 LOCATIONS = pytest.mark.parametrize(
     "location", [ExternalMean(), CurrentMean()], ids=["fixed", "current-mean"]
 )
@@ -105,6 +106,86 @@ def test_kernel_matches_the_expression_at_one_mean_and_many_priors(J):
     assert same((W, pm, pv), expected)
 
 
+ALL_LOCATIONS = pytest.mark.parametrize(
+    "location", [ExternalMean(), NullBoundary(0.3), CurrentMean()],
+    ids=["fixed", "null-boundary", "current-mean"]
+)
+
+
+@pytest.mark.parametrize("R", [1, 2, 4097])
+@pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+@ALL_LOCATIONS
+@pytest.mark.parametrize("J", [2, 101, 1001])
+def test_the_two_row_kernel_matches_the_full_layout(J, location, w, R):
+    # The engines lay out two rows of means (the informative mean and the
+    # robust block's shared location) and the kernel spreads the second
+    # over components 1..J-1: byte for byte the J-row expression, whose
+    # -0.5 multiplies the sum the kernel halves term by term. At w 0 and 1 a
+    # log weight is -inf. At J 2 the two layouts are one.
+    s = replace(one_arm(J, location), prior=replace(spec(J, location), informative_weight=w))
+    variances, log_w, info, loc = bank_at(s)
+    y = draws(R)
+    expected = posterior_bank_expression(bank_means(info, loc, J, y), variances, log_w, y, s.n, s.sigma)
+    bank = axis_bank_at(s)
+    rows = bank.means(None, y, np.empty((2, R)))
+    assert rows.shape[0] == 2 and (bank.column is None) == (loc is None)
+    assert same(bank.kernel(None, y, s.n, s.sigma), expected)
+    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+
+
+@pytest.mark.parametrize("J", [2, 101, 1001])
+@ALL_LOCATIONS
+def test_the_two_row_kernel_matches_at_one_mean_and_many_priors(J, location):
+    # The bimodality map's call: one observed mean, the prior at each bias
+    # a column of means, two rows laid out per column.
+    s, y = one_arm(J, location), 0.1
+    biases = np.linspace(-2.0, 2.0, 41)
+    bank = AxisBank(s.prior, [s.external_at(b) for b in biases])
+    variances, log_w = bank_at(s)[:2]
+    means = np.column_stack([np.ravel(bank_means(*bank_at(s, b)[2:], J, [y])) for b in biases])
+    expected = posterior_bank_expression(means, variances, log_w, y, s.n, s.sigma)
+    point, ybar = np.arange(biases.size), np.full(biases.size, y)
+    rows = bank.means(point, ybar, np.empty((2, biases.size)))
+    assert same(bank.kernel(point, ybar, s.n, s.sigma), expected)
+    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+
+
+def spread(rows, J):
+    """Two rows of means as the J rows they stand for."""
+    return np.concatenate((rows[:1], np.repeat(rows[1:], J - 1, axis=0)))
+
+
+@pytest.mark.parametrize("J", [2, 101])
+def test_the_exact_half_at_a_draw_on_a_component_mean(J):
+    # (ybar - m)**2 is exactly 0 where a draw sits on the informative mean
+    # or on the robust location: the halved terms are -0.0 or the halved
+    # log, and the weights keep the expression's bits.
+    s = one_arm(J, NullBoundary(0.3))
+    variances, log_w, info, loc = bank_at(s)
+    y = np.concatenate(([info, loc, info, loc], draws(6)))
+    rows = np.array([[info], [loc]])
+    expected = posterior_bank_expression(spread(rows, J), variances, log_w, y, s.n, s.sigma)
+    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+    assert same(axis_bank_at(s).kernel(None, y, s.n, s.sigma), expected)
+
+
+@pytest.mark.parametrize("J", [2, 101])
+def test_the_exact_half_where_two_pi_pred_var_is_one(J):
+    # A component whose 2 pi pred_var rounds to exactly 1: its log term is
+    # 0, halved to -0.0, and a draw on its mean makes the whole log marginal
+    # a signed zero; the weights still keep the expression's bits.
+    n, sigma = 20, 1.0
+    s2 = 1.0 / (n / (sigma * sigma))  # the kernel's data variance
+    v = 1.0 / (2.0 * np.pi) - s2
+    variances = np.concatenate(([1.0 / 15.0], np.full(J - 1, v) * np.linspace(1.0, 3.0, J - 1)))
+    assert 2.0 * np.pi * (variances[1] + s2) == 1.0
+    log_w = np.log(np.concatenate(([0.5], np.full(J - 1, 0.5 / (J - 1)))))
+    rows = np.array([[0.0], [0.4]])
+    y = np.concatenate(([0.4, 0.0], draws(7)))
+    expected = posterior_bank_expression(spread(rows, J), variances, log_w, y, n, sigma)
+    assert same(posterior_bank(rows, variances, log_w, y, n, sigma), expected)
+
+
 @pytest.mark.parametrize("J", [2, 101])
 @LOCATIONS
 def test_per_point_log_weights_match_per_weight_calls(J, location):
@@ -118,7 +199,7 @@ def test_per_point_log_weights_match_per_weight_calls(J, location):
     bank = AxisBank(s.prior, externals, weights=weights[:5])
     assert bank.log_w.shape == (J, 5)
     got = [a.copy() for a in bank.kernel(point, y, s.n, s.sigma)]
-    log_w, means = bank.log_w[:, point], bank.means(point, y, np.empty((J, y.size)))
+    log_w, means = bank.log_w[:, point], bank.means(point, y, np.empty((2, y.size)))
     W, pm = np.empty((J, y.size)), np.empty((J, y.size))
     pv = posterior_bank_into(means, bank.variances, log_w, y, s.n, s.sigma, W, pm)
     assert same((W, pm, pv), got)
@@ -209,15 +290,16 @@ def test_bank_stats_in_chunks_match_one_chunk(monkeypatch, J, R, location):
 
 @pytest.mark.parametrize("J", [2, 101])
 def test_a_one_point_fixed_bank_lays_out_one_column(J):
-    # A fixed location on a one-point axis gives the (J,) column, which the
-    # kernel broadcasts; it gives the floats of the (J, R) layout, bit for bit.
+    # A fixed location on a one-point axis gives the (2,) column of the
+    # informative mean and the robust location, which the kernel
+    # broadcasts; it gives the floats of the (2, R) layout, bit for bit.
     s, h, y = one_arm(J, ExternalMean()), hybrid(J, ExternalMean()), draws(10_001)
     bank, wide = axis_bank_at(s), axis_bank_at(s)
     wide.column = None
     _, _, info, loc = bank_at(s)
-    assert bank.means(None, y, work_array("means", J, y.size)).shape == (J,)
-    assert same((bank.column,), (bank_means(info, loc, J, None),))
-    assert wide.means(None, y, work_array("means", J, y.size)).shape == (J, y.size)
+    assert bank.means(None, y, work_array("means", 2, y.size)).shape == (2,)
+    assert same((bank.column,), (np.array([info, loc]),))
+    assert wide.means(None, y, work_array("means", 2, y.size)).shape == (2, y.size)
     assert axis_bank_at(one_arm(J, CurrentMean())).column is None
     assert AxisBank(s.prior, [s.external_at(0.1), s.external_at(0.2)]).column is None
     assert same((_bank_stats(s, bank, y),), (_bank_stats(s, wide, y),))
@@ -291,6 +373,26 @@ def test_threads_keep_their_own_buffers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(same(p, q) for p, q in zip(parallel, serial))
+
+
+@LOCATIONS
+def test_a_warm_tail_free_pass_keeps_two_rows_of_means(location):
+    # On a thread of its own, two 101-component tail-free passes over 1e5
+    # draws never grow its "means" buffer past two rows of a chunk.
+    s = one_arm(101, location)
+    bank, y = axis_bank_at(s), draws(100_000)
+    widest = max(c.stop - c.start for c in bank_chunks(y.size, 101))
+
+    def passes():
+        sizes = []
+        for _ in range(2):
+            _bank_stats(s, bank, y, tails=False)
+            sizes.append(inference._WORKSPACE.means.size)
+        return sizes
+
+    with ThreadPoolExecutor(1) as pool:
+        sizes = pool.submit(passes).result(timeout=120)
+    assert sizes == [2 * widest] * 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fault counts of Linux getrusage")

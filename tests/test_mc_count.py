@@ -41,10 +41,18 @@ from borrowsim import (
 from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.onearm import _bands, _count_rejections, _exact_curve, _region_probability, _regions
+from borrowsim.priors import AxisBank, prior_bank_params
 from borrowsim.recipes import recipe_config
 from borrowsim.scenarios import join_run
 from borrowsim.sweep import _curves, _grid_cell, run_config
-from oracles import brute_force_power, brute_force_tie, cell_tails, rejection_region, scan_brentq_region
+from oracles import (
+    bank_stats_expression,
+    brute_force_power,
+    brute_force_tie,
+    cell_tails,
+    rejection_region,
+    scan_brentq_region,
+)
 
 EXT = SufficientStat(0.0, 15, 1.0)
 SD_EXT = 1.0 / math.sqrt(15.0)
@@ -301,7 +309,7 @@ class TestCounter:
         # re-decided, and the totals equal the per-draw decisions.
         s = scenario(location=CurrentMean())
         biases = (2 * SD_EXT, -20 * SD_EXT)
-        bands, decide = onearm._curve(s, biases, sorted_draws(s))
+        bands, decide = onearm._curve(s, biases, sorted_draws(s), (s.null_mean, s.alt_mean))
         assert len(bands[0]) > 2 * len(biases)  # brackets besides the window's bands
         z = (probes(bands) - s.null_mean) / s.se
         check_count(z, s.null_mean, s.se, bands, decide)
@@ -352,7 +360,7 @@ class TestCounter:
         # The counter forms at_mean + se * z itself; those floats decide.
         s = scenario()
         z = np.sort(np.random.default_rng(5).standard_normal(5_000))
-        bands, decide = onearm._curve(s, (0.0,), sorted_draws(s))
+        bands, decide = onearm._curve(s, (0.0,), sorted_draws(s), (s.null_mean, s.alt_mean))
         tails = cell_tails(s, 0.0)
         for at_mean in (s.null_mean, s.alt_mean, s.null_mean + 11.5 * s.se):
             counts = _count_rejections(z, at_mean, s.se, bands, decide)
@@ -407,7 +415,7 @@ def test_the_window_stays_small_and_its_edges_hold_no_draws(monkeypatch):
     scan = onearm._scan
     monkeypatch.setattr(onearm, "_scan", recording_scan)
     z = sorted_draws(s)
-    point, lo, hi, _ = onearm._curve(s, biases, z)[0]
+    point, lo, hi, _ = onearm._curve(s, biases, z, (s.null_mean, s.alt_mean))[0]
     assert kept == [kept[0]] and kept[0] <= 0.45 * onearm._SCAN_POINTS
     for at_mean in (s.null_mean, s.alt_mean):
         ybar = at_mean + s.se * z
@@ -439,9 +447,9 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
     scans, regions = [], []
     curve, region = onearm._curve, onearm._regions
 
-    def counting_curve(s, biases, z):
+    def counting_curve(s, biases, z, centres):
         scans.append(tuple(biases))
-        return curve(s, biases, z)
+        return curve(s, biases, z, centres)
 
     def counting_region(*args, **kwargs):
         regions.append(args)
@@ -473,6 +481,37 @@ def test_tie_and_power_of_a_cell_share_one_region(monkeypatch):
     assert not worker.is_alive()
     assert results == [(powers[2], exact_ties[2])]
     assert len(scans) == 5 and len(regions) == 5
+
+
+@pytest.mark.parametrize("alt", [0.5, -0.5], ids=["alt-above", "alt-below"])
+def test_a_tie_only_curve_scans_only_its_own_draws(monkeypatch, alt):
+    # A TIE-only curve's scan spans the TIE draws alone: per point, the scan
+    # points between the two true means fewer kernel columns than a (TIE,
+    # power) curve, and the same counts as that curve's TIE and as the
+    # per-draw decisions. OneArmScenario takes an alternative above the
+    # null only; the span reads the true means in either order, so the
+    # mirror case is set past that check.
+    s = scenario(location=CurrentMean(), form=StudentT(3.0, 1.0, 20))
+    object.__setattr__(s, "alt_mean", alt)
+    biases = (-2 * SD_EXT, 0.0, SD_EXT, 3 * SD_EXT)
+    columns, kernel = [], AxisBank.kernel
+
+    def counting_kernel(self, point, ybar, n, sigma):
+        columns.append(ybar.size)
+        return kernel(self, point, ybar, n, sigma)
+
+    monkeypatch.setattr(AxisBank, "kernel", counting_kernel)
+    (ties,) = onearm.oc_curve(s, biases, rates=("tie",))
+    tie_columns = sum(columns)
+    columns.clear()
+    both = onearm.oc_curve(s, biases)
+    between = abs(alt - s.null_mean) / (24.0 * s.se / (onearm._SCAN_POINTS - 1))
+    assert tie_columns <= sum(columns) - len(biases) * (math.floor(between) - 2)
+    assert ties == both[0]
+    ybar = s.null_mean + s.se * sorted_draws(s)
+    per_draw = [bank_stats_expression(s, prior_bank_params(s.prior, s.external_at(b)), ybar) <= s.alpha
+                for b in biases]
+    assert ties == [int(np.count_nonzero(d)) / s.reps for d in per_draw]
 
 
 def test_monte_carlo_rates_refine_no_boundary(monkeypatch):

@@ -19,7 +19,8 @@ from borrowsim import (
     resolve_location,
 )
 from borrowsim import inference
-from borrowsim.priors import MAX_T_COMPONENTS, gamma_precision_quantiles, prior_bank_params
+from borrowsim.gaussian import gauss_rule
+from borrowsim.priors import MAX_T_COMPONENTS, prior_bank_params
 from mixtures import (
     build_mixture_prior,
     mixture_pdf,
@@ -83,7 +84,7 @@ def gamma_quantile_oracle(p, shape, rate):
 
 class TestTApproximation:
     def test_quantile_grid_matches_independent_inversion(self):
-        lam = gamma_precision_quantiles(3.0, 10)
+        lam, _ = gauss_rule("gamma", 10, 3.0)
         for i, value in enumerate(lam):
             p = (i + 0.5) / 10
             assert value == pytest.approx(gamma_quantile_oracle(p, 1.5, 1.5), rel=1e-10)
@@ -97,7 +98,7 @@ class TestTApproximation:
         for k in (1, 2, 5, 10, 20, 50, 100, 101, 200, 400, 1000):
             levels = (np.arange(1, k + 1) - 0.5) / k
             expected = gamma_dist.ppf(levels, a=df / 2.0, scale=2.0 / df)
-            got = gamma_precision_quantiles(df, k)
+            got = gauss_rule("gamma", k, df)[0]
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (df, k)
 
     def test_single_component_uses_the_median_precision(self):
