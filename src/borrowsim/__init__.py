@@ -1,7 +1,7 @@
 """Robust mixture priors for borrowing external data, and the frequentist
 and Bayesian operating characteristics of the resulting trial designs."""
 
-from .gaussian import GaussianComponent, SufficientStat
+from .gaussian import SufficientStat
 from .priors import (
     CurrentMean,
     ExternalMean,
@@ -9,8 +9,6 @@ from .priors import (
     Normal,
     NullBoundary,
     StudentT,
-    build_informative,
-    resolve_location,
 )
 from .diagnostics import bimodality_map
 from .scenarios import (

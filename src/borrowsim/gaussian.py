@@ -1,8 +1,8 @@
 """Normal-endpoint values and the numerical tools the engines share.
 
-``GaussianComponent`` (one normal) and ``SufficientStat`` (an observed
-mean, its sample size and the known per-observation sd) are the values
-priors are built from. ``mixture_density`` evaluates whole columns of
+``SufficientStat`` (an observed mean, its sample size and the known
+per-observation sd, with ``se`` the sd of the mean) is the value priors
+are built from. ``mixture_density`` evaluates whole columns of
 normal mixtures at once, ``gauss_rule`` holds the quadrature rules,
 ``bisect`` halves arrays of brackets together, and ``brentq`` is scipy's
 root solve, imported at its first call. Everything in here is a pure
@@ -19,29 +19,10 @@ import numpy as np
 from scipy.special import gammaincinv, roots_genlaguerre
 
 __all__ = [
-    "GaussianComponent",
     "SufficientStat",
     "mixture_density",
     "gauss_rule",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One normal component N(mean, sd**2), in endpoint units."""
-
-    mean: float
-    sd: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"component mean must be finite, got {self.mean!r}")
-        if not (math.isfinite(self.sd) and self.sd > 0.0):
-            raise ValueError(f"component sd must be finite and > 0, got {self.sd!r}")
-
-    @property
-    def variance(self) -> float:
-        return self.sd * self.sd
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from . import inference
 # posterior_bank stays bound here unused: perfbench/tests/test_perfbench.py
 # asserts that the tracer's wrapper replaces this binding.
 from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
-from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location
+from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location, t_laguerre_bank
 from .scenarios import OneArmScenario, _run_shared, base_normals, sorted_normals
 
 __all__ = [
@@ -73,10 +73,9 @@ def _bank_stats(s: OneArmScenario, bank: AxisBank, ybar: np.ndarray, tails: bool
     for sl in bank_chunks(ybar.size, J):
         yb = ybar[sl]
         W, pm, pv = bank.kernel(None if point is None else point[sl], yb, s.n, s.sigma)
-        if tails:  # the ndtr argument goes into the spent "means" buffer
-            scratch = np.subtract(s.null_mean, pm, out=work_array("means", J, yb.size))
-            np.divide(scratch, np.sqrt(pv)[:, None], out=scratch)
-            np.einsum("jr,jr->r", W, ndtr(scratch, out=scratch), out=tail[sl])
+        if tails:  # the ndtr argument goes into pm, spent once it is formed
+            np.divide(np.subtract(s.null_mean, pm, out=pm), np.sqrt(pv)[:, None], out=pm)
+            np.einsum("jr,jr->r", W, ndtr(pm, out=pm), out=tail[sl])
         else:
             np.einsum("jr,jr->r", W, pm, out=pmeans[sl])
             w_info[sl] = W[0]
@@ -254,7 +253,7 @@ def _scan_window(s: OneArmScenario) -> tuple[float, float]:
     return s.null_mean - 12.0 * s.se, s.null_mean + 12.0 * s.se
 
 
-def _exact_t_shifts(form: StudentT, near: float, far: float) -> np.ndarray:
+def _laguerre_shifts(form: StudentT, near: float, far: float) -> np.ndarray:
     """Rate shifts of the exact-t banks covering conflicts in [near, far]:
     a bank shifted by d serves conflicts up to sqrt(2 d**2 + df scale**2),
     which leaves at most exp(-u) of the conflict factor to its rule."""
@@ -278,8 +277,8 @@ def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
     else:
         near = max(0.0, lo - robust_loc, robust_loc - hi)
         far = max(robust_loc - lo, hi - robust_loc)
-    shifts = _exact_t_shifts(s.prior.form, near, far)
-    banks = [AxisBank(s.prior, [external], t_shift=d, t_nodes=nodes) for d in shifts]
+    shifts = _laguerre_shifts(s.prior.form, near, far)
+    banks = [AxisBank(s.prior, [external], block=t_laguerre_bank(s.prior.form, d, nodes)) for d in shifts]
 
     def tails(ys, point=None):
         dist = np.zeros_like(ys) if robust_loc is None else np.abs(ys - robust_loc)

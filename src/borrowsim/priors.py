@@ -6,23 +6,25 @@ location policy, a dispersion (effective sample size or explicit
 variance) and a functional form. A heavy-tailed robust component is
 represented as an equal-weight bank of normals whose precisions sit at
 Gamma quantiles, so the whole prior stays a normal mixture and posterior
-updates stay closed-form. The exact-t routes use a Gauss-Laguerre bank
-over the same Gamma precision instead.
+updates stay closed-form. The exact-t route uses a Gauss-Laguerre bank
+over the same Gamma precision instead (``t_laguerre_bank``), which it
+hands ``AxisBank`` as the robust ``block``.
 
-``prior_bank_params`` is the one construction of the components (their
-variances and log weights); ``AxisBank`` holds it along an axis of
-external means, the one form of the prior that the engines and the
-bimodality map hand the posterior kernel.
+``AxisBank`` is the one construction of the array form: it turns a spec
+into the component variances and log weights, and holds them along an
+axis of external means with the informative mean and the robust location
+(``robust_location``) at each. It is the one form of the prior that the
+engines and the bimodality map hand the posterior kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianComponent, SufficientStat, gauss_rule
+from .gaussian import SufficientStat, gauss_rule
 from .inference import posterior_bank_into, work_array
 
 __all__ = [
@@ -34,10 +36,7 @@ __all__ = [
     "StudentT",
     "RobustForm",
     "MixturePriorSpec",
-    "build_informative",
-    "resolve_location",
     "t_laguerre_bank",
-    "prior_bank_params",
     "robust_location",
     "AxisBank",
 ]
@@ -162,36 +161,13 @@ class MixturePriorSpec:
         return self.n_robust
 
 
-def build_informative(external: SufficientStat) -> GaussianComponent:
-    """Informative component: flat-prior posterior of the external data."""
-    return GaussianComponent(external.mean, external.sigma / math.sqrt(external.n))
-
-
-def resolve_location(
-    policy: LocationPolicy,
-    external: SufficientStat,
-    current: SufficientStat | None = None,
-) -> float:
-    """Concrete robust-component center under the given policy."""
-    if isinstance(policy, ExternalMean):
-        return external.mean
-    if isinstance(policy, NullBoundary):
-        return policy.value
-    if isinstance(policy, CurrentMean):
-        if current is None:
-            raise ValueError(
-                "CurrentMean location needs the current data to resolve"
-            )
-        return current.mean
-    raise TypeError(f"unknown location policy {policy!r}")
-
-
 # Gauss-Laguerre nodes of the exact-t bank.
 EXACT_T_NODES = 40
 
 
 def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
-    """The exact t as a normal bank: precisions (in scale**-2) and log weights.
+    """The exact t as a normal bank: variances scale**2 / lambda_i and log
+    weights, an ``AxisBank`` robust ``block``.
 
     Integrates over the t's Gamma(df/2, df/2) precision lambda with
     generalized Gauss-Laguerre nodes u_i, alpha = df/2 - 1/2 absorbing the
@@ -208,79 +184,59 @@ def t_laguerre_bank(form: StudentT, shift: float, nodes: int = EXACT_T_NODES):
     b = shift * shift / (2.0 * form.scale**2)
     c = half + b
     lam = x / c
-    return lam, (
+    return form.scale**2 / lam, (
         log_wt - 0.5 * np.log(x)
         + half * math.log(half) - half * math.log(c) - math.lgamma(half)
         + b * lam
     )
 
 
-def _robust_block(form: StudentT, t_shift: float | None = None, t_nodes: int = EXACT_T_NODES):
-    """A t robust component as a normal bank: its variances and its log
-    weights within the block. The k-point Gamma-quantile bank (the cached
-    ``gauss_rule("gamma", k, df)``), or with ``t_shift`` the exact t's
-    Gauss-Laguerre bank (``t_laguerre_bank``)."""
-    if t_shift is None:
-        lam, _ = gauss_rule("gamma", form.k, form.df)
-        log_block = np.full(form.k, -math.log(form.k))
-    else:
-        lam, log_block = t_laguerre_bank(form, t_shift, t_nodes)
-    return form.scale**2 / lam, log_block
-
-
-def prior_bank_params(
-    spec: MixturePriorSpec,
-    external: SufficientStat,
-    t_shift: float | None = None,
-    t_nodes: int = EXACT_T_NODES,
-):
-    """Array form of the prior for the vectorized engines.
-
-    Returns ``(variances, log_weights, informative_mean, robust_location)``
-    where ``robust_location`` is None when the location policy tracks the
-    observed current mean (the engines then substitute it per draw).
-    With ``t_shift`` set, a t robust component is the exact t as a
-    Gauss-Laguerre bank rate-shifted by that conflict
-    (``t_laguerre_bank``, ``t_nodes`` nodes) instead of the k-point
-    quantile bank.
-    """
-    informative = build_informative(external)
-    w = spec.informative_weight
-    if isinstance(spec.form, Normal):
-        block, log_block = np.array([spec.resolved_robust_variance()]), np.zeros(1)
-    else:
-        block, log_block = _robust_block(spec.form, t_shift, t_nodes)
-    variances = np.concatenate(([informative.variance], block))
-    with np.errstate(divide="ignore"):
-        log_weights = np.concatenate(([np.log(w)], np.log(1.0 - w) + log_block))
-    return variances, log_weights, informative.mean, robust_location(spec, external)
+def _robust_block(spec: MixturePriorSpec):
+    """The robust component as a normal bank: its variances and its log
+    weights within the block. One normal, or the k-point Gamma-quantile
+    bank of a t (the cached ``gauss_rule("gamma", k, df)``)."""
+    form = spec.form
+    if isinstance(form, Normal):
+        return np.array([spec.resolved_robust_variance()]), np.zeros(1)
+    lam, _ = gauss_rule("gamma", form.k, form.df)
+    return form.scale**2 / lam, np.full(form.k, -math.log(form.k))
 
 
 def robust_location(spec: MixturePriorSpec, external: SufficientStat) -> float | None:
-    """Robust-component location of the array form: None when the policy
-    tracks the observed current mean (the engines substitute it per draw)."""
-    if isinstance(spec.location, CurrentMean):
+    """Robust-component location of the array form: the external mean, the
+    null boundary, or None when the policy tracks the observed current
+    mean (the engines substitute it per draw)."""
+    policy = spec.location
+    if isinstance(policy, ExternalMean):
+        return external.mean
+    if isinstance(policy, NullBoundary):
+        return policy.value
+    if isinstance(policy, CurrentMean):
         return None
-    return resolve_location(spec.location, external)
+    raise TypeError(f"unknown location policy {policy!r}")
 
 
 class AxisBank:
     """The prior at each of ``externals`` (differing only in their mean) in
-    the engines' array form: one ``prior_bank_params`` call's variances and
-    log weights (the same at every point, so one kernel call serves all),
-    and per point ``info``, the informative mean, and ``loc``, the robust
-    location (None when it tracks the observed mean). With ``weights``, point
-    p's informative weight is weights[p], and ``log_w`` is (J, P), a column
-    per point (a ``prior_bank_params`` call per distinct weight)."""
+    the engines' array form: the component variances and log weights (the
+    same at every point, so one kernel call serves all), and per point
+    ``info``, the informative mean, and ``loc``, the robust location (None
+    when it tracks the observed mean). The robust block is ``_robust_block``'s
+    unless ``block`` gives its (variances, log weights). With ``weights``,
+    point p's informative weight is weights[p], and ``log_w`` is (J, P), a
+    column per point."""
 
-    def __init__(self, spec: MixturePriorSpec, externals, t_shift=None, t_nodes=EXACT_T_NODES,
-                 weights=None):
-        self.variances, self.log_w, _, loc = prior_bank_params(spec, externals[0], t_shift, t_nodes)
-        if weights is not None:
-            distinct, at = np.unique(weights, return_inverse=True)
-            log_w = [prior_bank_params(replace(spec, informative_weight=float(w)), externals[0], t_shift,
-                                       t_nodes)[1] for w in distinct]
-            self.log_w = np.stack(log_w, axis=1)[:, at.ravel()]
+    def __init__(self, spec: MixturePriorSpec, externals, weights=None, block=None):
+        sd = externals[0].se  # the informative component's sd
+        variances, log_block = _robust_block(spec) if block is None else block
+        self.variances = np.concatenate(([sd * sd], variances))
+        w = np.asarray(spec.informative_weight if weights is None else weights, dtype=float)
+        outside = ~((0.0 <= w) & (w <= 1.0))  # NaN too, before its log warns
+        if outside.any():
+            raise ValueError(f"informative weight must be in [0, 1], got {float(w[outside][0])!r}")
+        with np.errstate(divide="ignore"):
+            self.log_w = np.concatenate((np.log(w)[None], np.add.outer(log_block, np.log(1.0 - w))))
+        loc = robust_location(spec, externals[0])
         self.info = np.array([e.mean for e in externals])  # the informative component's mean
         self.loc = None if loc is None else np.array([robust_location(spec, e) for e in externals])
         self.column = (np.array([self.info[0], self.loc[0]])

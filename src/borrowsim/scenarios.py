@@ -130,7 +130,7 @@ class OneArmScenario:
     @property
     def sd_ext(self) -> float:
         """Sd of the informative component, sigma / sqrt(n_ext)."""
-        return self.external.sigma / math.sqrt(self.external.n)
+        return self.external.se
 
     def external_at(self, bias: float) -> SufficientStat:
         return SufficientStat(self.null_mean + bias, self.external.n, self.external.sigma)
@@ -192,7 +192,7 @@ class HybridScenario:
 
     @property
     def sd_ext(self) -> float:
-        return self.external.sigma / math.sqrt(self.external.n)
+        return self.external.se
 
     def external_at(self, bias: float) -> SufficientStat:
         return SufficientStat(self.control_mean - bias, self.external.n, self.external.sigma)

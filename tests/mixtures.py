@@ -4,12 +4,16 @@ The library computes every operating characteristic on the array form of
 the prior (``priors.AxisBank``) through one kernel. These are the object
 forms the tests read one dataset's numbers off instead:
 
-* ``GaussianMixture``, with ``mixture_pdf`` and ``mixture_cdf``, and
-  ``gaussian_cdf`` of one component;
+* ``GaussianComponent`` (one normal) and ``GaussianMixture``, with
+  ``mixture_pdf`` and ``mixture_cdf``, and ``gaussian_cdf`` of one
+  component;
 * ``conjugate_update`` and ``marginal_likelihood``, the closed-form
   algebra the acceptance criteria state;
 * ``build_mixture_prior`` and ``t_to_normal_mixture``, the prior as a
-  mixture: views of ``priors.prior_bank_params``;
+  mixture: views of ``priors.AxisBank`` and ``priors._robust_block``,
+  with ``build_informative`` (the informative component) and
+  ``resolve_location`` (the robust location, a current mean resolved
+  against one dataset);
 * ``posterior``, one dataset's posterior from the library's kernel
   (``posterior_bank``), which the quadrature, mpmath and sampling oracles
   check, with ``tail_probability``, ``posterior_mean`` and the two-arm
@@ -30,15 +34,42 @@ import numpy as np
 from scipy.special import ndtr
 
 from borrowsim.diagnostics import _modes
-from borrowsim.gaussian import GaussianComponent, SufficientStat, mixture_density
+from borrowsim.gaussian import SufficientStat, mixture_density
 from borrowsim.inference import posterior_bank
-from borrowsim.priors import MixturePriorSpec, StudentT, _robust_block, prior_bank_params, resolve_location
+from borrowsim.priors import (
+    AxisBank,
+    CurrentMean,
+    ExternalMean,
+    LocationPolicy,
+    MixturePriorSpec,
+    NullBoundary,
+    StudentT,
+    _robust_block,
+)
 
 # Weight drift beyond this is treated as an internal error rather than
 # silently renormalized away.
 WEIGHT_DRIFT_TOL = 1e-9
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class GaussianComponent:
+    """One normal component N(mean, sd**2), in endpoint units."""
+
+    mean: float
+    sd: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"component mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.sd) and self.sd > 0.0):
+            raise ValueError(f"component sd must be finite and > 0, got {self.sd!r}")
+
+    @property
+    def variance(self) -> float:
+        return self.sd * self.sd
 
 
 @dataclass(frozen=True)
@@ -172,7 +203,8 @@ def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
     exact-t route, whose Gauss-Laguerre bank (``t_laguerre_bank``) is
     exact for the t up to a node-count residual that it checks.
     """
-    return _mixture(np.full(form.k, mu), *_robust_block(form))
+    spec = MixturePriorSpec(0.0, SufficientStat(mu, 1, 1.0), form=form)
+    return _mixture(np.full(form.k, mu), *_robust_block(spec))
 
 
 def _mixture(means, variances, log_weights) -> GaussianMixture:
@@ -180,16 +212,40 @@ def _mixture(means, variances, log_weights) -> GaussianMixture:
     return GaussianMixture(comps, tuple(np.exp(log_weights)))
 
 
+def build_informative(external: SufficientStat) -> GaussianComponent:
+    """Informative component: flat-prior posterior of the external data."""
+    return GaussianComponent(external.mean, external.sigma / math.sqrt(external.n))
+
+
+def resolve_location(
+    policy: LocationPolicy,
+    external: SufficientStat,
+    current: SufficientStat | None = None,
+) -> float:
+    """Concrete robust-component center under the given policy."""
+    if isinstance(policy, ExternalMean):
+        return external.mean
+    if isinstance(policy, NullBoundary):
+        return policy.value
+    if isinstance(policy, CurrentMean):
+        if current is None:
+            raise ValueError(
+                "CurrentMean location needs the current data to resolve"
+            )
+        return current.mean
+    raise TypeError(f"unknown location policy {policy!r}")
+
+
 def build_mixture_prior(
     spec: MixturePriorSpec,
     current: SufficientStat | None = None,
 ) -> GaussianMixture:
     """The prior as a mixture: components (mean, sqrt(variance)) and weights
-    exp(log weight) of ``prior_bank_params``, component 0 the informative
+    exp(log weight) of the spec's ``AxisBank``, component 0 the informative
     one, and a current-mean location resolved against ``current``."""
-    variances, log_weights, info_mean, _ = prior_bank_params(spec, spec.external)
+    bank = AxisBank(spec, [spec.external])
     loc = resolve_location(spec.location, spec.external, current)
-    return _mixture(np.concatenate(([info_mean], np.full(variances.size - 1, loc))), variances, log_weights)
+    return _mixture(np.concatenate((bank.info, np.full(bank.variances.size - 1, loc))), bank.variances, bank.log_w)
 
 
 @dataclass(frozen=True)

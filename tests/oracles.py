@@ -35,6 +35,13 @@ scan, then one solve per endpoint bisection step and golden-section
 step. The library advances a weight block's curves in lockstep, one solve
 per step for all of them, and must match this bit for bit.
 
+``bank_params_expression`` is the prior's array form written out from
+the spec: the informative variance (sigma / sqrt(n))**2, the robust
+variance or the t bank's variances at ``scipy.stats.gamma.ppf`` quantiles,
+the log weights log w and log(1 - w) plus the block's, and the robust
+location. ``priors.AxisBank`` builds it from its own helpers and must
+match it bit for bit.
+
 ``posterior_bank_expression`` is the posterior kernel as one expression
 over new arrays, on prior component means laid out by ``bank_means``,
 and ``bank_stats_expression`` the one-arm tails, or the means and
@@ -87,16 +94,17 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from scipy.special import ndtr
+from scipy.stats import gamma as gamma_dist
 
-from borrowsim import StudentT, build_informative, resolve_location
+from borrowsim import CurrentMean, NullBoundary, StudentT
 from borrowsim.gaussian import mixture_density
 from borrowsim import diagnostics, hybrid
 from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
 from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
-from borrowsim.priors import AxisBank, prior_bank_params
+from borrowsim.priors import AxisBank
 from borrowsim.scenarios import SweetSpot, base_normals
-from mixtures import BimodalityReport, mixture_pdf
+from mixtures import BimodalityReport, build_informative, mixture_pdf, resolve_location
 
 # Points of the grid that locates the log-peak of the integrand.
 _PEAK_GRID = 4001
@@ -181,6 +189,31 @@ def exact_t_tail_oracle(spec, data, null_value: float, rel_tol: float = 1e-6) ->
             f"quadrature non-convergence: estimated error {err:g} for tail {tail:g}"
         )
     return tail
+
+
+def bank_params_expression(spec, external):
+    """The prior at ``external`` in array form, from the spec alone:
+    (variances, log weights, informative mean, robust location), the
+    location None where it tracks the observed mean. Component 0 is the
+    informative one; a t form's k components sit at the midpoint Gamma
+    quantiles (i - 0.5)/k of its precision, each with weight (1 - w)/k."""
+    w, form = spec.informative_weight, spec.form
+    sd = external.sigma / math.sqrt(external.n)
+    if isinstance(form, StudentT):
+        levels = (np.arange(1, form.k + 1) - 0.5) / form.k
+        robust = form.scale**2 / gamma_dist.ppf(levels, a=form.df / 2.0, scale=2.0 / form.df)
+        log_share = np.full(form.k, -math.log(form.k))
+    else:
+        v = spec.robust_variance
+        robust = np.array([spec.external.sigma**2 / spec.n_robust if v is None else v])
+        log_share = np.zeros(1)
+    with np.errstate(divide="ignore"):
+        log_w = np.concatenate(([np.log(w)], np.log(1.0 - w) + log_share))
+    if isinstance(spec.location, NullBoundary):
+        loc = spec.location.value
+    else:
+        loc = None if isinstance(spec.location, CurrentMean) else external.mean
+    return np.concatenate(([sd * sd], robust)), log_w, external.mean, loc
 
 
 def bank_means(info_mean, robust_loc, J, ybar):
@@ -346,7 +379,7 @@ def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
     theta_c = s.control_mean
     yc = theta_c + math.sqrt(2.0) * s.se_c * x
 
-    variances, log_w, info_mean, robust_loc = prior_bank_params(s.prior, external)
+    variances, log_w, info_mean, robust_loc = bank_params_expression(s.prior, external)
     means = bank_means(info_mean, robust_loc, variances.size, yc)
     W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
     a, b, t_var = _treatment_params(s, external.mean)
@@ -591,9 +624,7 @@ class WeightPropagation:
 def _log_marginal_ratio(s, spec, bias: float, ybar):
     """log(robust-block marginal / informative marginal) per draw."""
     external = s.external_at(bias)
-    variances, _, info_mean, robust_loc = prior_bank_params(
-        replace(spec, informative_weight=0.5), external
-    )
+    variances, _, info_mean, robust_loc = bank_params_expression(spec, external)
     J = variances.size
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     pred = variances + s.sigma**2 / s.n

@@ -45,7 +45,6 @@ from scipy.special import ndtr, ndtri
 from borrowsim import (
     CurrentMean,
     ExternalMean,
-    GaussianComponent,
     HybridScenario,
     Informative,
     MixturePriorSpec,
@@ -65,6 +64,7 @@ from borrowsim.hybrid import average_curve, delta_grid, restricted_summary, swee
 from borrowsim.hybrid import oc_curve as hybrid_curve
 from borrowsim.onearm import mean_posterior_weight
 from mixtures import (
+    GaussianComponent,
     GaussianMixture,
     conjugate_update,
     find_modes,

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from borrowsim import (
     CurrentMean,
     ExternalMean,
-    GaussianComponent,
     MixturePriorSpec,
     Normal,
     NullBoundary,
@@ -26,6 +25,7 @@ from borrowsim import (
 )
 from borrowsim import diagnostics, inference
 from mixtures import (
+    GaussianComponent,
     GaussianMixture,
     bimodality_ratio,
     build_mixture_prior,

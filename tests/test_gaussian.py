@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from borrowsim import (
     ExternalMean,
-    GaussianComponent,
     HybridScenario,
     MixturePriorSpec,
     OneArmScenario,
@@ -25,6 +24,7 @@ from borrowsim.priors import EXACT_T_NODES
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves
 from mixtures import (
+    GaussianComponent,
     GaussianMixture,
     conjugate_update,
     gaussian_cdf,

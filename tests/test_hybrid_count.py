@@ -461,15 +461,15 @@ def test_an_empty_axis_gives_one_empty_list_per_rate(route, rate_sets):
 @pytest.mark.parametrize("exact", [False, True])
 def test_a_curve_builds_each_point_prior_bank_once(monkeypatch, exact):
     # The solve and the per-draw kernel read the curve's one AxisBank, whose
-    # variances and log weights come from one prior_bank_params call.
+    # robust block comes from one _robust_block call.
     calls = []
-    build = priors.prior_bank_params
+    build = priors._robust_block
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return build(*args, **kwargs)
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
 
-    monkeypatch.setattr(priors, "prior_bank_params", counting)
+    monkeypatch.setattr(priors, "_robust_block", counting)
     biases = (-0.5, 0.0, 0.25, 0.5)
     hybrid.oc_curve(scenario(), biases, exact=exact)
     assert len(calls) == 1

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from borrowsim import (
     CurrentMean,
     ExternalMean,
-    GaussianComponent,
     MixturePriorSpec,
     Normal,
     NullBoundary,
@@ -18,6 +17,7 @@ from borrowsim import (
     SufficientStat,
 )
 from mixtures import (
+    GaussianComponent,
     GaussianMixture,
     build_mixture_prior,
     mixture_pdf,

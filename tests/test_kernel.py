@@ -30,12 +30,19 @@ from borrowsim import (
     StudentT,
     SufficientStat,
     inference,
+    onearm,
 )
 from borrowsim.hybrid import _Bank, _treatment_params
 from borrowsim.inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
 from borrowsim.onearm import _bank_stats
-from borrowsim.priors import MAX_T_COMPONENTS, AxisBank, prior_bank_params
-from oracles import bank_means, bank_stats_expression, posterior_bank_expression, scalar_posterior
+from borrowsim.priors import MAX_T_COMPONENTS, AxisBank
+from oracles import (
+    bank_means,
+    bank_params_expression,
+    bank_stats_expression,
+    posterior_bank_expression,
+    scalar_posterior,
+)
 
 EXT = SufficientStat(0.0, 15, 1.0)
 FORMS = {2: Normal(), 101: StudentT(3.0, 1.0, 100), 1001: StudentT(3.0, 1.0, MAX_T_COMPONENTS)}
@@ -68,7 +75,7 @@ def same(got, expected):
 
 
 def bank_at(s, bias=0.7):
-    return prior_bank_params(s.prior, s.external_at(bias))
+    return bank_params_expression(s.prior, s.external_at(bias))
 
 
 def axis_bank_at(s, bias=0.7):
@@ -204,12 +211,29 @@ def test_per_point_log_weights_match_per_weight_calls(J, location):
     pv = posterior_bank_into(means, bank.variances, log_w, y, s.n, s.sigma, W, pm)
     assert same((W, pm, pv), got)
     for w in (0.0, 0.25, 0.5, 1.0):
+        # The (J, P) matrix's columns at w are a one-point bank's (J,)
+        # vector, bit for bit: NumPy's log over a vector of weights (its SIMD
+        # loop) gives the floats of the log of one weight.
         one = replace(s.prior, informative_weight=w)
-        column = prior_bank_params(one, externals[0])[1]
+        column = AxisBank(one, externals[:1]).log_w
+        cols = weights[:5] == w
+        assert column.shape == (J,)
+        assert np.array_equal(bank.log_w[:, cols].view(np.int64),
+                              np.repeat(column[:, None], cols.sum(), axis=1).view(np.int64))
         at = weights == w
-        assert same((log_w[:, at],), (np.repeat(column[:, None], at.sum(), axis=1),))
         cW, cpm, cpv = AxisBank(one, externals).kernel(point, y, s.n, s.sigma)
         assert same((W[:, at], pm[:, at], pv), (cW[:, at], cpm[:, at], cpv))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, np.inf])
+def test_a_weight_outside_the_unit_interval_raises_before_its_log(bad):
+    # The weight is checked before any log is taken: NaN and 1.5 raise the
+    # spec's error, not NumPy's invalid-value warning.
+    s = one_arm(101, ExternalMean())
+    externals = [s.external_at(b) for b in (0.0, 0.5, 1.0)]
+    with pytest.raises(ValueError, match=r"informative weight must be in \[0, 1\], got"):
+        AxisBank(s.prior, externals, weights=np.array([0.5, bad, 1.0]))
 
 
 @pytest.mark.parametrize("total", [1, 2, 4096, 4097, 4098, 8193, 10_001])
@@ -257,7 +281,7 @@ def test_the_kernel_agrees_with_the_scalar_posterior(J, location, w):
     ybar = EXT.mean + conflicts * EXT.sigma / np.sqrt(EXT.n)
     W, pm, pv = (np.array(a, copy=True) for a in AxisBank(prior, [EXT]).kernel(None, ybar, n, sigma))
     variances, log_w, info_mean, robust_loc = (v.tolist() if isinstance(v, np.ndarray) else v
-                                               for v in prior_bank_params(prior, EXT))
+                                               for v in bank_params_expression(prior, EXT))
     for r, y in enumerate(ybar.tolist()):
         means = [info_mean] + [y if robust_loc is None else robust_loc] * (J - 1)
         ref_w, ref_m, ref_v = scalar_posterior(means, variances, log_w, y, n, sigma)
@@ -376,23 +400,36 @@ def test_threads_keep_their_own_buffers(monkeypatch):
 
 
 @LOCATIONS
-def test_a_warm_tail_free_pass_keeps_two_rows_of_means(location):
-    # On a thread of its own, two 101-component tail-free passes over 1e5
-    # draws never grow its "means" buffer past two rows of a chunk.
+def test_a_warm_tail_free_pass_keeps_two_rows_of_means(monkeypatch, location):
+    # On a thread of its own, two 101-component curves at 1e5 reps (each a
+    # tails pass: the scan and the count) and then two tail-free passes over
+    # 1e5 draws never grow its "means" buffer past two rows of the widest
+    # chunk: the tail's ndtr argument is formed in the spent posterior means.
     s = one_arm(101, location)
     bank, y = axis_bank_at(s), draws(100_000)
     widest = max(c.stop - c.start for c in bank_chunks(y.size, 101))
+    widths, kernel = [], AxisBank.kernel
+
+    def recording_kernel(self, point, ybar, n, sigma):
+        widths.append(ybar.size)
+        return kernel(self, point, ybar, n, sigma)
+
+    monkeypatch.setattr(AxisBank, "kernel", recording_kernel)
 
     def passes():
         sizes = []
         for _ in range(2):
+            onearm.oc_curve(replace(s, reps=100_000), (0.0, 0.7))
+            sizes.append(inference._WORKSPACE.means.size)
+        curve_widest = max(widths)
+        for _ in range(2):
             _bank_stats(s, bank, y, tails=False)
             sizes.append(inference._WORKSPACE.means.size)
-        return sizes
+        return sizes, curve_widest
 
     with ThreadPoolExecutor(1) as pool:
-        sizes = pool.submit(passes).result(timeout=120)
-    assert sizes == [2 * widest] * 2
+        sizes, curve_widest = pool.submit(passes).result(timeout=120)
+    assert sizes == [2 * curve_widest] * 2 + [2 * widest] * 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fault counts of Linux getrusage")

@@ -41,11 +41,12 @@ from borrowsim import (
 from borrowsim import hybrid, onearm, scenarios
 from borrowsim.config import normalize_config
 from borrowsim.onearm import _bands, _count_rejections, _exact_curve, _region_probability, _regions
-from borrowsim.priors import AxisBank, prior_bank_params
+from borrowsim.priors import AxisBank
 from borrowsim.recipes import recipe_config
 from borrowsim.scenarios import join_run
 from borrowsim.sweep import _curves, _grid_cell, run_config
 from oracles import (
+    bank_params_expression,
     bank_stats_expression,
     brute_force_power,
     brute_force_tie,
@@ -509,7 +510,7 @@ def test_a_tie_only_curve_scans_only_its_own_draws(monkeypatch, alt):
     assert tie_columns <= sum(columns) - len(biases) * (math.floor(between) - 2)
     assert ties == both[0]
     ybar = s.null_mean + s.se * sorted_draws(s)
-    per_draw = [bank_stats_expression(s, prior_bank_params(s.prior, s.external_at(b)), ybar) <= s.alpha
+    per_draw = [bank_stats_expression(s, bank_params_expression(s.prior, s.external_at(b)), ybar) <= s.alpha
                 for b in biases]
     assert ties == [int(np.count_nonzero(d)) / s.reps for d in per_draw]
 

@@ -15,18 +15,19 @@ from borrowsim import (
     NullBoundary,
     StudentT,
     SufficientStat,
-    build_informative,
-    resolve_location,
 )
 from borrowsim import inference
 from borrowsim.gaussian import gauss_rule
-from borrowsim.priors import MAX_T_COMPONENTS, prior_bank_params
+from borrowsim.priors import MAX_T_COMPONENTS, AxisBank, robust_location
 from mixtures import (
+    build_informative,
     build_mixture_prior,
     mixture_pdf,
+    resolve_location,
     t_to_normal_mixture,
     unit_information_variance,
 )
+from oracles import bank_params_expression
 
 EXT = SufficientStat(0.0, 15, 1.0)
 
@@ -71,6 +72,49 @@ class TestResolveLocation:
     def test_current_mean_requires_data(self):
         with pytest.raises(ValueError):
             resolve_location(CurrentMean(), EXT, None)
+
+
+class TestRobustLocation:
+    # The array form's one location rule: a current-mean location is None,
+    # resolved per draw by the engines.
+    def test_each_policy(self):
+        ext = SufficientStat(0.4, 15, 1.0)
+        at = {ExternalMean(): 0.4, NullBoundary(-1.0): -1.0, CurrentMean(): None}
+        for policy, loc in at.items():
+            assert robust_location(MixturePriorSpec(0.5, ext, policy), ext) == loc
+
+    def test_an_unknown_policy_raises(self):
+        spec = MixturePriorSpec(0.5, EXT)
+        object.__setattr__(spec, "location", "external")
+        with pytest.raises(TypeError, match="unknown location policy"):
+            robust_location(spec, EXT)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("location", [ExternalMean(), NullBoundary(-1.0), CurrentMean()])
+    @pytest.mark.parametrize("form", [Normal(), StudentT(3.0, 0.7, 1), StudentT(3.0, 1.0, 100),
+                                      StudentT(5.0, 1.0, MAX_T_COMPONENTS)])
+    def test_axis_bank_is_the_expression_written_from_the_spec(self, form, location, w):
+        # Bit for bit, at an external mean off the spec's: the variances,
+        # the log weights (-inf at w 0 and 1), the informative mean and the
+        # robust location.
+        spec = MixturePriorSpec(w, EXT, location, form, n_robust=0.7)
+        ext = SufficientStat(0.3, 15, 1.0)
+        bank = AxisBank(spec, [ext])
+        variances, log_w, info, loc = bank_params_expression(spec, ext)
+        assert same_bits(bank.variances, variances) and same_bits(bank.log_w, log_w)
+        assert bank.info.tolist() == [info]
+        assert (bank.loc is None and loc is None) or bank.loc.tolist() == [loc]
+
+    def test_an_explicit_robust_variance(self):
+        spec = MixturePriorSpec(0.5, EXT, ExternalMean(), Normal(), n_robust=None, robust_variance=4.0)
+        assert same_bits(AxisBank(spec, [EXT]).variances, bank_params_expression(spec, EXT)[0])
 
 
 def gamma_quantile_oracle(p, shape, rate):
@@ -187,11 +231,11 @@ class TestBuildMixturePrior:
         spec = MixturePriorSpec(0.3, ext, location, form, n_robust=0.7)
         cur = SufficientStat(0.42, 20, 1.0)
         m = build_mixture_prior(spec, current=cur)
-        variances, log_w, info_mean, robust_loc = prior_bank_params(spec, ext)
-        loc = cur.mean if robust_loc is None else robust_loc
-        assert m.means().tolist() == [info_mean] + [loc] * (variances.size - 1)
-        assert m.sds().tolist() == np.sqrt(variances).tolist()
-        weights = np.exp(log_w)
+        bank = AxisBank(spec, [ext])
+        loc = cur.mean if bank.loc is None else bank.loc[0]
+        assert m.means().tolist() == [bank.info[0]] + [loc] * (bank.variances.size - 1)
+        assert m.sds().tolist() == np.sqrt(bank.variances).tolist()
+        weights = np.exp(bank.log_w)
         assert m.weights == tuple(weights / weights.sum())
 
     def test_explicit_robust_variance(self):

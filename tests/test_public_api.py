@@ -9,11 +9,11 @@ import pytest
 import borrowsim as bs
 
 PUBLIC = [
-    "CurrentMean", "DesignPrior", "ExternalMean", "GaussianComponent", "HybridScenario",
-    "Informative", "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario",
-    "RobustMixture", "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo",
-    "bimodality_map", "build_informative", "calibrated_power_no_borrowing",
-    "one_arm_rejection_region", "one_arm_rmse", "one_arm_tie_exact", "resolve_location",
+    "CurrentMean", "DesignPrior", "ExternalMean", "HybridScenario", "Informative",
+    "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario", "RobustMixture",
+    "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo", "bimodality_map",
+    "calibrated_power_no_borrowing", "one_arm_rejection_region", "one_arm_rmse",
+    "one_arm_tie_exact",
 ]
 
 # The one-point rate wrappers: a rate comes from the curve call behind it.
@@ -24,10 +24,11 @@ WRAPPERS = [
 ]
 
 # Those and the one-dataset object API (the tests keep what they use of it
-# in mixtures.py) are gone.
+# in mixtures.py) are gone, the one-normal component and the informative and
+# location helpers with it.
 REMOVED = WRAPPERS + [
-    "GaussianMixture", "conjugate_update", "gaussian_cdf", "log_marginal_likelihood",
-    "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
+    "GaussianComponent", "build_informative", "resolve_location", "GaussianMixture",
+    "conjugate_update", "gaussian_cdf", "log_marginal_likelihood", "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "build_mixture_prior", "t_scale_matching_variance", "t_to_normal_mixture",
     "unit_information_variance", "PosteriorSummary", "posterior", "posterior_mean",
     "prob_t_not_better", "tail_probability", "BimodalityReport", "bimodality_ratio",
