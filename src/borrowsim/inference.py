@@ -3,13 +3,13 @@
 The kernel ``posterior_bank`` does component-wise conjugate updates and
 marginal-likelihood weight updates in log space (so extreme prior-data
 conflict never underflows) on whole vectors of observed means at once,
-in slices from ``bank_chunks``. The engines and the bimodality map call
-it on the prior's array form, ``priors.AxisBank``, whose ``kernel`` runs
-it as ``posterior_bank_into`` on this thread's reused work buffers
-(``work_array``), so a chunk allocates nothing of size components x draws
-and takes no page faults once the buffers are warm; ``AxisBank`` hands it
-two rows of means, so a bank squares on 2 x draws. The allocating
-``posterior_bank`` is the same kernel writing into new arrays.
+in slices from ``bank_chunks``, writing into two buffers its caller
+hands it. The engines and the bimodality map call it on the prior's array
+form, ``priors.AxisBank``, whose ``kernel`` hands it two rows of means (or
+a (2,) column) and this thread's reused work buffers (``work_array``), so
+a chunk allocates nothing of size components x draws and takes no page
+faults once the buffers are warm; a bank squares on 2 x draws. The tests
+also hand it all J rows of a general mixture.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "posterior_bank",
-    "posterior_bank_into",
     "work_array",
     "bank_chunks",
 ]
@@ -38,53 +37,39 @@ _CHUNK_ELEMENTS = 1 << 19
 _GUARD_SE = 1e-9
 
 
-def posterior_bank(means, variances, log_weights, ybar, n, sigma):
-    """Vectorized conjugate + weight update over a component bank.
+def posterior_bank(means, variances, log_weights, ybar, n, sigma, post_w, post_mean):
+    """Vectorized conjugate + weight update over a component bank, written
+    into ``post_w`` and ``post_mean``; returns ``post_vars``.
 
     Parameters
     ----------
-    means : array (J,) or (J, R), or (2,) or (2, R)
+    means : array (2,) or (2, R), or (J,) or (J, R)
         Prior component means; a (., R) shape carries data-dependent
-        locations (one per observed mean). Two rows stand for J: component
-        0's mean, and the one that components 1..J-1 share.
-    variances, log_weights : array (J,), or log_weights (J, R), one per mean
-        Prior component variances and log prior weights (-inf allowed).
+        locations (one per observed mean). Two rows, the only layout
+        ``AxisBank`` gives, stand for J: component 0's mean, and the one
+        that components 1..J-1 share; the tests also give all J rows.
+    variances : array (J,)
+        Prior component variances.
+    log_weights : array (J,), or (J, R), one column per observed mean
+        Log prior weights (-inf allowed).
     ybar : scalar or array (R,)
         Observed current mean(s).
     n, sigma : int, float
         Current sample size and known per-observation sd.
+    post_w, post_mean : (J, R) C-contiguous buffers that overlap no input
+        Receive the posterior component weights (columns sum to 1) and
+        the posterior component means.
 
-    Returns
-    -------
-    post_weights : (J, R) posterior component weights (columns sum to 1)
-    post_means : (J, R)
-    post_vars : (J,)
-
-    The (J, R) arrays are new; ``posterior_bank_into`` writes them into
-    the caller's buffers instead.
-    """
-    width = np.shape(means)[1] if np.ndim(means) == 2 else 1
-    shape = (np.size(variances), max(width, np.size(ybar)))
-    post_w, post_mean = np.empty(shape), np.empty(shape)
-    post_var = posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, post_mean)
-    return post_w, post_mean, post_var
-
-
-def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, post_mean):
-    """``posterior_bank`` written into ``post_w`` and ``post_mean``, (J, R)
-    C-contiguous buffers that overlap no input; returns ``post_vars``.
-
-    ``means`` has J rows, or 2: component 0's and the one components 1..J-1
-    share (the only form ``AxisBank`` lays out). (ybar - m)**2 is formed on
-    those rows alone, in ``post_mean`` (free until the posterior means), and
+    Returns ``post_vars``, (J,). (ybar - m)**2 is formed on the rows of
+    ``means`` alone, in ``post_mean`` (free until the posterior means), and
     divided into all J rows by -2 pred_var: halving each term of -0.5 *
     (log(2 pi pred_var) + (ybar - m)**2 / pred_var) is exact unless a result
     is subnormal, and (ybar - m)**2 is 0 or (for means of order one) at
     least about 4e-32, so each log weight is that expression's float with no
-    J x R multiply. Each (J, R) step is one ufunc with ``out=`` (one per
-    block for 2 rows); the (1, R) temporaries use this thread's
-    ``work_array("col")``. The results do not depend on where they are
-    written, only on the buffers' shapes.
+    J x R multiply. Each (J, R) step is one ufunc with ``out=``, or one per
+    block (row 0, rows 1..J-1) where it reads the rows of means; the (1, R)
+    temporaries use this thread's ``work_array("col")``. The results do not
+    depend on where they are written, only on the buffers' shapes.
     """
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     variances = np.asarray(variances, dtype=float)
@@ -120,10 +105,9 @@ def posterior_bank_into(means, variances, log_weights, ybar, n, sigma, post_w, p
 
 
 def _spread(op, rows, by, out):
-    """``op(rows, by)`` into the J rows of ``out``: row for row when ``rows``
-    has J, else (2 rows) row 0 into row 0 and row 1 into rows 1..J-1."""
-    if rows.shape[0] == out.shape[0]:
-        return op(rows, by, out=out)
+    """``op(rows, by)`` into the J rows of ``out``: row 0 into row 0, and
+    the rest of ``rows`` (one row shared by rows 1..J-1, or J - 1 rows)
+    into rows 1..J-1; neither step reduces, so J rows give ``op``'s floats."""
     op(rows[:1], by[:1], out=out[:1])
     op(rows[1:], by[1:], out=out[1:])
     return out

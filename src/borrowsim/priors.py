@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import SufficientStat, gauss_rule
-from .inference import posterior_bank_into, work_array
+from .inference import posterior_bank, work_array
 
 __all__ = [
     "ExternalMean",
@@ -255,13 +255,14 @@ class AxisBank:
         return out
 
     def kernel(self, point, ybar, n, sigma):
-        """``posterior_bank_into`` at observed means ``ybar`` under the prior
-        at point[r]: ``(W, pm, pv)``, W and pm in this thread's "W" and "pm"
-        buffers, the two rows of means (and the per-point log weights) laid
-        out in its "means" (and "log_w") buffer."""
+        """The posterior kernel, ``inference.posterior_bank``, at observed
+        means ``ybar`` under the prior at point[r]: ``(W, pm, pv)``, W and pm
+        in this thread's "W" and "pm" buffers, the kernel's two rows of means
+        (or the (2,) ``column``) and the per-point log weights laid out in
+        its "means" and "log_w" buffers."""
         J, R = self.variances.size, ybar.size
         W, pm = work_array("W", J, R), work_array("pm", J, R)
         means = self.means(point, ybar, work_array("means", 2, R))
         log_w = self.log_w if self.log_w.ndim == 1 else np.take(
             self.log_w, point, axis=1, out=work_array("log_w", J, R))
-        return W, pm, posterior_bank_into(means, self.variances, log_w, ybar, n, sigma, W, pm)
+        return W, pm, posterior_bank(means, self.variances, log_w, ybar, n, sigma, W, pm)

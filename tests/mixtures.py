@@ -14,9 +14,10 @@ forms the tests read one dataset's numbers off instead:
   with ``build_informative`` (the informative component) and
   ``resolve_location`` (the robust location, a current mean resolved
   against one dataset);
-* ``posterior``, one dataset's posterior from the library's kernel
-  (``posterior_bank``), which the quadrature, mpmath and sampling oracles
-  check, with ``tail_probability``, ``posterior_mean`` and the two-arm
+* ``posterior``, one dataset's posterior from the kernel written as one
+  expression (``oracles.posterior_bank_expression``, which the library's
+  kernel matches bit for bit), which the quadrature, mpmath and sampling
+  oracles check, with ``tail_probability``, ``posterior_mean`` and the two-arm
   ``prob_t_not_better``;
 * ``find_modes``, the library's batch mode finder on one mixture, and
   ``bimodality_ratio``.
@@ -35,7 +36,6 @@ from scipy.special import ndtr
 
 from borrowsim.diagnostics import _modes
 from borrowsim.gaussian import SufficientStat, mixture_density
-from borrowsim.inference import posterior_bank
 from borrowsim.priors import (
     AxisBank,
     CurrentMean,
@@ -272,11 +272,13 @@ def posterior(
     Component j keeps its identity; its new weight is proportional to the
     old weight times the marginal likelihood of the data under it.
     """
+    from oracles import posterior_bank_expression  # oracles imports this module
+
     means = prior.means()
     variances = prior.sds() ** 2
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(prior.weights))
-    post_w, post_mean, post_var = posterior_bank(
+    post_w, post_mean, post_var = posterior_bank_expression(
         means, variances, logw, data.mean, data.n, data.sigma
     )
     post_w = post_w[:, 0]

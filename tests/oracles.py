@@ -47,6 +47,8 @@ over new arrays, on prior component means laid out by ``bank_means``,
 and ``bank_stats_expression`` the one-arm tails, or the means and
 weights, read off it. The library's kernel writes each step
 into reused work buffers, chunk by chunk, and must match these bit for bit.
+The expression is also the tests' allocating posterior: the one-dataset
+``mixtures.posterior`` and ``reject_prob_gh`` run it.
 
 ``scalar_posterior`` is the posterior for one observed mean from the
 textbook formulas in Python floats, sharing no code with the kernel: each
@@ -100,7 +102,6 @@ from borrowsim import CurrentMean, NullBoundary, StudentT
 from borrowsim.gaussian import mixture_density
 from borrowsim import diagnostics, hybrid
 from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
-from borrowsim.inference import posterior_bank
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import AxisBank
 from borrowsim.scenarios import SweetSpot, base_normals
@@ -228,7 +229,9 @@ def bank_means(info_mean, robust_loc, J, ybar):
 
 
 def posterior_bank_expression(means, variances, log_weights, ybar, n, sigma):
-    """``inference.posterior_bank`` with a new array for every step."""
+    """``inference.posterior_bank`` with a new array for every step: the
+    tests' allocating posterior, ``(post_w, post_mean, post_var)``, on all J
+    rows of means and (J,) log weights."""
     ybar = np.atleast_1d(np.asarray(ybar, dtype=float))
     variances = np.asarray(variances, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -381,7 +384,7 @@ def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:
 
     variances, log_w, info_mean, robust_loc = bank_params_expression(s.prior, external)
     means = bank_means(info_mean, robust_loc, variances.size, yc)
-    W, pm, pv = posterior_bank(means, variances, log_w, yc, s.n_c, s.sigma)
+    W, pm, pv = posterior_bank_expression(means, variances, log_w, yc, s.n_c, s.sigma)
     a, b, t_var = _treatment_params(s, external.mean)
     sj = np.sqrt(t_var + pv)[:, None]
 

@@ -23,7 +23,7 @@ from borrowsim import (
     bimodality_map,
     OneArmScenario,
 )
-from borrowsim import diagnostics, inference
+from borrowsim import diagnostics, priors
 from mixtures import (
     GaussianComponent,
     GaussianMixture,
@@ -325,19 +325,23 @@ class TestBimodalityMap:
 
     @pytest.mark.parametrize("location", [ExternalMean(), CurrentMean(), NullBoundary(0.0)])
     def test_the_map_runs_on_the_engines_kernel_entry(self, location, monkeypatch):
-        # The map reads the posterior through AxisBank.kernel, not through the
-        # allocating posterior_bank, and its bytes do not depend on which.
+        # The map reads the posterior through one AxisBank.kernel call over
+        # all its (weight, bias) points, and counting the calls changes no byte.
         s = self.scenario(location)
         w_grid, biases = [0.0, 0.5, 0.9, 1.0], np.arange(-4.0, 4.01, 1.0) * s.sd_ext
         want = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+        widths, kernel = [], priors.AxisBank.kernel
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the bimodality map called posterior_bank")
+        def counting_kernel(self, point, ybar, n, sigma):
+            widths.append(ybar.size)
+            return kernel(self, point, ybar, n, sigma)
 
-        monkeypatch.setattr(inference, "posterior_bank", refuse)
+        monkeypatch.setattr(priors.AxisBank, "kernel", counting_kernel)
         got = bimodality_map(s, w_grid=w_grid, bias_grid=biases)
+        assert widths == [want.size]
         assert got.tobytes() == want.tobytes()
         assert bimodality_map(s, w_grid=[0.5], bias_grid=[biases[1]]).item() == want[1, 1]
+        assert widths == [want.size, 1]
 
     def test_weights_outside_the_unit_interval_are_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -33,7 +33,7 @@ from borrowsim import (
     onearm,
 )
 from borrowsim.hybrid import _Bank, _treatment_params
-from borrowsim.inference import bank_chunks, posterior_bank, posterior_bank_into, work_array
+from borrowsim.inference import bank_chunks, posterior_bank, work_array
 from borrowsim.onearm import _bank_stats
 from borrowsim.priors import MAX_T_COMPONENTS, AxisBank
 from oracles import (
@@ -74,6 +74,14 @@ def same(got, expected):
     )
 
 
+def run_kernel(means, variances, log_w, ybar, n, sigma):
+    """``posterior_bank`` into two new (J, R) buffers: ``(W, pm, pv)``."""
+    width = np.shape(means)[1] if np.ndim(means) == 2 else 1
+    shape = (np.size(variances), max(width, np.size(ybar)))
+    W, pm = np.empty(shape), np.empty(shape)
+    return W, pm, posterior_bank(means, variances, log_w, ybar, n, sigma, W, pm)
+
+
 def bank_at(s, bias=0.7):
     return bank_params_expression(s.prior, s.external_at(bias))
 
@@ -91,7 +99,7 @@ def test_kernel_matches_the_expression(J, R, location):
     y = draws(R)
     means = bank_means(info, loc, J, y)
     expected = posterior_bank_expression(means, variances, log_w, y, s.n, s.sigma)
-    assert same(posterior_bank(means, variances, log_w, y, s.n, s.sigma), expected)
+    assert same(run_kernel(means, variances, log_w, y, s.n, s.sigma), expected)
     # The engines' call: means laid out, and the kernel run, in work buffers.
     assert same(axis_bank_at(s).kernel(None, y, s.n, s.sigma), expected)
 
@@ -107,10 +115,7 @@ def test_kernel_matches_the_expression_at_one_mean_and_many_priors(J):
         (bank_at(s, b)[2:] for b in np.linspace(-2.0, 2.0, 41))
     ])
     expected = posterior_bank_expression(means, variances, log_w, 0.1, s.n, s.sigma)
-    assert same(posterior_bank(means, variances, log_w, 0.1, s.n, s.sigma), expected)
-    W, pm = np.empty(means.shape), np.empty(means.shape)
-    pv = posterior_bank_into(means, variances, log_w, 0.1, s.n, s.sigma, W, pm)
-    assert same((W, pm, pv), expected)
+    assert same(run_kernel(means, variances, log_w, 0.1, s.n, s.sigma), expected)
 
 
 ALL_LOCATIONS = pytest.mark.parametrize(
@@ -137,7 +142,7 @@ def test_the_two_row_kernel_matches_the_full_layout(J, location, w, R):
     rows = bank.means(None, y, np.empty((2, R)))
     assert rows.shape[0] == 2 and (bank.column is None) == (loc is None)
     assert same(bank.kernel(None, y, s.n, s.sigma), expected)
-    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+    assert same(run_kernel(rows, variances, log_w, y, s.n, s.sigma), expected)
 
 
 @pytest.mark.parametrize("J", [2, 101, 1001])
@@ -154,7 +159,7 @@ def test_the_two_row_kernel_matches_at_one_mean_and_many_priors(J, location):
     point, ybar = np.arange(biases.size), np.full(biases.size, y)
     rows = bank.means(point, ybar, np.empty((2, biases.size)))
     assert same(bank.kernel(point, ybar, s.n, s.sigma), expected)
-    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+    assert same(run_kernel(rows, variances, log_w, y, s.n, s.sigma), expected)
 
 
 def spread(rows, J):
@@ -172,7 +177,7 @@ def test_the_exact_half_at_a_draw_on_a_component_mean(J):
     y = np.concatenate(([info, loc, info, loc], draws(6)))
     rows = np.array([[info], [loc]])
     expected = posterior_bank_expression(spread(rows, J), variances, log_w, y, s.n, s.sigma)
-    assert same(posterior_bank(rows, variances, log_w, y, s.n, s.sigma), expected)
+    assert same(run_kernel(rows, variances, log_w, y, s.n, s.sigma), expected)
     assert same(axis_bank_at(s).kernel(None, y, s.n, s.sigma), expected)
 
 
@@ -190,7 +195,7 @@ def test_the_exact_half_where_two_pi_pred_var_is_one(J):
     rows = np.array([[0.0], [0.4]])
     y = np.concatenate(([0.4, 0.0], draws(7)))
     expected = posterior_bank_expression(spread(rows, J), variances, log_w, y, n, sigma)
-    assert same(posterior_bank(rows, variances, log_w, y, n, sigma), expected)
+    assert same(run_kernel(rows, variances, log_w, y, n, sigma), expected)
 
 
 @pytest.mark.parametrize("J", [2, 101])
@@ -207,8 +212,7 @@ def test_per_point_log_weights_match_per_weight_calls(J, location):
     assert bank.log_w.shape == (J, 5)
     got = [a.copy() for a in bank.kernel(point, y, s.n, s.sigma)]
     log_w, means = bank.log_w[:, point], bank.means(point, y, np.empty((2, y.size)))
-    W, pm = np.empty((J, y.size)), np.empty((J, y.size))
-    pv = posterior_bank_into(means, bank.variances, log_w, y, s.n, s.sigma, W, pm)
+    W, pm, pv = run_kernel(means, bank.variances, log_w, y, s.n, s.sigma)
     assert same((W, pm, pv), got)
     for w in (0.0, 0.25, 0.5, 1.0):
         # The (J, P) matrix's columns at w are a one-point bank's (J,)
@@ -363,21 +367,22 @@ def test_returned_arrays_survive_later_calls_on_the_thread():
     s = one_arm(101, CurrentMean())
     variances, log_w, info, loc = bank_at(s)
     y = draws(5000)
-    held = posterior_bank(bank_means(info, loc, 101, y), variances, log_w, y, s.n, s.sigma)
+    held = run_kernel(bank_means(info, loc, 101, y), variances, log_w, y, s.n, s.sigma)
     stats = (_bank_stats(s, axis_bank_at(s), draws(5000, 1)),)
     copies = [a.copy() for a in held + stats]
     _bank_stats(s, axis_bank_at(s, -0.4), draws(7000, 2))
     h = hybrid(101, CurrentMean())
     _Bank(h, [h.external_at(0.1)])(draws(6000, 3), draws(6000, 4))
     y2 = draws(5000, 5)
-    posterior_bank(bank_means(info, loc, 101, y2), variances, log_w, y2, s.n, s.sigma)
+    run_kernel(bank_means(info, loc, 101, y2), variances, log_w, y2, s.n, s.sigma)
     assert same(held + stats, copies)
 
 
 def test_threads_keep_their_own_buffers(monkeypatch):
-    # More threads than cores, chunks at the floor and a short switch
-    # interval, so the threads' passes interleave chunk by chunk.
-    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 1)
+    # More threads than cores, small chunks (4096 draws at J 2, 81 at J 101)
+    # and a short switch interval, so the threads' passes interleave chunk
+    # by chunk.
+    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 8192)
     jobs = [(J, location, seed) for J in (2, 101) for location in (ExternalMean(), CurrentMean())
             for seed in (0, 1)]
 
