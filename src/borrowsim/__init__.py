@@ -22,7 +22,7 @@ from .scenarios import (
     TreatmentPrior,
     UnitInfo,
 )
-from .onearm import one_arm_rejection_region, one_arm_rmse, one_arm_tie_exact
+from .onearm import one_arm_rmse, one_arm_tie_exact
 from .hybrid import calibrated_power_no_borrowing
 
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Scenario-file schema, and nothing else: one field table, read by
-validation and normalization. What a valid file costs to run, and how its
-cells are enumerated, belong to ``sweep``.
+validation and normalization, and every default it fills, the bimodality
+map's axes included (``MAP_WEIGHTS``, ``map_biases``). What a valid file
+costs to run, and how its cells are enumerated, belong to ``sweep``.
 
 A scenario file is a single JSON document with an explicit schema
 version. ``_FIELDS`` states the schema once, one row per dotted key
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MAP_WEIGHTS, map_biases
 from .priors import MAX_T_COMPONENTS, ExternalMean, NullBoundary, StudentT
 from .scenarios import ALPHA, LOCATION_NAMES, REPS, TreatmentPrior
 
@@ -102,6 +102,15 @@ class _Field:
     default: object = _ABSENT
     shape: str = "value"  # "value", "object", "list" or "grid"
     only: tuple = ()  # (axis, allowed values) pairs; axis is trial, kind or form
+
+
+# Default axes of the bimodality map: weights 0, 0.01, ..., 1 and biases
+# 0, sd_ext/10, ..., 4 sd_ext.
+MAP_WEIGHTS = tuple(round(0.01 * i, 10) for i in range(101))
+
+
+def map_biases(sd_ext: float) -> list[float]:
+    return [round(i * sd_ext / 10.0, 12) for i in range(41)]
 
 
 def _bimodality(grid):

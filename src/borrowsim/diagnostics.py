@@ -3,7 +3,8 @@
 ``_modes`` finds the modes and antimode of a batch of mixtures at once,
 by a derivative sign scan plus masked bisection, and grades bimodality
 by the mode-to-antimode density ratio. ``bimodality_map`` runs it over a
-(weight x conflict) grid of posteriors read off the posterior kernel.
+(weight x conflict) grid of posteriors read off the posterior kernel; the
+caller gives both axes (a scenario file's defaults live in ``config``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from .gaussian import SufficientStat, mixture_density
 from .priors import Normal
 from . import inference, priors
 
-__all__ = [
-    "bimodality_map",
-    "MAP_WEIGHTS",
-    "map_biases",
-]
+__all__ = ["bimodality_map"]
 
 _SCAN_POINTS = 2000
 _REFINE_TOL = 1e-9
@@ -124,16 +121,7 @@ def _modes(weights, means, sds):
     return np.where(two, 2, 1), x, f, np.where(two, ratio, 1.0)
 
 
-# Default axes of the map, which the config's defaults read: weights
-# 0, 0.01, ..., 1 and biases 0, sd_ext/10, ..., 4 sd_ext.
-MAP_WEIGHTS = tuple(round(0.01 * i, 10) for i in range(101))
-
-
-def map_biases(sd_ext: float) -> list[float]:
-    return [round(i * sd_ext / 10.0, 12) for i in range(41)]
-
-
-def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
+def bimodality_map(scenario, w_grid, bias_grid) -> np.ndarray:
     """Posterior bimodality ratio over a (weight x bias) grid.
 
     The posterior is built with the observed current mean pinned to the
@@ -148,10 +136,6 @@ def bimodality_map(scenario, w_grid=None, bias_grid=None) -> np.ndarray:
     """
     if not isinstance(scenario.prior.form, Normal):
         raise TypeError("bimodality is assessed for the Normal robust form only")
-    if w_grid is None:
-        w_grid = MAP_WEIGHTS
-    if bias_grid is None:
-        bias_grid = map_biases(scenario.sd_ext)
     shape = (len(w_grid), len(bias_grid))
     if 0 in shape:
         return np.empty(shape)

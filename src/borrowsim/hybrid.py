@@ -170,9 +170,7 @@ def _threshold_brackets(s: HybridScenario, bank: _Bank, biases, yc, stop=None):
     nodes, b = yc.size, bank.b
     lo_out = np.empty((len(biases), nodes))
     hi_out = np.empty_like(lo_out)
-    step = max(inference._CHUNK_ELEMENTS // (bank.variances.size * nodes), 1)
-    for start in range(0, len(biases), step):
-        sl = slice(start, min(start + step, len(biases)))
+    for sl in bank_chunks(len(biases), bank.variances.size * nodes):
         points = np.repeat(np.arange(sl.start, sl.stop), nodes)
         W, pm, sj, a, pnb, dpnb = bank.posterior(np.tile(yc, sl.stop - sl.start), points)
         if stop is None:

@@ -13,6 +13,9 @@ window, the Monte Carlo one the grid points that bracket its draws). The
 RMSE and the mean weight are read off one tail-free posterior pass. Each
 curve is built by the call that asks for it; the sorted draws and a cell's
 tail-free pass are run values, one per sweep run (``scenarios._run_shared``).
+The exact route has one curve entry (``oc_curve(exact=True)``) and one
+one-point entry, ``one_arm_tie_exact``, the only way into the exact-t
+route (the robust t taken exactly, not as its k-point bank).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .scenarios import OneArmScenario, _run_shared, base_normals, sorted_normals
 
 __all__ = [
     "one_arm_rmse",
-    "one_arm_rejection_region",
     "one_arm_tie_exact",
     "oc_curve",
 ]
@@ -313,33 +315,14 @@ def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
 
 
 def _exact_curve(s: OneArmScenario, biases, use_exact_t: bool = False, scan_points=None):
-    """Each point's ``_regions`` off the curve's ``_scan``."""
+    """Each point's rejection region, the intervals of observed means where
+    the test rejects (open ends -+inf; under prior-data conflict a union of
+    two, the mechanism behind non-monotone error rates): the ``_regions``
+    off the curve's ``_scan``."""
     points = _SCAN_POINTS if scan_points is None else scan_points
     if points < 2:
         raise ValueError(f"scan_points must be at least 2 (the window's ends), got {scan_points}")
     return _regions(*_scan(s, biases, points, use_exact_t), s.alpha)
-
-
-def one_arm_rejection_region(
-    s: OneArmScenario,
-    bias: float,
-    *,
-    use_exact_t: bool = False,
-    scan_points: int | None = None,
-):
-    """Intervals of observed means where the test rejects.
-
-    Boundaries come from a sign scan of tail(ybar) - alpha over
-    null +- 12 se, each crossing refined by ``brentq``; under prior-data
-    conflict the region can be a union of two intervals, which is exactly
-    the mechanism behind non-monotone error rates. Open ends are +-inf.
-
-    ``use_exact_t`` takes the robust t exactly rather than as its k-point
-    bank, and checks its own node count (``_checked_exact_t``). Both
-    routes scan 2001 points unless ``scan_points`` (at least 2) says
-    otherwise.
-    """
-    return list(_exact_curve(s, (bias,), use_exact_t, scan_points)[0])
 
 
 def _region_probability(intervals, mean: float, se: float) -> float:
@@ -351,6 +334,12 @@ def _region_probability(intervals, mean: float, se: float) -> float:
     return total
 
 
-def one_arm_tie_exact(s: OneArmScenario, bias: float, **kwargs) -> float:
-    """Noise-free TIE: Gaussian mass of the rejection region at the null."""
-    return _region_probability(_exact_curve(s, (bias,), **kwargs)[0], s.null_mean, s.se)
+def one_arm_tie_exact(s: OneArmScenario, bias: float, *, use_exact_t: bool = False,
+                      scan_points: int | None = None) -> float:
+    """Noise-free TIE at one bias: the Gaussian mass at the null of the
+    rejection region (``_exact_curve``), with ``use_exact_t`` under the
+    robust t taken exactly rather than as its k-point bank (the node count
+    checked by ``_checked_exact_t``), over ``scan_points`` (default 2001,
+    at least 2) of the sign scan."""
+    region = _exact_curve(s, (bias,), use_exact_t, scan_points)[0]
+    return _region_probability(region, s.null_mean, s.se)

@@ -56,10 +56,10 @@ from borrowsim import (
     SufficientStat,
     UnitInfo,
     bimodality_map,
-    one_arm_rejection_region,
     one_arm_tie_exact,
 )
 from borrowsim import onearm
+from borrowsim.config import MAP_WEIGHTS, map_biases
 from borrowsim.hybrid import average_curve, delta_grid, restricted_summary, sweet_spots
 from borrowsim.hybrid import oc_curve as hybrid_curve
 from borrowsim.onearm import mean_posterior_weight
@@ -230,7 +230,7 @@ def boundary_oracle_gap(s, bias):
     tail independently of the Gauss-Laguerre bank.
     """
     spec = replace(s.prior, external=s.external_at(bias))
-    region = one_arm_rejection_region(s, bias, use_exact_t=True)
+    region = onearm._exact_curve(s, (bias,), True)[0]
     bounds = [x for interval in region for x in interval if math.isfinite(x)]
     assert bounds
     return max(
@@ -311,8 +311,8 @@ def _map_scenario(location):
 
 
 def test_criterion_07a_location_contrast_in_bimodality():
-    cur = bimodality_map(_map_scenario(CurrentMean()))
-    ext = bimodality_map(_map_scenario(ExternalMean()))
+    cur = bimodality_map(_map_scenario(CurrentMean()), MAP_WEIGHTS, map_biases(SD_EXT))
+    ext = bimodality_map(_map_scenario(ExternalMean()), MAP_WEIGHTS, map_biases(SD_EXT))
     cur_cells = int(np.sum(cur > 1.0))
     ext_cells = int(np.sum(ext > 1.0))
     ok = cur_cells > ext_cells

@@ -203,13 +203,14 @@ class TestBatchedModeFinder:
             import resource
             from borrowsim import (ExternalMean, MixturePriorSpec, Normal, OneArmScenario,
                                    SufficientStat, bimodality_map)
+            from borrowsim.config import map_biases
             ext = SufficientStat(0.0, 15, 1.0)
             spec = MixturePriorSpec(0.5, ext, ExternalMean(), Normal())
             s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, spec, seed=1, reps=10)
             w_grid = [i / 20 for i in range(21)]
-            bimodality_map(s, w_grid=w_grid)
+            bimodality_map(s, w_grid, map_biases(s.sd_ext))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            bimodality_map(s, w_grid=w_grid)
+            bimodality_map(s, w_grid, map_biases(s.sd_ext))
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))

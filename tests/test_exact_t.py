@@ -21,9 +21,8 @@ from borrowsim import (
     OneArmScenario,
     StudentT,
     SufficientStat,
-    one_arm_rejection_region,
 )
-from borrowsim.onearm import EXACT_T_TOL, _checked_exact_t, _exact_t_tails
+from borrowsim.onearm import EXACT_T_TOL, _checked_exact_t, _exact_curve, _exact_t_tails
 from oracles import exact_t_tail_oracle, scan_brentq_region
 
 EXT = SufficientStat(0.0, 15, 1.0)
@@ -67,7 +66,7 @@ def test_bank_tail_matches_quadrature(p):
 @given(scenarios)
 def test_region_is_finite_and_ordered(p):
     s, bias = build(p)
-    region = one_arm_rejection_region(s, bias, use_exact_t=True)
+    region = list(_exact_curve(s, (bias,), True)[0])
     bounds = [x for interval in region for x in interval]
     assert not any(math.isnan(x) for x in bounds)
     assert bounds == sorted(bounds)
@@ -104,7 +103,7 @@ def test_narrow_scale_beyond_the_domain_raises_with_the_domain():
     spec = MixturePriorSpec(0.5, EXT, ExternalMean(), StudentT(3.0, 0.1, 100))
     s = OneArmScenario(0.0, 0.5, N, 1.0, EXT, spec, seed=1, reps=1)
     with pytest.raises(RuntimeError) as info:
-        one_arm_rejection_region(s, 0.0, use_exact_t=True)
+        _exact_curve(s, (0.0,), True)
     message = str(info.value)
     assert "160 and 320 nodes differ" in message
     assert "t scale 0.1 and current-data se 0.223607" in message

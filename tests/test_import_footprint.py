@@ -26,10 +26,10 @@ sys.setswitchinterval(1e-6)
 ext = bs.SufficientStat(0.0, 15, 1.0)
 s = bs.OneArmScenario(0.0, 0.5, 20, 1.0, ext, bs.MixturePriorSpec(0.5, ext), seed=1, reps=10)
 with ThreadPoolExecutor(4) as pool:
-    regions = list(pool.map(lambda _: bs.one_arm_rejection_region(s, 0.3), range(4)))
-assert "scipy.optimize" in sys.modules, "the rejection region solved without scipy.optimize"
+    ties = list(pool.map(lambda _: bs.one_arm_tie_exact(s, 0.3), range(4)))
+assert "scipy.optimize" in sys.modules, "the exact TIE solved its region without scipy.optimize"
 assert "scipy.stats" not in sys.modules, "a root solve loaded scipy.stats"
-assert regions == [bs.one_arm_rejection_region(s, 0.3)] * 4, regions
+assert ties == [bs.one_arm_tie_exact(s, 0.3)] * 4, ties
 
 from scipy.optimize import brentq
 

@@ -15,13 +15,12 @@ from borrowsim import (
     OneArmScenario,
     StudentT,
     SufficientStat,
-    one_arm_rejection_region,
     one_arm_rmse,
     one_arm_tie_exact,
 )
 from borrowsim import onearm
 from borrowsim.config import normalize_config
-from borrowsim.onearm import mean_posterior_weight
+from borrowsim.onearm import _exact_curve, mean_posterior_weight
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves
 from oracles import posterior_stats, weight_propagation
@@ -90,7 +89,7 @@ class TestRejectionRegion:
     def test_no_borrowing_region_is_the_z_test_half_line(self):
         s = scenario(w=0.0, location=NullBoundary(0.0), robust_variance=400.0,
                      reps=10_000)
-        region = one_arm_rejection_region(s, 0.0)
+        region = list(_exact_curve(s, (0.0,))[0])
         assert len(region) == 1
         lo, hi = region[0]
         assert math.isinf(hi)
@@ -116,16 +115,16 @@ class TestRejectionRegion:
         s = scenario(form=StudentT(3.0, 1.0, 100), reps=1, seed=7)
         for points in (0, 1):
             with pytest.raises(ValueError, match=f"scan_points must be at least 2.*got {points}"):
-                one_arm_rejection_region(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
+                _exact_curve(s, (0.5,), use_exact_t, points)
             with pytest.raises(ValueError, match=f"got {points}"):
                 one_arm_tie_exact(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
         for points in (2, 3, 11):
-            (lo, hi), = one_arm_rejection_region(s, 0.5, use_exact_t=use_exact_t, scan_points=points)
+            (lo, hi), = _exact_curve(s, (0.5,), use_exact_t, points)[0]
             assert lo == pytest.approx(0.3125, abs=1e-4) and hi == math.inf
 
     def test_region_supports_t_bank_decisions(self):
         s = scenario(w=0.5, form=StudentT(3.0, 1.0, 50), reps=10_000)
-        region = one_arm_rejection_region(s, 2 * SD_EXT)
+        region = list(_exact_curve(s, (2 * SD_EXT,))[0])
         assert region
         tie = one_arm_tie_exact(s, 2 * SD_EXT)
         assert 0.0 < tie < 1.0

@@ -1,5 +1,7 @@
 """The names ``borrowsim`` exports, and the README's library tour on them."""
 
+import ast
+import inspect
 import os
 import re
 import types
@@ -12,8 +14,7 @@ PUBLIC = [
     "CurrentMean", "DesignPrior", "ExternalMean", "HybridScenario", "Informative",
     "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario", "RobustMixture",
     "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo", "bimodality_map",
-    "calibrated_power_no_borrowing", "one_arm_rejection_region", "one_arm_rmse",
-    "one_arm_tie_exact",
+    "calibrated_power_no_borrowing", "one_arm_rmse", "one_arm_tie_exact",
 ]
 
 # The one-point rate wrappers: a rate comes from the curve call behind it.
@@ -23,11 +24,12 @@ WRAPPERS = [
     "delta_restricted_summary", "no_borrowing_power",
 ]
 
-# Those and the one-dataset object API (the tests keep what they use of it
-# in mixtures.py) are gone, the one-normal component and the informative and
+# Those, the one-point region view (a region is read off ``_exact_curve``) and
+# the one-dataset object API (the tests keep what they use of it in
+# mixtures.py) are gone, the one-normal component and the informative and
 # location helpers with it.
 REMOVED = WRAPPERS + [
-    "GaussianComponent", "build_informative", "resolve_location", "GaussianMixture",
+    "one_arm_rejection_region", "GaussianComponent", "build_informative", "resolve_location", "GaussianMixture",
     "conjugate_update", "gaussian_cdf", "log_marginal_likelihood", "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "build_mixture_prior", "t_scale_matching_variance", "t_to_normal_mixture",
     "unit_information_variance", "PosteriorSummary", "posterior", "posterior_mean",
@@ -45,6 +47,16 @@ def test_the_public_names_are_pinned_and_the_object_api_is_gone():
             exec(f"from borrowsim import {name}", {})
     for name in WRAPPERS:
         assert not hasattr(bs.onearm, name) and not hasattr(bs.hybrid, name)
+    assert not hasattr(bs.onearm, "one_arm_rejection_region")
+
+
+def test_the_map_takes_both_axes_and_the_schema_owns_their_defaults():
+    params = inspect.signature(bs.bimodality_map).parameters.values()
+    assert [p.default for p in params] == [inspect.Parameter.empty] * 3
+    assert not hasattr(bs.diagnostics, "MAP_WEIGHTS") and not hasattr(bs.diagnostics, "map_biases")
+    imports = [n.module for n in ast.walk(ast.parse(inspect.getsource(bs.config)))
+               if isinstance(n, ast.ImportFrom)]
+    assert "diagnostics" not in imports and imports
 
 
 def test_the_readme_library_tour_runs_verbatim():
