@@ -12,15 +12,11 @@ from .priors import (
 )
 from .diagnostics import bimodality_map
 from .scenarios import (
-    DesignPrior,
     HybridScenario,
-    Informative,
     OCRow,
     OneArmScenario,
-    RobustMixture,
     SweetSpot,
     TreatmentPrior,
-    UnitInfo,
 )
 from .onearm import one_arm_rmse, one_arm_tie_exact
 from .hybrid import calibrated_power_no_borrowing

@@ -4,9 +4,10 @@
 per-observation sd, with ``se`` the sd of the mean) is the value priors
 are built from. ``mixture_density`` evaluates whole columns of
 normal mixtures at once, ``gauss_rule`` holds the quadrature rules,
-``bisect`` halves arrays of brackets together, and ``brentq`` is scipy's
-root solve, imported at its first call. Everything in here is a pure
-function of immutable values and safe to call from any number of threads.
+``bisect`` halves arrays of brackets together, ``brentq`` is scipy's
+root solve, imported at its first call, and ``is_integer`` checks every
+integer field. Everything in here is a pure function of immutable values
+and safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ __all__ = [
 ]
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is finite and equal to its int (a Python int always is)."""
+    return isinstance(x, int) or (math.isfinite(x) and int(x) == x)
+
+
 @dataclass(frozen=True)
 class SufficientStat:
     """Observed sample mean, sample size and known per-observation sd."""
@@ -36,7 +42,7 @@ class SufficientStat:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"sample mean must be finite, got {self.mean!r}")
-        if int(self.n) != self.n or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValueError(f"sample size must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")

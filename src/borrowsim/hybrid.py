@@ -35,14 +35,10 @@ from .gaussian import bisect, gauss_rule
 from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
 from .priors import AxisBank, Normal
 from .scenarios import (
-    DesignPrior,
     HybridScenario,
-    Informative,
     OneArmScenario,
-    RobustMixture,
     SweetSpot,
     TreatmentPrior,
-    UnitInfo,
     _run_shared,
     base_normals,
     base_uniforms,
@@ -241,12 +237,12 @@ class _Layout:
 
 
 class _Curve:
-    """Monte Carlo rejection counts along an axis of biases, or of analysis
-    shifts under a design prior: one threshold solve for every point on the
-    layout's grid, then one count of every point per effect. At a draw in
-    grid cell k, T lies between the lower bracket end at point k and the
-    upper end at k + 1 (k for the last point) if T is monotone, which the
-    grid checks."""
+    """Monte Carlo rejection counts along an axis of biases (``design``
+    None), or of analysis shifts under the design prior of informative weight
+    ``design``: one threshold solve for every point on the layout's grid,
+    then one count of every point per effect. At a draw in grid cell k, T
+    lies between the lower bracket end at point k and the upper end at k + 1
+    (k for the last point) if T is monotone, which the grid checks."""
 
     def __init__(self, s: HybridScenario, design, axis):
         self.s, points = s, tuple(dict.fromkeys(axis))
@@ -480,35 +476,30 @@ def _design_robust_variance(s: HybridScenario) -> float:
     return s.prior.form.scale ** 2
 
 
-def _design_draws(s: HybridScenario, design: DesignPrior) -> np.ndarray:
-    """True control means drawn from the design prior (centered at the
-    scenario's external mean)."""
-    center = s.external.mean
-    sd_info = s.sd_ext
+def _design_draws(s: HybridScenario, weight: float) -> np.ndarray:
+    """True control means drawn from the design prior: the scenario's
+    mixture at informative weight ``weight``, centered at its external mean.
+    Only a weight strictly between 0 and 1 draws each draw's component."""
     sd_rob = math.sqrt(_design_robust_variance(s))
-    z = base_normals(s.seed, s.scenario_id, "design", s.reps)
-    if isinstance(design, Informative):
-        return center + sd_info * z
-    if isinstance(design, UnitInfo):
-        return center + sd_rob * z
-    if isinstance(design, RobustMixture):
+    if 0.0 < weight < 1.0:
         u = base_uniforms(s.seed, s.scenario_id, "design-component", s.reps)
-        sd = np.where(u < design.weight, sd_info, sd_rob)
-        return center + sd * z
-    raise TypeError(f"unknown design prior {design!r}")
+        sd = np.where(u < weight, s.sd_ext, sd_rob)
+    else:
+        sd = s.sd_ext if weight == 1.0 else sd_rob
+    return s.external.mean + sd * base_normals(s.seed, s.scenario_id, "design", s.reps)
 
 
-def average_curve(s: HybridScenario, design: DesignPrior, shifts):
+def average_curve(s: HybridScenario, weight: float, shifts):
     """TIE and power averaged over control means drawn from the design
-    prior, at each analysis shift, as lists of floats: one threshold solve
-    serves the curve.
+    prior (``_design_draws`` at informative weight ``weight``), at each
+    analysis shift, as lists of floats: one threshold solve serves the curve.
 
     Data are generated with equal arm means (TIE) or at the scenario's
     effect (power) conditional on each draw; the analysis prior is the
     scenario's mixture with its external mean shifted by the shift.
     """
-    if design is None:  # _Curve reads None as the fixed control mean
-        raise ValueError("no design prior given")
+    if weight is None or not 0.0 <= weight <= 1.0:  # _Curve reads None as the fixed control mean
+        raise ValueError(f"the design prior's informative weight must be in [0, 1], got {weight!r}")
     if not len(shifts):
         return [], []
-    return _rates(s, design, shifts, ("tie", "power"))
+    return _rates(s, weight, shifts, ("tie", "power"))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import SufficientStat, gauss_rule
+from .gaussian import SufficientStat, gauss_rule, is_integer
 from .inference import posterior_bank, work_array
 
 __all__ = [
@@ -99,7 +99,7 @@ class StudentT:
             raise ValueError(f"df must be > 2 for a finite variance, got {self.df!r}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be > 0, got {self.scale!r}")
-        if int(self.k) != self.k or not 1 <= self.k <= MAX_T_COMPONENTS:
+        if not is_integer(self.k) or not 1 <= self.k <= MAX_T_COMPONENTS:
             raise ValueError(f"k must be an integer in [1, {MAX_T_COMPONENTS}], got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 

@@ -23,24 +23,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import SufficientStat
+from .gaussian import SufficientStat, is_integer
 from .priors import (
     CurrentMean,
     ExternalMean,
     MixturePriorSpec,
     Normal,
     NullBoundary,
-    StudentT,
 )
 
 __all__ = [
     "OneArmScenario",
     "HybridScenario",
     "TreatmentPrior",
-    "Informative",
-    "RobustMixture",
-    "UnitInfo",
-    "DesignPrior",
     "OCRow",
     "SweetSpot",
     "substream",
@@ -61,32 +56,12 @@ class TreatmentPrior(enum.Enum):
     UNIT_INFO_AT_EXTERNAL_MEAN = "unit_info_at_external_mean"
 
 
-@dataclass(frozen=True)
-class Informative:
-    """Design prior equal to the informative component."""
-
-
-@dataclass(frozen=True)
-class RobustMixture:
-    """Design prior equal to the full mixture with the given weight."""
-
-    weight: float = 0.5
-
-
-@dataclass(frozen=True)
-class UnitInfo:
-    """Design prior equal to the robust (vague) component alone."""
-
-
-DesignPrior = Informative | RobustMixture | UnitInfo
-
-
 def _check_common(alpha, reps, seed):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if int(reps) != reps or reps < 1:
+    if not is_integer(reps) or reps < 1:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
-    if int(seed) != seed or not 0 <= seed < 2**64:  # the streams key on 64 bits (``_token``)
+    if not is_integer(seed) or not 0 <= seed < 2**64:  # the streams key on 64 bits (``_token``)
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -113,7 +88,7 @@ class OneArmScenario:
         _check_common(self.alpha, self.reps, self.seed)
         if not self.alt_mean > self.null_mean:
             raise ValueError("alt_mean must exceed null_mean")
-        if int(self.n) != self.n or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
@@ -167,7 +142,7 @@ class HybridScenario:
             )
         for name in ("n_t", "n_c"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
             object.__setattr__(self, name, int(v))
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -250,15 +225,13 @@ LOCATION_NAMES = {
 
 
 def describe_location(policy) -> str:
-    return LOCATION_NAMES.get(type(policy), type(policy).__name__)
+    return LOCATION_NAMES[type(policy)]
 
 
 def describe_form(form) -> str:
     if isinstance(form, Normal):
         return "normal"
-    if isinstance(form, StudentT):
-        return f"t(df={form.df:g},scale={form.scale:g},k={form.k})"
-    return type(form).__name__
+    return f"t(df={form.df:g},scale={form.scale:g},k={form.k})"
 
 
 def _token(part) -> int:

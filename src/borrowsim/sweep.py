@@ -30,7 +30,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,12 +51,9 @@ from .priors import (
 from .scenarios import (
     LOCATION_NAMES,
     HybridScenario,
-    Informative,
     OCRow,
     OneArmScenario,
-    RobustMixture,
     TreatmentPrior,
-    UnitInfo,
     describe_form,
     describe_location,
     join_run,
@@ -235,14 +231,14 @@ def _curves(cfg) -> list:
 
 def _groups(cfg) -> list:
     """(scenario_id suffix, group) pairs of each curve, in output order: a
-    table's deltas, an average's design priors, else one unnamed group."""
+    table's deltas, an average's design priors (informative weights), else
+    one unnamed group."""
     sweep = cfg["sweep"]
     if cfg["kind"] == "table":
         return [(f":delta={delta:g}", delta) for delta in sweep["deltas"]]
     if cfg["kind"] == "average":
-        designs = {"informative": Informative(), "rmp": RobustMixture(cfg["rmp_weight"]),
-                   "unit_info": UnitInfo()}
-        return [(f":design={name}", designs[name]) for name in sweep["design_priors"]]
+        weights = {"informative": 1.0, "rmp": cfg["rmp_weight"], "unit_info": 0.0}
+        return [(f":design={name}", weights[name]) for name in sweep["design_priors"]]
     return [("", None)]
 
 
@@ -335,8 +331,8 @@ def _table_job(cfg, curve, delta, points):
     return [{"tie": tie, "power": power} for tie, power in zip(ties, powers)], entry
 
 
-def _average_job(cfg, curve, design, points):
-    ties, powers = hybrid.average_curve(curve[0], design, points)
+def _average_job(cfg, curve, weight, points):
+    ties, powers = hybrid.average_curve(curve[0], weight, points)
     return [{"tie": tie, "power": power} for tie, power in zip(ties, powers)], None
 
 
@@ -401,8 +397,6 @@ def _format(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
         return f"{value:.17g}"
     return str(value)
 

@@ -13,7 +13,10 @@ and named.
     python tests/exact_fingerprints.py --check --threads 1
 
 With ``--check`` it writes nothing and exits 1 when any recipe's hash (or
-the set of recipes) differs from the stored file.
+the set of recipes) differs from the stored file. The environment block
+records ``simd``, the CPU features NumPy found (its SIMD dispatch can move
+an exact number by an ulp); ``--check`` prints the host's set beside the
+stored one before its verdict.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ from common import environment, import_borrowsim, nproc  # noqa: E402
 
 REPS = 100_000
 STORED = ROOT / "tests" / "fingerprints-exact.json"
+
+
+def simd() -> list[str]:
+    """The CPU features NumPy found on this host, as the CI kernel step reads them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return sorted(name for name, found in __cpu_features__.items() if found)
 
 
 def exact_configs() -> tuple[dict, list[str]]:
@@ -92,7 +102,7 @@ def main(argv=None) -> int:
     report = {
         "reps": REPS,
         "threads": args.threads,
-        "environment": environment(DEFAULT_SEED),
+        "environment": {**environment(DEFAULT_SEED), "simd": simd()},
         "recipes": fingerprint(configs, args.threads),
     }
     if not args.check:
@@ -104,6 +114,9 @@ def main(argv=None) -> int:
     if made != (REPS, DEFAULT_SEED):
         print(f"error: {STORED.name} was made at {made[0]} reps, seed {made[1]}", file=sys.stderr)
         return 2
+    stored_simd = stored["environment"].get("simd")
+    print(f"simd (host):   {' '.join(report['environment']['simd'])}")
+    print(f"simd (stored): {'not recorded' if stored_simd is None else ' '.join(stored_simd)}")
     names = sorted(set(stored["recipes"]) | set(report["recipes"]))
     changed = [
         n for n in names

@@ -15,7 +15,10 @@ one tail scan per curve instead, and must match these exactly.
 way: one control-arm pass of the library's kernel over every common joint
 draw, then the share at or below alpha. The library counts the draws
 against one threshold curve per cell instead, re-deciding only those too
-close to it, and must match these exactly.
+close to it, and must match these exactly. The averages draw the true
+control means by ``design_draws``, which spells out the paper's three named
+design priors on its own; the library draws them from the scenario's
+mixture at an informative weight (``hybrid._design_draws``).
 
 ``scan_brentq_region`` (and ``rejection_region`` for a one-arm cell) is
 the one-arm rejection region the per-cell way: a sign scan of the tail,
@@ -101,10 +104,10 @@ from scipy.stats import gamma as gamma_dist
 from borrowsim import CurrentMean, NullBoundary, StudentT
 from borrowsim.gaussian import mixture_density
 from borrowsim import diagnostics, hybrid
-from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _design_draws, _treatment_params
+from borrowsim.hybrid import _SWEET_SPOT_RESOLUTION, _Bank, _treatment_params
 from borrowsim.onearm import _bank_stats, _draws
 from borrowsim.priors import AxisBank
-from borrowsim.scenarios import SweetSpot, base_normals
+from borrowsim.scenarios import SweetSpot, base_normals, base_uniforms
 from mixtures import BimodalityReport, build_informative, mixture_pdf, resolve_location
 
 # Points of the grid that locates the log-peak of the integrand.
@@ -362,17 +365,42 @@ def per_draw_power(s, bias: float) -> float:
     return per_draw_rate(s, s.external_at(bias), s.control_mean, s.effect)
 
 
-def _per_draw_average(s, design, analysis_shift: float, effect: float) -> float:
+def design_draws(s, weight: float) -> np.ndarray:
+    """True control means of a hybrid scenario's common design draws z,
+    centered at the external mean, under the named design prior of
+    informative weight ``weight``:
+
+    * informative (1): sd sigma / sqrt(n_ext), the informative component's;
+    * vague (0): the robust component's sd, the root of its variance:
+      the resolved one for a normal, scale**2 for a t;
+    * the mixture (between): each draw's own uniform picks the informative
+      sd when below ``weight``, else the robust one.
+    """
+    ext, prior = s.external, s.prior
+    sd_info = ext.sigma / math.sqrt(ext.n)
+    sd_rob = math.sqrt(prior.form.scale**2 if isinstance(prior.form, StudentT) else prior.resolved_robust_variance())
+    z = base_normals(s.seed, s.scenario_id, "design", s.reps)
+    if weight == 1.0:
+        sds = np.full(s.reps, sd_info)
+    elif weight == 0.0:
+        sds = np.full(s.reps, sd_rob)
+    else:
+        u = base_uniforms(s.seed, s.scenario_id, "design-component", s.reps)
+        sds = np.array([sd_info if u_r < weight else sd_rob for u_r in u])
+    return ext.mean + sds * z
+
+
+def _per_draw_average(s, weight, analysis_shift: float, effect: float) -> float:
     external = replace(s.external, mean=s.external.mean + analysis_shift)
-    return per_draw_rate(s, external, _design_draws(s, design), effect)
+    return per_draw_rate(s, external, design_draws(s, weight), effect)
 
 
-def per_draw_average_tie(s, design, analysis_shift: float = 0.0) -> float:
-    return _per_draw_average(s, design, analysis_shift, 0.0)
+def per_draw_average_tie(s, weight, analysis_shift: float = 0.0) -> float:
+    return _per_draw_average(s, weight, analysis_shift, 0.0)
 
 
-def per_draw_average_power(s, design, analysis_shift: float = 0.0) -> float:
-    return _per_draw_average(s, design, analysis_shift, s.effect)
+def per_draw_average_power(s, weight, analysis_shift: float = 0.0) -> float:
+    return _per_draw_average(s, weight, analysis_shift, s.effect)
 
 
 def reject_prob_gh(s, bias: float, effect: float, nodes: int = 160) -> float:

@@ -1,6 +1,7 @@
 """Distribution algebra: high-precision and quadrature oracles."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from borrowsim import (
     ExternalMean,
     HybridScenario,
     MixturePriorSpec,
+    Normal,
     OneArmScenario,
     StudentT,
     SufficientStat,
@@ -34,6 +36,26 @@ from mixtures import (
 )
 
 mpmath.mp.dps = 40
+
+_EXT = SufficientStat(0.0, 15, 1.0)
+_SPEC = MixturePriorSpec(0.5, _EXT, ExternalMean(), Normal(), n_robust=1.0)
+_ONE_ARM = OneArmScenario(0.0, 0.5, 20, 1.0, _EXT, _SPEC, seed=3, reps=100)
+_HYBRID = HybridScenario(20, 20, 1.0, _EXT, _SPEC, effect=0.83, seed=3, reps=100)
+
+
+# Each integer field of the library's constructors: (its message, a build
+# with it set; ``replace`` reruns the scenario's checks).
+_INTEGER_FIELDS = {
+    "SufficientStat.n": ("sample size must be an integer >= 1", lambda v: SufficientStat(0.0, v, 1.0)),
+    "StudentT.k": (r"k must be an integer in \[1, 1000\]", lambda v: StudentT(k=v)),
+    "OneArmScenario.n": ("n must be an integer >= 1", lambda v: replace(_ONE_ARM, n=v)),
+    "OneArmScenario.reps": ("reps must be an integer >= 1", lambda v: replace(_ONE_ARM, reps=v)),
+    "OneArmScenario.seed": (r"seed must be an integer in \[0, 2\*\*64\)", lambda v: replace(_ONE_ARM, seed=v)),
+    "HybridScenario.n_t": ("n_t must be an integer >= 1", lambda v: replace(_HYBRID, n_t=v)),
+    "HybridScenario.n_c": ("n_c must be an integer >= 1", lambda v: replace(_HYBRID, n_c=v)),
+    "HybridScenario.reps": ("reps must be an integer >= 1", lambda v: replace(_HYBRID, reps=v)),
+    "HybridScenario.seed": (r"seed must be an integer in \[0, 2\*\*64\)", lambda v: replace(_HYBRID, seed=v)),
+}
 
 
 def mp_normal_cdf(x):
@@ -207,6 +229,15 @@ class TestValidation:
             SufficientStat(0.0, 0, 1.0)
         with pytest.raises(ValueError):
             SufficientStat(0.0, 3, -1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
+    def test_a_non_finite_integer_field_fails_its_own_check(self, field, value):
+        # int() raises OverflowError on inf and its own ValueError on NaN:
+        # every integer field says which field it is instead.
+        message, build = _INTEGER_FIELDS[field]
+        with pytest.raises(ValueError, match=rf"^{message}, got {value!r}$"):
+            build(value)
 
 
 class TestBisect:

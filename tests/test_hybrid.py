@@ -12,15 +12,12 @@ from borrowsim import (
     CurrentMean,
     ExternalMean,
     HybridScenario,
-    Informative,
     MixturePriorSpec,
     Normal,
     NullBoundary,
-    RobustMixture,
     StudentT,
     SufficientStat,
     TreatmentPrior,
-    UnitInfo,
     calibrated_power_no_borrowing,
 )
 from borrowsim import hybrid, sweep
@@ -462,13 +459,12 @@ class TestDeltaRestricted:
 
 
 class TestAverageOCs:
-    @pytest.mark.parametrize(
-        "design,w",
-        [(Informative(), 1.0), (RobustMixture(0.5), 0.5), (UnitInfo(), 0.0)],
-    )
-    def test_matched_design_and_analysis_hold_the_level(self, design, w):
+    # A design prior is the scenario's mixture at an informative weight:
+    # 1 the informative prior, 0.5 the mixture, 0 the vague component.
+    @pytest.mark.parametrize("w", [1.0, 0.5, 0.0])
+    def test_matched_design_and_analysis_hold_the_level(self, w):
         s = scenario(w=w, reps=400_000)
-        tie = hybrid.average_curve(s, design, [0.0])[0][0]
+        tie = hybrid.average_curve(s, w, [0.0])[0][0]
         assert tie == pytest.approx(0.025, abs=0.0015)
 
     def test_degenerate_design_prior_reduces_to_plain_tie(self):
@@ -477,30 +473,32 @@ class TestAverageOCs:
         ext_huge = SufficientStat(0.0, 10**12, 1.0)
         spec = MixturePriorSpec(0.5, ext_huge, ExternalMean(), Normal(), n_robust=1.0)
         s = HybridScenario(20, 20, 1.0, ext_huge, spec, effect=0.83, seed=91, reps=200_000)
-        avg = hybrid.average_curve(s, Informative(), [0.0])[0][0]
+        avg = hybrid.average_curve(s, 1.0, [0.0])[0][0]
         fixed = one_point(s, 0.0, "tie")
         assert avg == pytest.approx(fixed, abs=2e-3)
 
     def test_current_mean_analysis_avoids_the_upward_trend(self):
         s_ext = scenario(w=0.5, location=ExternalMean(), reps=200_000)
         s_cur = scenario(w=0.5, location=CurrentMean(), reps=200_000)
-        design = RobustMixture(0.5)
+        weight = 0.5
         # conflict direction that pulls the control posterior down
-        ext_far = hybrid.average_curve(s_ext, design, [-2.0])[0][0]
-        cur_far = hybrid.average_curve(s_cur, design, [-2.0])[0][0]
+        ext_far = hybrid.average_curve(s_ext, weight, [-2.0])[0][0]
+        cur_far = hybrid.average_curve(s_cur, weight, [-2.0])[0][0]
         assert ext_far > 0.04
         assert cur_far < ext_far - 0.01
         # and the external-mean trend keeps growing with the shift
-        assert ext_far > hybrid.average_curve(s_ext, design, [-0.5])[0][0]
+        assert ext_far > hybrid.average_curve(s_ext, weight, [-0.5])[0][0]
 
     def test_average_power_behaves_like_power(self):
         s = scenario(w=0.5, reps=200_000)
-        assert hybrid.average_curve(s, RobustMixture(0.5), [0.0])[1][0] > 0.7
+        assert hybrid.average_curve(s, 0.5, [0.0])[1][0] > 0.7
 
-    def test_design_prior_required(self):
+    @pytest.mark.parametrize("weight", [None, math.nan, -0.1, 1.5])
+    def test_design_prior_required(self, weight):
+        # The design prior is an informative weight in [0, 1].
         s = scenario(w=0.5, reps=1000)
-        with pytest.raises(ValueError):
-            hybrid.average_curve(s, None, [0.0])
+        with pytest.raises(ValueError, match=r"informative weight must be in \[0, 1\]"):
+            hybrid.average_curve(s, weight, [0.0])
 
 
 class TestScenarioValidation:

@@ -28,15 +28,12 @@ from borrowsim import (
     CurrentMean,
     ExternalMean,
     HybridScenario,
-    Informative,
     MixturePriorSpec,
     Normal,
     OneArmScenario,
-    RobustMixture,
     StudentT,
     SufficientStat,
     TreatmentPrior,
-    UnitInfo,
 )
 from borrowsim import hybrid, inference, onearm, priors
 from borrowsim.config import normalize_config
@@ -77,9 +74,9 @@ cells = st.fixed_dictionaries({
     "seed": st.sampled_from([7, 20260810]),
 })
 
-designs = st.one_of(
-    st.just(Informative()), st.just(UnitInfo()), st.builds(RobustMixture, st.floats(0.0, 1.0))
-)
+# Design priors as informative weights: the informative prior, the vague
+# component and the mixture at any weight.
+designs = st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0))
 
 
 def build(p):
@@ -94,8 +91,9 @@ def build(p):
 
 
 def one_point(s, x, rate, design=None):
-    """One rate at one bias, or under ``design`` at one analysis shift: a
-    one-point ``hybrid.oc_curve`` or ``hybrid.average_curve``."""
+    """One rate at one bias, or under the design prior of informative weight
+    ``design`` at one analysis shift: a one-point ``hybrid.oc_curve`` or
+    ``hybrid.average_curve``."""
     if design is None:
         return hybrid.oc_curve(s, [x], rates=(rate,))[0][0]
     return hybrid.average_curve(s, design, [x])[rate == "power"][0]
@@ -115,6 +113,39 @@ def test_design_prior_averages_equal_the_per_draw_rates(p, design):
     s, shift = build(p)
     assert one_point(s, shift, "tie", design) == per_draw_average_tie(s, design, shift)
     assert one_point(s, shift, "power", design) == per_draw_average_power(s, design, shift)
+
+
+@pytest.mark.parametrize("location", [ExternalMean(), CurrentMean()], ids=["external", "current"])
+@pytest.mark.parametrize("form, n_robust, robust_variance", [
+    (Normal(), 0.5, None), (Normal(), None, 2.5), (StudentT(4.0, 0.7, 20), 1.0, None),
+], ids=["normal-n-robust", "normal-variance", "t"])
+@pytest.mark.parametrize("weight", [1.0, 0.0, 0.3, 0.5])
+def test_the_design_draws_are_the_named_design_priors(location, form, n_robust, robust_variance, weight):
+    # Weight 1 is the informative prior, 0 the vague one and a weight between
+    # the mixture: the engine's draws equal the oracle's spelled-out ones.
+    ext = SufficientStat(0.4, 15, 1.3)
+    spec = MixturePriorSpec(0.5, ext, location, form, n_robust=n_robust, robust_variance=robust_variance)
+    s = HybridScenario(20, 20, 1.3, ext, spec, effect=0.83, seed=11, reps=4_000)
+    assert hybrid._design_draws(s, weight).tobytes() == oracles.design_draws(s, weight).tobytes()
+
+
+def test_weights_0_and_1_draw_no_component_stream(monkeypatch):
+    # Only a mixture picks each draw's component from a uniform stream.
+    calls = []
+    uniforms = hybrid.base_uniforms
+
+    def recording(*args):
+        calls.append(args)
+        return uniforms(*args)
+
+    monkeypatch.setattr(hybrid, "base_uniforms", recording)
+    s = scenario(reps=700)
+    for weight in (1.0, 0.0):
+        hybrid._design_draws(s, weight)
+        hybrid.average_curve(s, weight, [0.0, 0.3])
+    assert calls == []
+    hybrid.average_curve(s, 0.5, [0.0])
+    assert [role for _, _, role, _ in calls] == ["design-component"]
 
 
 @st.composite
@@ -159,7 +190,7 @@ def test_tiny_reps_match_the_oracle_without_warnings(reps):
         for bias in (-1.0, 0.0, 0.3):
             assert one_point(s, bias, "tie") == per_draw_tie(s, bias)
             assert one_point(s, bias, "power") == per_draw_power(s, bias)
-        for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
+        for design in (1.0, 0.0, 0.5):
             assert one_point(s, 0.2, "tie", design) == per_draw_average_tie(s, design, 0.2)
 
 
@@ -175,7 +206,7 @@ def test_every_grid_size_counts_the_per_draw_rates(monkeypatch, reps, points):
     ties, powers = hybrid.oc_curve(s, biases)
     assert ties == [per_draw_tie(s, b) for b in biases]
     assert powers == [per_draw_power(s, b) for b in biases]
-    for design in (Informative(), UnitInfo(), RobustMixture(0.5)):
+    for design in (1.0, 0.0, 0.5):
         assert hybrid._Layout(s, design).grid.size == points
         for shift in (-0.4, 0.2):
             assert one_point(s, shift, "tie", design) == per_draw_average_tie(s, design, shift)
@@ -292,7 +323,7 @@ def test_a_curve_that_falls_raises(monkeypatch, rate):
         if rate == "tie":
             one_point(s, 0.25, "tie")
         else:
-            one_point(s, 0.25, "tie", UnitInfo())
+            one_point(s, 0.25, "tie", 0.0)
 
 
 def test_a_bracket_on_the_wrong_side_raises(monkeypatch):
@@ -389,9 +420,9 @@ def test_a_failed_newton_bracket_falls_back_to_bisection(monkeypatch, fault):
         ties, powers = hybrid.oc_curve(s, axis)
         assert ties == [per_draw_tie(s, b) for b in axis]
         assert powers == [per_draw_power(s, b) for b in axis]
-        ties, powers = hybrid.average_curve(s, RobustMixture(0.5), axis)
-        assert ties == [per_draw_average_tie(s, RobustMixture(0.5), x) for x in axis]
-        assert powers == [per_draw_average_power(s, RobustMixture(0.5), x) for x in axis]
+        ties, powers = hybrid.average_curve(s, 0.5, axis)
+        assert ties == [per_draw_average_tie(s, 0.5, x) for x in axis]
+        assert powers == [per_draw_average_power(s, 0.5, x) for x in axis]
     assert len(solves) == 2 and steps and all(stop == solves[0][6] for stop in steps)
     for s, bank, points, yc, lo, hi, stop in solves:
         # The faulty elements took the bisection, which halves every bracket
@@ -416,12 +447,12 @@ def test_tie_and_power_of_a_cell_share_one_curve(monkeypatch):
     assert len(solves) == 2
     assert hybrid.oc_curve(s, (0.25,)) == ([tie], [power])
     assert len(solves) == 3
-    tie, power = one_point(s, 0.25, "tie", UnitInfo()), one_point(s, 0.25, "power", UnitInfo())
+    tie, power = one_point(s, 0.25, "tie", 0.0), one_point(s, 0.25, "power", 0.0)
     assert len(solves) == 5
-    assert hybrid.average_curve(s, UnitInfo(), (0.25,)) == ([tie], [power])
+    assert hybrid.average_curve(s, 0.0, (0.25,)) == ([tie], [power])
     assert len(solves) == 6
     # Another design prior draws other control means: a curve of its own.
-    one_point(s, 0.25, "tie", Informative())
+    one_point(s, 0.25, "tie", 1.0)
     assert len(solves) == 7
     # A Monte Carlo curve solves every bias at once.
     ties, powers = hybrid.oc_curve(s, (-0.5, 0.0, 0.5))
@@ -451,7 +482,7 @@ _BOTH, _POWER = ("tie", "power"), ("power",)
     (lambda rates: onearm.oc_curve(onearm_scenario(), [], exact=True, rates=rates), (_BOTH, _POWER)),
     (lambda rates: hybrid.oc_curve(scenario(), [], rates=rates), (_BOTH, _POWER)),
     (lambda rates: hybrid.oc_curve(scenario(), [], exact=True, rates=rates), (_BOTH, _POWER)),
-    (lambda rates: hybrid.average_curve(scenario(), UnitInfo(), []), (_BOTH,)),
+    (lambda rates: hybrid.average_curve(scenario(), 0.0, []), (_BOTH,)),
 ], ids=["onearm-mc", "onearm-exact", "hybrid-mc", "hybrid-exact", "average"])
 def test_an_empty_axis_gives_one_empty_list_per_rate(route, rate_sets):
     for rates in rate_sets:

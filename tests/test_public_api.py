@@ -9,12 +9,12 @@ import types
 import pytest
 
 import borrowsim as bs
+from borrowsim import config
 
 PUBLIC = [
-    "CurrentMean", "DesignPrior", "ExternalMean", "HybridScenario", "Informative",
-    "MixturePriorSpec", "Normal", "NullBoundary", "OCRow", "OneArmScenario", "RobustMixture",
-    "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior", "UnitInfo", "bimodality_map",
-    "calibrated_power_no_borrowing", "one_arm_rmse", "one_arm_tie_exact",
+    "CurrentMean", "ExternalMean", "HybridScenario", "MixturePriorSpec", "Normal", "NullBoundary",
+    "OCRow", "OneArmScenario", "StudentT", "SufficientStat", "SweetSpot", "TreatmentPrior",
+    "bimodality_map", "calibrated_power_no_borrowing", "one_arm_rmse", "one_arm_tie_exact",
 ]
 
 # The one-point rate wrappers: a rate comes from the curve call behind it.
@@ -27,8 +27,10 @@ WRAPPERS = [
 # Those, the one-point region view (a region is read off ``_exact_curve``) and
 # the one-dataset object API (the tests keep what they use of it in
 # mixtures.py) are gone, the one-normal component and the informative and
-# location helpers with it.
+# location helpers with it. A design prior is an informative weight, so its
+# three classes and their union are gone too.
 REMOVED = WRAPPERS + [
+    "Informative", "RobustMixture", "UnitInfo", "DesignPrior",
     "one_arm_rejection_region", "GaussianComponent", "build_informative", "resolve_location", "GaussianMixture",
     "conjugate_update", "gaussian_cdf", "log_marginal_likelihood", "marginal_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "build_mixture_prior", "t_scale_matching_variance", "t_to_normal_mixture",
@@ -54,7 +56,7 @@ def test_the_map_takes_both_axes_and_the_schema_owns_their_defaults():
     params = inspect.signature(bs.bimodality_map).parameters.values()
     assert [p.default for p in params] == [inspect.Parameter.empty] * 3
     assert not hasattr(bs.diagnostics, "MAP_WEIGHTS") and not hasattr(bs.diagnostics, "map_biases")
-    imports = [n.module for n in ast.walk(ast.parse(inspect.getsource(bs.config)))
+    imports = [n.module for n in ast.walk(ast.parse(inspect.getsource(config)))
                if isinstance(n, ast.ImportFrom)]
     assert "diagnostics" not in imports and imports
 
