@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincinv, roots_genlaguerre
+from scipy.special import gammaincinv
 
 __all__ = [
     "SufficientStat",
@@ -90,15 +90,13 @@ def bisect(a, b, keeps_a, stop=None):
 def gauss_rule(family: str, nodes: int, alpha: float = 0.0):
     """Nodes and weights of a quadrature rule, built once per (family,
     nodes, alpha) and shared read-only: "hermite" for the weight exp(-x**2)
-    (``hermgauss``), "laguerre" for x**alpha exp(-x) on x > 0
-    (``roots_genlaguerre``), or "gamma", equal weights at the midpoint
-    quantiles (i - 0.5)/nodes of Gamma(alpha/2, rate alpha/2), a t's
-    precision at alpha degrees of freedom (``gammaincinv(a, q) * scale``,
-    bit for bit ``scipy.stats.gamma.ppf(q, a, scale=scale)``)."""
+    (``hermgauss``, the library's one orthogonal-polynomial rule), or
+    "gamma", equal weights at the midpoint quantiles (i - 0.5)/nodes of
+    Gamma(alpha/2, rate alpha/2), a t's precision at alpha degrees of
+    freedom (``gammaincinv(a, q) * scale``, bit for bit
+    ``scipy.stats.gamma.ppf(q, a, scale=scale)``)."""
     if family == "hermite":
         x, wts = np.polynomial.hermite.hermgauss(nodes)
-    elif family == "laguerre":
-        x, wts = roots_genlaguerre(nodes, alpha)
     elif family == "gamma":
         x = gammaincinv(alpha / 2.0, (np.arange(1, nodes + 1) - 0.5) / nodes) * (2.0 / alpha)
         if not np.all(np.isfinite(x)) or np.any(x <= 0.0):

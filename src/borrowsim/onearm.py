@@ -15,7 +15,9 @@ curve is built by the call that asks for it; the sorted draws and a cell's
 tail-free pass are run values, one per sweep run (``scenarios._run_shared``).
 The exact route has one curve entry (``oc_curve(exact=True)``) and one
 one-point entry, ``one_arm_tie_exact``, the only way into the exact-t
-route (the robust t taken exactly, not as its k-point bank).
+route (the robust t taken exactly, not as its k-point bank: one normal
+bank per cell from the trapezoid rule in the t's log precision, checked
+against the rule at half its step).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import inference
 # posterior_bank stays bound here unused: perfbench/tests/test_perfbench.py
 # asserts that the tracer's wrapper replaces this binding.
 from .inference import bank_chunks, posterior_bank, work_array  # noqa: F401
-from .priors import EXACT_T_NODES, AxisBank, StudentT, robust_location, t_laguerre_bank
+from .priors import AxisBank, StudentT, robust_location, t_trapezoid_bank
 from .scenarios import OneArmScenario, _run_shared, base_normals, sorted_normals
 
 __all__ = [
@@ -39,11 +41,9 @@ __all__ = [
     "oc_curve",
 ]
 
-# Largest disagreement allowed between the exact-t banks at the node count
-# a cell uses and at twice as many, over the cell's scan; the node counts
-# tried after EXACT_T_NODES (needed where the t scale is narrow against se).
+# Largest disagreement allowed between the exact-t bank at its step and at
+# half of it, over the cell's scan.
 EXACT_T_TOL = 1e-12
-_EXACT_T_FALLBACK = (80, 160)
 
 # Points of the sign scan grid of tail - alpha over null +- 12 se (the
 # exact route scans them all, the Monte Carlo count those that bracket its
@@ -94,7 +94,8 @@ def _scan(s: OneArmScenario, biases, points: int = _SCAN_POINTS, use_exact_t: bo
     """The grid ``ys`` over null +- 12 se, a curve's tail - alpha there (a
     row per point, one chunked kernel pass over banks built once) and its
     per-draw ``tails(ys, point)``; with ``use_exact_t``, one point's
-    ``_checked_exact_t`` scan and tail. A ``span`` (lo, hi) keeps the points
+    ``_checked_exact_t`` scan and tail (one trapezoid-rule bank over every
+    conflict in the window). A ``span`` (lo, hi) keeps the points
     from the one at or below lo to the one at or above hi (two at least),
     each row value the full grid's to the bit (a kernel column is chunk-free)."""
     ys = np.linspace(*_scan_window(s), points)
@@ -102,7 +103,7 @@ def _scan(s: OneArmScenario, biases, points: int = _SCAN_POINTS, use_exact_t: bo
         lo = min(max(np.searchsorted(ys, span[0], side="right") - 1, 0), points - 2)
         ys = ys[lo:max(np.searchsorted(ys, span[1]), lo + 1) + 1]
     if use_exact_t:
-        tails, scan, _ = _checked_exact_t(s, *biases, ys)
+        tails, scan = _checked_exact_t(s, *biases, ys)
         return ys, scan[None] - s.alpha, tails
     bank = AxisBank(s.prior, [s.external_at(b) for b in biases])
 
@@ -255,63 +256,35 @@ def _scan_window(s: OneArmScenario) -> tuple[float, float]:
     return s.null_mean - 12.0 * s.se, s.null_mean + 12.0 * s.se
 
 
-def _laguerre_shifts(form: StudentT, near: float, far: float) -> np.ndarray:
-    """Rate shifts of the exact-t banks covering conflicts in [near, far]:
-    a bank shifted by d serves conflicts up to sqrt(2 d**2 + df scale**2),
-    which leaves at most exp(-u) of the conflict factor to its rule."""
-    shifts = [near]
-    while (reach := math.sqrt(2.0 * shifts[-1] ** 2 + form.df * form.scale**2)) < far:
-        shifts.append(reach)
-    return np.array(shifts)
-
-
-def _exact_t_tails(s: OneArmScenario, bias: float, nodes: int):
-    """Exact-t posterior tail as a function of observed means in the scan
-    window: one Gauss-Laguerre bank (``t_laguerre_bank``) per band of
-    conflict to the robust location, shifted by the band's smallest."""
+def _exact_t_tails(s: OneArmScenario, bias: float, halve: bool = False):
+    """Exact-t posterior tail as a function of observed means: one normal
+    bank (``t_trapezoid_bank``, at half its step with ``halve``) serving
+    every conflict to the robust location in the scan window."""
     if not isinstance(s.prior.form, StudentT):
         raise TypeError("exact-t decisions need a StudentT robust form")
     external = s.external_at(bias)
     robust_loc = robust_location(s.prior, external)
     lo, hi = _scan_window(s)
-    if robust_loc is None:  # the location tracks the observed mean
-        near = far = 0.0
-    else:
-        near = max(0.0, lo - robust_loc, robust_loc - hi)
-        far = max(robust_loc - lo, hi - robust_loc)
-    shifts = _laguerre_shifts(s.prior.form, near, far)
-    banks = [AxisBank(s.prior, [external], block=t_laguerre_bank(s.prior.form, d, nodes)) for d in shifts]
-
-    def tails(ys, point=None):
-        dist = np.zeros_like(ys) if robust_loc is None else np.abs(ys - robust_loc)
-        band = np.clip(np.searchsorted(shifts, dist, side="right") - 1, 0, None)
-        out = np.empty_like(ys)
-        for b in np.unique(band):
-            out[band == b] = _bank_stats(s, banks[b], ys[band == b])
-        return out
-
-    return tails
+    # Where the location tracks the observed mean, there is no conflict.
+    far = 0.0 if robust_loc is None else max(robust_loc - lo, hi - robust_loc)
+    bank = AxisBank(s.prior, [external], block=t_trapezoid_bank(s.prior.form, far, halve))
+    return lambda ys, point=None: _bank_stats(s, bank, ys)
 
 
 def _checked_exact_t(s: OneArmScenario, bias: float, ys: np.ndarray):
-    """Exact-t tail function and its values on ``ys`` at the first node
-    count whose double agrees to EXACT_T_TOL on ``ys``; RuntimeError when
-    none does."""
-    tails = _exact_t_tails(s, bias, EXACT_T_NODES)
+    """Exact-t tail function and its values on ``ys``, checked against the
+    rule at half its step to EXACT_T_TOL on ``ys``; RuntimeError if they
+    disagree."""
+    tails = _exact_t_tails(s, bias)
     scan = tails(ys)
-    for nodes in (EXACT_T_NODES,) + _EXACT_T_FALLBACK:
-        finer = _exact_t_tails(s, bias, 2 * nodes)
-        finer_scan = finer(ys)
-        residual = float(np.max(np.abs(scan - finer_scan)))
-        if residual <= EXACT_T_TOL:
-            return tails, scan, nodes
-        tails, scan = finer, finer_scan
-    raise RuntimeError(
-        f"exact-t bank unconverged: {nodes} and {2 * nodes} nodes differ "
-        f"by {residual:g} (> {EXACT_T_TOL:g}) on the scan at t scale "
-        f"{s.prior.form.scale:g} and current-data se {s.se:g}; the route "
-        f"covers t scales down to about se/2 ({0.5 * s.se:g})"
-    )
+    residual = float(np.max(np.abs(scan - _exact_t_tails(s, bias, halve=True)(ys))))
+    if not residual <= EXACT_T_TOL:
+        raise RuntimeError(
+            f"exact-t bank unconverged: the trapezoid rule's tails at steps h and h/2 "
+            f"differ by {residual:g} (> {EXACT_T_TOL:g}) on the scan at t scale "
+            f"{s.prior.form.scale:g}"
+        )
+    return tails, scan
 
 
 def _exact_curve(s: OneArmScenario, biases, use_exact_t: bool = False, scan_points=None):
@@ -338,8 +311,9 @@ def one_arm_tie_exact(s: OneArmScenario, bias: float, *, use_exact_t: bool = Fal
                       scan_points: int | None = None) -> float:
     """Noise-free TIE at one bias: the Gaussian mass at the null of the
     rejection region (``_exact_curve``), with ``use_exact_t`` under the
-    robust t taken exactly rather than as its k-point bank (the node count
-    checked by ``_checked_exact_t``), over ``scan_points`` (default 2001,
-    at least 2) of the sign scan."""
+    robust t taken exactly rather than as its k-point bank (the trapezoid
+    rule in log precision, checked by ``_checked_exact_t`` against its half
+    step to 1e-12 on the scan), over ``scan_points`` (default 2001, at
+    least 2) of the sign scan."""
     region = _exact_curve(s, (bias,), use_exact_t, scan_points)[0]
     return _region_probability(region, s.null_mean, s.se)

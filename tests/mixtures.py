@@ -200,8 +200,8 @@ def t_to_normal_mixture(mu: float, form: StudentT) -> GaussianMixture:
     at 0.0305 at 45 and 0.0306 at 60, then climbs (0.0363 at 120, 0.097
     at 480), while the exact t's keeps falling toward 0.025 like
     1/conflict. Limits in the conflict are therefore checked on the
-    exact-t route, whose Gauss-Laguerre bank (``t_laguerre_bank``) is
-    exact for the t up to a node-count residual that it checks.
+    exact-t route, whose trapezoid-rule bank (``t_trapezoid_bank``) is
+    exact for the t up to a step residual that it checks.
     """
     spec = MixturePriorSpec(0.0, SufficientStat(mu, 1, 1.0), form=form)
     return _mixture(np.full(form.k, mu), *_robust_block(spec))

@@ -2,7 +2,7 @@
 
 ``exact_t_tail_oracle`` integrates the exact heavy-tailed posterior by
 adaptive quadrature. It lives with the tests only: the library's exact-t
-route is a Gauss-Laguerre normal bank, and this oracle is the independent
+route is a trapezoid-rule normal bank, and this oracle is the independent
 check on it.
 
 ``brute_force_tie`` and ``brute_force_power`` are the one-arm Monte Carlo

@@ -19,9 +19,9 @@ the code under test ("sd-ext" is the external data's standard error,
   bank matches the exact-t route to 3e-4 at 30 sd-ext. The bank itself
   cannot show the limit: beyond its widest component (~25 sd-ext here)
   its tail is normal and its error rate climbs again. The exact-t route
-  is a 40-node Gauss-Laguerre normal bank over the t's Gamma precision,
-  rate-shifted by the conflict, which checks itself against 80 nodes
-  (<= 1e-12 on its scan); both criterion-5 tests check its tail at every
+  is a normal bank from the trapezoid rule in the t's log precision,
+  which checks itself against the rule at half its step (<= 1e-12 on
+  its scan); both criterion-5 tests check its tail at every
   region boundary against adaptive quadrature (``oracles``) to 1e-10;
 * criterion 7, strongest-bimodality clause: every cell of the
   current-mean map matches a dense-grid oracle (closed-form posterior,
@@ -224,7 +224,7 @@ def boundary_oracle_gap(s, bias):
 
     The route puts each finite boundary where its tail equals alpha, so
     the adaptive-quadrature oracle, evaluated there, checks the route's
-    tail independently of the Gauss-Laguerre bank.
+    tail independently of the trapezoid-rule bank.
     """
     spec = replace(s.prior, external=s.external_at(bias))
     region = onearm._exact_curve(s, (bias,), True)[0]

@@ -22,7 +22,6 @@ from borrowsim import (
 )
 from borrowsim.config import normalize_config
 from borrowsim.gaussian import bisect, gauss_rule
-from borrowsim.priors import EXACT_T_NODES
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves
 from mixtures import (
@@ -289,11 +288,10 @@ class TestBisect:
 
 class TestGaussRule:
     """One cached, read-only builder serves the Gauss-Hermite rule of the
-    hybrid exact route, the Gauss-Laguerre rules of the exact-t route and
-    the Gamma-quantile grid of the t bank."""
+    hybrid exact route and the Gamma-quantile grid of the t bank."""
 
     @pytest.mark.parametrize("family,nodes,alpha",
-                             [("hermite", 160, 0.0), ("laguerre", 40, 1.0), ("gamma", 100, 3.0)])
+                             [("hermite", 160, 0.0), ("gamma", 100, 3.0)])
     def test_rules_come_back_read_only(self, family, nodes, alpha):
         x, wts = gauss_rule(family, nodes, alpha)
         assert x.shape == wts.shape == (nodes,)
@@ -322,28 +320,16 @@ class TestGaussRule:
             gauss_rule("legendre", 10)
 
     def test_each_rule_is_built_once_per_key(self, monkeypatch):
-        # Repeated calls of the hybrid Gauss-Hermite route and of the exact-t
-        # route (which also builds the doubled node count it checks against)
-        # build each rule once: the second round builds nothing.
+        # Two rounds of calls of the hybrid Gauss-Hermite route build its
+        # rule once.
         built = []
-        hermgauss, laguerre = np.polynomial.hermite.hermgauss, gaussian.roots_genlaguerre
+        hermgauss = np.polynomial.hermite.hermgauss
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
                             lambda n: built.append(("hermite", n)) or hermgauss(n))
-        monkeypatch.setattr(gaussian, "roots_genlaguerre",
-                            lambda n, a: built.append(("laguerre", n, a)) or laguerre(n, a))
         gaussian.gauss_rule.cache_clear()
         ext = SufficientStat(0.0, 15, 1.0)
         hybrid_s = HybridScenario(20, 20, 1.0, ext, MixturePriorSpec(0.5, ext), effect=0.83, seed=1, reps=10)
-        t_spec = MixturePriorSpec(0.5, ext, ExternalMean(), StudentT(3.0, 1.0, 10))
-        onearm_s = OneArmScenario(0.0, 0.5, 20, 1.0, ext, t_spec, seed=1, reps=10)
-        rounds = []
         for _ in range(2):
             hybrid.oc_curve(hybrid_s, [0.0, 0.3], exact=True)
             hybrid.oc_curve(hybrid_s, [0.1], exact=True)
-            onearm.one_arm_tie_exact(onearm_s, 0.2, use_exact_t=True, scan_points=201)
-            onearm.one_arm_tie_exact(onearm_s, 0.4, use_exact_t=True, scan_points=201)
-            rounds.append(list(built))
-        assert ("hermite", 160) in built and ("laguerre", EXACT_T_NODES, 1.0) in built
-        assert ("laguerre", 2 * EXACT_T_NODES, 1.0) in built
-        assert len(built) == len(set(built))
-        assert rounds[0] == rounds[1]
+        assert built == [("hermite", 160)]
