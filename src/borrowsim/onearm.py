@@ -8,8 +8,9 @@ curve (``oc_curve``; a cell is a one-point curve) from one decision
 boundary: one kernel pass scans every point's tail, and the scan's sorted
 ``_brackets`` are narrowed by bisection to count the sorted common draws
 (those near a crossing re-decided in one batched kernel call), or refined
-by ``brentq`` into the exact region (the exact scan covers the whole
-window, the Monte Carlo one the grid points that bracket its draws). The
+by ``gaussian.brentq`` (SciPy's Brent solve, transcribed bit for bit) into
+the exact region (the exact scan covers the whole window, the Monte Carlo
+one the grid points that bracket its draws). The
 RMSE and the mean weight are read off one tail-free posterior pass. Each
 curve is built by the call that asks for it; the sorted draws and a cell's
 tail-free pass are run values, one per sweep run (``scenarios._run_shared``).

@@ -13,7 +13,9 @@ and named.
     python tests/exact_fingerprints.py --check --threads 1
 
 With ``--check`` it writes nothing and exits 1 when any recipe's hash (or
-the set of recipes) differs from the stored file. The environment block
+the set of recipes) differs from the stored file, or when running the
+recipes loaded scipy.optimize (the exact routes solve their roots with
+``gaussian.brentq``, which needs no SciPy solver). The environment block
 records ``simd``, the CPU features NumPy found (its SIMD dispatch can move
 an exact number by an ulp); ``--check`` prints the host's set beside the
 stored one before its verdict.
@@ -125,6 +127,9 @@ def main(argv=None) -> int:
     for n in changed:
         print(f"CHANGED {n}")
     print(f"{len(names) - len(changed)}/{len(names)} exact recipes byte-identical (--threads {args.threads})")
+    if "scipy.optimize" in sys.modules:
+        print("error: the exact recipes loaded scipy.optimize", file=sys.stderr)
+        return 1
     return 1 if changed else 0
 
 

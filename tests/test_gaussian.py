@@ -6,7 +6,11 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
+from scipy.special import ndtr, ndtri
 
 from borrowsim import (
     ExternalMean,
@@ -21,7 +25,7 @@ from borrowsim import (
     onearm,
 )
 from borrowsim.config import normalize_config
-from borrowsim.gaussian import bisect, gauss_rule
+from borrowsim.gaussian import bisect, brentq, gauss_rule
 from borrowsim.recipes import recipe_config
 from borrowsim.sweep import _curves
 from mixtures import (
@@ -284,6 +288,90 @@ class TestBisect:
         a, b = np.array([]), np.array([])
         lo, hi = bisect(a, b, below, stop)
         assert lo is a and hi is b and calls == []
+
+
+# Root-solve families (a centre c, a scale s) -> (f, its root): smooth and
+# odd, flat at the root, a normal tail at the route's alpha, convex,
+# wiggling, and a near-step that defeats interpolation.
+_ROOT_FAMILIES = {
+    "tanh": lambda c, s: (lambda x: math.tanh(s * (x - c)), c),
+    "cubic": lambda c, s: (lambda x: s * (x - c) ** 3 + 1e-3 * (x - c), c),
+    "ndtr": lambda c, s: (lambda x: float(ndtr(s * (c - x))) - 0.025, c - float(ndtri(0.025)) / s),
+    "exp": lambda c, s: (lambda x: math.exp(s * (x - c)) - 1.0, c),
+    "wiggle": lambda c, s: (lambda x: (x - c) * (1.0 + 0.5 * math.sin(20.0 * x)), c),
+    "step": lambda c, s: (lambda x: math.atan(1e6 * s * (x - c)), c),
+}
+
+_NDTR_30, _NDTR_30_ROOT = _ROOT_FAMILIES["ndtr"](0.0, 30.0)
+
+
+def _solve(solver, f, a, b, xtol):
+    """The points ``solver`` evaluates, each as its hex, and its root's hex
+    or the type of what it raised."""
+    xs = []
+
+    def logged(x):
+        xs.append(float(x).hex())
+        return f(x)
+
+    try:
+        return xs, solver(logged, a, b, xtol=xtol).hex()
+    except Exception as e:  # the type is the outcome compared
+        return xs, type(e)
+
+
+class TestBrentq:
+    """``gaussian.brentq`` against ``scipy.optimize.brentq``: the same points
+    evaluated, the same root to the bit, the same exception type."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ROOT_FAMILIES)),
+        st.floats(-3.0, 3.0),
+        st.floats(-2.0, 2.0),
+        st.floats(-6.0, 1.0),
+        st.floats(-6.0, 1.0),
+        st.booleans(),
+        st.sampled_from([1e-12, 2e-12, 1e-14, 5e-324, 1e-6]),
+    )
+    def test_iterates_and_root_are_scipys(self, family, c, log_s, log_lo, log_hi, flip, xtol):
+        f, root = _ROOT_FAMILIES[family](c, 10.0**log_s)
+        a, b = root - 10.0**log_lo, root + 10.0**log_hi
+        if flip:
+            a, b = b, a
+        assert _solve(brentq, f, a, b, xtol) == _solve(scipy_brentq, f, a, b, xtol)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (-2.0, 1.0)])
+    def test_an_end_at_an_exact_zero_is_the_root(self, a, b):
+        assert brentq(lambda x: x - 1.0, a, b, xtol=1e-12) == 1.0
+        assert brentq(lambda x: -0.0 if x == a else x - 0.5 * (a + b), a, b, xtol=1e-12) == a
+
+    @pytest.mark.parametrize("f,a,b,xtol,error,message", [
+        (lambda x: x * x + 1.0, -1.0, 3.0, 1e-12, ValueError, "different signs"),
+        (lambda x: math.nan if x > 2.0 else x - 1.0, 0.0, 3.0, 1e-12, ValueError, "NaN"),
+        (lambda x: math.nan if 1.5 < x < 2.0 else x - 1.7, 0.0, 3.0, 1e-12, ValueError, "NaN"),
+        # Flat at its root, the cubic leaves a 5e-324 tolerance unmet.
+        (lambda x: x**3, -0.5, 1.7, 5e-324, RuntimeError, "after 100 iterations"),
+        (lambda x: math.exp(x) - 1.0, -1.0, 1000.0, 1e-12, OverflowError, "range"),
+    ])
+    def test_each_error_is_scipys(self, f, a, b, xtol, error, message):
+        with pytest.raises(error, match=message):
+            brentq(f, a, b, xtol=xtol)
+        assert _solve(brentq, f, a, b, xtol) == _solve(scipy_brentq, f, a, b, xtol)
+
+    @pytest.mark.parametrize("f,a,b,xtol", [
+        # A step that passes the limit 3|sbis| but not 3|sbis| - delta,
+        # which matters only at a tolerance wider than the property draws
+        # (brackets found by a search).
+        (_NDTR_30, _NDTR_30_ROOT - 2.0, _NDTR_30_ROOT + 0.5, 0.01),
+        (_NDTR_30, _NDTR_30_ROOT - 1.0, _NDTR_30_ROOT + 0.5, 0.1),
+        # Slopes near 1e-300 underflow the inverse quadratic's denominator
+        # to 0: C's step is then inf or nan, which bisects, not an error.
+        (lambda x: 1e-300 * (x**3 + x - 1.0), 0.0, 2.0, 1e-12),
+        (lambda x: 1e-300 * (x**3 + x - 1.0), 0.0, 2.0, 5e-324),
+    ])
+    def test_steps_the_property_does_not_draw_are_scipys(self, f, a, b, xtol):
+        assert _solve(brentq, f, a, b, xtol) == _solve(scipy_brentq, f, a, b, xtol)
 
 
 class TestGaussRule:
